@@ -137,6 +137,18 @@ class PASMMachine:
                     f"fail-stopped PE(s) {outside} are not in this "
                     f"partition (physical PEs {sorted(physical)})"
                 )
+        topo = ExtraStageCubeTopology(self.config.n_pes)
+        if fault_plan is not None:
+            # A fault naming no element would be silently ignored by
+            # routing; refuse it instead.
+            unknown = [f for f in fault_plan.faults if not topo.element_bit(f)]
+            if unknown:
+                raise ConfigurationError(
+                    f"network fault(s) {unknown} name no element of the "
+                    f"{topo.n_terminals}-terminal Extra-Stage Cube (int "
+                    f"stage 0..{topo.n_stages - 1}, int line "
+                    f"0..{topo.n_terminals - 1})"
+                )
         if shared is not None:
             if fault_plan is not None:
                 raise ConfigurationError(
@@ -146,7 +158,6 @@ class PASMMachine:
             self.env, self.network, self.fabric = shared
         else:
             self.env = Environment()
-            topo = ExtraStageCubeTopology(self.config.n_pes)
             extra_enabled = (fault_plan.extra_stage_enabled
                              if fault_plan is not None else False)
             byte_latency = self.config.net_byte_latency

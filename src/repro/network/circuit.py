@@ -38,7 +38,8 @@ class CircuitSwitchedNetwork:
         bypasses them; enable for fault tolerance or extra permutation
         freedom).
     faults:
-        Currently failed boxes/links.
+        Failed boxes/links, fixed for the allocator's lifetime (stored as
+        a frozenset; its element bitmask is computed once).
     setup_cycles:
         Cost of establishing one circuit, charged by the machine model at
         path set-up time.
@@ -46,11 +47,15 @@ class CircuitSwitchedNetwork:
 
     topology: ExtraStageCubeTopology
     extra_stage_enabled: bool = False
-    faults: set[Fault] = field(default_factory=set)
+    faults: frozenset[Fault] = frozenset()
     setup_cycles: int = 100
     _claims: dict[tuple[int, int], int] = field(default_factory=dict)
     _circuits: dict[int, Circuit] = field(default_factory=dict)
     _ids: "count[int]" = field(default_factory=count)
+
+    def __post_init__(self) -> None:
+        self.faults = frozenset(self.faults)
+        self._fault_mask = self.topology.fault_mask(self.faults)
 
     # ------------------------------------------------------------------
     def allocate(self, source: int, dest: int) -> Circuit:
@@ -65,6 +70,7 @@ class CircuitSwitchedNetwork:
                     faults=self.faults,
                     extra_stage_enabled=self.extra_stage_enabled,
                     prefer_exchange=prefer_exchange,
+                    fault_mask=self._fault_mask,
                 )
             except NetworkFaultError as exc:
                 last_error = exc

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import NetworkFaultError
-from repro.network.topology import ExtraStageCubeTopology, Fault, FaultKind
+from repro.network.topology import ExtraStageCubeTopology, Fault
 
 
 @dataclass(frozen=True)
@@ -40,55 +40,6 @@ class Path:
             yield topo.box_of(stage, self.lines[stage])
 
 
-def _blocked(
-    topo: ExtraStageCubeTopology,
-    path_lines: list[int],
-    faults: frozenset[Fault],
-    extra_enabled: bool,
-) -> bool:
-    """Does the candidate path touch any faulty element?
-
-    Box faults in the bypassable stages (the extra stage and the final
-    cube_0 stage — see
-    :meth:`~repro.network.topology.ExtraStageCubeTopology.is_bypassable`)
-    block only *exchanged* traversals: a straight traversal rides the
-    bypass multiplexer around the box.  That per-box bypass is what makes
-    the ESC single-fault tolerant even for output-stage box failures —
-    one of the two extra-stage settings always reaches the final stage
-    with bit 0 already correct, needing no exchange there.  Box faults in
-    the middle stages block every traversal, and link faults always block
-    (they are physical wires).
-    """
-    if not faults:
-        return False
-    for stage in range(topo.n_stages):
-        in_line = path_lines[stage]
-        out_line = path_lines[stage + 1]
-        box_stage, box_line = topo.box_of(stage, in_line)
-        box_matters = in_line != out_line if topo.is_bypassable(stage) else True
-        if box_matters and Fault(FaultKind.BOX, box_stage, box_line) in faults:
-            return True
-        if Fault(FaultKind.LINK, stage, out_line) in faults:
-            return True
-    return False
-
-
-def _build(topo: ExtraStageCubeTopology, source: int, dest: int,
-           exchange_extra: bool) -> list[int]:
-    lines = [source]
-    current = source
-    for stage in range(topo.n_stages):
-        bit = topo.stage_bit(stage)
-        if stage == 0:
-            if exchange_extra:
-                current ^= 1 << bit
-        else:
-            mask = 1 << bit
-            current = (current & ~mask) | (dest & mask)
-        lines.append(current)
-    return lines
-
-
 def route(
     topo: ExtraStageCubeTopology,
     source: int,
@@ -97,13 +48,18 @@ def route(
     faults: frozenset[Fault] | set[Fault] = frozenset(),
     extra_stage_enabled: bool = False,
     prefer_exchange: bool = False,
+    fault_mask: int | None = None,
 ) -> Path:
     """Compute a fault-free path from ``source`` to ``dest``.
 
     With the extra stage bypassed there is exactly one candidate path (the
     Generalized Cube's unique route).  With it enabled, both the straight
     and exchanged variants are tried — ``prefer_exchange`` flips the order,
-    which the circuit allocator uses to resolve conflicts.
+    which the circuit allocator uses to resolve conflicts.  A candidate is
+    blocked when its :meth:`~ExtraStageCubeTopology.path_mask` shares a
+    bit with the fault set's mask; ``fault_mask`` passes
+    ``topo.fault_mask(faults)`` precomputed, for callers that route many
+    pairs under one fault set.
 
     Raises :class:`~repro.errors.NetworkFaultError` when every candidate
     touches a faulty element.
@@ -111,19 +67,21 @@ def route(
     n = topo.n_terminals
     if not (0 <= source < n and 0 <= dest < n):
         raise ValueError(f"terminal out of range: {source}->{dest} (N={n})")
-    faults = frozenset(faults)
+    if fault_mask is None:
+        fault_mask = topo.fault_mask(faults)
     options = [False] if not extra_stage_enabled else (
         [True, False] if prefer_exchange else [False, True]
     )
-    rejected: list[tuple[int, ...]] = []
     for exchange in options:
-        lines = _build(topo, source, dest, exchange)
-        if not _blocked(topo, lines, faults, extra_stage_enabled):
-            return Path(source, dest, tuple(lines), exchange)
-        rejected.append(tuple(lines))
+        if not fault_mask or not fault_mask & topo.path_mask(source, dest,
+                                                            exchange):
+            return Path(source, dest, topo.path_lines(source, dest, exchange),
+                        exchange)
+    rejected = [topo.path_lines(source, dest, exchange) for exchange in options]
+    ordered = sorted(frozenset(faults),
+                     key=lambda f: (f.kind.value, f.stage, f.line))
     fault_names = ", ".join(
-        f"{f.kind.value}@stage{f.stage}/line{f.line}"
-        for f in sorted(faults, key=lambda f: (f.kind.value, f.stage, f.line))
+        f"{f.kind.value}@stage{f.stage}/line{f.line}" for f in ordered
     ) or "none"
     candidate_names = "; ".join(
         "->".join(str(line) for line in lines) for lines in rejected
@@ -133,7 +91,6 @@ def route(
         f"(extra stage {'enabled' if extra_stage_enabled else 'bypassed'}): "
         f"active faults [{fault_names}]; "
         f"rejected candidate path(s) [{candidate_names}]",
-        faults=tuple(sorted(faults,
-                            key=lambda f: (f.kind.value, f.stage, f.line))),
+        faults=tuple(ordered),
         candidates=tuple(rejected),
     )

@@ -15,6 +15,12 @@ network, since the bypass path skips them).
 
 In normal operation the extra stage is bypassed; it is enabled to route
 around faults.  This module is pure structure — no simulation state.
+
+Fault checks run on *element bitmasks*: every box and every output link
+of the network owns one bit of a Python int, a fault set is the OR of
+its elements' bits, and each candidate path has a precomputed mask of
+the elements whose failure blocks it.  "Is this path blocked?" is then
+a single ``&``.
 """
 
 from __future__ import annotations
@@ -33,8 +39,9 @@ class Fault:
     """A failed element.
 
     ``stage`` is a traversal index (0 = extra stage); for ``BOX`` faults
-    ``line`` may be either line of the box (it is canonicalized to the lower
-    one); for ``LINK`` faults ``line`` is the stage's *output* line number.
+    ``line`` may be either line of the box (routing canonicalizes it to the
+    lower one, see :meth:`ExtraStageCubeTopology.element_bit`); for
+    ``LINK`` faults ``line`` is the stage's *output* line number.
     """
 
     kind: FaultKind
@@ -54,6 +61,13 @@ class ExtraStageCubeTopology:
         self.n_bits = n_terminals.bit_length() - 1
         #: cube bit controlled by each traversal stage.
         self.stage_bits = [0] + list(range(self.n_bits - 1, -1, -1))
+        # Element bits: box (stage, low line) is bit ``stage * N + line``,
+        # output link (stage, line) is bit ``(n_stages + stage) * N + line``.
+        # Blocking masks are filled on demand: per candidate path (so one
+        # route on a large network does not build N² masks), and per
+        # extra-stage setting as a whole ``source * N + dest`` table.
+        self._path_masks: dict[tuple[int, int, bool], int] = {}
+        self._mask_tables: dict[bool, list[int]] = {}
 
     @property
     def n_stages(self) -> int:
@@ -89,6 +103,101 @@ class ExtraStageCubeTopology:
         for line in range(self.n_terminals):
             if not line & (1 << bit):
                 yield (stage, line)
+
+    # ------------------------------------------------------------------
+    def path_lines(self, source: int, dest: int,
+                   exchanged: bool) -> tuple[int, ...]:
+        """Lines of the destination-tag path ``source -> dest``.
+
+        ``lines[j]`` is the line occupied after traversal stage ``j - 1``.
+        The extra stage exchanges iff ``exchanged``; every cube stage
+        after it sets its bit to the destination's.
+        """
+        lines = [source]
+        current = source
+        if exchanged:
+            current ^= 1 << self.stage_bits[0]
+        lines.append(current)
+        for bit in self.stage_bits[1:]:
+            mask = 1 << bit
+            current = (current & ~mask) | (dest & mask)
+            lines.append(current)
+        return tuple(lines)
+
+    def element_bit(self, fault: Fault) -> int:
+        """The bit of the element ``fault`` names, or 0 if it names none.
+
+        A box fault may name either line of its box.  A fault whose stage
+        or line is not an int, or lies outside this network, names no
+        element: it gets no bit, so it can neither block a path nor alias
+        another element's bit.
+        """
+        stage, line = fault.stage, fault.line
+        n = self.n_terminals
+        if type(stage) is not int or type(line) is not int:
+            return 0
+        if not (0 <= stage < self.n_stages and 0 <= line < n):
+            return 0
+        if fault.kind is FaultKind.BOX:
+            return 1 << (stage * n + self.box_of(stage, line)[1])
+        if fault.kind is FaultKind.LINK:
+            return 1 << ((self.n_stages + stage) * n + line)
+        return 0
+
+    def fault_mask(self, faults) -> int:
+        """OR of :meth:`element_bit` over ``faults``."""
+        mask = 0
+        for fault in faults:
+            mask |= self.element_bit(fault)
+        return mask
+
+    def _blocking_mask(self, lines: tuple[int, ...]) -> int:
+        # A box in a bypassable stage blocks only an exchanging traversal:
+        # a straight one rides the bypass multiplexer around it.  That is
+        # what makes the ESC single-fault tolerant even for output-stage
+        # box failures: one of the two extra-stage settings reaches the
+        # final stage with bit 0 already correct, needing no exchange
+        # there.  Middle-stage boxes block every traversal; links are
+        # physical wires and always block.
+        n = self.n_terminals
+        link_base = self.n_stages * n
+        mask = 0
+        for stage in range(self.n_stages):
+            in_line, out_line = lines[stage], lines[stage + 1]
+            if in_line != out_line or not self.is_bypassable(stage):
+                mask |= 1 << (stage * n + self.box_of(stage, in_line)[1])
+            mask |= 1 << (link_base + stage * n + out_line)
+        return mask
+
+    def path_mask(self, source: int, dest: int, exchanged: bool) -> int:
+        """Elements whose failure blocks the path of :meth:`path_lines`.
+
+        The fault set ``faults`` blocks the path iff
+        ``fault_mask(faults) & path_mask(...)`` is non-zero.  Cached per
+        candidate path.
+        """
+        key = (source, dest, exchanged)
+        mask = self._path_masks.get(key)
+        if mask is None:
+            mask = self._blocking_mask(self.path_lines(source, dest, exchanged))
+            self._path_masks[key] = mask
+        return mask
+
+    def path_masks(self, exchanged: bool) -> list[int]:
+        """:meth:`path_mask` of every pair, indexed ``source * N + dest``.
+
+        Built once per extra-stage setting, for sweeps that test every
+        pair against many fault sets.
+        """
+        table = self._mask_tables.get(exchanged)
+        if table is None:
+            n = self.n_terminals
+            table = [
+                self._blocking_mask(self.path_lines(source, dest, exchanged))
+                for source in range(n) for dest in range(n)
+            ]
+            self._mask_tables[exchanged] = table
+        return table
 
     def describe(self) -> str:
         """Short structural summary (for logs and docs)."""

@@ -21,6 +21,7 @@ against the micro engine by the cross-engine tests, are:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,11 +68,14 @@ class ModelResult:
 
 
 # ---------------------------------------------------------------------------
+@functools.lru_cache(maxsize=1024)
 def _assemble_fragment(source: str, layout: MatmulLayout,
-                       config: PrototypeConfig):
+                       config: PrototypeConfig) -> tuple[Instruction, ...]:
+    # Memoised: one exhibits pass costs the same few fragments for every
+    # (mode, p, m) point.  A tuple, since every caller shares the result.
     symbols = layout_symbols(layout)
     symbols.update(config.device_symbols())
-    return assemble(source, predefined=symbols).instruction_list()
+    return tuple(assemble(source, predefined=symbols).instruction_list())
 
 
 def _cost(source, layout, config, env):

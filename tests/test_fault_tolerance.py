@@ -128,14 +128,43 @@ def test_double_fault_sweep_sampled_is_deterministic():
     assert a == b
 
 
-@pytest.mark.slow
 def test_double_fault_sweep_exhaustive_at_16():
-    """Every pair of single faults at N=16 (~5.4k combos, minutes of
-    routing) — runs in the non-blocking CI job only."""
+    """Every pair of single faults at N=16 (5356 combos), pinned to the
+    report the per-stage fault-membership check produced."""
     report = double_fault_sweep(16, max_exhaustive=10_000)
     assert report.exhaustive
-    assert report.combos == 104 * 103 // 2
-    assert 0 < report.survived < report.combos
+    assert (report.combos, report.survived, report.pairs_checked,
+            report.blocked_pairs, report.shift_survived) == (
+        5356, 3776, 1371136, 16256, 35)
+
+
+# ---------------------------------------------------------------------------
+# Fault names: either line of a box, nothing outside the network
+def test_box_fault_named_by_either_line_blocks_the_same_pairs():
+    topo = ExtraStageCubeTopology(8)
+    low, high = Fault(FaultKind.BOX, 1, 0), Fault(FaultKind.BOX, 1, 4)
+    assert topo.box_of(1, 4) == (1, 0)
+    blocked = blocked_pairs(topo, {low}, extra_stage_enabled=False)
+    assert len(blocked) == 16
+    assert blocked_pairs(topo, {high}, extra_stage_enabled=False) == blocked
+    with pytest.raises(NetworkFaultError):
+        route(topo, *blocked[0], faults={high})
+
+
+@pytest.mark.parametrize("fault", [
+    Fault(FaultKind.LINK, 1, -4),
+    Fault(FaultKind.BOX, 2, -1),
+    Fault(FaultKind.LINK, 1, "4"),
+    Fault(FaultKind.BOX, None, 0),
+    Fault(FaultKind.LINK, 0, 20),  # stage 0 line 20 = bit of LINK(1, 4)
+    Fault(FaultKind.LINK, 4, 0),  # N=8 has stages 0..3
+], ids=repr)
+def test_fault_outside_the_network_blocks_nothing(fault):
+    topo = ExtraStageCubeTopology(8)
+    assert topo.element_bit(fault) == 0
+    for extra in (False, True):
+        assert blocked_pairs(topo, {fault}, extra_stage_enabled=extra) == []
+    assert route(topo, 4, 4, faults={fault}) == route(topo, 4, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,35 @@ def test_failstop_outside_partition_is_rejected():
     assert str(outsider) in str(exc_info.value)
 
 
+_LAST_STAGE = ExtraStageCubeTopology(CFG.n_pes).n_stages - 1
+
+
+@pytest.mark.parametrize("fault", [
+    Fault(FaultKind.LINK, 1, -3),  # would shift by a negative count
+    Fault(FaultKind.BOX, 1, -1),
+    Fault(FaultKind.LINK, 1, "3"),  # not an int
+    Fault(FaultKind.BOX, "1", 0),
+    Fault(FaultKind.LINK, 0, CFG.n_pes + 4),  # would alias LINK(1, 4)
+    Fault(FaultKind.BOX, _LAST_STAGE + 1, 0),
+], ids=repr)
+def test_network_fault_outside_the_esc_is_rejected(fault):
+    plan = FaultPlan(faults=(fault,))
+    with pytest.raises(ConfigurationError) as exc_info:
+        PASMMachine(CFG, partition_size=4, fault_plan=plan)
+    assert repr(fault) in str(exc_info.value)
+
+
+def test_final_stage_link_fault_is_accepted_and_blocks():
+    """Outside the tolerance universe, but real input: a destination's
+    only wire is dead, so routing to that PE must fail."""
+    mapping = Partition(CFG, 4).shift_permutation()
+    dest = next(iter(mapping.values()))
+    plan = FaultPlan(faults=(Fault(FaultKind.LINK, _LAST_STAGE, dest),))
+    machine = PASMMachine(CFG, partition_size=4, fault_plan=plan)
+    with pytest.raises(NetworkFaultError):
+        machine.connect_shift_circuit()
+
+
 # ---------------------------------------------------------------------------
 # Plans through the execution engine's job layer
 def test_degraded_job_payload_reports_rerouting():
