@@ -59,15 +59,22 @@ def mulu_mean_cycles(b_max: int) -> float:
     return float(np.dot(cycles, pmf))
 
 
-def mulu_max_mean_cycles(b_max: int, p: int) -> float:
-    """E[max over p PEs] of the MULU time (exact order statistic)."""
+def expected_max(support: np.ndarray, pmf: np.ndarray, p: int) -> float:
+    """E[max of p iid draws] from ``(support, pmf)``, support ascending.
+
+    The exact order statistic: ``P[max = x_k] = F(x_k)^p − F(x_{k−1})^p``.
+    """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    support, pmf = ones_pmf_uniform_range(b_max)
     cdf = np.cumsum(pmf)
     cdf_prev = np.concatenate([[0.0], cdf[:-1]])
-    max_pmf = cdf**p - cdf_prev**p
-    return float(np.dot(38 + 2 * support, max_pmf))
+    return float(np.dot(support, cdf**p - cdf_prev**p))
+
+
+def mulu_max_mean_cycles(b_max: int, p: int) -> float:
+    """E[max over p PEs] of the MULU time (exact order statistic)."""
+    support, pmf = ones_pmf_uniform_range(b_max)
+    return expected_max(38 + 2 * support, pmf, p)
 
 
 def ones_std(b_max: int) -> float:
@@ -89,7 +96,4 @@ def mul_count_stats(b_max: int, op: str = "MULU", p: int = 1):
         raise ValueError(f"op must be MULU or MULS, got {op!r}")
     mean = float(np.dot(support, pmf))
     std = float(np.sqrt(np.dot((support - mean) ** 2, pmf)))
-    cdf = np.cumsum(pmf)
-    cdf_prev = np.concatenate([[0.0], cdf[:-1]])
-    emax = float(np.dot(support, cdf**p - cdf_prev**p))
-    return mean, std, emax
+    return mean, std, expected_max(support, pmf, p)

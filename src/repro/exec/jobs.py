@@ -137,11 +137,14 @@ def faultsweep_spec(
 def _check_macro_routability(spec: SimJobSpec, plan: FaultPlan) -> None:
     """Macro jobs cannot route bytes, but they must still refuse a plan
     under which the algorithm's shift permutation has no circuit setting
-    (the micro engine would raise at :meth:`connect_shift_circuit`)."""
+    (the micro engine would raise at :meth:`connect_shift_circuit`), and
+    refuse a fault that names no network element, as
+    :class:`PASMMachine` does."""
+    topo = ExtraStageCubeTopology(spec.config.n_pes)
+    plan.check_elements(topo)
     if spec.p <= 1:
         return
     partition = Partition(spec.config, spec.p)
-    topo = ExtraStageCubeTopology(spec.config.n_pes)
     network = CircuitSwitchedNetwork(
         topo,
         extra_stage_enabled=plan.extra_stage_enabled,

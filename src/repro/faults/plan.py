@@ -27,12 +27,22 @@ import json
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.network.topology import Fault, FaultKind
+from repro.network.topology import ExtraStageCubeTopology, Fault, FaultKind
 
 #: Default bounded wait after a strike before the simulation gives up on
 #: a fail-stopped PE (cycles).  Generous against the longest barrier
 #: interval of the paper's workloads, tiny against a hung simulation.
 DEFAULT_FAILSTOP_TIMEOUT = 50_000.0
+
+
+def _fault_from_dict(d) -> Fault:
+    try:
+        return Fault(FaultKind(d["kind"]), d["stage"], d["line"])
+    except (KeyError, TypeError, ValueError):
+        raise ConfigurationError(
+            f"malformed network fault {d!r}: expected a kind in "
+            f"{[k.value for k in FaultKind]} with a stage and a line"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -81,6 +91,15 @@ class FaultPlan:
             raise ConfigurationError(
                 f"failstop_timeout must be positive, got {self.failstop_timeout}"
             )
+        for fault in self.faults:
+            if not (isinstance(fault, Fault)
+                    and isinstance(fault.kind, FaultKind)
+                    and type(fault.stage) is int
+                    and type(fault.line) is int):
+                raise ConfigurationError(
+                    f"network fault {fault!r} needs a FaultKind and an "
+                    "int stage and line"
+                )
         faults = tuple(sorted(
             set(self.faults),
             key=lambda f: (f.kind.value, f.stage, f.line),
@@ -103,6 +122,21 @@ class FaultPlan:
     def network_faults(self) -> frozenset[Fault]:
         """The dead network elements as the routing layer consumes them."""
         return frozenset(self.faults)
+
+    def check_elements(self, topo: ExtraStageCubeTopology) -> None:
+        """Refuse network faults that name no element of ``topo``.
+
+        Routing gives such a fault no bit, so it would be ignored
+        silently; every engine refuses it here instead.
+        """
+        unknown = [f for f in self.faults if not topo.element_bit(f)]
+        if unknown:
+            raise ConfigurationError(
+                f"network fault(s) {unknown} name no element of the "
+                f"{topo.n_terminals}-terminal Extra-Stage Cube (int "
+                f"stage 0..{topo.n_stages - 1}, int line "
+                f"0..{topo.n_terminals - 1})"
+            )
 
     def failstop_at(self, physical_pe: int) -> float | None:
         """Strike time for a physical PE, or None when it stays healthy."""
@@ -128,10 +162,7 @@ class FaultPlan:
     def from_dict(cls, d: dict) -> "FaultPlan":
         """Rebuild a plan from :meth:`to_dict` output (any key order)."""
         return cls(
-            faults=tuple(
-                Fault(FaultKind(f["kind"]), f["stage"], f["line"])
-                for f in d.get("faults", ())
-            ),
+            faults=tuple(_fault_from_dict(f) for f in d.get("faults", ())),
             extra_stage_enabled=d.get("extra_stage_enabled", True),
             failstops=tuple(
                 PEFailStop(s["pe"], s["at"]) for s in d.get("failstops", ())

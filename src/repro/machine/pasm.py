@@ -139,16 +139,7 @@ class PASMMachine:
                 )
         topo = ExtraStageCubeTopology(self.config.n_pes)
         if fault_plan is not None:
-            # A fault naming no element would be silently ignored by
-            # routing; refuse it instead.
-            unknown = [f for f in fault_plan.faults if not topo.element_bit(f)]
-            if unknown:
-                raise ConfigurationError(
-                    f"network fault(s) {unknown} name no element of the "
-                    f"{topo.n_terminals}-terminal Extra-Stage Cube (int "
-                    f"stage 0..{topo.n_stages - 1}, int line "
-                    f"0..{topo.n_terminals - 1})"
-                )
+            fault_plan.check_elements(topo)
         if shared is not None:
             if fault_plan is not None:
                 raise ConfigurationError(

@@ -41,13 +41,13 @@ from repro.programs.common import (
     rotate_source,
     setup_v_source,
 )
-from repro.programs.data import MatmulLayout, multiplier_schedule
+from repro.programs.data import MatmulLayout
 from repro.timing_model.fragments import (
     CostEnv,
     static_cost,
     loop_overhead,
 )
-from repro.timing_model.mulstats import ones_of_schedule
+from repro.timing_model.mulstats import ones_of_schedule, skewed_ones
 from repro.timing_model.pipeline import comm_pipeline
 
 
@@ -100,11 +100,6 @@ class _Pieces:
                           layout, config, env)
 
 
-def _var_schedule(b: np.ndarray, p: int) -> np.ndarray:
-    """2·ones of the multiplier schedule, shape (p, n, cols)."""
-    return 2.0 * ones_of_schedule(multiplier_schedule(b, p))
-
-
 # ---------------------------------------------------------------------------
 def predict_serial(
     config: PrototypeConfig, n: int, m: int, b: np.ndarray
@@ -143,7 +138,7 @@ def predict_serial(
     add(loop_overhead(n, env, config), n * n)  # k loops
     add(pieces.body, n * n * n)  # fixed body (MULU at base 38)
     # data-dependent multiply time: every B element drives n·(1+m) muls
-    total["mult"] += float(n * (1 + m) * 2.0 * ones_of_schedule(b).sum())
+    total["mult"] += float(2 * n * (1 + m) * int(ones_of_schedule(b).sum()))
     add(pieces.halt)
 
     cycles = sum(total.values())
@@ -209,11 +204,13 @@ def predict_async(
 
     # Data-dependent multiply time with per-step coupling: each PE pays its
     # own multiply time (mean over PEs for the breakdown); the slowest PE
-    # per rotation step sets the pace (skew charged to sync/comm).
-    var = _var_schedule(b, p)  # (p, n, cols), cycles per multiply pass
-    per_step = n * (1 + m) * var.sum(axis=2)  # (p, n_steps)
-    own_mean = float(per_step.mean(axis=0).sum())
-    coupled = float(per_step.max(axis=0).sum())
+    # per rotation step sets the pace (skew charged to sync/comm).  Every
+    # multiplier drives n·(1+m) multiplies of 2·ones variable cycles.
+    scale = 2 * n * (1 + m)
+    step_ones = skewed_ones(b).reshape(n, p, layout.cols).sum(
+        axis=2, dtype=np.int64)  # (n_steps, p)
+    own_mean = float((scale * step_ones.sum(axis=1) / p).sum())
+    coupled = float(scale * int(step_ones.max(axis=1).sum()))
     skew_wait = coupled - own_mean  # mean wait at the per-step sync point
     total["mult"] += own_mean
     if barrier:
@@ -278,20 +275,22 @@ def predict_simd(
     # Variable multiply time: per-instruction max within each MC group.
     part = Partition(config, p)
     group = part.pes_per_mc_used  # PEs per Fetch Unit
-    var = _var_schedule(b, p).reshape(-1, group, n, cols)  # (groups, g, n, cols)
-    gmax = var.max(axis=1)  # (groups, n_steps, cols): per-broadcast max
-    # compute phase per (group, j): Σ_v [setup_v + n·(body_fixed + (1+m)·max)]
-    pass_var = n * (1 + m) * gmax  # (groups, n, cols)
+    gmax = skewed_ones(b).reshape(n, p // group, group, cols).max(
+        axis=2)  # (n_steps, groups, cols): per-broadcast max
+    # compute phase per (group, j): Σ_v [setup_v + n·(body_fixed + (1+m)·max)];
+    # the slowest group sets each step's pace.
+    step_max = gmax.sum(axis=2, dtype=np.int64).max(axis=1)  # (n_steps,)
     pe_pass_fixed = (
         max(pieces.setup_v.cycles, issue + loop_iter, cpw * setup_words)
         + n * max(body_fixed, issue + loop_iter, cpw * body_words)
     )
     # MC cost per (j): reset + v-loop of (setup issue + body loop)
     mc_phase_j = issue + mc_loop(cols, issue + mc_loop(n, issue))
-    pe_phase_gj = (
-        pieces.reset.cycles + cols * pe_pass_fixed + pass_var.sum(axis=2)
-    )  # (groups, n)
-    phase_j = np.maximum(pe_phase_gj.max(axis=0), mc_phase_j)  # (n,)
+    pe_phase_j = (
+        pieces.reset.cycles + cols * pe_pass_fixed
+        + 2 * n * (1 + m) * step_max
+    )
+    phase_j = np.maximum(pe_phase_j, mc_phase_j)  # (n,)
     # The whole compute phase (reset, setup_v, bodies) is tagged ``mult``
     # in the program source, matching the micro engine's attribution.
     total["mult"] += float(phase_j.sum())

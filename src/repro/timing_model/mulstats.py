@@ -14,9 +14,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
 
-from repro.utils.bitops import ones_count
+from repro.analysis.statistics import expected_max, ones_pmf_uniform_range
+from repro.utils.bitops import popcount_array
 
 
 def expected_ones(bits: int) -> float:
@@ -28,14 +28,12 @@ def expected_ones(bits: int) -> float:
 def expected_max_ones(bits: int, p: int) -> float:
     """Exact E[max of p iid Binomial(bits, 1/2)] via the order-statistic CDF.
 
-    ``E[max] = Σ_k k · (F(k)^p − F(k-1)^p)``.
+    ``ones(b)`` for b uniform over ``2**bits`` values is that binomial, so
+    this is :func:`~repro.analysis.statistics.expected_max` of its pmf.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    k = np.arange(bits + 1)
-    cdf = stats.binom.cdf(k, bits, 0.5)
-    cdf_prev = np.concatenate([[0.0], cdf[:-1]])
-    return float(np.sum(k * (cdf**p - cdf_prev**p)))
+    if not 0 < bits <= 16:
+        raise ValueError(f"bits must be in (0, 16], got {bits}")
+    return expected_max(*ones_pmf_uniform_range(1 << bits), p)
 
 
 def max_ones_gap(bits: int, p: int) -> float:
@@ -44,25 +42,24 @@ def max_ones_gap(bits: int, p: int) -> float:
 
 
 def ones_of_schedule(schedule: np.ndarray) -> np.ndarray:
-    """Popcounts of a multiplier schedule array (any shape)."""
-    return ones_count(schedule.astype(np.uint64), 16)
+    """Popcounts of a 16-bit multiplier array (any shape), as uint8."""
+    return popcount_array(schedule.astype(np.uint16, copy=False))
 
 
-def simd_mult_extra_cycles(schedule_ones: np.ndarray) -> float:
-    """Σ over broadcasts of 2·max_i ones — the SIMD variable multiply time.
+def skewed_ones(b: np.ndarray) -> np.ndarray:
+    """Ones counts of the multiplier schedule, one row per rotation step.
 
-    ``schedule_ones`` has shape (p, n_steps, cols); the max is over PEs
-    (axis 0) because a broadcast multiply is released to completion only at
-    the slowest PE's pace, and the result is summed over every (step,
-    column) inner-loop pass.  Multiply by n·(1+m) passes externally.
+    ``S[j, vp] = ones(B[(vp + j) % n, vp])``: the multiplier that global
+    column ``vp`` uses at rotation step ``j`` (the same schedule as
+    :func:`repro.programs.data.multiplier_schedule`).  PE ``i`` owns
+    columns ``i·cols .. (i+1)·cols − 1``, so splitting the column axis
+    into PEs, or MC groups of PEs, is a plain reshape.  B is popcounted
+    once; ``S`` is a strided view over ``[ones; ones]`` (element
+    ``[vp + j, vp]`` sits at ``j·n + vp·(n + 1)``) made contiguous.
     """
-    return float(2.0 * schedule_ones.max(axis=0).sum())
-
-
-def async_mult_extra_cycles(schedule_ones: np.ndarray) -> np.ndarray:
-    """Per-(PE, step) variable multiply cycles for the asynchronous modes.
-
-    Returns shape (p, n_steps): Σ_v 2·ones for each PE and rotation step,
-    ready for the per-step max (S/MIMD barrier coupling) or the global sum.
-    """
-    return 2.0 * schedule_ones.sum(axis=2)
+    n = b.shape[0]
+    ones = ones_of_schedule(b)
+    doubled = np.concatenate([ones, ones])
+    row, col = doubled.strides
+    return np.ascontiguousarray(np.lib.stride_tricks.as_strided(
+        doubled, shape=(n, n), strides=(row, row + col), writeable=False))

@@ -22,6 +22,7 @@ by the cross-engine tests).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.m68k.addressing import Mode, dreg, imm
@@ -80,6 +81,7 @@ def _poll_costs(env: CostEnv, config: PrototypeConfig):
     return move_c, and_c + taken_c, and_c + exit_c
 
 
+@functools.lru_cache(maxsize=256)
 def comm_pipeline(
     config: PrototypeConfig,
     env: CostEnv,
@@ -93,6 +95,9 @@ def comm_pipeline(
     ``pe_loop=False`` models SIMD mode, where the element loop runs on the
     MC and the PE sees only the broadcast element blocks (no counter setup
     or DBRA).
+
+    Memoised: a pure function of frozen inputs whose walk is O(n) in
+    Python, and an exhibits pass asks for the same few phases per point.
     """
     instrs = _xfer_instructions(config)
     kinds = [_classify(i, config) for i in instrs]

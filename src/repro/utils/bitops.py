@@ -36,19 +36,23 @@ def ones_count(value, width: int = 16):
     mask = bit_length_mask(width)
     if isinstance(value, np.ndarray):
         v = value.astype(np.uint64) & np.uint64(mask)
-        return _popcount_array(v)
+        return popcount_array(v).astype(np.int64)
     return (int(value) & mask).bit_count()
 
 
-def _popcount_array(v: np.ndarray) -> np.ndarray:
-    """Vectorized population count for uint64 arrays."""
+def popcount_array(v: np.ndarray) -> np.ndarray:
+    """Population count of an unsigned integer array, as uint8.
+
+    Counts in ``v``'s own dtype: a uint16 matrix is never widened.
+    """
     if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-        return np.bitwise_count(v).astype(np.int64)
-    out = np.zeros(v.shape, dtype=np.int64)
+        return np.bitwise_count(v)
+    out = np.zeros(v.shape, dtype=np.uint8)
     v = v.copy()
+    one = v.dtype.type(1)
     while np.any(v):
-        out += (v & np.uint64(1)).astype(np.int64)
-        v >>= np.uint64(1)
+        out += (v & one).astype(np.uint8)
+        v >>= one
     return out
 
 
@@ -67,7 +71,8 @@ def transitions_count(value, width: int = 16):
         v = (value.astype(np.uint64) & np.uint64(mask)) << np.uint64(1)
         x = v ^ (v >> np.uint64(1))
         # v has width+1 significant bits; transitions live in the low `width` bits
-        return _popcount_array(x & np.uint64(bit_length_mask(width)))
+        return popcount_array(
+            x & np.uint64(bit_length_mask(width))).astype(np.int64)
     v = (int(value) & mask) << 1
     x = v ^ (v >> 1)
     return (x & bit_length_mask(width)).bit_count()

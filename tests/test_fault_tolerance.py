@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, NetworkFaultError
+from repro.exec import SimJobSpec
 from repro.faults import (
     FaultPlan,
     PEFailStop,
@@ -238,6 +239,27 @@ def test_fault_plan_rejects_bad_inputs():
         PEFailStop(-1)
     with pytest.raises(ConfigurationError):
         PEFailStop(2, at=-5.0)
+
+
+@pytest.mark.parametrize("faults, named", [
+    # Mixed int/str stage or line: the canonical sort used to die with a
+    # TypeError.
+    ([{"kind": "link", "stage": 1, "line": 3},
+      {"kind": "link", "stage": 1, "line": "4"}], "line='4'"),
+    ([{"kind": "box", "stage": 1, "line": 0},
+      {"kind": "box", "stage": "2", "line": 0}], "stage='2'"),
+    # Unknown kind: used to be a ValueError from FaultKind.
+    ([{"kind": "wire", "stage": 1, "line": 3}], "'wire'"),
+    ([{"kind": "link", "stage": 1}], "'stage': 1"),
+])
+def test_fault_plan_from_dict_rejects_malformed_faults(faults, named):
+    with pytest.raises(ConfigurationError) as exc_info:
+        FaultPlan.from_dict({"faults": faults})
+    assert named in str(exc_info.value)
+    spec = {"program": "matmul", "mode": "smimd", "n": 16, "p": 4,
+            "fault_plan": {"faults": faults}}
+    with pytest.raises(ConfigurationError):
+        SimJobSpec.from_dict(spec)
 
 
 def test_fault_plan_queries():

@@ -180,9 +180,10 @@ _LAST_STAGE = ExtraStageCubeTopology(CFG.n_pes).n_stages - 1
     Fault(FaultKind.BOX, _LAST_STAGE + 1, 0),
 ], ids=repr)
 def test_network_fault_outside_the_esc_is_rejected(fault):
-    plan = FaultPlan(faults=(fault,))
+    # A non-int stage or line is refused by the plan itself, the rest
+    # by the machine: either way before anything runs.
     with pytest.raises(ConfigurationError) as exc_info:
-        PASMMachine(CFG, partition_size=4, fault_plan=plan)
+        PASMMachine(CFG, partition_size=4, fault_plan=FaultPlan(faults=(fault,)))
     assert repr(fault) in str(exc_info.value)
 
 
@@ -229,6 +230,22 @@ def test_macro_degraded_job_charges_and_checks_routability():
     with pytest.raises(NetworkFaultError):
         execute_job(matmul_spec(ExecutionMode.SMIMD, 64, 4, engine="macro",
                                 config=CFG, fault_plan=bad))
+
+
+@pytest.mark.parametrize("p", [1, 4])
+@pytest.mark.parametrize("fault", [
+    Fault(FaultKind.LINK, 0, CFG.n_pes + 4),  # would alias LINK(1, 4)
+    Fault(FaultKind.BOX, _LAST_STAGE + 1, 0),
+], ids=repr)
+def test_macro_job_rejects_fault_outside_the_esc(fault, p):
+    """The macro engine refuses what PASMMachine refuses, even at p=1
+    where there is no shift permutation to route."""
+    mode = ExecutionMode.SERIAL if p == 1 else ExecutionMode.SMIMD
+    spec = matmul_spec(mode, 16, p, engine="macro", config=CFG,
+                       fault_plan=FaultPlan(faults=(fault,)))
+    with pytest.raises(ConfigurationError) as exc_info:
+        execute_job(spec)
+    assert repr(fault) in str(exc_info.value)
 
 
 def test_macro_engine_rejects_failstop_plans():

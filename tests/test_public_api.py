@@ -1,7 +1,11 @@
 """Smoke tests for the public API surface and package hygiene."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,7 +65,30 @@ def test_machine_refuses_second_run():
         machine.run_serial(prog)
 
 
-def test_py_typed_marker_exists():
-    from pathlib import Path
+#: The modules behind the console scripts in pyproject.toml.
+CONSOLE_SCRIPT_MODULES = (
+    "repro.experiments.runner",
+    "repro.tools.runner",
+    "repro.serve.app",
+    "repro.serve.router",
+    "repro.tools.top",
+    "repro.tools.trace_cli",
+)
 
+
+@pytest.mark.parametrize("module", CONSOLE_SCRIPT_MODULES)
+def test_console_script_does_not_import_scipy(module):
+    """Every interpreter (CLI, pool worker, serve process) pays its
+    imports at start-up; the package needs numpy only."""
+    code = (f"import sys, {module}\n"
+            "sys.exit('scipy' in sys.modules)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr or f"{module} imports scipy"
+
+
+def test_py_typed_marker_exists():
     assert (Path(repro.__file__).parent / "py.typed").exists()

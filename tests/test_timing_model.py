@@ -17,11 +17,7 @@ from repro.timing_model import (
     static_cost,
 )
 from repro.timing_model.fragments import loop_overhead
-from repro.timing_model.mulstats import (
-    async_mult_extra_cycles,
-    max_ones_gap,
-    simd_mult_extra_cycles,
-)
+from repro.timing_model.mulstats import max_ones_gap, skewed_ones
 
 CFG = PrototypeConfig()
 ENV_MIMD = CostEnv.for_mode(CFG, simd_stream=False)
@@ -59,12 +55,14 @@ class TestMulStats:
         _, b = generate_matrices(8, b_bits=16)
         sched = ones_of_schedule(multiplier_schedule(b, 4))
         assert sched.shape == (4, 8, 2)
-        simd = simd_mult_extra_cycles(sched)
-        per_pe = async_mult_extra_cycles(sched)
-        assert per_pe.shape == (4, 8)
+        skewed = skewed_ones(b).reshape(8, 4, 2)  # (n_steps, p, cols)
+        # PE i's (step, column) block is a plain reshape of the step rows.
+        assert np.array_equal(skewed.transpose(1, 0, 2), sched)
+        simd = int(skewed.max(axis=1).sum())  # one MC group of 4 PEs
+        per_pe = skewed.sum(axis=2)  # (n_steps, p)
         # SIMD max-coupling always costs at least any single PE's time.
-        assert simd >= per_pe.sum(axis=1).max() / 1  # sum of per-step sums
-        assert simd >= float(per_pe.mean(axis=0).sum())
+        assert simd >= per_pe.sum(axis=0).max()
+        assert simd >= float(per_pe.mean(axis=1).sum())
 
 
 class TestMultiplierSchedule:

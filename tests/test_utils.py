@@ -17,7 +17,7 @@ from repro.utils import (
     to_unsigned,
     transitions_count,
 )
-from repro.utils.bitops import bit_length_mask
+from repro.utils.bitops import bit_length_mask, popcount_array
 
 
 class TestBitOps:
@@ -34,6 +34,16 @@ class TestBitOps:
         values = np.arange(2048, dtype=np.uint64)
         vec = ones_count(values, 16)
         assert vec.tolist() == [ones_count(int(v)) for v in values]
+
+    @pytest.mark.parametrize("native", [True, False],
+                             ids=["bitwise_count", "numpy<2 fallback"])
+    def test_popcount_array_keeps_uint16(self, native, monkeypatch):
+        if not native:
+            monkeypatch.delattr(np, "bitwise_count", raising=False)
+        values = np.arange(1 << 16, dtype=np.uint16)
+        counts = popcount_array(values)
+        assert counts.dtype == np.uint8
+        assert counts.tolist() == [int(v).bit_count() for v in range(1 << 16)]
 
     def test_transitions_scalar(self):
         # 0xFFFF << 1 = 0x1FFFE: one 01 boundary at the bottom.
