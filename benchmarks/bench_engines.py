@@ -72,13 +72,13 @@ def bench_micro_engine_serial_n16(benchmark):
     assert run_result.result.instructions > 15_000
 
 
-def _micro_run(mode, p, fast_path, lockstep=None, m=0, vectorized=None):
+def _micro_run(mode, p, fast_path, lockstep=None, m=0):
     """One micro-engine matmul; returns (cycles, process-CPU seconds)."""
     bundle = build_matmul(mode, 16, p, added_multiplies=m,
                           device_symbols=CFG.device_symbols())
     a, b = generate_matrices(16)
     machine = PASMMachine(CFG, partition_size=p, fast_path=fast_path,
-                          lockstep=lockstep, vectorized=vectorized)
+                          lockstep=lockstep)
     t0 = time.process_time()
     run = run_matmul(machine, bundle, a, b)
     return run.result.cycles, time.process_time() - t0
@@ -174,34 +174,18 @@ def bench_micro_lockstep_speedup(benchmark):
                 "engines and dominates; lockstep removes only the "
                 "rendezvous/event machinery (~30% of the local-time "
                 "SIMD run), so its ratio grows with timing variance "
-                "(SIMD_m5) and with problem size, not without bound. "
-                "vec_speedup adds the vectorized tier (REPRO_VECTORIZED, "
-                "decode-once broadcast batches over numpy state) on the "
-                "same workload: it removes per-PE interpretation too, "
-                "but the per-word batch bookkeeping is amortized over "
-                "only p lanes, so at the prototype-sized rows recorded "
-                "here (p=4..8) it stays under the 2x target and under "
-                "scalar lockstep; the ratio grows with the partition "
-                "size — 1.6x vs fastpath and ahead of scalar lockstep "
-                "at p=64 on a scaled 64-PE config (n=64 matmul).",
+                "(SIMD_m5) and with problem size, not without bound.",
     }
     for name, mode, p, m in rows:
-        fast_cycles = lock_cycles = vec_cycles = None
-        fast_best = lock_best = vec_best = float("inf")
-        vec = mode is ExecutionMode.SIMD
+        fast_cycles = lock_cycles = None
+        fast_best = lock_best = float("inf")
         for _ in range(3):
             fast_cycles, t = _micro_run(mode, p, fast_path=True,
                                         lockstep=False, m=m)
             fast_best = min(fast_best, t)
             lock_cycles, t = _micro_run(mode, p, fast_path=True,
-                                        lockstep=True, vectorized=False,
-                                        m=m)
+                                        lockstep=True, m=m)
             lock_best = min(lock_best, t)
-            if vec:
-                vec_cycles, t = _micro_run(mode, p, fast_path=True,
-                                           lockstep=True, vectorized=True,
-                                           m=m)
-                vec_best = min(vec_best, t)
         assert lock_cycles == fast_cycles, (
             f"{name}: lockstep diverged "
             f"({lock_cycles} != {fast_cycles} cycles)")
@@ -211,16 +195,10 @@ def bench_micro_lockstep_speedup(benchmark):
             "lockstep_s": round(lock_best, 3),
             "speedup": round(fast_best / lock_best, 2),
         }
-        if vec:
-            assert vec_cycles == fast_cycles, (
-                f"{name}: vectorized diverged "
-                f"({vec_cycles} != {fast_cycles} cycles)")
-            record[name]["vectorized_s"] = round(vec_best, 3)
-            record[name]["vec_speedup"] = round(fast_best / vec_best, 2)
 
     def rerun_simd():
         return _micro_run(ExecutionMode.SIMD, 4, fast_path=True,
-                          lockstep=True, vectorized=True)
+                          lockstep=True)
 
     benchmark.pedantic(rerun_simd, rounds=2, iterations=1)
 
@@ -229,12 +207,8 @@ def bench_micro_lockstep_speedup(benchmark):
     for name, row in record.items():
         if name == "note":
             continue
-        vec = (f" vectorized={row['vectorized_s']}s "
-               f"vec_speedup={row['vec_speedup']}x"
-               if "vec_speedup" in row else "")
         print(f"{name:8s} fastpath={row['fastpath_s']}s "
-              f"lockstep={row['lockstep_s']}s speedup={row['speedup']}x"
-              f"{vec}")
+              f"lockstep={row['lockstep_s']}s speedup={row['speedup']}x")
     print(f"-> {MICRO_OUT_PATH.name}")
 
 

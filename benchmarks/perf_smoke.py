@@ -10,10 +10,9 @@ non-zero on any *correctness* failure:
   constant (the same simulation the golden-exhibit suite locks down,
   restated here so a perf-motivated change can't drift timing);
 * engine equivalence: a small matmul must produce the same schedule bit
-  for bit on all four engine tiers — pure events, the local-time fast
-  path, the batched lockstep engine, and the vectorized broadcast
-  engine (the machine default, so the golden-cycle check above already
-  runs with lockstep + vectorized on).
+  for bit on all three engine tiers — pure events, the local-time fast
+  path, and the batched lockstep engine (the machine default, so the
+  golden-cycle check above already runs with lockstep on).
 
 Wall time is then compared against the committed ``BENCH_micro.json``
 (``vs_fastpath.<MODE>.lockstep_s``, falling back to
@@ -46,13 +45,6 @@ REGRESSION_THRESHOLD = 0.25  #: fractional slowdown vs BENCH_micro.json
 #: is ~1.4x (BENCH_micro.json vs_fastpath); the floor is set well under
 #: it so only a genuine loss of the batching trips it, not runner noise.
 LOCKSTEP_SIMD_FLOOR = 1.15
-#: Minimum vectorized-over-fast-path SIMD wall-time ratio.  At the
-#: pinned p=4 workload the recorded ratio is only ~1.1x — the per-word
-#: batch bookkeeping amortizes over just 4 lanes; the ratio grows with
-#: partition size (see BENCH_micro.json's vs_fastpath note).  The
-#: floor guards against the tier becoming a net loss, not against
-#: missing a speed-up it never had at this size.
-VECTORIZED_SIMD_FLOOR = 1.0
 
 #: The pinned workload: 16x16 matmul, calibrated config, default data
 #: seed — and the cycle counts it must produce, forever.
@@ -67,15 +59,14 @@ CFG = PrototypeConfig.calibrated()
 
 
 def run_mode(name: str, fast_path: bool | None = None,
-             lockstep: bool | None = None,
-             vectorized: bool | None = None):
+             lockstep: bool | None = None):
     """Simulate the pinned workload; return (cycles, matrix, wall_s)."""
     mode = ExecutionMode[name]
     p = PARTITION[name]
     bundle = build_matmul(mode, 16, p, device_symbols=CFG.device_symbols())
     a, b = generate_matrices(16)
     machine = PASMMachine(CFG, partition_size=p, fast_path=fast_path,
-                          lockstep=lockstep, vectorized=vectorized)
+                          lockstep=lockstep)
     t0 = time.process_time()
     run = run_matmul(machine, bundle, a, b)
     wall = time.process_time() - t0
@@ -124,10 +115,7 @@ def main() -> int:
         pure = run_mode(name, fast_path=False)
         for engine, kwargs in [
             ("fast path", {"fast_path": True, "lockstep": False}),
-            ("lockstep", {"fast_path": True, "lockstep": True,
-                          "vectorized": False}),
-            ("vectorized", {"fast_path": True, "lockstep": True,
-                            "vectorized": True}),
+            ("lockstep", {"fast_path": True, "lockstep": True}),
         ]:
             got = run_mode(name, **kwargs)
             if got[0] != pure[0] or (got[1] != pure[1]).any():
@@ -138,30 +126,22 @@ def main() -> int:
                 print(f"{name}: {engine} == pure events "
                       f"({got[0]:.0f} cycles)")
 
-    # The lockstep batching and the vectorized tier must actually be
-    # buying time on SIMD.  Interleaved best-of-3: alternating the
-    # engines keeps slow drift of a shared runner from landing entirely
-    # on one side of the ratio.
-    fast_wall = lock_wall = vec_wall = float("inf")
+    # The lockstep batching must actually be buying time on SIMD.
+    # Interleaved best-of-3: alternating the engines keeps slow drift of
+    # a shared runner from landing entirely on one side of the ratio.
+    fast_wall = lock_wall = float("inf")
     for _ in range(3):
         fast_wall = min(fast_wall,
                         run_mode("SIMD", fast_path=True, lockstep=False)[2])
         lock_wall = min(lock_wall,
-                        run_mode("SIMD", fast_path=True, lockstep=True,
-                                 vectorized=False)[2])
-        vec_wall = min(vec_wall,
-                       run_mode("SIMD", fast_path=True, lockstep=True,
-                                vectorized=True)[2])
-    for engine, wall, floor in [
-        ("lockstep", lock_wall, LOCKSTEP_SIMD_FLOOR),
-        ("vectorized", vec_wall, VECTORIZED_SIMD_FLOOR),
-    ]:
-        ratio = fast_wall / wall if wall else float("inf")
-        line = (f"SIMD: {engine} {wall:.3f}s vs fast path "
-                f"{fast_wall:.3f}s ({ratio:.2f}x, floor {floor:.2f}x)")
-        print(line)
-        if ratio < floor:
-            warnings.append(line + " [BELOW FLOOR]")
+                        run_mode("SIMD", fast_path=True, lockstep=True)[2])
+    ratio = fast_wall / lock_wall if lock_wall else float("inf")
+    line = (f"SIMD: lockstep {lock_wall:.3f}s vs fast path "
+            f"{fast_wall:.3f}s ({ratio:.2f}x, floor "
+            f"{LOCKSTEP_SIMD_FLOOR:.2f}x)")
+    print(line)
+    if ratio < LOCKSTEP_SIMD_FLOOR:
+        warnings.append(line + " [BELOW FLOOR]")
 
     if failures:
         print("\nFAIL (correctness):")
@@ -172,7 +152,7 @@ def main() -> int:
         what = ("strict: failing" if strict
                 else "warn-only; set REPRO_PERF_STRICT=1 to fail")
         print(f"\nwall-time regressions (slowdown beyond "
-              f"{REGRESSION_THRESHOLD:.0%} or an engine's SIMD ratio "
+              f"{REGRESSION_THRESHOLD:.0%} or the lockstep SIMD ratio "
               f"below its floor) ({what}):")
         for w in warnings:
             print(f"  {w}")

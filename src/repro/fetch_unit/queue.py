@@ -93,15 +93,6 @@ class FetchUnitQueue:
         self._staged: deque[tuple[QueueItem, float]] = deque()
         self._stage_clock = 0.0  #: admit-chain time of the staged block
         self._stage_done: Event | None = None  #: fired when staging drains
-        # -- vectorized tier (repro.sim.vectorized) ------------------------
-        #: Attached VectorExecutor, or None (plain lockstep).
-        self._vec = None
-        #: Slots whose pending request came through
-        #: :meth:`register_request_inline` — i.e. PEs streaming through
-        #: the CPU loop's recycled-event park, which understands the
-        #: vectorized ``(None, t)`` sentinel.  Generator-path requests
-        #: (trace_waits fetches, barrier data reads) are never batched.
-        self._inline_slots: set[int] = set()
         # -- statistics ---------------------------------------------------
         self.releases = 0
         self.words_enqueued = 0
@@ -129,10 +120,6 @@ class FetchUnitQueue:
         self.lockstep_releases = 0  #: items released via computed rendezvous
         self.lockstep_batch_pes = 0  #: PE resumptions delivered by carriers
         self.lockstep_carriers = 0  #: carrier events scheduled
-        self.vectorized_instructions = 0  #: words executed by vector batches
-        self.vectorized_batches = 0  #: batches delivered (1 resumption/PE)
-        self.scalar_fallbacks = 0  #: instruction words released scalar
-        #: while a VectorExecutor was attached
 
     def _sample(self) -> None:
         self._occ.append((self.env.now, self._words_used))
@@ -327,22 +314,18 @@ class FetchUnitQueue:
         self._stage_done = ev
         return None, ev
 
-    def _pump_staging(self, free_at: float) -> float | None:
+    def _pump_staging(self, free_at: float) -> None:
         """Admit staged items whose transfer is done and that fit now.
 
         ``free_at`` is the (computed) time the triggering release freed
         space; an item whose transfer completed earlier is admitted at
         that instant, exactly when the blocking enqueue would unblock.
-        Returns the earliest admit time performed, or None if nothing
-        was admitted (empty-stall latch support: an admit at ``free_at``
-        is synchronous with the triggering release's cascade).
         """
         staged = self._staged
-        first: float | None = None
         while staged:
             item, cycles = staged[0]
             if item.words > self.capacity_words - self._words_used:
-                return first
+                return
             start = self._stage_clock
             ready = start + cycles
             bound = ready < free_at
@@ -350,8 +333,6 @@ class FetchUnitQueue:
                 ready = free_at
             staged.popleft()
             self._stage_clock = ready
-            if first is None:
-                first = ready
             # A free admit's heap event (the transfer timeout) was
             # scheduled at the transfer start; a space-bound admit runs
             # inside the release cascade that freed its space (None).
@@ -360,7 +341,6 @@ class FetchUnitQueue:
         if ev is not None:
             self._stage_done = None
             fire_event(ev, self._stage_clock)
-        return first
 
     def stall_horizon(self) -> float:
         """Simulated time implied by a stalled staged transfer (-inf when
@@ -428,7 +408,6 @@ class FetchUnitQueue:
         self._requests[pe_slot] = ev
         self._arrivals[pe_slot] = arrival
         self._scheds[pe_slot] = sched
-        self._inline_slots.add(pe_slot)
         if not self._releasing and not self._carrier_pending and self._items:
             self._run_releases()
         return ev
@@ -464,13 +443,6 @@ class FetchUnitQueue:
             del self._arrivals[pe_slot]
             self._scheds.pop(pe_slot, None)
             del self._requests[pe_slot]
-        # Either way the PE is dead: it can no longer stream inline, so
-        # the vector engine must not batch (and re-register) on its
-        # behalf even when its last stamp stood.  A standing request is
-        # still released scalar — the stale succeed is absorbed, and the
-        # dead PE simply never stamps again, exactly as in the event
-        # schedule.
-        self._inline_slots.discard(pe_slot)
 
     def pending_arrival_max(self) -> float:
         """Latest stamped arrival among pending requests (-inf if none).
@@ -580,22 +552,6 @@ class FetchUnitQueue:
                                       or not t_r < env.peek()):
                     self._schedule_carrier(t_r)
                     return
-                vec = self._vec
-                if vec is not None:
-                    if vec.try_batch(self, t_r):
-                        # A whole run of broadcast words just executed
-                        # vectorized; resume the cascade after its last
-                        # recorded release.
-                        t_cursor = vec.last_release
-                        continue
-                    if not self._items[0].mask <= self._requests.keys():
-                        # try_batch flushed a live batch, and the PE whose
-                        # in-flight registration call entered this loop
-                        # consumed its sentinel synchronously (it had not
-                        # parked yet), vacating its request.  It re-stamps
-                        # the identical arrival the moment the call
-                        # unwinds, re-forming this exact rendezvous.
-                        return
                 self._release_head_now(t_r)
                 t_cursor = t_r
         finally:
@@ -615,43 +571,6 @@ class FetchUnitQueue:
         env.now.
         """
         head = self._items[0]
-        waiters = [self._requests[slot] for slot in head.mask]
-        if self._vec is not None and head.payload is not None:
-            self.scalar_fallbacks += 1
-        self._pop_head_vector(t_r)
-        self.lockstep_batch_pes += len(waiters)
-        value = (head, t_r)
-        for ev in waiters:
-            fire_event(ev, value)
-
-    def _pop_head_vector(self, t_r: float,
-                         vec_mask: frozenset | None = None,
-                         enabler_sched: float | None = None,
-                         batch_view: tuple | None = None) -> QueueItem:
-        """Pop the head at release time ``t_r`` with the exact scalar
-        release accounting, but *without* resuming the waiting PEs.
-
-        The vectorized tier (:meth:`~repro.sim.vectorized.VectorExecutor
-        .try_batch`) calls this once per batched word — every stats and
-        staging side effect lands at the same relative point as in
-        :meth:`_release_head_now`, while PE resumption is deferred to a
-        single end-of-batch sentinel delivery.
-
-        With ``vec_mask`` (== ``head.mask``) the mask's request/arrival
-        slots are *kept registered*: the PEs stay parked across the whole
-        batch, their re-registration after each word would rewrite the
-        identical entries, so the dict churn is skipped.
-
-        ``enabler_sched`` overrides the admit-tie comparison point (the
-        schedule instant of the release's last enabling arrival event):
-        the vector executor passes it from its live batch state, whose
-        completion stamps supersede the registered arrival dicts.
-        ``batch_view`` likewise supplies the batch's earliest live
-        arrival stamp (and its charge event's schedule instant) for
-        the empty-stall latch when the settled occupancy is zero going
-        into this pop.
-        """
-        head = self._items[0]
         head_admit = self._admit_times[0]
         inclusive = head_admit == t_r
         staged = self._staged
@@ -665,42 +584,29 @@ class FetchUnitQueue:
             and self._stage_clock + staged[0][1] == t_r
             and staged[0][0].words <= self.capacity_words - self._words_used
         )
-        if enabler_sched is None:
-            enabler_sched = float("-inf")
-            if not inclusive and (probe or self._has_admit_tie(t_r)):
-                # An admit ties with this release: find the schedule
-                # instant of the latest arrival attaining t_r (the
-                # enabling event) to replay the heap order.
-                arrivals = self._arrivals
-                scheds = self._scheds
-                enabler_sched = max(
-                    (scheds.get(s, float("-inf")) for s in head.mask
-                     if arrivals.get(s) == t_r),
-                    default=float("-inf"))
+        arrivals = self._arrivals
+        scheds = self._scheds
+        neg_inf = float("-inf")
+        enabler_sched = neg_inf
+        if not inclusive and (probe or self._has_admit_tie(t_r)):
+            # An admit ties with this release: find the schedule instant
+            # of the latest arrival attaining t_r (the enabling event) to
+            # replay the heap order.
+            enabler_sched = max(
+                (scheds.get(s, neg_inf) for s in head.mask
+                 if arrivals.get(s) == t_r),
+                default=neg_inf)
         stall_view = None
         if self._stats_words == 0 and self._ls_stall_start is None:
             # The first settle below is the event engine's empty->
             # non-empty transition: give _settle_admits the earliest
             # registered arrival (and the schedule instant of its charge
-            # event) so it can latch the empty-stall origin.  During a
-            # live batch the mask slots' dict entries are stale — the
-            # executor's batch_view carries the current stamps; fold in
-            # any foreign requesters.
-            if vec_mask is not None and len(self._arrivals) <= len(vec_mask):
-                stall_view = batch_view  # no foreign requesters
-            else:
-                scheds = self._scheds
-                neg_inf = float("-inf")
-                amin, asched = batch_view if batch_view else (None, None)
-                for s, a in self._arrivals.items():
-                    if vec_mask is not None and s in vec_mask:
-                        continue
-                    sc = scheds.get(s, neg_inf)
-                    if amin is None or a < amin or (a == amin
-                                                   and sc < asched):
-                        amin, asched = a, sc
-                if amin is not None:
-                    stall_view = (amin, asched)
+            # event) so it can latch the empty-stall origin.
+            for s, a in arrivals.items():
+                sc = scheds.get(s, neg_inf)
+                if (stall_view is None or a < stall_view[0]
+                        or (a == stall_view[0] and sc < stall_view[1])):
+                    stall_view = (a, sc)
         self._settle_admits(t_r, inclusive=inclusive,
                             enabler_sched=enabler_sched,
                             stall_view=stall_view)
@@ -735,26 +641,26 @@ class FetchUnitQueue:
         # stampers) are what the pure engine's release-time latch sees.
         if self._stats_words == 0:
             self._stats_empty_since = t_r
-        if vec_mask is None:
-            for slot in head.mask:
-                del self._requests[slot]
-                self._arrivals.pop(slot, None)
-                self._scheds.pop(slot, None)
-                self._inline_slots.discard(slot)
+        waiters = [self._requests.pop(slot) for slot in head.mask]
+        for slot in head.mask:
+            arrivals.pop(slot, None)
+            scheds.pop(slot, None)
         if self._staged or self._stage_done is not None:
             # The probe above may have drained staging; pumping with an
             # empty deque still fires the stage-done event.
             self._pump_staging(t_r)
         else:
             self._refill_from_waiters()
-        return head
+        self.lockstep_batch_pes += len(waiters)
+        value = (head, t_r)
+        for ev in waiters:
+            fire_event(ev, value)
 
-    def _refill_from_waiters(self) -> float | None:
-        first: float | None = None
+    def _refill_from_waiters(self) -> None:
         while self._space_waiters:
             ev, item = self._space_waiters[0]
             if item.words > self.capacity_words - self._words_used:
-                return first
+                return
             self._space_waiters.popleft()
             self._items.append(item)
             self._words_used += item.words
@@ -764,7 +670,4 @@ class FetchUnitQueue:
                 self._push_admit(self.env.now, item.words, sample=False)
             else:
                 self._hw = max(self._hw, self._words_used)
-            if first is None:
-                first = self.env.now
             ev.succeed()
-        return first

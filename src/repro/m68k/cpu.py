@@ -209,11 +209,6 @@ class CPU:
             except Exception:
                 chains = None
         tq = self._bus_try_queue_fetch
-        if tq is not None:
-            # Vectorized tier: whole broadcast batches may execute on this
-            # PE's behalf only while nothing observes per-instruction
-            # boundaries here (instruction caps, trace records).
-            bus.vec_stream_ok = max_instructions is None and not self.trace
         while self.halted is None:
             if chains is not None and main_lo <= self.regs.pc < main_hi:
                 chain = chains.get(self.regs.pc)
@@ -273,11 +268,6 @@ class CPU:
                 if ev is not None:
                     pair = ev._value if ev.callbacks is None else (yield ev)
                     instr = bus.finish_queue_fetch(pair)
-                    if instr is None:
-                        # Vectorized-batch sentinel: the batch executed
-                        # and accounted everything; clock rebased, go
-                        # fetch whatever the stream holds next.
-                        continue
                 else:
                     instr = yield from bus.fetch_instruction(pc)
                     if not isinstance(instr, Instruction):

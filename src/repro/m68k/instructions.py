@@ -122,9 +122,6 @@ class Instruction:
     #: Per-variant timings for data/outcome-dependent instructions,
     #: keyed by multiplier base cycles / shift count / branch outcome.
     _variant_timing_cache: dict | None = None
-    #: Compiled vector plan (repro.sim.vectorized.compile_plan):
-    #: None = not compiled yet, False = must run scalar, else a _Plan.
-    _vec_plan: object = None
 
     def __post_init__(self) -> None:
         if self.mnemonic not in ALL_MNEMONICS:

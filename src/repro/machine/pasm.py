@@ -33,7 +33,6 @@ from repro.pe import ProcessingElement
 from repro.sim import AllOf, Environment
 from repro.sim.localtime import resolve_fast_path
 from repro.sim.lockstep import resolve_lockstep
-from repro.sim.vectorized import VectorExecutor, resolve_vectorized
 
 
 class _FailStopSignal(BaseException):
@@ -92,7 +91,6 @@ class PASMMachine:
         fault_plan: FaultPlan | None = None,
         fast_path: bool | None = None,
         lockstep: bool | None = None,
-        vectorized: bool | None = None,
     ) -> None:
         """``shared`` (env, network, fabric) lets several virtual machines
         coexist on one physical machine — see
@@ -103,13 +101,8 @@ class PASMMachine:
         ``$REPRO_PURE_EVENTS`` (default: enabled).  ``lockstep`` selects
         the batched SIMD-rendezvous tier on top of it (see
         :mod:`repro.sim.lockstep`); ``None`` defers to ``$REPRO_LOCKSTEP``
-        (default: enabled; forced off without the fast path).
-        ``vectorized`` selects batched numpy execution of broadcast
-        blocks on top of lockstep (see :mod:`repro.sim.vectorized`);
-        ``None`` defers to ``$REPRO_VECTORIZED`` (default: enabled when
-        lockstep is; off without it, and *requesting* it without
-        lockstep raises :class:`~repro.errors.ConfigurationError`).
-        Results are bit-identical across all four tiers.
+        (default: enabled; forced off without the fast path).  Results
+        are bit-identical across all three tiers.
 
         ``fault_plan`` injects failures into this run: its network faults
         are applied to the circuit allocator (with the extra stage
@@ -123,7 +116,6 @@ class PASMMachine:
         self.fault_plan = fault_plan
         self.fast_path = fast_path
         self.lockstep = resolve_lockstep(lockstep, resolve_fast_path(fast_path))
-        self.vectorized = resolve_vectorized(vectorized, self.lockstep)
         if fault_plan is not None and fault_plan.failstops:
             physical = {
                 self.partition.physical_pe(logical)
@@ -209,17 +201,6 @@ class PASMMachine:
                     lockstep=self.lockstep,
                 )
             )
-        if self.vectorized:
-            # Attach one vector executor per Fetch Unit Queue, holding
-            # that queue's PE group keyed by logical slot.
-            groups: dict[int, dict[int, ProcessingElement]] = {}
-            for logical, pe in enumerate(self.pes):
-                mc = self.partition.mc_of_logical(logical)
-                groups.setdefault(mc, {})[logical] = pe
-            for mc, pes in groups.items():
-                self.queues[mc]._vec = VectorExecutor(
-                    self.queues[mc], pes, self.config
-                )
         self._net_setup_cycles = 0.0
 
     # ------------------------------------------------------------------
@@ -395,14 +376,8 @@ class PASMMachine:
     def _assassin(self, proc, at: float, pe: ProcessingElement):
         yield self.env.timeout(at)
         if not proc.triggered:
-            queue = pe.bus.queue
-            if self.lockstep and queue is not None and queue._vec is not None:
-                # Deliver any live vector batch *before* the strike: the
-                # victim — still alive — re-parks at its exact stamp, so
-                # the queue and PE state the fail-stop semantics below
-                # operate on is the scalar-lockstep state, word for word.
-                queue._vec.flush(queue)
             proc.interrupt(_FailStopSignal())
+            queue = pe.bus.queue
             if self.lockstep and queue is not None:
                 # A stamped request whose arrival lies beyond the strike
                 # never registered in the event schedule (the PE died

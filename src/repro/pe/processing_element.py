@@ -90,11 +90,6 @@ class PEBus(LocalTimeBus):
         self.lockstep_rendezvous = 0  #: stamped requests issued
         self._req_ev = None  #: recycled request event (one pending max)
         self._simd_ws = 0  #: SIMD-space wait states, stashed at request
-        #: Vectorized tier (repro.sim.vectorized): True while this PE's
-        #: CPU loop is streaming uncapped and untraced, i.e. whole
-        #: batches may be executed on its behalf and delivered as a
-        #: ``(None, t)`` sentinel.  Set by the CPU at run() entry.
-        self.vec_stream_ok = False
         # -- tracing ---------------------------------------------------------
         #: When set, the four blocking sites below record (kind, t0, t1)
         #: wait intervals.  ``sync()`` precedes every site, so env.now is
@@ -275,19 +270,9 @@ class PEBus(LocalTimeBus):
         return queue.register_request_inline(self.pe_slot, arrival, ev,
                                              arrival - self._lc)
 
-    def finish_queue_fetch(self, pair) -> Instruction | None:
-        """Complete a :meth:`try_queue_fetch` from its ``(item, t_r)`` pair.
-
-        A ``(None, t)`` pair is the vectorized-batch sentinel: the batch
-        already executed this PE's instructions and accounted every
-        charge (registers, memory, counters, categories) — only the
-        local clock needs rebasing on the batch completion stamp.
-        Returns ``None``; the CPU loop re-enters its fetch.
-        """
+    def finish_queue_fetch(self, pair) -> Instruction:
+        """Complete a :meth:`try_queue_fetch` from its ``(item, t_r)`` pair."""
         item, released = pair
-        if item is None:
-            self._local = released - self.env.now
-            return None
         payload = item.payload
         if payload is None:
             raise SimulationError(

@@ -105,16 +105,10 @@ def machine_counters(machine: "PASMMachine") -> dict[str, int | bool]:
     lockstep_releases = 0
     lockstep_batch_pes = 0
     lockstep_carriers = 0
-    vectorized_instructions = 0
-    vectorized_batches = 0
-    scalar_fallbacks = 0
     for queue in getattr(machine, "queues", {}).values():
         lockstep_releases += getattr(queue, "lockstep_releases", 0)
         lockstep_batch_pes += getattr(queue, "lockstep_batch_pes", 0)
         lockstep_carriers += getattr(queue, "lockstep_carriers", 0)
-        vectorized_instructions += getattr(queue, "vectorized_instructions", 0)
-        vectorized_batches += getattr(queue, "vectorized_batches", 0)
-        scalar_fallbacks += getattr(queue, "scalar_fallbacks", 0)
     out: dict[str, int | bool] = {
         "fast_path": bool(getattr(machine, "pes", None)
                           and machine.pes[0].bus.fast_path),
@@ -129,14 +123,6 @@ def machine_counters(machine: "PASMMachine") -> dict[str, int | bool]:
         "lockstep_releases": lockstep_releases,
         "lockstep_batch_pes": lockstep_batch_pes,
         "lockstep_carriers": lockstep_carriers,
-        # Vectorized tier: broadcast words executed across the whole mask
-        # in one numpy pass, batches delivered (one PE resumption each),
-        # and instruction words that fell back to scalar release while
-        # the vector engine was attached (the fallback rate).
-        "vectorized": bool(getattr(machine, "vectorized", False)),
-        "vectorized_instructions": vectorized_instructions,
-        "vectorized_batches": vectorized_batches,
-        "scalar_fallbacks": scalar_fallbacks,
     }
     out.update(kernel_counters(machine.env))
     return out

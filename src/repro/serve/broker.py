@@ -231,6 +231,7 @@ class JobBroker:
             lane: deque() for lane in LANES
         }
         self.draining = False
+        self._stopping = False  #: drain has cancelled the workers
         self.loop: asyncio.AbstractEventLoop | None = None
         self._wakeup: asyncio.Condition | None = None
         self._workers: list[asyncio.Task] = []
@@ -299,6 +300,7 @@ class JobBroker:
         ]
         if pending:
             await asyncio.wait(pending, timeout=grace)
+        self._stopping = True
         for task in self._workers:
             task.cancel()
         await asyncio.gather(*self._workers, return_exceptions=True)
@@ -491,7 +493,10 @@ class JobBroker:
                 await self._wakeup.wait()
 
     async def _worker_loop(self) -> None:
-        while True:
+        # The flag, not only the cancel, ends the loop: Python 3.11's
+        # asyncio.wait_for returns the inner result when it is cancelled
+        # just as that result lands, and _run_entry then returns normally.
+        while not self._stopping:
             try:
                 entry = await self._next_entry()
             except asyncio.CancelledError:

@@ -1,6 +1,6 @@
 """Shared engine-matrix helpers for the differential test suites.
 
-The repo has four micro-engine tiers that must be bit-identical in
+The repo has three micro-engine tiers that must be bit-identical in
 everything perf-visible (see DESIGN.md, "Engine tiers"):
 
 * ``pure-events`` — every charge is a heap event (``fast_path=False``);
@@ -8,12 +8,7 @@ everything perf-visible (see DESIGN.md, "Engine tiers"):
   flush at shared interactions (``fast_path=True``);
 * ``lockstep``    — local-time plus the batched SIMD rendezvous: the
   queue computes each release instant directly and resumes the enabled
-  set as a batch (``fast_path=True, lockstep=True``), here pinned to
-  scalar per-PE execution (``vectorized=False``);
-* ``vectorized``  — lockstep plus ``repro.sim.vectorized``: broadcast
-  words decode once and execute across the whole enabled mask over
-  numpy-backed per-PE state, falling back to scalar release at any
-  word the vector engine cannot prove equivalent.
+  set as a batch (``fast_path=True, lockstep=True``); the default.
 
 :func:`signature` captures everything a user of the simulator can
 observe — cycle counts, per-PE finish times and category breakdowns,
@@ -23,7 +18,7 @@ equivalence claim, not just makespan equality.
 
 The module doubles as a pytest plugin: the :func:`engine` /
 :func:`engine_pair` / :func:`mode_and_p` fixtures parametrize over the
-matrix with stable IDs (``vectorized``, ``SIMD`` …) so a failing case
+matrix with stable IDs (``lockstep``, ``SIMD`` …) so a failing case
 names its tier and mode directly in the test ID.
 """
 
@@ -38,15 +33,12 @@ from repro.programs.loader import build_matmul, run_matmul
 CFG = PrototypeConfig.calibrated()
 
 #: Engine tier name -> PASMMachine constructor flags.  Every tier pins
-#: all three flags explicitly so the matrix is immune to REPRO_LOCKSTEP
-#: / REPRO_VECTORIZED environment overrides leaking into tests.
+#: both flags explicitly so the matrix is immune to REPRO_PURE_EVENTS /
+#: REPRO_LOCKSTEP environment overrides leaking into tests.
 ENGINES = {
-    "pure-events": {"fast_path": False, "lockstep": False,
-                    "vectorized": False},
-    "local-time": {"fast_path": True, "lockstep": False,
-                   "vectorized": False},
-    "lockstep": {"fast_path": True, "lockstep": True, "vectorized": False},
-    "vectorized": {"fast_path": True, "lockstep": True, "vectorized": True},
+    "pure-events": {"fast_path": False, "lockstep": False},
+    "local-time": {"fast_path": True, "lockstep": False},
+    "lockstep": {"fast_path": True, "lockstep": True},
 }
 
 #: All tier names, in cost order (the differential suites iterate this).

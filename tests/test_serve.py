@@ -213,6 +213,25 @@ class TestAdmission:
 
         broker_run(body, drain_grace_s=5.0)
 
+    def test_drain_stops_a_worker_whose_cancel_was_swallowed(self):
+        """Python 3.11's ``asyncio.wait_for`` returns the inner result
+        instead of raising when it is cancelled just as that result
+        lands, so the worker finishes its job normally.  Drain must
+        still stop it, not leave it waiting for work forever."""
+        async def body(broker):
+            async def swallow_cancel(entry):
+                try:
+                    await asyncio.sleep(0.3)
+                except asyncio.CancelledError:
+                    pass
+
+            broker._run_entry = swallow_cancel
+            await broker.submit(spec=echo_spec("held"))
+            await _wait_until(lambda: broker.queue_depth == 0)
+            await asyncio.wait_for(broker.drain(grace_s=0.0), timeout=5.0)
+
+        broker_run(body, jobs=1)
+
 
 class TestScheduling:
     def test_interactive_lane_preempts_sweep(self):
