@@ -11,9 +11,9 @@ Most users want three names:
 
 Layer map (see DESIGN.md):
 
-* :mod:`repro.core` — the study facade, mode equations, crossover finder;
+* :mod:`repro.core` — the study facade, speed-up metrics, crossover finder;
 * :mod:`repro.machine` — the simulated prototype (PEs, MCs, Fetch Units,
-  network, partitioning, the four execution modes);
+  network, the four execution modes);
 * :mod:`repro.m68k` — the MC68000 model (assembler, interpreter, timing);
 * :mod:`repro.programs` — the paper's matrix-multiplication programs;
 * :mod:`repro.timing_model` — the vectorized macro performance model;
@@ -27,7 +27,6 @@ from repro.machine import (
     ExecutionMode,
     MachineResult,
     PASMMachine,
-    PartitionedMachine,
     PrototypeConfig,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "ExecutionMode",
     "PrototypeConfig",
     "PASMMachine",
-    "PartitionedMachine",
     "MachineResult",
     "__version__",
 ]

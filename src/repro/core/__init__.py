@@ -5,8 +5,11 @@ This package is the library's front door.  It wraps the substrates
 :class:`~repro.core.study.DecouplingStudy`, and provides the paper's
 analysis vocabulary:
 
-* the mode equations (:mod:`~repro.core.equations`):
-  ``T_SIMD = Σ_j max_k t_jk`` and ``T_MIMD = max_k Σ_j t_jk``;
+* the paper's two mode equations, which the simulator realizes rather
+  than evaluates: with ``t_jk`` the time PE *k* spends on instruction
+  *j*, a SIMD broadcast completes at the slowest enabled PE, so
+  ``T_SIMD = Σ_j max_k t_jk``, while decoupled (MIMD) PEs each pay only
+  their own sum, so ``T_MIMD = max_k Σ_j t_jk`` and ``T_MIMD ≤ T_SIMD``;
 * speed-up and efficiency (:mod:`~repro.core.metrics`), with the paper's
   definition ``efficiency = T_serial / (p · T_parallel)`` under which
   SIMD mode exceeds unity ("superlinear speed-up");
@@ -17,7 +20,6 @@ analysis vocabulary:
 """
 
 from repro.core.crossover import CrossoverResult, decoupling_benefit_per_multiply, find_crossover
-from repro.core.equations import mimd_time, simd_time, t_mimd_never_exceeds_t_simd
 from repro.core.metrics import efficiency, speedup
 from repro.core.report import full_report
 from repro.core.study import DecouplingStudy, StudyResult
@@ -25,9 +27,6 @@ from repro.core.study import DecouplingStudy, StudyResult
 __all__ = [
     "DecouplingStudy",
     "StudyResult",
-    "simd_time",
-    "mimd_time",
-    "t_mimd_never_exceeds_t_simd",
     "speedup",
     "efficiency",
     "find_crossover",

@@ -10,7 +10,6 @@ from repro.machine.config import PrototypeConfig
 from repro.machine.partition import Partition
 from repro.machine.pasm import MachineResult, PASMMachine
 from repro.machine.modes import ExecutionMode
-from repro.machine.multivm import PartitionedMachine
 
 __all__ = [
     "PrototypeConfig",
@@ -18,5 +17,4 @@ __all__ = [
     "PASMMachine",
     "MachineResult",
     "ExecutionMode",
-    "PartitionedMachine",
 ]

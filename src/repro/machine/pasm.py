@@ -1,7 +1,7 @@
 """The PASM machine: partitioned PEs, MCs, network, and the four run modes.
 
 A :class:`PASMMachine` instance owns one simulation environment and one
-virtual machine (partition).  The mode runners return a
+partition, and runs one workload.  The mode runners return a
 :class:`MachineResult` with the makespan, per-PE and per-category cycle
 breakdowns (the data behind the paper's Figures 6–12), and queue/network
 statistics.
@@ -79,22 +79,19 @@ class MachineResult:
 
 
 class PASMMachine:
-    """One virtual machine on the simulated prototype."""
+    """One partition of the simulated prototype, good for one run."""
 
     def __init__(
         self,
         config: PrototypeConfig | None = None,
         partition_size: int = 4,
-        first_mc: int = 0,
         *,
-        shared=None,
         fault_plan: FaultPlan | None = None,
         fast_path: bool | None = None,
         lockstep: bool | None = None,
     ) -> None:
-        """``shared`` (env, network, fabric) lets several virtual machines
-        coexist on one physical machine — see
-        :class:`repro.machine.multivm.PartitionedMachine`.
+        """The partition is ``partition_size`` PEs on the MCs numbered
+        from 0 up (see :class:`~repro.machine.partition.Partition`).
 
         ``fast_path`` selects local-time execution for the PE and MC buses
         (see :mod:`repro.sim.localtime`); ``None`` defers to
@@ -112,7 +109,7 @@ class PASMMachine:
         synchronization point within ``fault_plan.failstop_timeout``
         cycles via :class:`~repro.errors.PEFailStopError`."""
         self.config = config or PrototypeConfig.calibrated()
-        self.partition = Partition(self.config, partition_size, first_mc)
+        self.partition = Partition(self.config, partition_size)
         self.fault_plan = fault_plan
         self.fast_path = fast_path
         self.lockstep = resolve_lockstep(lockstep, resolve_fast_path(fast_path))
@@ -132,30 +129,22 @@ class PASMMachine:
         topo = ExtraStageCubeTopology(self.config.n_pes)
         if fault_plan is not None:
             fault_plan.check_elements(topo)
-        if shared is not None:
-            if fault_plan is not None:
-                raise ConfigurationError(
-                    "fault plans apply to a whole physical machine; pass "
-                    "the plan to the owner of the shared environment"
-                )
-            self.env, self.network, self.fabric = shared
-        else:
-            self.env = Environment()
-            extra_enabled = (fault_plan.extra_stage_enabled
-                             if fault_plan is not None else False)
-            byte_latency = self.config.net_byte_latency
-            if extra_enabled:
-                byte_latency += self.config.net_extra_stage_cycles
-            self.network = CircuitSwitchedNetwork(
-                topo,
-                extra_stage_enabled=extra_enabled,
-                faults=set(fault_plan.network_faults())
-                if fault_plan is not None else set(),
-                setup_cycles=self.config.net_setup_cycles,
-            )
-            self.fabric = NetworkFabric(
-                self.env, self.network, byte_latency=byte_latency,
-            )
+        self.env = Environment()
+        extra_enabled = (fault_plan.extra_stage_enabled
+                         if fault_plan is not None else False)
+        byte_latency = self.config.net_byte_latency
+        if extra_enabled:
+            byte_latency += self.config.net_extra_stage_cycles
+        self.network = CircuitSwitchedNetwork(
+            topo,
+            extra_stage_enabled=extra_enabled,
+            faults=set(fault_plan.network_faults())
+            if fault_plan is not None else set(),
+            setup_cycles=self.config.net_setup_cycles,
+        )
+        self.fabric = NetworkFabric(
+            self.env, self.network, byte_latency=byte_latency,
+        )
 
         # Fetch Units and MCs, one per partition MC.
         self.masks: dict[int, MaskRegister] = {}
@@ -202,6 +191,8 @@ class PASMMachine:
                 )
             )
         self._net_setup_cycles = 0.0
+        self._circuits = []
+        self._started = False
 
     # ------------------------------------------------------------------
     @property
@@ -235,59 +226,6 @@ class PASMMachine:
         self._circuits = self.fabric.connect_permutation(mapping)
         self._net_setup_cycles = self.network.setup_cycles
 
-    def connect_logical_permutation(self, mapping: dict[int, int]) -> None:
-        """Establish circuits for a logical-PE permutation (one setting)."""
-        physical = {
-            self.partition.physical_pe(src): self.partition.physical_pe(dst)
-            for src, dst in mapping.items()
-        }
-        self._circuits = self.fabric.connect_permutation(physical)
-        self._net_setup_cycles += self.network.setup_cycles
-
-    def disconnect_circuits(self) -> None:
-        """Tear down the current circuit setting (must be idle)."""
-        for circuit in getattr(self, "_circuits", []):
-            self.fabric.disconnect(circuit)
-        self._circuits = []
-
-    def run_staged_smimd(
-        self,
-        stages: list[tuple[list[AssembledProgram], dict[int, int], int]],
-        *,
-        charge_setup: bool = True,
-    ) -> MachineResult:
-        """Run S/MIMD stages with network reconfiguration between them.
-
-        Each stage is ``(per-PE programs, logical permutation,
-        sync_words)``.  Unlike the matrix multiplication — designed so one
-        circuit setting lasts the whole run — staged algorithms (e.g.
-        recursive doubling) pay the circuit-switched network's set-up cost
-        at every stage; with ``charge_setup`` the cost is charged in
-        simulated time, making the paper's "time consuming operation"
-        remark measurable.  PE *memory* carries across stages (registers
-        are reset with each stage's program load).
-
-        Returns one result for the whole staged run; its ``cycles`` is the
-        wall makespan including the reconfiguration windows, and
-        ``net_setup_cycles`` totals the charged set-up time.
-        """
-        setup_charged = 0.0
-        self._staged = True
-        for programs, mapping, sync_words in stages:
-            self.disconnect_circuits()
-            if charge_setup and mapping:
-                self.env.run(until=self.env.timeout(
-                    self.config.net_setup_cycles))
-                setup_charged += self.config.net_setup_cycles
-            if mapping:
-                self.connect_logical_permutation(mapping)
-            done = self.start_smimd(programs, sync_words)
-            self._watched_run(done)
-        result = self._collect(ExecutionMode.SMIMD)
-        result.cycles = self.env.now  # wall time incl. reconfiguration
-        result.net_setup_cycles = setup_charged
-        return result
-
     # ------------------------------------------------------------------
     def _collect(self, mode: ExecutionMode) -> MachineResult:
         per_pe_cycles = {}
@@ -313,9 +251,7 @@ class PASMMachine:
         return MachineResult(
             mode=mode,
             p=self.p,
-            # The makespan is the last PE's finish time (== env.now for a
-            # single VM, but not when other virtual machines share the
-            # environment).
+            # The makespan is the last PE's finish time.
             cycles=max(per_pe_cycles.values(), default=self.env.now),
             per_pe_cycles=per_pe_cycles,
             per_pe_categories=per_pe_categories,
@@ -330,18 +266,14 @@ class PASMMachine:
         """Circuits of the current setting routed via the exchanged extra
         stage — non-zero only in degraded (fault-routing) operation."""
         return sum(
-            1 for c in getattr(self, "_circuits", [])
-            if c.path.extra_exchanged
+            1 for c in self._circuits if c.path.extra_exchanged
         )
 
     def _start_pes(self):
-        if getattr(self, "_started", False) and not getattr(
-            self, "_staged", False
-        ):
+        if self._started:
             raise ConfigurationError(
                 "this PASMMachine already ran a workload; simulated time "
-                "is monotonic — create a fresh machine per run (or use "
-                "run_staged_smimd / PartitionedMachine for multi-phase work)"
+                "is monotonic — create a fresh machine per run"
             )
         self._started = True
         strikes: dict[int, float] = {}
@@ -441,41 +373,36 @@ class PASMMachine:
         if not done.ok:
             raise done.value
 
-    def _run(self, mode: ExecutionMode, done) -> MachineResult:
-        self._watched_run(done)
+    def _run(self, mode: ExecutionMode) -> MachineResult:
+        """Start the loaded PEs, run to completion, and collect."""
+        self._watched_run(self._start_pes())
         return self._collect(mode)
 
     # ------------------------------------------------------------------
-    # start_* methods load a workload and return its completion event
-    # without advancing simulated time, so several virtual machines can be
-    # armed on a shared environment before anything runs.  The run_*
-    # convenience wrappers start, run to completion, and collect.
-    def start_serial(self, program: AssembledProgram):
+    def run_serial(self, program: AssembledProgram) -> MachineResult:
+        """SISD baseline: the whole problem on one PE."""
         if self.p != 1:
             raise ConfigurationError(
                 f"serial runs use a size-1 partition, not {self.p}"
             )
         self.pes[0].load_program(program)
-        return self._start_pes()
-
-    def run_serial(self, program: AssembledProgram) -> MachineResult:
-        """SISD baseline: the whole problem on one PE."""
-        return self._run(ExecutionMode.SERIAL, self.start_serial(program))
-
-    def start_mimd(self, programs: list[AssembledProgram]):
-        self._check_program_count(programs)
-        for pe, prog in zip(self.pes, programs):
-            pe.load_program(prog)
-        return self._start_pes()
+        return self._run(ExecutionMode.SERIAL)
 
     def run_mimd(self, programs: list[AssembledProgram]) -> MachineResult:
         """Pure MIMD: every PE runs its own program asynchronously."""
-        return self._run(ExecutionMode.MIMD, self.start_mimd(programs))
+        self._load_programs(programs)
+        return self._run(ExecutionMode.MIMD)
 
-    def start_smimd(self, programs: list[AssembledProgram], sync_words: int):
-        self._check_program_count(programs)
-        for pe, prog in zip(self.pes, programs):
-            pe.load_program(prog)
+    def run_smimd(
+        self, programs: list[AssembledProgram], sync_words: int
+    ) -> MachineResult:
+        """Hybrid S/MIMD: MIMD programs + queue-based barriers.
+
+        ``sync_words`` barrier tokens per MC group are made available
+        (pre-enqueued up to queue capacity, topped up by a zero-cost feeder
+        standing in for the otherwise-idle MC, as Section 3 describes).
+        """
+        self._load_programs(programs)
         for mc in self.partition.mcs:
             queue = self.queues[mc]
             mask = self.masks[mc]
@@ -487,94 +414,11 @@ class PASMMachine:
                     self._sync_feeder(queue, mask, remaining),
                     name=f"syncfeed{mc}",
                 )
-        return self._start_pes()
-
-    def run_smimd(
-        self, programs: list[AssembledProgram], sync_words: int
-    ) -> MachineResult:
-        """Hybrid S/MIMD: MIMD programs + queue-based barriers.
-
-        ``sync_words`` barrier tokens per MC group are made available
-        (pre-enqueued up to queue capacity, topped up by a zero-cost feeder
-        standing in for the otherwise-idle MC, as Section 3 describes).
-        """
-        return self._run(
-            ExecutionMode.SMIMD, self.start_smimd(programs, sync_words)
-        )
+        return self._run(ExecutionMode.SMIMD)
 
     def _sync_feeder(self, queue, mask, remaining: int):
         for _ in range(remaining):
             yield from queue.enqueue(sync_item(mask.enabled))
-
-    def start_simd(
-        self,
-        mc_program: list[MCOp] | tuple[MCOp, ...],
-        blocks: dict[str, list[Instruction]],
-        data_programs: list[AssembledProgram] | None = None,
-    ):
-        if data_programs is not None:
-            self._check_program_count(data_programs)
-            for pe, prog in zip(self.pes, data_programs):
-                pe.bus.load_program(prog)
-        for controller in self.controllers.values():
-            for name, instrs in blocks.items():
-                controller.register_block(name, instrs)
-        for pe in self.pes:
-            pe.enter_simd_mode()
-        for mc_id in self.partition.mcs:
-            mc = self.mcs[mc_id]
-            self.env.process(mc.run_program(mc_program), name=f"MC{mc_id}")
-        return self._start_pes()
-
-    def start_simd_assembly(
-        self,
-        mc_program: AssembledProgram,
-        blocks: dict[str, list[Instruction]],
-        block_ids: dict[int, str],
-        data_programs: list[AssembledProgram] | None = None,
-    ):
-        """Arm a SIMD run whose MCs execute *real assembled 68000 code*.
-
-        ``mc_program`` drives the Fetch Unit through the memory-mapped
-        registers of :mod:`repro.mc.assembly_mc`; ``block_ids`` maps the
-        program's FUCTRL values to registered block names.
-        """
-        from repro.mc.assembly_mc import AssemblyMicroController
-
-        if data_programs is not None:
-            self._check_program_count(data_programs)
-            for pe, prog in zip(self.pes, data_programs):
-                pe.bus.load_program(prog)
-        for controller in self.controllers.values():
-            for name, instrs in blocks.items():
-                controller.register_block(name, instrs)
-        for pe in self.pes:
-            pe.enter_simd_mode()
-        self.assembly_mcs = {}
-        for mc_id in self.partition.mcs:
-            amc = AssemblyMicroController(
-                self.env, self.config, self.masks[mc_id],
-                self.controllers[mc_id], block_ids, name=f"MCasm{mc_id}",
-                fast_path=self.fast_path,
-            )
-            amc.load_program(mc_program)
-            amc.run_process()
-            self.assembly_mcs[mc_id] = amc
-        return self._start_pes()
-
-    def run_simd_assembly(
-        self,
-        mc_program: AssembledProgram,
-        blocks: dict[str, list[Instruction]],
-        block_ids: dict[int, str],
-        data_programs: list[AssembledProgram] | None = None,
-    ) -> MachineResult:
-        """SIMD with MCs running assembled code; see start_simd_assembly."""
-        return self._run(
-            ExecutionMode.SIMD,
-            self.start_simd_assembly(mc_program, blocks, block_ids,
-                                     data_programs),
-        )
 
     def run_simd(
         self,
@@ -596,10 +440,61 @@ class PASMMachine:
             Optional per-PE programs whose *data segments* are loaded into
             PE memory (their text, if any, is ignored by SIMD execution).
         """
-        return self._run(
-            ExecutionMode.SIMD,
-            self.start_simd(mc_program, blocks, data_programs),
-        )
+        self._enter_simd(blocks, data_programs)
+        for mc_id in self.partition.mcs:
+            mc = self.mcs[mc_id]
+            self.env.process(mc.run_program(mc_program), name=f"MC{mc_id}")
+        return self._run(ExecutionMode.SIMD)
+
+    def run_simd_assembly(
+        self,
+        mc_program: AssembledProgram,
+        blocks: dict[str, list[Instruction]],
+        block_ids: dict[int, str],
+        data_programs: list[AssembledProgram] | None = None,
+    ) -> MachineResult:
+        """SIMD whose MCs execute *real assembled 68000 code*.
+
+        ``mc_program`` drives the Fetch Unit through the memory-mapped
+        registers of :mod:`repro.mc.assembly_mc`; ``block_ids`` maps the
+        program's FUCTRL values to registered block names.
+        """
+        from repro.mc.assembly_mc import AssemblyMicroController
+
+        self._enter_simd(blocks, data_programs)
+        self.assembly_mcs = {}
+        for mc_id in self.partition.mcs:
+            amc = AssemblyMicroController(
+                self.env, self.config, self.masks[mc_id],
+                self.controllers[mc_id], block_ids, name=f"MCasm{mc_id}",
+                fast_path=self.fast_path,
+            )
+            amc.load_program(mc_program)
+            amc.run_process()
+            self.assembly_mcs[mc_id] = amc
+        return self._run(ExecutionMode.SIMD)
+
+    def _enter_simd(
+        self,
+        blocks: dict[str, list[Instruction]],
+        data_programs: list[AssembledProgram] | None,
+    ) -> None:
+        """Load PE data, register the broadcast blocks, and switch every
+        PE to consuming its Fetch Unit queue."""
+        if data_programs is not None:
+            self._check_program_count(data_programs)
+            for pe, prog in zip(self.pes, data_programs):
+                pe.bus.load_program(prog)
+        for controller in self.controllers.values():
+            for name, instrs in blocks.items():
+                controller.register_block(name, instrs)
+        for pe in self.pes:
+            pe.enter_simd_mode()
+
+    def _load_programs(self, programs: list[AssembledProgram]) -> None:
+        self._check_program_count(programs)
+        for pe, prog in zip(self.pes, programs):
+            pe.load_program(prog)
 
     def _check_program_count(self, programs) -> None:
         if len(programs) != self.p:

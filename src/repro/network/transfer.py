@@ -19,7 +19,6 @@ transport latency.
 
 from __future__ import annotations
 
-from repro.errors import NetworkError
 from repro.network.circuit import Circuit, CircuitSwitchedNetwork
 from repro.sim import Environment, Store
 
@@ -95,13 +94,10 @@ class NetworkFabric:
         self.ports = [
             TransferPort(env, t) for t in range(network.topology.n_terminals)
         ]
-        self._active: dict[int, bool] = {}
-        self._pending_get: dict[int, object] = {}
 
     def connect(self, source: int, dest: int) -> Circuit:
         """Establish a circuit and start carrying bytes along it."""
         circuit = self.network.allocate(source, dest)
-        self._active[circuit.circuit_id] = True
         self.env.process(
             self._mover(circuit), name=f"net:{source}->{dest}"
         )
@@ -111,38 +107,16 @@ class NetworkFabric:
         """Establish circuits for a (partial) permutation, all movers running."""
         circuits = self.network.allocate_permutation(mapping)
         for circuit in circuits:
-            self._active[circuit.circuit_id] = True
             self.env.process(
                 self._mover(circuit),
                 name=f"net:{circuit.path.source}->{circuit.path.dest}",
             )
         return circuits
 
-    def disconnect(self, circuit: Circuit) -> None:
-        """Tear down a circuit.  Must be idle (no byte in its registers)."""
-        port = self.ports[circuit.path.source]
-        if not port._tx.is_empty:
-            raise NetworkError(
-                f"cannot tear down circuit {circuit.path.source}->"
-                f"{circuit.path.dest}: transmit register not empty"
-            )
-        cid = circuit.circuit_id
-        self._active[cid] = False
-        # Retire the mover: withdraw its pending transmit-register get so
-        # it cannot steal a byte sent over a later circuit from this port.
-        pending = self._pending_get.pop(cid, None)
-        if pending is not None:
-            port._tx.cancel_get(pending)
-        self.network.release(circuit)
-
     def _mover(self, circuit: Circuit):
         src_port = self.ports[circuit.path.source]
         dst_port = self.ports[circuit.path.dest]
-        cid = circuit.circuit_id
-        while self._active.get(cid):
-            get_ev = src_port._tx.get()
-            self._pending_get[cid] = get_ev
-            value = yield get_ev
-            self._pending_get.pop(cid, None)
+        while True:
+            value = yield src_port._tx.get()
             yield self.env.timeout(self.byte_latency)
             yield dst_port._rx.put(value)

@@ -24,13 +24,6 @@ from repro.programs.data import (
 )
 from repro.programs.loader import MatmulBundle, build_matmul, run_matmul
 from repro.programs.common import BODY_REGISTERS
-from repro.programs.intensity import (
-    IntensityBundle,
-    build_intensity,
-    reference_transform,
-    run_intensity,
-)
-from repro.programs.reduction import build_reduction_stage, run_reduction
 
 __all__ = [
     "MatmulLayout",
@@ -41,10 +34,4 @@ __all__ = [
     "build_matmul",
     "run_matmul",
     "BODY_REGISTERS",
-    "IntensityBundle",
-    "build_intensity",
-    "run_intensity",
-    "reference_transform",
-    "build_reduction_stage",
-    "run_reduction",
 ]

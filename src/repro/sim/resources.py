@@ -70,18 +70,6 @@ class Store:
         self.put(item)
         return True
 
-    def cancel_get(self, event: Event) -> bool:
-        """Withdraw a pending get; returns False if it already fired.
-
-        The event is left untriggered forever — a process waiting on it
-        stays parked (used to retire network movers at circuit teardown).
-        """
-        for pending in self._getters:
-            if pending is event:
-                self._getters.remove(pending)
-                return True
-        return False
-
     def _dispatch(self) -> None:
         progressed = True
         while progressed:

@@ -1,63 +1,16 @@
-"""Tests for the core API: equations, metrics, study facade, crossover."""
+"""Tests for the core API: metrics, study facade, crossover."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from repro.core import (
     DecouplingStudy,
     decoupling_benefit_per_multiply,
     efficiency,
     find_crossover,
-    mimd_time,
-    simd_time,
     speedup,
-    t_mimd_never_exceeds_t_simd,
 )
-from repro.core.equations import decoupling_gain
 from repro.errors import ConfigurationError
 from repro.machine import ExecutionMode, PrototypeConfig
-
-
-class TestEquations:
-    def test_simd_sums_row_maxima(self):
-        t = np.array([[1, 5], [2, 2]])
-        assert simd_time(t) == 7
-
-    def test_mimd_takes_worst_column(self):
-        t = np.array([[1, 5], [2, 2]])
-        assert mimd_time(t) == 7  # PE1: 5+2
-        t2 = np.array([[1, 5], [4, 2]])
-        assert mimd_time(t2) == 7  # both columns sum to 5/7
-
-    def test_identical_pes_equal(self):
-        t = np.tile([[3.0], [4.0]], (1, 8))
-        assert simd_time(t) == mimd_time(t) == 7.0
-
-    @given(
-        arrays(
-            np.float64,
-            st.tuples(st.integers(1, 20), st.integers(1, 8)),
-            elements=st.floats(0, 100, allow_nan=False),
-        )
-    )
-    @settings(max_examples=200)
-    def test_inequality_property(self, times):
-        """The paper's 'in general, T_MIMD <= T_SIMD' holds always."""
-        assert t_mimd_never_exceeds_t_simd(times)
-
-    def test_gain_nonnegative(self):
-        rng = np.random.default_rng(3)
-        t = rng.exponential(10, size=(50, 4))
-        assert decoupling_gain(t) >= 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            simd_time(np.ones(3))
-        with pytest.raises(ValueError):
-            mimd_time(-np.ones((2, 2)))
 
 
 class TestMetrics:
