@@ -25,7 +25,7 @@ import numpy as np
 from repro.machine import ExecutionMode, PASMMachine, PrototypeConfig
 from repro.programs import build_matmul, generate_matrices
 from repro.programs.loader import run_matmul
-from repro.timing_model import predict_matmul
+from repro.timing_model import predict_matmul, skewed_ones
 
 CFG = PrototypeConfig.calibrated()
 MICRO_OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_micro.json"
@@ -214,9 +214,10 @@ def bench_micro_lockstep_speedup(benchmark):
 
 def bench_macro_engine_n256(benchmark):
     _, b = generate_matrices(256)
+    ones = skewed_ones(b)
 
     def run():
-        return predict_matmul(ExecutionMode.SIMD, CFG, 256, 16, b=b)
+        return predict_matmul(ExecutionMode.SIMD, CFG, 256, 16, ones=ones)
 
     pred = benchmark(run)
     assert np.isfinite(pred.cycles)

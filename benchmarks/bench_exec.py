@@ -45,7 +45,8 @@ def bench_exec_pool_speedup(benchmark):
 
     def pooled():
         start = time.perf_counter()
-        payloads = ExecutionEngine(jobs=POOL_JOBS).run(SPECS)
+        with ExecutionEngine(jobs=POOL_JOBS) as engine:  # pool start to stop
+            payloads = engine.run(SPECS)
         best_pool[0] = min(best_pool[0], time.perf_counter() - start)
         return payloads
 

@@ -25,7 +25,8 @@ def exec_engine():
     benchmarks measure wall time, and the numbers only compare against
     the seed's when the schedule matches.
     """
-    return ExecutionEngine(jobs=os.environ.get("REPRO_JOBS") or 1)
+    with ExecutionEngine(jobs=os.environ.get("REPRO_JOBS") or 1) as engine:
+        yield engine
 
 
 @pytest.fixture(scope="session")

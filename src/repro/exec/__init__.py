@@ -5,8 +5,8 @@ added_multiplies)`` matmul run on either substrate, a Table 1
 instruction-rate measurement — is described by a :class:`SimJobSpec`
 with a stable content hash.  Independent specs are embarrassingly
 parallel (the decoupled-stream property the paper itself measures), so
-the :class:`ExecutionEngine` fans them out across a process pool
-(``--jobs N`` / ``$REPRO_JOBS``), memoises results in an on-disk
+the :class:`ExecutionEngine` fans them out across one process pool that
+serves all its batches (``--jobs N`` / ``$REPRO_JOBS``), memoises results in an on-disk
 :class:`ResultCache` keyed by job hash + package version, and keeps
 cache-hit/wall-time instrumentation (:class:`ExecStats`, the ``--stats``
 table).
@@ -33,7 +33,7 @@ from repro.exec.jobs import (
     timed_execute,
     traced_execute,
 )
-from repro.exec.pool import JOBS_ENV, resolve_jobs, run_parallel
+from repro.exec.pool import JOBS_ENV, WorkerPool, resolve_jobs
 from repro.exec.spec import SimJobSpec, canonical_json, content_hash_of
 from repro.exec.store import STORE_ENV, SharedStore, default_store_root
 
@@ -48,6 +48,7 @@ __all__ = [
     "STORE_ENV",
     "SharedStore",
     "SimJobSpec",
+    "WorkerPool",
     "canonical_json",
     "content_hash_of",
     "default_store_root",
@@ -57,7 +58,6 @@ __all__ = [
     "mips_spec",
     "resolve_cache_max_bytes",
     "resolve_jobs",
-    "run_parallel",
     "timed_execute",
     "traced_execute",
 ]

@@ -4,11 +4,16 @@
 through.  ``run(specs)`` answers a batch of job specs in order:
 
 1. every spec is looked up in the on-disk result cache (if configured);
-2. the misses are computed — across a process pool when ``jobs > 1``,
-   in-process otherwise — by the *same* :func:`repro.exec.jobs.execute_job`
-   either way, so results are identical no matter the schedule;
+2. the misses are computed — across the engine's process pool when
+   ``jobs > 1``, in-process otherwise — by the *same*
+   :func:`repro.exec.jobs.execute_job` either way, so results are
+   identical no matter the schedule;
 3. fresh results are written back to the cache, and per-job wall time
    plus hit/miss counters accumulate in :class:`ExecStats`.
+
+The pool starts with the first pooled batch and serves every later one,
+so worker memos persist across batches; :meth:`ExecutionEngine.close`
+(or leaving a ``with`` block) shuts it down.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Iterable, Sequence
 
 from repro.exec.cache import ResultCache
 from repro.exec.jobs import traced_execute
-from repro.exec.pool import resolve_jobs, run_parallel
+from repro.exec.pool import WorkerPool, resolve_jobs
 from repro.exec.spec import SimJobSpec
 from repro.obs.tracer import TraceContext, Tracer
 from repro.perf import percentile
@@ -157,7 +162,13 @@ class ExecutionEngine:
         Worker processes for batch execution; ``None`` consults
         ``$REPRO_JOBS`` and otherwise uses one worker per available
         core; ``0``/``"auto"`` forces all cores explicitly.  ``jobs=1``
-        executes in-process — the reference serial path.
+        executes in-process — the reference serial path.  With
+        ``jobs > 1`` the workers outlive each batch: close the engine
+        (``close()`` or a ``with`` block) when done with it.  Under the
+        fork start method (Linux's default) the pool forks all ``jobs``
+        workers at its first batch, and the environment that jobs read
+        (``REPRO_CHAOS``, ``REPRO_LOCKSTEP``, ``REPRO_PURE_EVENTS``) is
+        captured then: close the engine to pick up a change.
     cache:
         Optional :class:`ResultCache`; ``None`` disables disk caching.
     stats:
@@ -183,6 +194,18 @@ class ExecutionEngine:
         self.cache = cache
         self.stats = stats or ExecStats()
         self.tracer = tracer
+        self._pool: WorkerPool | None = None
+
+    def close(self) -> None:
+        """Shut the worker pool down, if one started; idempotent."""
+        if self._pool is not None:
+            self._pool.close()
+
+    def __enter__(self) -> "ExecutionEngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     @property
     def eager(self) -> bool:
@@ -223,8 +246,10 @@ class ExecutionEngine:
                                    max_events=tracer.max_events)
                 to_run = [replace(spec, trace=ctx) for spec in to_run]
             if self.jobs > 1:
-                outcomes = run_parallel(
-                    to_run, jobs=self.jobs,
+                if self._pool is None:
+                    self._pool = WorkerPool(self.jobs)
+                outcomes = self._pool.run(
+                    to_run,
                     on_retry=lambda retried: [
                         self.stats.record_resubmit(s) for s in retried
                     ],

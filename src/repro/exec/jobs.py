@@ -10,6 +10,7 @@ on-disk cache.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 
@@ -31,8 +32,9 @@ from repro.mc import EnqueueBlock, Loop
 from repro.network import CircuitSwitchedNetwork, ExtraStageCubeTopology
 from repro.obs.simtrace import arm_machine, collect_machine, tracing_job
 from repro.programs import build_matmul, expected_product, generate_matrices
+from repro.programs.data import generate_multipliers
 from repro.programs.loader import run_matmul
-from repro.timing_model import predict_matmul
+from repro.timing_model import predict_matmul, skewed_ones
 from repro.utils.rng import DEFAULT_SEED
 
 #: Table 1 measurement geometry: straight-line repetitions per block and
@@ -162,17 +164,28 @@ def _check_macro_routability(spec: SimJobSpec, plan: FaultPlan) -> None:
         )
 
 
+@functools.lru_cache(maxsize=8)
+def _popcounts(n: int, seed: int, b_max: int | None) -> np.ndarray:
+    """``skewed_ones(B)`` of one data set, read-only.
+
+    The macro model's only input from the data: every (mode, p, m) job on
+    one (n, seed, b_max) shares it, so a worker builds it once per data
+    set instead of once per job.  Frozen, since every caller gets the
+    same array.
+    """
+    ones = skewed_ones(generate_multipliers(n, seed=seed, b_max=b_max))
+    ones.flags.writeable = False
+    return ones
+
+
 def _execute_matmul(spec: SimJobSpec) -> dict:
     """Time one (mode, n, p, m) matmul configuration on either substrate."""
     mode = ExecutionMode(spec.mode)
     if mode is ExecutionMode.SERIAL and spec.p != 1:
         raise ConfigurationError("serial mode requires p == 1")
     plan = spec.fault_plan
-    kwargs = {"seed": spec.seed}
-    if spec.b_max is not None:
-        kwargs["b_max"] = spec.b_max
-    a, b = generate_matrices(spec.n, **kwargs)
     if spec.engine == "macro":
+        ones = _popcounts(spec.n, spec.seed, spec.b_max)
         if plan is not None and plan.failstops:
             raise ConfigurationError(
                 "fail-stop simulation needs the micro engine; the macro "
@@ -190,7 +203,7 @@ def _execute_matmul(spec: SimJobSpec) -> dict:
                 )
         pred = predict_matmul(
             mode, config, spec.n, spec.p,
-            added_multiplies=spec.added_multiplies, b=b,
+            added_multiplies=spec.added_multiplies, ones=ones,
         )
         payload = {
             "cycles": _num(pred.cycles),
@@ -201,6 +214,7 @@ def _execute_matmul(spec: SimJobSpec) -> dict:
         if plan is not None:
             payload["degraded"] = plan.extra_stage_enabled
         return payload
+    a, b = generate_matrices(spec.n, seed=spec.seed, b_max=spec.b_max)
     machine = PASMMachine(spec.config, partition_size=spec.p,
                           fault_plan=plan)
     arm_machine(machine)
@@ -289,10 +303,11 @@ def _execute_faultsweep(spec: SimJobSpec) -> dict:
 def _execute_test(spec: SimJobSpec) -> dict:
     """Test-support program (``program="_test"``): controlled failures.
 
-    Actions (via ``params``): ``echo`` returns its value; ``sleep``
-    holds a worker for a controllable interval (the serving tests use
-    it to widen dedup/backpressure race windows); ``crash`` hard-kills
-    the worker process; ``flaky`` crashes on the first execution
+    Actions (via ``params``): ``echo`` returns its value; ``pid`` also
+    returns the id of the process that ran it; ``sleep`` holds a worker
+    for a controllable interval (the serving tests use it to widen
+    dedup/backpressure race windows); ``crash`` hard-kills the worker
+    process; ``flaky`` crashes on the first execution
     (before a sentinel file exists) and succeeds on resubmit.  Only
     ever scheduled by the engine's own test suites.
     """
@@ -300,6 +315,8 @@ def _execute_test(spec: SimJobSpec) -> dict:
     action = params.get("action")
     if action == "echo":
         return {"value": params.get("value")}
+    if action == "pid":
+        return {"value": params.get("value"), "pid": os.getpid()}
     if action == "sleep":
         time.sleep(float(params.get("seconds", 0.05)))
         return {"value": params.get("value"),

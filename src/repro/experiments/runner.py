@@ -107,16 +107,19 @@ def run_experiments(
     engine = ExecutionEngine(jobs=jobs, cache=cache, tracer=tracer)
     study = _make_study(seed, engine)
     results = []
-    for name in names:
-        result = EXPERIMENTS[name](study)
-        results.append(result)
-        stream.write(result.render())
-        stream.write("\n\n" + "=" * 78 + "\n\n")
-        if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / f"{name}.txt").write_text(result.render())
-            (out_dir / f"{name}.csv").write_text(result.to_csv())
-            (out_dir / f"{name}.json").write_text(result.to_json())
+    try:
+        for name in names:
+            result = EXPERIMENTS[name](study)
+            results.append(result)
+            stream.write(result.render())
+            stream.write("\n\n" + "=" * 78 + "\n\n")
+            if out_dir is not None:
+                out_dir.mkdir(parents=True, exist_ok=True)
+                (out_dir / f"{name}.txt").write_text(result.render())
+                (out_dir / f"{name}.csv").write_text(result.to_csv())
+                (out_dir / f"{name}.json").write_text(result.to_json())
+    finally:
+        engine.close()  # one pool served every exhibit
     if stats:
         stream.write(engine.stats.summary_table(
             title=f"execution engine stats (jobs={engine.jobs}, "
@@ -211,9 +214,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.report is not None:
         from repro.core.report import full_report
 
-        engine = ExecutionEngine(jobs=args.jobs, cache=cache)
-        study = _make_study(args.seed, engine)
-        args.report.write_text(full_report(study))
+        with ExecutionEngine(jobs=args.jobs, cache=cache) as engine:
+            report = full_report(_make_study(args.seed, engine))
+        args.report.write_text(report)
         print(f"report written to {args.report}")
         return 0
     tracer = Tracer() if args.trace_out is not None else None

@@ -137,6 +137,21 @@ def generate_matrices(
     always produces the same B — "the same data sets were used on all
     versions of the algorithm".
     """
+    b = generate_multipliers(n, seed=seed, b_bits=b_bits, b_max=b_max,
+                             experiment=experiment)
+    return np.eye(n, dtype=np.uint16), b
+
+
+def generate_multipliers(
+    n: int,
+    *,
+    seed: int = DEFAULT_SEED,
+    b_bits: int = DEFAULT_B_BITS,
+    b_max: int | None = None,
+    experiment: str = "matmul",
+) -> np.ndarray:
+    """B of :func:`generate_matrices` alone, for callers that never read A
+    (the macro model only needs the multipliers)."""
     if not 0 < b_bits <= 16:
         raise ConfigurationError(f"b_bits must be in (0, 16], got {b_bits}")
     if b_max is None:
@@ -144,9 +159,7 @@ def generate_matrices(
     if not 1 < b_max <= 1 << 16:
         raise ConfigurationError(f"b_max must be in (1, 65536], got {b_max}")
     rng = make_rng(seed, experiment, n, b_max)
-    a = np.eye(n, dtype=np.uint16)
-    b = rng.integers(0, b_max, size=(n, n), dtype=np.uint16)
-    return a, b
+    return rng.integers(0, b_max, size=(n, n), dtype=np.uint16)
 
 
 def expected_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -543,7 +543,7 @@ class JobBroker:
         A crashed worker (chaos injection, OOM-kill) breaks the whole
         ``ProcessPoolExecutor``; every in-flight job then lands here,
         the first one swaps in a fresh pool, and each resubmits itself —
-        mirroring :func:`repro.exec.pool.run_parallel`'s recovery, but
+        mirroring :meth:`repro.exec.pool.WorkerPool.run`'s recovery, but
         incrementally, without failing any client request.
         """
         spec = entry.spec

@@ -28,6 +28,7 @@ from repro.timing_model.mulstats import (
     expected_max_ones,
     expected_ones,
     ones_of_schedule,
+    skewed_ones,
 )
 from repro.timing_model.pipeline import comm_pipeline
 from repro.timing_model.models import ModelResult, predict_matmul
@@ -39,6 +40,7 @@ __all__ = [
     "expected_ones",
     "expected_max_ones",
     "ones_of_schedule",
+    "skewed_ones",
     "comm_pipeline",
     "ModelResult",
     "predict_matmul",

@@ -47,7 +47,6 @@ from repro.timing_model.fragments import (
     static_cost,
     loop_overhead,
 )
-from repro.timing_model.mulstats import ones_of_schedule, skewed_ones
 from repro.timing_model.pipeline import comm_pipeline
 
 
@@ -83,26 +82,69 @@ def _cost(source, layout, config, env):
 
 
 class _Pieces:
-    """Shared fragment costs for one (config, layout, m, env)."""
+    """Shared fragment costs for one (config, layout, m, env).
+
+    Each piece is costed on first use, so a model that never reads one
+    (serial never rotates A) never assembles its fragment.
+    """
 
     def __init__(self, config, layout, m, env):
-        self.body = _cost(inner_body_source(m), layout, config, env)
-        self.setup_v = _cost(setup_v_source(), layout, config, env)
-        self.reset = _cost(reset_tables_source(), layout, config, env)
-        self.rotate = _cost(rotate_source(layout), layout, config, env)
-        self.clear_unit = _cost(
-            "        .timecat other\n        CLR.W (A1)+", layout, config, env
-        )
-        self.lea_c = _cost(
-            "        .timecat other\n        LEA CBASE,A1", layout, config, env
-        )
-        self.halt = _cost("        .timecat control\n        HALT",
-                          layout, config, env)
+        self.config, self.layout, self.m, self.env = config, layout, m, env
+
+    def _cost(self, source):
+        return _cost(source, self.layout, self.config, self.env)
+
+    @functools.cached_property
+    def body(self):
+        return self._cost(inner_body_source(self.m))
+
+    @functools.cached_property
+    def setup_v(self):
+        return self._cost(setup_v_source())
+
+    @functools.cached_property
+    def reset(self):
+        return self._cost(reset_tables_source())
+
+    @functools.cached_property
+    def rotate(self):
+        return self._cost(rotate_source(self.layout))
+
+    @functools.cached_property
+    def clear_unit(self):
+        return self._cost("        .timecat other\n        CLR.W (A1)+")
+
+    @functools.cached_property
+    def lea_c(self):
+        return self._cost("        .timecat other\n        LEA CBASE,A1")
+
+    @functools.cached_property
+    def halt(self):
+        return self._cost("        .timecat control\n        HALT")
+
+
+def _reduce(ufunc, x: np.ndarray, axis: int, dtype=None) -> np.ndarray:
+    """``ufunc.reduce(x, axis, dtype=dtype)``, folded slice by slice.
+
+    numpy pays a fixed cost per output element when it reduces a short
+    axis: at p = 1024 (two columns per PE) that costs ~10x more than
+    folding the axis's slices together elementwise, which runs in memory
+    order.  The same integers are combined either way, so the result is
+    exact.  On a 2-CPU host the exhibits' macro jobs take 95 ms of CPU
+    with the fold and 232 ms with numpy's reduce, which wins only on the
+    64-long axes of p = 32 at n = 2048 (3 vs 12 ms), too little to show
+    in a pass.
+    """
+    parts = np.moveaxis(x, axis, 0)
+    out = parts[0].astype(dtype or x.dtype)
+    for part in parts[1:]:
+        ufunc(out, part, out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------
 def predict_serial(
-    config: PrototypeConfig, n: int, m: int, b: np.ndarray
+    config: PrototypeConfig, n: int, m: int, ones: np.ndarray
 ) -> ModelResult:
     layout = MatmulLayout(n, 1)
     env = CostEnv.for_mode(config, simd_stream=False)
@@ -138,7 +180,8 @@ def predict_serial(
     add(loop_overhead(n, env, config), n * n)  # k loops
     add(pieces.body, n * n * n)  # fixed body (MULU at base 38)
     # data-dependent multiply time: every B element drives n·(1+m) muls
-    total["mult"] += float(2 * n * (1 + m) * int(ones_of_schedule(b).sum()))
+    # (S holds each element's ones once, so its sum is that of B)
+    total["mult"] += float(2 * n * (1 + m) * int(ones.sum()))
     add(pieces.halt)
 
     cycles = sum(total.values())
@@ -193,7 +236,7 @@ def predict_async(
     n: int,
     p: int,
     m: int,
-    b: np.ndarray,
+    ones: np.ndarray,
     *,
     barrier: bool,
 ) -> ModelResult:
@@ -207,8 +250,8 @@ def predict_async(
     # per rotation step sets the pace (skew charged to sync/comm).  Every
     # multiplier drives n·(1+m) multiplies of 2·ones variable cycles.
     scale = 2 * n * (1 + m)
-    step_ones = skewed_ones(b).reshape(n, p, layout.cols).sum(
-        axis=2, dtype=np.int64)  # (n_steps, p)
+    step_ones = _reduce(np.add, ones.reshape(n, p, layout.cols), 2,
+                        np.int64)  # (n_steps, p)
     own_mean = float((scale * step_ones.sum(axis=1) / p).sum())
     coupled = float(scale * int(step_ones.max(axis=1).sum()))
     skew_wait = coupled - own_mean  # mean wait at the per-step sync point
@@ -226,7 +269,7 @@ def predict_async(
 
 # ---------------------------------------------------------------------------
 def predict_simd(
-    config: PrototypeConfig, n: int, p: int, m: int, b: np.ndarray
+    config: PrototypeConfig, n: int, p: int, m: int, ones: np.ndarray
 ) -> ModelResult:
     layout = MatmulLayout(n, p)
     cols = layout.cols
@@ -275,11 +318,11 @@ def predict_simd(
     # Variable multiply time: per-instruction max within each MC group.
     part = Partition(config, p)
     group = part.pes_per_mc_used  # PEs per Fetch Unit
-    gmax = skewed_ones(b).reshape(n, p // group, group, cols).max(
-        axis=2)  # (n_steps, groups, cols): per-broadcast max
+    gmax = _reduce(np.maximum, ones.reshape(n, p // group, group, cols),
+                   2)  # (n_steps, groups, cols): per-broadcast max
     # compute phase per (group, j): Σ_v [setup_v + n·(body_fixed + (1+m)·max)];
     # the slowest group sets each step's pace.
-    step_max = gmax.sum(axis=2, dtype=np.int64).max(axis=1)  # (n_steps,)
+    step_max = _reduce(np.add, gmax, 2, np.int64).max(axis=1)  # (n_steps,)
     pe_pass_fixed = (
         max(pieces.setup_v.cycles, issue + loop_iter, cpw * setup_words)
         + n * max(body_fixed, issue + loop_iter, cpw * body_words)
@@ -324,14 +367,20 @@ def predict_matmul(
     p: int,
     *,
     added_multiplies: int = 0,
-    b: np.ndarray,
+    ones: np.ndarray,
 ) -> ModelResult:
-    """Predict the execution time of one (mode, n, p, m) configuration."""
+    """Predict the execution time of one (mode, n, p, m) configuration.
+
+    ``ones`` is the skewed popcount matrix ``S = skewed_ones(B)`` of the
+    data set (see :func:`~repro.timing_model.mulstats.skewed_ones`).  It
+    depends on B alone, so every (mode, p, m) point of one data set can
+    share it: the partition only changes how its counts are grouped.
+    """
     if mode is ExecutionMode.SERIAL:
-        return predict_serial(config, n, added_multiplies, b)
+        return predict_serial(config, n, added_multiplies, ones)
     if mode is ExecutionMode.SIMD:
-        return predict_simd(config, n, p, added_multiplies, b)
+        return predict_simd(config, n, p, added_multiplies, ones)
     return predict_async(
-        config, n, p, added_multiplies, b,
+        config, n, p, added_multiplies, ones,
         barrier=mode is ExecutionMode.SMIMD,
     )

@@ -128,14 +128,15 @@ class TestPredictions:
 
     def test_asymptotic_matches_model_trend(self):
         """The model's efficiency at n=256 approaches the analytic limit."""
-        from repro.timing_model import predict_matmul
+        from repro.timing_model import predict_matmul, skewed_ones
 
         limit = asymptotic_efficiency(CFG, b_max=256, mode="smimd")
         _, b = generate_matrices(256)
+        ones = skewed_ones(b)
         from repro.machine import ExecutionMode as M
 
-        tser = predict_matmul(M.SERIAL, CFG, 256, 1, b=b).cycles
-        t = predict_matmul(M.SMIMD, CFG, 256, 4, b=b).cycles
+        tser = predict_matmul(M.SERIAL, CFG, 256, 1, ones=ones).cycles
+        t = predict_matmul(M.SMIMD, CFG, 256, 4, ones=ones).cycles
         eff = tser / (4 * t)
         assert eff == pytest.approx(limit, abs=0.06)
 

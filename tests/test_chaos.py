@@ -2,7 +2,7 @@
 
 ``$REPRO_CHAOS`` arms seeded worker crashes and cache-entry corruption;
 these tests drive the engine's two recovery paths — resubmission to a
-fresh pool and corrupt-entry-as-miss — and assert that recovered runs
+replacement pool and corrupt-entry-as-miss — and assert that recovered runs
 are bit-identical to undisturbed ones, with the damage visible in the
 ``--stats`` instrumentation.
 """
@@ -86,8 +86,8 @@ def test_crashed_workers_recover_bit_identically(chaos_env, tmp_path):
     baseline = ExecutionEngine(jobs=1).run(specs)
 
     chaos_env("crash=1.0")
-    engine = ExecutionEngine(jobs=2)
-    recovered = engine.run(specs)
+    with ExecutionEngine(jobs=2) as engine:
+        recovered = engine.run(specs)
 
     assert recovered == baseline
     # Every job crashed once; a pool break can hide a sibling's progress
@@ -112,14 +112,32 @@ def test_crash_storm_on_batch_larger_than_pool_recovers(chaos_env):
     baseline = ExecutionEngine(jobs=1).run(specs)
 
     chaos_env("crash=1.0")
-    engine = ExecutionEngine(jobs=2)
-    assert engine.run(specs) == baseline
+    with ExecutionEngine(jobs=2) as engine:
+        assert engine.run(specs) == baseline
     assert engine.stats.resubmits >= len(specs)  # every job crashed once
 
 
+def test_pool_broken_in_one_batch_serves_the_next(chaos_env):
+    """The engine keeps one pool across batches.  A crash in batch one
+    breaks it; the replacement finishes batch one and must then serve
+    batch two on the same engine, bit-identical to serial."""
+    first = _specs()
+    second = [matmul_spec(ExecutionMode.SIMD, 32, 4, engine="macro",
+                          config=CFG), *first]
+    baseline = ExecutionEngine(jobs=1).run(second)
+
+    chaos_env("crash=1.0")
+    with ExecutionEngine(jobs=2) as engine:
+        assert engine.run(first) == baseline[1:]
+        assert engine.stats.resubmits >= len(first)
+        assert engine.run(second) == baseline
+    # Batch two's new job crashed once too; the repeats had spent theirs.
+    assert engine.stats.resubmits >= len(first) + 1
+
+
 def test_healthy_run_counts_no_resubmits():
-    engine = ExecutionEngine(jobs=2)
-    engine.run(_specs())
+    with ExecutionEngine(jobs=2) as engine:
+        engine.run(_specs())
     assert engine.stats.resubmits == 0
 
 

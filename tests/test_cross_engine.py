@@ -9,7 +9,7 @@ import pytest
 
 from repro.machine import ExecutionMode, PrototypeConfig
 from repro.programs.data import generate_matrices
-from repro.timing_model import predict_matmul
+from repro.timing_model import predict_matmul, skewed_ones
 from tests.engines import run_matmul_on
 
 CFG = PrototypeConfig()
@@ -25,7 +25,8 @@ def compare(mode, n, p, *, m=0, cfg=CFG, b_bits=None):
     _, b = generate_matrices(n, **kwargs)
     _, run = run_matmul_on(mode, n, p, MICRO_ENGINE, m=m, cfg=cfg,
                            b_bits=b_bits)
-    pred = predict_matmul(mode, cfg, n, p, added_multiplies=m, b=b)
+    pred = predict_matmul(mode, cfg, n, p, added_multiplies=m,
+                          ones=skewed_ones(b))
     return run.result, pred
 
 

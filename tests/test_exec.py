@@ -7,8 +7,15 @@ byte-identical serialized results.
 
 import io
 import json
+import os
+import signal
+import time
+from multiprocessing import active_children
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DecouplingStudy
 from repro.errors import ConfigurationError, ExecError
@@ -22,6 +29,8 @@ from repro.exec import (
     mips_spec,
     resolve_jobs,
 )
+from repro.exec import jobs as exec_jobs
+from repro.exec.jobs import _popcounts
 from repro.experiments.runner import run_experiments
 from repro.machine import ExecutionMode, PrototypeConfig
 
@@ -140,7 +149,8 @@ class TestSerialEngine:
 
     def test_serial_engine_is_lazy_pooled_is_eager(self, tmp_path):
         assert not ExecutionEngine(jobs=1).eager
-        assert ExecutionEngine(jobs=2).eager
+        with ExecutionEngine(jobs=2) as engine:
+            assert engine.eager
         cache = ResultCache(tmp_path, version="v")
         assert ExecutionEngine(jobs=1, cache=cache).eager
 
@@ -149,28 +159,31 @@ class TestPooledExecution:
     def test_jobs1_and_jobs4_byte_identical(self):
         """The determinism contract: pooling changes nothing, byte for byte."""
         serial = ExecutionEngine(jobs=1).run(MACRO_SPECS)
-        pooled = ExecutionEngine(jobs=4).run(MACRO_SPECS)
+        with ExecutionEngine(jobs=4) as engine:
+            pooled = engine.run(MACRO_SPECS)
         assert (json.dumps(serial, sort_keys=True)
                 == json.dumps(pooled, sort_keys=True))
 
     def test_result_order_follows_spec_order(self):
         specs = [_test_spec(action="echo", value=i) for i in range(12)]
-        payloads = ExecutionEngine(jobs=3).run(specs)
+        with ExecutionEngine(jobs=3) as engine:
+            payloads = engine.run(specs)
         assert [p["value"] for p in payloads] == list(range(12))
 
     def test_worker_crash_resubmitted_once(self, tmp_path):
         sentinel = tmp_path / "first-attempt"
         spec = _test_spec(action="flaky", sentinel=str(sentinel))
-        engine = ExecutionEngine(jobs=2)
-        payload = engine.run([spec])[0]
+        with ExecutionEngine(jobs=2) as engine:
+            payload = engine.run([spec])[0]
         assert payload == {"value": "recovered"}
         assert sentinel.exists()
         assert engine.stats.computed == 1
 
     def test_persistent_crash_surfaces_exec_error(self):
         spec = _test_spec(action="crash")
-        with pytest.raises(ExecError) as err:
-            ExecutionEngine(jobs=2).run([spec])
+        with pytest.raises(ExecError) as err, \
+                ExecutionEngine(jobs=2) as engine:
+            engine.run([spec])
         assert err.value.attempts == 2
         assert err.value.job["program"] == "_test"
         assert err.value.cause is not None
@@ -180,10 +193,115 @@ class TestPooledExecution:
         specs = [_test_spec(action="echo", value="a"),
                  _test_spec(action="flaky", sentinel=str(sentinel)),
                  _test_spec(action="echo", value="b")]
-        payloads = ExecutionEngine(jobs=2).run(specs)
+        with ExecutionEngine(jobs=2) as engine:
+            payloads = engine.run(specs)
         assert payloads[0]["value"] == "a"
         assert payloads[1]["value"] == "recovered"
         assert payloads[2]["value"] == "b"
+
+
+class TestPoolLifecycle:
+    """One pool per engine: started by the first pooled batch, reused by
+    every later one, replaced when broken, stopped by ``close()``."""
+
+    @staticmethod
+    def _pid_specs(tag):
+        return [_test_spec(action="pid", value=f"{tag}{i}") for i in range(6)]
+
+    def test_batches_run_on_the_same_workers(self):
+        with ExecutionEngine(jobs=2) as engine:
+            first = {p["pid"] for p in engine.run(self._pid_specs("a"))}
+            workers = {child.pid for child in active_children()}
+            second = {p["pid"] for p in engine.run(self._pid_specs("b"))}
+        assert os.getpid() not in first
+        assert first <= workers and second <= workers
+
+    def test_close_stops_the_workers_and_is_idempotent(self):
+        engine = ExecutionEngine(jobs=2)
+        workers = {p["pid"] for p in engine.run(self._pid_specs("c"))}
+        assert workers <= {child.pid for child in active_children()}
+        engine.close()
+        assert not workers & {child.pid for child in active_children()}
+        engine.close()  # a second close does nothing
+        assert not workers & {child.pid for child in active_children()}
+
+    def test_serial_engine_starts_no_pool(self):
+        before = {child.pid for child in active_children()}
+        with ExecutionEngine(jobs=1) as engine:
+            engine.run(self._pid_specs("d"))
+        assert {child.pid for child in active_children()} <= before
+
+    def test_worker_killed_between_batches_is_replaced(self, tmp_path):
+        """A worker that dies while the pool is idle breaks it; the next
+        batch gets a fresh pool without spending its stall budget, so a
+        lone job that crashes once still recovers."""
+        with ExecutionEngine(jobs=2) as engine:
+            pids = {p["pid"] for p in engine.run(self._pid_specs("e"))}
+            victim = next(c for c in active_children() if c.pid in pids)
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+            assert not victim.is_alive()
+            # The executor notices the death on its own thread; wait for
+            # it, so the batch below meets a pool already marked broken.
+            executor = engine._pool._executor
+            deadline = time.monotonic() + 10
+            while not executor._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            flaky = _test_spec(action="flaky", sentinel=str(tmp_path / "f"))
+            assert engine.run([flaky]) == [{"value": "recovered"}]
+            assert engine.stats.resubmits == 1  # the crash, not the death
+            payloads = engine.run(self._pid_specs("f"))
+        assert [p["value"] for p in payloads] == [f"f{i}" for i in range(6)]
+        assert victim.pid not in {p["pid"] for p in payloads}
+
+
+@st.composite
+def _macro_spec(draw):
+    """A macro matmul spec over a few data sets, so draws share them."""
+    mode = draw(st.sampled_from(ExecutionMode))
+    n = draw(st.sampled_from((8, 16, 32, 64)))
+    p = 1 if mode is ExecutionMode.SERIAL else draw(st.sampled_from(
+        [p for p in (4, 8, 16) if p <= n]))
+    return matmul_spec(
+        mode, n, p, engine="macro",
+        added_multiplies=draw(st.integers(0, 20)),
+        seed=draw(st.sampled_from((1, 2))),
+        b_max=draw(st.sampled_from((None, 16, 1 << 16))),
+    )
+
+
+class TestPopcountMemo:
+    """Macro jobs share one read-only S per (n, seed, b_max) data set."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_macro_spec(), min_size=2, max_size=12))
+    def test_warm_memo_payloads_equal_cold(self, specs):
+        warm = [execute_job(spec) for spec in specs]
+        cold = []
+        for spec in specs:
+            _popcounts.cache_clear()
+            cold.append(execute_job(spec))
+        assert warm == cold
+
+    def test_cached_popcounts_refuse_writes(self):
+        ones = _popcounts(16, 1, None)
+        with pytest.raises(ValueError):
+            ones[0, 0] = 0
+        assert _popcounts(16, 1, None) is ones
+
+    def test_data_sets_never_share_an_entry(self):
+        base = _popcounts(64, 1, 16)
+        for other in (_popcounts(64, 2, 16), _popcounts(64, 1, 1 << 16)):
+            assert other is not base
+            assert not np.array_equal(other, base)
+
+    def test_macro_jobs_never_build_a(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("macro job built the identity A")
+
+        monkeypatch.setattr(exec_jobs, "generate_matrices", refuse)
+        _popcounts.cache_clear()
+        execute_job(matmul_spec(ExecutionMode.SIMD, 16, 4, engine="macro"))
 
 
 class TestJobsResolution:
@@ -283,11 +401,12 @@ class TestCacheAndStats:
 class TestStudyIntegration:
     def test_pooled_study_matches_plain_study(self):
         plain = DecouplingStudy()
-        pooled = DecouplingStudy(exec_engine=ExecutionEngine(jobs=2))
-        for mode in PARALLEL_MODES:
-            a = plain.run(mode, 64, 4, engine="macro")
-            b = pooled.run(mode, 64, 4, engine="macro")
-            assert a == b
+        with ExecutionEngine(jobs=2) as engine:
+            pooled = DecouplingStudy(exec_engine=engine)
+            for mode in PARALLEL_MODES:
+                a = plain.run(mode, 64, 4, engine="macro")
+                b = pooled.run(mode, 64, 4, engine="macro")
+                assert a == b
 
     def test_prefetch_noop_on_lazy_engine(self):
         study = DecouplingStudy()
@@ -372,14 +491,13 @@ class TestRunnerIntegration:
 def test_table1_identical_through_pool(tmp_path):
     from repro.experiments.table1 import run_table1
     base = run_table1()
-    pooled = run_table1(
-        exec_engine=ExecutionEngine(
-            jobs=2, cache=ResultCache(tmp_path, version="v1"))
-    )
+    with ExecutionEngine(jobs=2,
+                         cache=ResultCache(tmp_path, version="v1")) as engine:
+        pooled = run_table1(exec_engine=engine)
     assert base.to_json() == pooled.to_json()
-    warm_engine = ExecutionEngine(jobs=2,
-                                  cache=ResultCache(tmp_path, version="v1"))
-    warm = run_table1(exec_engine=warm_engine)
+    with ExecutionEngine(jobs=2, cache=ResultCache(tmp_path, version="v1")) \
+            as warm_engine:
+        warm = run_table1(exec_engine=warm_engine)
     assert warm.to_json() == base.to_json()
     assert warm_engine.stats.computed == 0
     assert warm_engine.stats.cache_hits == 4

@@ -32,7 +32,8 @@ GOLDEN = ("table1", "fig7", "fig11", "fig12", "ext-muls", "ext-faults")
 def study(tmp_path_factory):
     cache = ResultCache(tmp_path_factory.mktemp("golden-cache"),
                         version="golden")
-    return DecouplingStudy(exec_engine=ExecutionEngine(jobs=2, cache=cache))
+    with ExecutionEngine(jobs=2, cache=cache) as engine:
+        yield DecouplingStudy(exec_engine=engine)
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +74,9 @@ def test_ext_faults_identical_across_job_counts(committed):
     equal to the committed serial-run golden)."""
     rows = {}
     for jobs in (1, 4):
-        study = DecouplingStudy(exec_engine=ExecutionEngine(jobs=jobs))
-        result = json.loads(EXPERIMENTS["ext-faults"](study).to_json())
+        with ExecutionEngine(jobs=jobs) as engine:
+            study = DecouplingStudy(exec_engine=engine)
+            result = json.loads(EXPERIMENTS["ext-faults"](study).to_json())
         rows[jobs] = result["rows"]
     assert rows[1] == rows[4]
     assert rows[1] == committed["ext-faults"]["rows"]

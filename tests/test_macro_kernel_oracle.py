@@ -1,8 +1,10 @@
 """The macro model's multiply kernel against a gather-based reference.
 
 :func:`repro.timing_model.predict_matmul` costs the data-dependent
-multiply time from one skewed popcount matrix of B, reduced with plain
-reshapes in integers.  The reference below is the direct algorithm: gather
+multiply time from one skewed popcount matrix of B
+(:func:`~repro.timing_model.skewed_ones`), reduced over reshapes of it in
+integers.  The reference below starts from B itself, so it checks the
+skewing too.  It is the direct algorithm: gather
 the ``(p, n, cols)`` multiplier schedule with
 :func:`~repro.programs.data.multiplier_schedule`, popcount it with
 :func:`~repro.timing_model.ones_of_schedule`, and reduce ``2·ones`` in
@@ -32,6 +34,7 @@ from repro.timing_model import (
     comm_pipeline,
     ones_of_schedule,
     predict_matmul,
+    skewed_ones,
 )
 from repro.timing_model.fragments import CostEnv
 from repro.timing_model.models import (
@@ -128,7 +131,8 @@ def reference_serial(config, n, m, b):
     float64 popcount sum of B."""
     total = {"mult": 0.0, "comm": 0.0, "control": 0.0, "other": 0.0,
              "sync": 0.0}
-    total.update(predict_serial(config, n, m, np.zeros_like(b)).breakdown)
+    zeros = np.zeros_like(b, dtype=np.uint8)
+    total.update(predict_serial(config, n, m, zeros).breakdown)
     total["mult"] += float(n * (1 + m) * 2.0 * ones_of_schedule(b).sum())
     return _result(ExecutionMode.SERIAL, n, 1, m, total)
 
@@ -143,7 +147,8 @@ def reference(mode, config, n, p, m, b):
 
 
 def _assert_identical(mode, config, n, p, m, b):
-    got = predict_matmul(mode, config, n, p, added_multiplies=m, b=b)
+    got = predict_matmul(mode, config, n, p, added_multiplies=m,
+                         ones=skewed_ones(b))
     want = reference(mode, config, n, p, m, b)
     assert got.cycles == want.cycles
     assert got.breakdown == want.breakdown
