@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-slow coverage bench experiments report examples clean all
+.PHONY: install test test-slow coverage experiments report examples clean all
 
 install:
 	pip install -e .[test]
@@ -17,9 +17,6 @@ coverage:  # needs pytest-cov (pip install -e .[cov])
 	$(PYTHON) -m pytest tests/ --cov=repro.network --cov=repro.faults \
 		--cov-report=term-missing --cov-fail-under=85
 
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
 experiments:
 	$(PYTHON) -m repro.experiments.runner --out results/
 
@@ -29,8 +26,8 @@ report:
 examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done
 
-all: test bench experiments
+all: test experiments
 
 clean:
-	rm -rf results/ .pytest_cache .benchmarks
+	rm -rf results/ .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -10,7 +10,7 @@ meet — ≈14 added multiplies at n=64, p=4 on the prototype.
 
 Also provided: a first-order analytic estimate of the benefit per added
 multiply from the multiplier-bit statistics, used by the analysis module
-and the ablation benchmarks.
+and the ablation tests.
 """
 
 from __future__ import annotations

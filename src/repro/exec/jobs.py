@@ -306,7 +306,8 @@ def _execute_test(spec: SimJobSpec) -> dict:
     Actions (via ``params``): ``echo`` returns its value; ``pid`` also
     returns the id of the process that ran it; ``sleep`` holds a worker
     for a controllable interval (the serving tests use it to widen
-    dedup/backpressure race windows); ``crash`` hard-kills the worker
+    dedup/backpressure race windows), ended early once a ``release``
+    sentinel file exists; ``crash`` hard-kills the worker
     process; ``flaky`` crashes on the first execution
     (before a sentinel file exists) and succeeds on resubmit.  Only
     ever scheduled by the engine's own test suites.
@@ -318,9 +319,16 @@ def _execute_test(spec: SimJobSpec) -> dict:
     if action == "pid":
         return {"value": params.get("value"), "pid": os.getpid()}
     if action == "sleep":
-        time.sleep(float(params.get("seconds", 0.05)))
-        return {"value": params.get("value"),
-                "slept": float(params.get("seconds", 0.05))}
+        seconds = float(params.get("seconds", 0.05))
+        release = params.get("release")
+        if release is None:
+            time.sleep(seconds)
+        else:
+            deadline = time.monotonic() + seconds
+            while (not os.path.exists(release)
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+        return {"value": params.get("value"), "slept": seconds}
     if action == "crash":
         os._exit(3)
     if action == "flaky":

@@ -10,11 +10,12 @@ the worker, and the job-execution code arms each
 (:func:`collect_machine`).
 
 Cost discipline: every hook here is a no-op returning immediately when
-no job trace is active, so the untraced path — the default, gated by
-``perf_smoke.py`` — pays one module-global ``None`` check per machine,
-not per instruction.  The per-instruction cost of tracing itself is
-the pre-existing ``CPU.trace`` record list plus the PE-bus wait-span
-list; lane construction happens once, after the run.
+no job trace is active, so the untraced path — the default, timed by
+the benchmark's ``engine-sweep`` workload — pays one module-global
+``None`` check per machine, not per instruction.  The per-instruction
+cost of tracing itself is the pre-existing ``CPU.trace`` record list
+plus the PE-bus wait-span list; lane construction happens once, after
+the run.
 
 Lane model (all timestamps in **simulated cycles**, exported 1 cycle =
 1 µs):

@@ -612,7 +612,7 @@ class RouterApp:
 
 
 # ---------------------------------------------------------------------------
-# Embedding (tests, the fleet benchmark)
+# Embedding (tests)
 class RouterThread:
     """A router running on a private event loop in a thread."""
 

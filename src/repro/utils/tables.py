@@ -1,6 +1,6 @@
 """Plain-text table and chart rendering for experiment reports.
 
-The benchmark harness prints the same rows/series the paper reports; these
+The experiment runner prints the same rows/series the paper reports; these
 helpers render them as aligned monospace tables and simple ASCII line plots
 so results are readable in a terminal and in ``EXPERIMENTS.md``.
 """

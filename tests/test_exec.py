@@ -179,6 +179,15 @@ class TestPooledExecution:
         assert sentinel.exists()
         assert engine.stats.computed == 1
 
+    def test_sleep_ends_early_on_release_sentinel(self, tmp_path):
+        release = tmp_path / "release"
+        release.touch()
+        spec = _test_spec(action="sleep", seconds=30.0, release=str(release))
+        t0 = time.monotonic()
+        payload = execute_job(spec)
+        assert time.monotonic() - t0 < 5.0
+        assert payload["slept"] == 30.0
+
     def test_persistent_crash_surfaces_exec_error(self):
         spec = _test_spec(action="crash")
         with pytest.raises(ExecError) as err, \

@@ -32,11 +32,13 @@ def echo_spec(value):
                       params=(("action", "echo"), ("value", value)))
 
 
-def sleep_spec(value, seconds):
+def sleep_spec(value, seconds, release):
+    """Holds a worker for ``seconds`` or until ``release`` exists."""
     return SimJobSpec(program="_test", mode="serial", n=1, p=1,
                       engine="micro",
                       params=(("action", "sleep"), ("value", value),
-                              ("seconds", seconds)))
+                              ("seconds", seconds),
+                              ("release", str(release))))
 
 
 def get_json(url, timeout=10.0):
@@ -96,6 +98,15 @@ def fleet(request, tmp_path_factory):
     router.stop()
     for server in servers:
         server.stop()
+
+
+@pytest.fixture
+def hog_release(tmp_path):
+    """Release sentinel for a ``sleep_spec`` hog, touched when the test
+    ends so the fleet's drain does not wait the hog out."""
+    release = tmp_path / "release-hog"
+    yield release
+    release.touch()
 
 
 @pytest.mark.usefixtures("fleet")
@@ -163,14 +174,15 @@ class TestFleetHealth:
                    for k in doc["router"]["series"])
 
     # -- the incident ------------------------------------------------
-    def test_saturation_fires_slo_with_bundle_and_correlation_id(self):
+    def test_saturation_fires_slo_with_bundle_and_correlation_id(
+            self, hog_release):
         base = self.bases[1]
         rec_dir = self.recorder_dirs[1]
         salt = uuid.uuid4().hex[:8]
         shed_id = f"req-e2e-shed-{salt}"
         # Occupy the single worker, then flood distinct submissions:
         # queue_limit=2 makes everything past the first few shed 429.
-        post_job(base, sleep_spec(f"hog-{salt}", 8.0))
+        post_job(base, sleep_spec(f"hog-{salt}", 8.0, hog_release))
         sheds = 0
         alerts = {}
         deadline = time.time() + 20.0

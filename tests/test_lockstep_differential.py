@@ -70,6 +70,31 @@ def test_engine_tiers_identical(engine_pair, mode_and_p):
             == _cached_signature(mode, 16, p, baseline))
 
 
+#: The cycles the pinned n=16 matmul must take in each mode, on every
+#: tier: the same simulation the golden exhibits rest on, restated so a
+#: speed-motivated engine change cannot drift timing unnoticed.
+GOLDEN_CYCLES = {
+    ExecutionMode.SERIAL: 362_528,
+    ExecutionMode.SIMD: 116_989,
+    ExecutionMode.SMIMD: 141_177,
+    ExecutionMode.MIMD: 290_407,
+}
+
+
+@pytest.mark.parametrize("engine", ENGINE_TIERS)
+def test_engine_tiers_hit_golden_cycles(engine, mode_and_p):
+    mode, p = mode_and_p
+    assert _cached_signature(mode, 16, p, engine)["cycles"] \
+        == GOLDEN_CYCLES[mode]
+
+
+def test_lockstep_run_is_deterministic(mode_and_p):
+    """A fresh, uncached run repeats the memoised one exactly."""
+    mode, p = mode_and_p
+    assert (signature(mode, 16, p, "lockstep")
+            == _cached_signature(mode, 16, p, "lockstep"))
+
+
 @pytest.mark.parametrize("mode", [ExecutionMode.SIMD, ExecutionMode.SMIMD],
                          ids=lambda m: m.name)
 def test_added_multiplies_identical(mode, engine_pair):
