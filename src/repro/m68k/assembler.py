@@ -292,6 +292,15 @@ def _strip_comment(line: str) -> str:
     return "".join(out).rstrip()
 
 
+def _check(instr: Instruction) -> None:
+    """:func:`validate`, reported as an :class:`AssemblerError` at the
+    instruction's source line."""
+    try:
+        validate(instr)
+    except Exception as exc:
+        raise AssemblerError(str(exc), instr.line_no) from exc
+
+
 def assemble(
     source: str,
     *,
@@ -461,6 +470,8 @@ def assemble(
         operands = tuple(
             parser.parse_operand(t, line_no) for t in operand_texts
         )
+        if mnemonic == "EOR" and operands and operands[0].mode is Mode.IMM:
+            mnemonic = "EORI"  # EOR takes only Dn; #imm is EORI's spelling
         instr = Instruction(
             mnemonic=mnemonic,
             size=size,
@@ -474,10 +485,7 @@ def assemble(
             movem_store=movem_store,
         )
         pending_label = None
-        try:
-            validate(instr)
-        except Exception as exc:
-            raise AssemblerError(str(exc), line_no) from exc
+        _check(instr)
         parsed.append(instr)
         if not entry_set:
             program.entry = instr.address
@@ -495,7 +503,9 @@ def assemble(
 
     for instr in parsed:
         new_ops = tuple(resolve_operand(op, instr.line_no) for op in instr.operands)
-        instr.operands = new_ops
+        if new_ops != instr.operands:
+            instr.operands = new_ops
+            _check(instr)  # values only a resolved symbol reveals
         if isinstance(instr.target, str):
             instr.target = int(
                 parser.eval_expr(instr.target, instr.line_no, allow_unresolved=False)

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.errors import IllegalInstructionError, SimulationError
 from repro.m68k.addressing import Mode, Operand
@@ -72,7 +73,8 @@ from repro.m68k.instructions import (
     UNARY,
 )
 from repro.m68k.registers import RegisterFile
-from repro.m68k.timing import TimingInfo, instruction_timing
+from repro.m68k.timing import TimingInfo, instruction_timing, mul_timings
+from repro.utils.bitops import sign_extend, to_signed, to_unsigned
 
 
 def _static_timing(instr: Instruction) -> TimingInfo:
@@ -84,7 +86,70 @@ def _static_timing(instr: Instruction) -> TimingInfo:
     """
     t = instr._static_timing_cache
     return t if t is not None else instruction_timing(instr)
-from repro.utils.bitops import sign_extend, to_signed, to_unsigned
+
+
+_M32 = 0xFFFF_FFFF
+_MASK = {1: 0xFF, 2: 0xFFFF, 4: _M32}
+_SIGN = {1: 0x80, 2: 0x8000, 4: 0x8000_0000}
+
+
+# ALU results and flags on size-masked operands, for the generic and the
+# compiled handlers alike.  Each returns the value to store, or None for
+# the compare family.
+def _alu_add(ccr, a, b, mask, sign):
+    r = a + b
+    res = r & mask
+    ccr.x = ccr.c = r > mask
+    ccr.n = res >= sign
+    ccr.z = res == 0
+    ccr.v = ((a ^ b) & sign) == 0 and ((a ^ res) & sign) != 0
+    return res
+
+
+def _alu_sub(ccr, a, b, mask, sign):
+    res = (a - b) & mask
+    ccr.x = ccr.c = b > a
+    ccr.n = res >= sign
+    ccr.z = res == 0
+    ccr.v = ((a ^ b) & sign) != 0 and ((a ^ res) & sign) != 0
+    return res
+
+
+def _alu_cmp(ccr, a, b, mask, sign):
+    res = (a - b) & mask
+    ccr.c = b > a
+    ccr.n = res >= sign
+    ccr.z = res == 0
+    ccr.v = ((a ^ b) & sign) != 0 and ((a ^ res) & sign) != 0
+    return None
+
+
+def _alu_and(ccr, a, b, mask, sign):
+    res = a & b
+    ccr.n = res >= sign
+    ccr.z = res == 0
+    ccr.v = ccr.c = False
+    return res
+
+
+def _alu_or(ccr, a, b, mask, sign):
+    res = a | b
+    ccr.n = res >= sign
+    ccr.z = res == 0
+    ccr.v = ccr.c = False
+    return res
+
+
+def _alu_eor(ccr, a, b, mask, sign):
+    res = a ^ b
+    ccr.n = res >= sign
+    ccr.z = res == 0
+    ccr.v = ccr.c = False
+    return res
+
+
+_ALU_OPS = {"ADD": _alu_add, "SUB": _alu_sub, "CMP": _alu_cmp,
+            "AND": _alu_and, "OR": _alu_or, "EOR": _alu_eor}
 
 
 class HaltReason(enum.Enum):
@@ -146,7 +211,7 @@ class CPU:
         #: env.now at which this CPU's run() flushed and finished (None
         #: until then).
         self.finish_time: float | None = None
-        #: Per-timecat simulated-cycle totals (fed by ``run``/``step``).
+        #: Per-timecat simulated-cycle totals (fed by ``run``).
         self.category_cycles: dict[str, float] = {}
         #: Optional per-instruction trace (enable with ``trace=True``).
         self.trace_records: list[InstructionRecord] = []
@@ -169,9 +234,9 @@ class CPU:
     def run(self, max_instructions: int | None = None):
         """Generator process: execute until HALT (or an instruction cap).
 
-        The body of :meth:`step` is inlined into the loop so the
-        interpreter builds one generator frame per *run*, not one per
-        instruction (keep the two in sync when editing either).
+        One instruction's fetch, dispatch and time accounting are inlined
+        into the loop, so the interpreter builds one generator frame per
+        *run*, not one per instruction.
         """
         env = self.env
         bus = self.bus
@@ -216,8 +281,8 @@ class CPU:
                     chain = self._build_chain(self.regs.pc)
                     chains[self.regs.pc] = chain
                 if chain:
-                    # -- chain replay: same arithmetic as the inlined
-                    # step below, minus fetch lookup and dispatch --------
+                    # -- chain replay: same arithmetic as the per-
+                    # instruction path below, minus fetch and lookup ----
                     for pc, instr, w, base, npc, k, h, cat in chain:
                         start = env.now + bus._local
                         cycles = base
@@ -254,7 +319,7 @@ class CPU:
                             cats[cat] = end - start
                     self.instruction_count += len(chain)
                     continue  # chain ended at control flow / HALT / region edge
-            # -- begin inlined step() -----------------------------------
+            # -- one instruction: fetch, dispatch, time ---------------
             start = env.now + bus._local if fast else env.now
             pc = self.regs.pc
             instr = tf(pc) if tf is not None else None
@@ -326,7 +391,6 @@ class CPU:
                 self.trace_records.append(
                     InstructionRecord(instr, start, end, timing)
                 )
-            # -- end inlined step() -------------------------------------
             executed += 1
             if max_instructions is not None and executed >= max_instructions:
                 self.halted = HaltReason.EXTERNAL
@@ -381,64 +445,6 @@ class CPU:
             )
             pc = next_pc
         return entries
-
-    # ------------------------------------------------------------------
-    def step(self):
-        """Execute one instruction (generator)."""
-        env = self.env
-        bus = self.bus
-        fast = self._bus_now
-        start = env.now + bus._local if fast else env.now
-        pc = self.regs.pc
-        tf = self._bus_try_fetch
-        instr = tf(pc) if tf is not None else None
-        if instr is None:
-            instr = yield from bus.fetch_instruction(pc)
-            if not isinstance(instr, Instruction):
-                raise SimulationError(
-                    f"{self.name}: no instruction at {pc:#x} (got {instr!r})"
-                )
-        next_pc = pc + instr.encoded_bytes()
-        self.regs.pc = next_pc  # may be overridden by control flow below
-
-        hc = instr._exec_handler_cache
-        if hc is None:
-            hc = _resolve_handler(instr)
-            instr._exec_handler_cache = hc
-        k = hc[0]
-        if k:
-            # Sync (register-only) or hybrid handler: plain call first.
-            timing = hc[1](self, instr, pc, next_pc)
-            if k == 2 and type(timing) is not TimingInfo:
-                # Hybrid handler hit a blocking access: finish the slow way.
-                timing = yield from timing
-        else:
-            timing = yield from hc[1](self, instr, pc, next_pc)
-
-        # Charge internal (non-bus) time and any stream accesses beyond the
-        # encoded words (branch-target prefetch, RTS refill).
-        # encoded_bytes above has populated the encoded-words cache.
-        extra_stream = timing.stream_words - instr._encoded_words_cache
-        if extra_stream > 0:
-            ts = self._bus_try_stream
-            if ts is None or not ts(self.regs.pc, extra_stream):
-                yield from bus.fetch_stream_words(self.regs.pc, extra_stream)
-        internal = timing.internal_cycles
-        if internal < 0:
-            raise SimulationError(
-                f"{self.name}: negative internal time for {instr} ({timing})"
-            )
-        if internal:
-            tc = self._bus_try_charge
-            if tc is None or not tc(internal):
-                yield from bus.internal(internal)
-
-        end = env.now + bus._local if fast else env.now
-        self.instruction_count += 1
-        cat = instr.timecat
-        self.category_cycles[cat] = self.category_cycles.get(cat, 0.0) + (end - start)
-        if self.trace:
-            self.trace_records.append(InstructionRecord(instr, start, end, timing))
 
     # ------------------------------------------------------------------
     # effective addresses and operand access
@@ -586,126 +592,13 @@ class CPU:
         tw = self._bus_try_write
         return tw is not None and tw(addr, value, size)
 
-    # ------------------------------------------------------------------
-    def _execute(self, instr: Instruction, pc: int, next_pc: int):
-        """Generator: execute ``instr``; returns its TimingInfo.
-
-        Compatibility wrapper over the per-mnemonic handler registry;
-        ``step`` dispatches through the registry directly so that
-        register/immediate-only instructions never build a generator.
-        """
-        hc = instr._exec_handler_cache
-        if hc is None:
-            hc = _resolve_handler(instr)
-            instr._exec_handler_cache = hc
-        k = hc[0]
-        if k:
-            timing = hc[1](self, instr, pc, next_pc)
-            if k == 2 and type(timing) is not TimingInfo:
-                timing = yield from timing
-            return timing
-        return (yield from hc[1](self, instr, pc, next_pc))
-
     # -- synchronous handlers ------------------------------------------
     # Plain calls for instructions the resolver proved bus-free (all
     # operands in registers or the instruction stream): no generator is
     # created for them.  Semantics are byte-for-byte those of the
     # generator handlers below restricted to register/immediate operands.
-    def _exec_move_reg(self, instr, pc, next_pc):
-        src, dst = instr.operands
-        size = instr.size_bytes
-        regs = self.regs
-        if src.mode is Mode.DREG:
-            value = regs.read_d(src.reg, size)
-        elif src.mode is Mode.AREG:
-            value = regs.read_a(src.reg, size)
-        else:  # IMM
-            value = to_unsigned(int(src.value), size)
-        if dst.mode is Mode.AREG or instr.mnemonic == "MOVEA":
-            regs.write_a(dst.reg, value, size)
-        else:
-            regs.write_d(dst.reg, value, size)
-            regs.ccr.set_nz(value, size)
-        return _static_timing(instr)
-
-    def _exec_alu_reg(self, instr, pc, next_pc):
-        m = instr.mnemonic
-        size = instr.size_bytes
-        src, dst = instr.operands
-        regs = self.regs
-        ccr = regs.ccr
-        base = instr._alu_base_cache
-        if base is None:
-            base = _alu_base(m)
-            instr._alu_base_cache = base
-        if src.mode is Mode.DREG:
-            src_val = regs.read_d(src.reg, size)
-        elif src.mode is Mode.AREG:
-            src_val = regs.read_a(src.reg, size)
-        else:  # IMM
-            src_val = to_unsigned(int(src.value), size)
-        if m in ALU_ADDR:
-            # Word sources sign-extend; operation is on the full 32 bits.
-            if size == 2:
-                src_val32 = to_unsigned(sign_extend(src_val, 16), 4)
-            else:
-                src_val32 = src_val
-            dst_val = regs.read_a(dst.reg, 4)
-            if base == "ADD":
-                regs.write_a(dst.reg, dst_val + src_val32, 4)
-            elif base == "SUB":
-                regs.write_a(dst.reg, dst_val - src_val32, 4)
-            else:  # CMPA
-                self._sub_flags(dst_val, src_val32, 4, set_x=False)
-            return _static_timing(instr)
-        if dst.mode is Mode.AREG:
-            # Resolver guarantees QUICK here: ADDQ/SUBQ #n,An (no flags).
-            dst_val = regs.read_a(dst.reg, 4)
-            delta = int(src.value)
-            if base == "ADD":
-                regs.write_a(dst.reg, dst_val + delta, 4)
-            else:
-                regs.write_a(dst.reg, dst_val - delta, 4)
-            return _static_timing(instr)
-        dst_val = regs.read_d(dst.reg, size)
-        store = True
-        if base == "ADD":
-            result = dst_val + src_val
-            self._add_flags(dst_val, src_val, result, size)
-        elif base == "SUB":
-            result = dst_val - src_val
-            self._sub_flags(dst_val, src_val, size=size, set_x=True)
-        elif base == "CMP":
-            result = dst_val
-            self._sub_flags(dst_val, src_val, size=size, set_x=False)
-            store = False
-        elif base == "AND":
-            result = dst_val & src_val
-            ccr.set_nz(result, size)
-        elif base == "OR":
-            result = dst_val | src_val
-            ccr.set_nz(result, size)
-        elif base == "EOR":
-            result = dst_val ^ src_val
-            ccr.set_nz(result, size)
-        else:  # pragma: no cover
-            raise AssertionError(base)
-        if store:
-            regs.write_d(dst.reg, to_unsigned(result, size), size)
-        return _static_timing(instr)
-
-    def _exec_dbcc(self, instr, pc, next_pc):
-        target = int(instr.target)
-        if self.regs.ccr.test(instr.condition):
-            return instruction_timing(instr, branch_taken=False)
-        reg = instr.operands[0].reg
-        counter = (self.regs.read_d(reg, 2) - 1) & 0xFFFF
-        self.regs.write_d(reg, counter, 2)
-        if counter == 0xFFFF:  # expired
-            return instruction_timing(instr, branch_taken=False, dbcc_expired=True)
-        self.regs.pc = target
-        return instruction_timing(instr, branch_taken=True)
-
+    # The hottest families (MOVE, ALU, MUL/DIV, DBcc, shifts) are compiled
+    # instead; see "Compiled handlers" below the class.
     def _exec_branch(self, instr, pc, next_pc):
         target = int(instr.target)
         taken = True if instr.mnemonic == "BRA" \
@@ -713,18 +606,6 @@ class CPU:
         if taken:
             self.regs.pc = target
         return instruction_timing(instr, branch_taken=taken)
-
-    def _exec_muldiv_reg(self, instr, pc, next_pc):
-        src, dst = instr.operands
-        regs = self.regs
-        if src.mode is Mode.DREG:
-            src_val = regs.read_d(src.reg, 2)
-        elif src.mode is Mode.AREG:
-            src_val = regs.read_a(src.reg, 2)
-        else:  # IMM
-            src_val = to_unsigned(int(src.value), 2)
-        self._muldiv_core(instr.mnemonic, src_val, dst)
-        return instruction_timing(instr, src_value=src_val)
 
     def _exec_unary_reg(self, instr, pc, next_pc):
         m = instr.mnemonic
@@ -746,18 +627,6 @@ class CPU:
         regs.write_d(dst.reg, new, size)
         self._unary_flags(m, old, new, size)
         return _static_timing(instr)
-
-    def _exec_shift(self, instr, pc, next_pc):
-        count_op, reg_op = instr.operands
-        size = instr.size_bytes
-        if count_op.mode is Mode.IMM:
-            count = int(count_op.value)
-        else:
-            count = self.regs.read_d(count_op.reg, 4) % 64
-        value = self.regs.read_d(reg_op.reg, size)
-        new = self._shift(instr.mnemonic, value, count, size)
-        self.regs.write_d(reg_op.reg, new, size)
-        return instruction_timing(instr, shift_count=count)
 
     def _exec_halt(self, instr, pc, next_pc):
         self.halted = HaltReason.HALT_INSTRUCTION
@@ -1073,7 +942,7 @@ class CPU:
         dst_val = self._read_operand_now(ops[1], size, pc)
         if dst_val is None:
             dst_val = yield from self._pending_read(size)
-        self._sub_flags(dst_val, src_val, size, set_x=False)
+        _alu_cmp(self.regs.ccr, dst_val, src_val, _MASK[size], _SIGN[size])
         return _static_timing(instr)
 
     def _exec_scc_mem(self, instr, pc, next_pc):
@@ -1324,9 +1193,9 @@ class CPU:
     def _alu(self, instr, pc, next_pc):
         """Hybrid handler for the ADD/SUB/CMP/logic families (all variants).
 
-        Register/immediate-only forms are handled synchronously by
-        :meth:`_exec_alu_reg`; this one covers memory operands, returning
-        a slow-continuation generator when a bus access was refused.
+        Covers the forms :func:`_compile_alu` leaves (absolute, indexed
+        and PC-relative operands), returning a slow-continuation
+        generator when a bus access was refused.
         """
         src_val = self._read_operand_now(
             instr.operands[0], instr.size_bytes, pc
@@ -1370,7 +1239,7 @@ class CPU:
             elif base == "SUB":
                 regs.write_a(dst.reg, dst_val - src_val32, 4)
             else:  # CMPA
-                self._sub_flags(dst_val, src_val32, 4, set_x=False)
+                _alu_cmp(regs.ccr, dst_val, src_val32, _M32, _SIGN[4])
             return _static_timing(instr)
 
         if dst.mode is Mode.AREG:
@@ -1385,68 +1254,38 @@ class CPU:
                     regs.write_a(dst.reg, dst_val - delta, 4)
                 return _static_timing(instr)
 
+        op = _ALU_OPS[base]
         if dst.mode is Mode.DREG:
             dst_val = regs.read_d(dst.reg, size)
-            store, result = self._alu_compute(base, dst_val, src_val, size)
-            if store:
-                regs.write_d(dst.reg, to_unsigned(result, size), size)
+            result = op(regs.ccr, dst_val, src_val, _MASK[size], _SIGN[size])
+            if result is not None:
+                regs.write_d(dst.reg, result, size)
             return _static_timing(instr)
 
         dst_addr = self._ea_address(dst, size, pc)
         dst_val = self._try_read(dst_addr, size)
         if dst_val is None:
             return self._alu_mem_slow(instr, dst_addr, src_val)
-        store, result = self._alu_compute(base, dst_val, src_val, size)
-        if store:
-            result = to_unsigned(result, size)
-            if not self._try_write(dst_addr, result, size):
-                return self._alu_store_slow(instr, dst_addr, result)
+        result = op(regs.ccr, dst_val, src_val, _MASK[size], _SIGN[size])
+        if result is not None and not self._try_write(dst_addr, result, size):
+            return self._alu_store_slow(instr, dst_addr, result)
         return _static_timing(instr)
 
     def _alu_mem_slow(self, instr, dst_addr, src_val):
         """Generator: ALU memory destination whose read was refused."""
         size = instr.size_bytes
         dst_val = yield from self.bus.read(dst_addr, size)
-        store, result = self._alu_compute(
-            instr._alu_base_cache, dst_val, src_val, size
+        result = _ALU_OPS[instr._alu_base_cache](
+            self.regs.ccr, dst_val, src_val, _MASK[size], _SIGN[size]
         )
-        if store:
-            result = to_unsigned(result, size)
-            if not self._try_write(dst_addr, result, size):
-                yield from self.bus.write(dst_addr, result, size)
+        if result is not None and not self._try_write(dst_addr, result, size):
+            yield from self.bus.write(dst_addr, result, size)
         return _static_timing(instr)
 
     def _alu_store_slow(self, instr, dst_addr, result):
         """Generator: ALU memory destination whose write-back was refused."""
         yield from self.bus.write(dst_addr, result, instr.size_bytes)
         return _static_timing(instr)
-
-    def _alu_compute(self, base, dst_val, src_val, size):
-        """ALU arithmetic + flags; returns ``(store, raw_result)``."""
-        ccr = self.regs.ccr
-        store = True
-        if base == "ADD":
-            result = dst_val + src_val
-            self._add_flags(dst_val, src_val, result, size)
-        elif base == "SUB":
-            result = dst_val - src_val
-            self._sub_flags(dst_val, src_val, size=size, set_x=True)
-        elif base == "CMP":
-            result = dst_val
-            self._sub_flags(dst_val, src_val, size=size, set_x=False)
-            store = False
-        elif base == "AND":
-            result = dst_val & src_val
-            ccr.set_nz(result, size)
-        elif base == "OR":
-            result = dst_val | src_val
-            ccr.set_nz(result, size)
-        elif base == "EOR":
-            result = dst_val ^ src_val
-            ccr.set_nz(result, size)
-        else:  # pragma: no cover
-            raise AssertionError(base)
-        return store, result
 
     def _add_flags(self, a: int, b: int, result: int, size: int) -> None:
         bits = size * 8
@@ -1459,20 +1298,6 @@ class CPU:
         ccr.x = ccr.c
         sa, sb, sr = a >> (bits - 1), b >> (bits - 1), r >> (bits - 1)
         ccr.v = (sa == sb) and (sr != sa)
-
-    def _sub_flags(self, a: int, b: int, size: int, *, set_x: bool) -> None:
-        """Flags for ``a - b`` (CMP/SUB semantics)."""
-        bits = size * 8
-        mask = (1 << bits) - 1
-        ccr = self.regs.ccr
-        result = (a - b) & mask
-        ccr.z = result == 0
-        ccr.n = bool(result >> (bits - 1))
-        ccr.c = b > a
-        if set_x:
-            ccr.x = ccr.c
-        sa, sb, sr = a >> (bits - 1), b >> (bits - 1), result >> (bits - 1)
-        ccr.v = (sa != sb) and (sr != sa)
 
 
 # ----------------------------------------------------------------------
@@ -1527,44 +1352,386 @@ def _alu_base(m: str) -> str:
     return m
 
 
-def _resolve_handler(instr: Instruction) -> tuple:
-    """Pick the execute handler for ``instr``: ``(kind, function)``.
+# ----------------------------------------------------------------------
+# Compiled handlers.
+#
+# The hot instruction forms are compiled, when first resolved, into a
+# closure over everything the instruction fixes at assembly time: operand
+# registers, size masks and sign bits, displacements, branch targets and
+# the instruction's TimingInfo variants.  A closure binds nothing of a CPU
+# (a SIMD broadcast shares one Instruction object across PEs) and nothing
+# of one instruction object (equal instructions share it, see
+# ``_compiled``); it takes the same ``(cpu, instr, pc, next_pc)``
+# arguments as the CPU methods and, where a fast twin refuses an access,
+# returns the same ``_slow`` continuation the generic hybrid handler
+# would.  A compiler returns None for forms it leaves to the generic
+# handlers: absolute, indexed and PC-relative operands, and shapes
+# ``validate`` rejects.
 
-    The choice depends only on fields fixed at assembly time (mnemonic and
-    operand modes), so the caller caches it on the instruction.
+#: Memory modes the compiled handlers address inline.
+_AN_MODES = (Mode.IND, Mode.POSTINC, Mode.PREDEC, Mode.DISP)
+
+
+def _an_ea(op: Operand, size: int) -> tuple[int, int, int, bool]:
+    """``(reg, pre, post, writeback)`` of a register or ``_AN_MODES``
+    operand.
+
+    A memory operand's address is ``a[reg] + pre``; with writeback
+    ``a[reg]`` then becomes the address plus ``post`` (the arithmetic of
+    :meth:`CPU._ea_address`).
+    """
+    step = 2 if op.reg == 7 and size == 1 else size  # A7 stays word-aligned
+    if op.mode is Mode.POSTINC:
+        return op.reg, 0, step, True
+    if op.mode is Mode.PREDEC:
+        return op.reg, -step, 0, True
+    if op.mode is Mode.DISP:
+        return op.reg, sign_extend(op.disp, 16), 0, False
+    return op.reg, 0, 0, False
+
+
+def _source(op: Operand, size: int) -> tuple:
+    """``(imm, is_d, reg, pre, post, writeback)`` of a compiled source.
+
+    ``imm`` is the masked immediate or None; ``is_d`` picks the data
+    register bank; the rest is :func:`_an_ea`.
+    """
+    if op.mode is Mode.IMM:
+        return to_unsigned(int(op.value), size), False, 0, 0, 0, False
+    return (None, op.mode is Mode.DREG) + _an_ea(op, size)
+
+
+def _compile_move(instr: Instruction):
+    """MOVE/MOVEA between registers, immediates and ``_AN_MODES``."""
+    src, dst = instr.operands
+    size = instr.size_bytes
+    to_d = dst.mode is Mode.DREG
+    to_a = dst.mode is Mode.AREG
+    if (
+        (instr.mnemonic == "MOVEA" and not to_a)
+        or (to_a and size == 1)
+        or not (to_d or to_a or dst.mode in _AN_MODES)
+        or src.mode not in _REG_OR_IMM + _AN_MODES
+    ):
+        return None
+    imm, s_d, sr, spre, spost, swb = _source(src, size)
+    s_mem = src.mode in _AN_MODES
+    d, dpre, dpost, dwb = _an_ea(dst, size)
+    mask, sign = _MASK[size], _SIGN[size]
+    keep = _M32 ^ mask
+    wext = size == 2  # MOVEA.W sign-extends into the full register
+    t = instruction_timing(instr)
+
+    def move(cpu, instr, pc, next_pc):
+        regs = cpu.regs
+        if s_mem:
+            ar = regs.a
+            addr = (ar[sr] + spre) & _M32
+            if swb:
+                ar[sr] = (addr + spost) & _M32
+            tr = cpu._bus_try_read
+            v = tr(addr, size) if tr is not None else None
+            if v is None:
+                cpu._pending_addr = addr
+                return cpu._move_load_slow(instr, pc)
+        elif imm is None:
+            v = (regs.d if s_d else regs.a)[sr] & mask
+        else:
+            v = imm
+        if to_d:
+            dr = regs.d
+            dr[d] = (dr[d] & keep) | v
+        elif to_a:
+            regs.a[d] = ((v ^ 0x8000) - 0x8000) & _M32 if wext else v
+            return t
+        else:
+            ar = regs.a
+            addr = (ar[d] + dpre) & _M32
+            if dwb:
+                ar[d] = (addr + dpost) & _M32
+            tw = cpu._bus_try_write
+            if tw is None or not tw(addr, v, size):
+                cpu._pending_addr = addr
+                return cpu._move_store_slow(instr, v)
+        ccr = regs.ccr
+        ccr.n = v >= sign
+        ccr.z = v == 0
+        ccr.v = ccr.c = False
+        return t
+
+    return (_HYBRID if s_mem or not (to_d or to_a) else _SYNC, move)
+
+
+def _compile_alu(instr: Instruction):
+    """The ADD/SUB/CMP/AND/OR/EOR families (incl. the A, I and Q forms)
+    with register, immediate and ``_AN_MODES`` operands."""
+    m = instr.mnemonic
+    src, dst = instr.operands
+    size = instr.size_bytes
+    to_d = dst.mode is Mode.DREG
+    to_a = dst.mode is Mode.AREG
+    s_mem = src.mode in _AN_MODES
+    if (
+        (to_a and (size == 1 or not (m in ALU_ADDR or m in QUICK)))
+        or not (to_d or to_a or (dst.mode in _AN_MODES and not s_mem))
+        or src.mode not in _REG_OR_IMM + _AN_MODES
+    ):
+        return None
+    base = _alu_base(m)
+    imm, s_d, sr, spre, spost, swb = _source(src, size)
+    sext = size == 2  # word sources to An sign-extend
+    if to_a and m in QUICK:  # ADDQ/SUBQ #n,An: the count, unextended
+        imm, sext = int(src.value), False
+    d, dpre, dpost, dwb = _an_ea(dst, size)
+    op = _ALU_OPS[base]
+    mask, sign = _MASK[size], _SIGN[size]
+    keep = _M32 ^ mask
+    t = instruction_timing(instr)
+
+    def alu(cpu, instr, pc, next_pc):
+        regs = cpu.regs
+        if s_mem:
+            ar = regs.a
+            addr = (ar[sr] + spre) & _M32
+            if swb:
+                ar[sr] = (addr + spost) & _M32
+            tr = cpu._bus_try_read
+            v = tr(addr, size) if tr is not None else None
+            if v is None:
+                cpu._pending_addr = addr
+                return cpu._alu_src_slow(instr, pc)
+        elif imm is None:
+            v = (regs.d if s_d else regs.a)[sr] & mask
+        else:
+            v = imm
+        if to_d:
+            dr = regs.d
+            res = op(regs.ccr, dr[d] & mask, v, mask, sign)
+            if res is not None:
+                dr[d] = (dr[d] & keep) | res
+            return t
+        ar = regs.a
+        if to_a:  # 32-bit, flags only for CMPA
+            if sext:
+                v = ((v ^ 0x8000) - 0x8000) & _M32
+            if base == "ADD":
+                ar[d] = (ar[d] + v) & _M32
+            elif base == "SUB":
+                ar[d] = (ar[d] - v) & _M32
+            else:
+                _alu_cmp(regs.ccr, ar[d], v, _M32, _SIGN[4])
+            return t
+        # memory destination: read-modify-write
+        addr = (ar[d] + dpre) & _M32
+        if dwb:
+            ar[d] = (addr + dpost) & _M32
+        tr = cpu._bus_try_read
+        old = tr(addr, size) if tr is not None else None
+        if old is None:
+            return cpu._alu_mem_slow(instr, addr, v)
+        res = op(regs.ccr, old, v, mask, sign)
+        if res is not None:
+            tw = cpu._bus_try_write
+            if tw is None or not tw(addr, res, size):
+                return cpu._alu_store_slow(instr, addr, res)
+        return t
+
+    return (_HYBRID if s_mem or not (to_d or to_a) else _SYNC, alu)
+
+
+def _compile_muldiv(instr: Instruction):
+    """MULU/MULS/DIVU/DIVS with a data-register or immediate source.
+
+    MULU/MULS Dn,Dn index their :func:`mul_timings` table by the ones or
+    transitions of the multiplier; the other forms have one timing.
+    """
+    m = instr.mnemonic
+    src, dst = instr.operands
+    if src.mode is Mode.IMM:
+        imm, s = to_unsigned(int(src.value), 2), 0
+    elif src.mode is Mode.DREG:
+        imm, s = None, src.reg
+    else:
+        return None
+    d = dst.reg
+    if imm is None and m == "MULU":
+        table = mul_timings(instr)
+
+        def mulu(cpu, instr, pc, next_pc):
+            regs = cpu.regs
+            dr = regs.d
+            v = dr[s] & 0xFFFF
+            r = v * (dr[d] & 0xFFFF)
+            dr[d] = r
+            ccr = regs.ccr
+            ccr.n = r >= 0x8000_0000
+            ccr.z = r == 0
+            ccr.v = ccr.c = False
+            return table[v.bit_count()]
+
+        return (_SYNC, mulu)
+    if imm is None and m == "MULS":
+        table = mul_timings(instr)
+
+        def muls(cpu, instr, pc, next_pc):
+            regs = cpu.regs
+            dr = regs.d
+            v = dr[s] & 0xFFFF
+            r = (((v ^ 0x8000) - 0x8000)
+                 * (((dr[d] & 0xFFFF) ^ 0x8000) - 0x8000)) & _M32
+            dr[d] = r
+            ccr = regs.ccr
+            ccr.n = r >= 0x8000_0000
+            ccr.z = r == 0
+            ccr.v = ccr.c = False
+            w = v << 1  # transitions, with a 0 appended at the LSB end
+            return table[((w ^ (w >> 1)) & 0xFFFF).bit_count()]
+
+        return (_SYNC, muls)
+    t = instruction_timing(instr, src_value=imm)  # DIVU/DIVS or MUL #imm
+
+    def muldiv(cpu, instr, pc, next_pc):
+        cpu._muldiv_core(
+            m, cpu.regs.d[s] & 0xFFFF if imm is None else imm, dst
+        )
+        return t
+
+    return (_SYNC, muldiv)
+
+
+def _compile_dbcc(instr: Instruction):
+    """DBcc: the loop target and the three outcome timings bound."""
+    target = int(instr.target)
+    reg = instr.operands[0].reg
+    cond = instr.condition
+    taken = instruction_timing(instr, branch_taken=True)
+    expired = instruction_timing(instr, branch_taken=False, dbcc_expired=True)
+    held = instruction_timing(instr, branch_taken=False)  # condition true
+
+    def dbcc(cpu, instr, pc, next_pc):
+        regs = cpu.regs
+        if cond != "F" and regs.ccr.test(cond):
+            return held
+        dr = regs.d
+        old = dr[reg]
+        counter = (old - 1) & 0xFFFF
+        dr[reg] = (old & 0xFFFF_0000) | counter
+        if counter == 0xFFFF:
+            return expired
+        regs.pc = target
+        return taken
+
+    return (_SYNC, dbcc)
+
+
+def _compile_shift(instr: Instruction):
+    """Shifts and rotates of a data register.
+
+    LSL/LSR by an immediate 1..8 (the only counts ``validate`` accepts)
+    are computed inline; the other forms call :meth:`CPU._shift`, with
+    the timing bound for an immediate count or looked up by the
+    register count.
+    """
+    m = instr.mnemonic
+    count_op, reg_op = instr.operands
+    size = instr.size_bytes
+    r = reg_op.reg
+    mask, sign = _MASK[size], _SIGN[size]
+    keep = _M32 ^ mask
+    if count_op.mode is not Mode.IMM:
+        c = count_op.reg
+        timings: list = [None] * 64
+
+        def shift_by_reg(cpu, instr, pc, next_pc):
+            dr = cpu.regs.d
+            k = dr[c] % 64
+            old = dr[r]
+            dr[r] = (old & keep) | cpu._shift(m, old & mask, k, size)
+            t = timings[k]
+            if t is None:
+                t = timings[k] = instruction_timing(instr, shift_count=k)
+            return t
+
+        return (_SYNC, shift_by_reg)
+    k = int(count_op.value)
+    t = instruction_timing(instr, shift_count=k)
+    if m in ("LSL", "LSR") and 1 <= k <= 8:
+        left = m == "LSL"
+        out = 8 * size - k if left else k - 1  # the last bit shifted out
+
+        def logical_shift(cpu, instr, pc, next_pc):
+            regs = cpu.regs
+            dr = regs.d
+            old = dr[r]
+            v = old & mask
+            res = (v << k) & mask if left else v >> k
+            dr[r] = (old & keep) | res
+            ccr = regs.ccr
+            ccr.x = ccr.c = (v >> out) & 1 == 1
+            ccr.n = res >= sign
+            ccr.z = res == 0
+            ccr.v = False
+            return t
+
+        return (_SYNC, logical_shift)
+
+    def shift(cpu, instr, pc, next_pc):
+        dr = cpu.regs.d
+        old = dr[r]
+        dr[r] = (old & keep) | cpu._shift(m, old & mask, k, size)
+        return t
+
+    return (_SYNC, shift)
+
+
+@lru_cache(maxsize=4096)
+def _compiled(compiler, mnemonic, size, operands, target):
+    """``compiler``'s handler for an instruction of these fields.
+
+    Equal instructions share one handler (a matmul program repeats
+    ``MULU D1,D5`` m times, and every build of a program repeats all of
+    them), so the closures cost memory per distinct form, not per
+    instruction.  The compiler sees only the fields of the key.
+    """
+    return compiler(Instruction(mnemonic, size, operands, target))
+
+
+def _compile(instr: Instruction, compiler):
+    return _compiled(compiler, instr.mnemonic, instr.size, instr.operands,
+                     instr.target)
+
+
+def _resolve_handler(instr: Instruction) -> tuple:
+    """Pick, or compile, the execute handler for ``instr``:
+    ``(kind, function)``.
+
+    The choice depends only on fields fixed at assembly time (mnemonic,
+    size, operands and branch target), so the caller caches it on the
+    instruction.
     """
     m = instr.mnemonic
     ops = instr.operands
     if m == "MOVE" or m == "MOVEA":
-        src, dst = ops
-        if src.mode in _REG_OR_IMM and dst.mode in (Mode.DREG, Mode.AREG):
-            return (_SYNC, CPU._exec_move_reg)
-        return (_HYBRID, CPU._exec_move_mem)
+        return _compile(instr, _compile_move) or (_HYBRID, CPU._exec_move_mem)
     if m in ALU_ALL:
-        src, dst = ops
-        if src.mode in _REG_OR_IMM and (
-            dst.mode is Mode.DREG
-            or (dst.mode is Mode.AREG and (m in ALU_ADDR or m in QUICK))
-        ):
-            return (_SYNC, CPU._exec_alu_reg)
-        return (_HYBRID, CPU._alu)
+        instr._alu_base_cache = _alu_base(m)  # read by _alu_mem_slow
+        return _compile(instr, _compile_alu) or (_HYBRID, CPU._alu)
     if m in DBCC:
-        return (_SYNC, CPU._exec_dbcc)
+        return _compile(instr, _compile_dbcc)
     if m in BRANCHES:
         if m == "BSR":
             return (_GEN, CPU._exec_bsr)
         return (_SYNC, CPU._exec_branch)
     if m in MULDIV:
-        if ops[0].mode in _REG_OR_IMM:
-            return (_SYNC, CPU._exec_muldiv_reg)
-        return (_HYBRID, CPU._exec_muldiv_mem)
+        return _compile(instr, _compile_muldiv) \
+            or (_HYBRID, CPU._exec_muldiv_mem)
     if m in UNARY:
         dst = ops[0]
         if dst.mode is Mode.DREG or (m == "TST" and dst.mode in _REG_OR_IMM):
             return (_SYNC, CPU._exec_unary_reg)
         return (_HYBRID, CPU._exec_unary_mem)
     if m in SHIFTS:
-        return (_SYNC, CPU._exec_shift)
+        return _compile(instr, _compile_shift)
     fn = _SYNC_SINGLETONS.get(m)
     if fn is not None:
         return (_SYNC, fn)

@@ -116,11 +116,12 @@ class Instruction:
     _size_bytes_cache: int | None = None
     _alu_base_cache: str | None = None
     _static_timing_cache: object = None
-    #: ``(is_sync, handler)`` resolved by the interpreter's dispatch
-    #: registry (:func:`repro.m68k.cpu._resolve_handler`).
+    #: ``(kind, handler)`` resolved, and for the hot forms compiled, by
+    #: the interpreter's dispatch registry
+    #: (:func:`repro.m68k.cpu._resolve_handler`).
     _exec_handler_cache: tuple | None = None
-    #: Per-variant timings for data/outcome-dependent instructions,
-    #: keyed by multiplier base cycles / shift count / branch outcome.
+    #: Per-variant timings for outcome-dependent instructions, keyed by
+    #: shift count / branch outcome.
     _variant_timing_cache: dict | None = None
 
     def __post_init__(self) -> None:
@@ -210,12 +211,23 @@ class Instruction:
         return f"{name} {ops}".strip()
 
 
+def _need_quick_data(m: str, op: Operand, what: str) -> None:
+    """An immediate shift count or ADDQ/SUBQ datum must be 1..8 (the
+    3-bit opcode field; 0 encodes 8).  A symbol the assembler has not
+    resolved yet is checked again once it is."""
+    if op.mode is Mode.IMM and isinstance(op.value, int) and not (
+        1 <= op.value <= 8
+    ):
+        raise ProgramError(f"{m} {what} must be 1..8, got {op.value}")
+
+
 def validate(instr: Instruction) -> None:
     """Sanity-check operand shapes for ``instr``; raise ProgramError if bad.
 
     This is not a full legality checker for the MC68000, but it catches the
     mistakes that matter when writing the PASM programs: wrong operand
-    counts, illegal destinations, byte operations on address registers.
+    counts, illegal sources and destinations, byte operations on address
+    registers, and quick data (shift counts, ADDQ/SUBQ) outside 1..8.
     """
     m = instr.mnemonic
     ops = instr.operands
@@ -338,6 +350,7 @@ def validate(instr: Instruction) -> None:
             raise ProgramError(f"{m} count must be immediate or data register")
         if ops[1].mode is not Mode.DREG:
             raise ProgramError(f"{m} register form shifts a data register")
+        _need_quick_data(m, ops[0], "shift count")
         return
     if m in ALU_IMM:
         need(2)
@@ -346,18 +359,34 @@ def validate(instr: Instruction) -> None:
         if ops[1].mode is Mode.AREG:
             raise ProgramError(f"{m} cannot target an address register")
         return
+    def byte_an() -> bool:  # after need(2)
+        return instr.size is Size.BYTE and Mode.AREG in (
+            ops[0].mode, ops[1].mode
+        )
+
     if m in QUICK:
         need(2)
         if ops[0].mode is not Mode.IMM:
             raise ProgramError(f"{m} source must be immediate")
+        _need_quick_data(m, ops[0], "data")
+        if byte_an():
+            raise ProgramError(f"byte {m} cannot use an address register")
         return
     if m in ALU_ADDR:
         need(2)
         if ops[1].mode is not Mode.AREG:
             raise ProgramError(f"{m} destination must be an address register")
+        if byte_an():
+            raise ProgramError(f"{m} moves words or longs")
         return
     if m in ALU_REG:
         need(2)
+        if byte_an() and m in ("ADD", "SUB", "CMP"):
+            raise ProgramError(f"byte {m} cannot use an address register")
+        if m in ("AND", "OR") and ops[0].mode is Mode.AREG:
+            raise ProgramError(f"{m} source may not be an address register")
+        if m == "EOR" and ops[0].mode is not Mode.DREG:
+            raise ProgramError("EOR source must be a data register")
         if ops[0].mode is not Mode.DREG and ops[1].mode is not Mode.DREG:
             if not (m == "CMP" and ops[1].mode is Mode.DREG):
                 raise ProgramError(f"{m} needs a data-register operand")

@@ -36,9 +36,10 @@ MIMD streams each PE pays only its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.errors import IllegalInstructionError
-from repro.m68k.addressing import Mode, ea_timing
+from repro.m68k.addressing import Mode, Operand, ea_timing
 from repro.m68k.instructions import (
     ALU_ADDR,
     ALU_IMM,
@@ -188,10 +189,10 @@ _JSR_TIME = {
 #: constant worst-case times, so they cache like static instructions).
 _MUL = frozenset(("MULU", "MULS"))
 
-#: Families whose timing depends on runtime values/outcomes.  Their
-#: timings are memoized per *variant* on the instruction object: MUL by
-#: base-cycle count (at most 17 distinct values), shifts by count,
-#: branches/DBcc/Scc by outcome.
+#: Families whose timing depends on runtime values/outcomes.  MUL reads
+#: the 17-entry :func:`mul_timings` table of its source mode; the others
+#: are memoized per *variant* on the instruction object: shifts by
+#: count, branches/DBcc/Scc by outcome.
 _DYNAMIC_TIMING = _MUL | SHIFTS | BRANCHES | DBCC | SCC
 
 
@@ -218,11 +219,12 @@ def instruction_timing(
         For DBcc with the condition false: whether the counter expired
         (loop exit) rather than branching back.
 
-    All timings are memoized on the instruction object — the
-    interpreter's hottest path.  Static instructions cache a single
-    :class:`TimingInfo`; the data/outcome-dependent families cache one
-    per variant (multiplier base cycles, shift count, branch outcome),
-    computed on first encounter.
+    All timings are memoized — the interpreter's hottest path.  Static
+    instructions cache a single :class:`TimingInfo` on the instruction;
+    ``MULU``/``MULS`` index the shared :func:`mul_timings` table; the
+    other data/outcome-dependent families cache one per variant (shift
+    count, branch outcome) on the instruction, computed on first
+    encounter.
     """
     cached = instr._static_timing_cache
     if cached is not None:
@@ -231,36 +233,26 @@ def instruction_timing(
     if m not in _DYNAMIC_TIMING:
         t = _instruction_timing_impl(
             instr,
-            src_value=src_value,
             shift_count=shift_count,
             branch_taken=branch_taken,
             dbcc_expired=dbcc_expired,
         )
         instr._static_timing_cache = t
         return t
-    variants = instr._variant_timing_cache
-    if variants is None:
-        variants = instr._variant_timing_cache = {}
     if m in _MUL:
         if src_value is None:
             raise IllegalInstructionError(f"{m}: src_value required")
-        base = mulu_cycles(src_value) if m == "MULU" else muls_cycles(src_value)
-        t = variants.get(base)
-        if t is None:
-            ea = ea_timing(instr.operands[0], 2)  # word source
-            t = TimingInfo(
-                cycles=base + ea.cycles,
-                stream_words=1 + ea.stream_words,
-                data_reads=ea.data_reads,
-            )
-            variants[base] = t
-        return t
+        n = (src_value & 0xFFFF).bit_count() if m == "MULU" \
+            else transitions_count(src_value, 16)
+        return mul_timings(instr)[n]
+    variants = instr._variant_timing_cache
+    if variants is None:
+        variants = instr._variant_timing_cache = {}
     key = shift_count if m in SHIFTS else (branch_taken, dbcc_expired)
     t = variants.get(key)
     if t is None:
         t = _instruction_timing_impl(
             instr,
-            src_value=src_value,
             shift_count=shift_count,
             branch_taken=branch_taken,
             dbcc_expired=dbcc_expired,
@@ -269,10 +261,32 @@ def instruction_timing(
     return t
 
 
+def mul_timings(instr: Instruction) -> tuple[TimingInfo, ...]:
+    """The 17 timings of a ``MULU``/``MULS``, indexed by the ``n`` of
+    ``38 + 2n`` (ones or transitions of the multiplier), plus EA time.
+
+    The table depends only on the source's addressing mode, so every
+    instruction with that mode shares one (TimingInfo is immutable).
+    """
+    return _mul_table(instr.operands[0].mode)
+
+
+@lru_cache(maxsize=None)  # one entry per addressing mode
+def _mul_table(mode: Mode) -> tuple[TimingInfo, ...]:
+    ea = ea_timing(Operand(mode), 2)  # word source
+    return tuple(
+        TimingInfo(
+            cycles=38 + 2 * n + ea.cycles,
+            stream_words=1 + ea.stream_words,
+            data_reads=ea.data_reads,
+        )
+        for n in range(17)
+    )
+
+
 def _instruction_timing_impl(
     instr: Instruction,
     *,
-    src_value: int | None = None,
     shift_count: int | None = None,
     branch_taken: bool | None = None,
     dbcc_expired: bool = False,
@@ -425,19 +439,11 @@ def _instruction_timing_impl(
             return TimingInfo(14, 3)
         return TimingInfo(12, 2)  # condition true: fall through
 
-    if m in MULDIV:
-        src = ops[0]
-        ea = ea_timing(src, 2)  # word source
-        if m in ("MULU", "MULS"):
-            if src_value is None:
-                raise IllegalInstructionError(f"{m}: src_value required")
-            base = mulu_cycles(src_value) if m == "MULU" else muls_cycles(src_value)
-        elif m == "DIVU":
-            # Worst-case constant; documented approximation (DIVU's exact
-            # data-dependent time is not exercised by the paper).
-            base = 140
-        else:  # DIVS
-            base = 158
+    if m in MULDIV:  # DIVU / DIVS (MULU/MULS: mul_timings)
+        ea = ea_timing(ops[0], 2)  # word source
+        # Worst-case constants; documented approximation (the exact
+        # data-dependent divide time is not exercised by the paper).
+        base = 140 if m == "DIVU" else 158
         return TimingInfo(
             cycles=base + ea.cycles,
             stream_words=1 + ea.stream_words,

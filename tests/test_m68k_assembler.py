@@ -222,6 +222,34 @@ class TestDirectivesAndDiagnostics:
         with pytest.raises(AssemblerError):
             assemble("    MULU D0,A1\n    HALT")  # dest must be Dn
 
+    @pytest.mark.parametrize("line, match", [
+        ("LSL.W #9,D0", "shift count must be 1..8"),
+        ("LSL.W #0,D0", "shift count must be 1..8"),
+        ("ROXR.L #12,D3", "shift count must be 1..8"),
+        ("ADDQ.W #0,D0", "data must be 1..8"),
+        ("SUBQ.L #9,A0", "data must be 1..8"),
+        ("ADD.B A0,D0", "byte ADD cannot use an address register"),
+        ("SUB.B D0,A1", "byte SUB cannot use an address register"),
+        ("CMP.B A2,D0", "byte CMP cannot use an address register"),
+        ("ADDQ.B #1,A0", "byte ADDQ cannot use an address register"),
+        ("CMPA.B D0,A0", "CMPA moves words or longs"),
+        ("AND.W A0,D0", "AND source may not be an address register"),
+        ("OR.L A1,D2", "OR source may not be an address register"),
+        ("EOR.W (A0),D0", "EOR source must be a data register"),
+        ("EOR.L A3,D1", "EOR source must be a data register"),
+    ])
+    def test_illegal_forms_rejected(self, line, match):
+        with pytest.raises(AssemblerError, match=match):
+            assemble(f"    NOP\n    {line}\n    HALT")
+
+    def test_quick_data_checked_once_a_symbol_resolves(self):
+        with pytest.raises(AssemblerError, match="line 1.*1..8, got 9"):
+            assemble("    LSL.W #N,D0\n    HALT\n    .equ N,9")
+
+    def test_eor_immediate_assembles_as_eori(self):
+        instr = first(assemble("    EOR.W #$00FF,D0\n    HALT"))
+        assert instr.mnemonic == "EORI"
+
     def test_comments_and_blank_lines(self):
         prog = assemble(
             """

@@ -1,7 +1,11 @@
 """Interpreter tests: instruction semantics, flags, control flow, and
 end-to-end cycle accounting on the SimpleBus."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.m68k.assembler import assemble
 from repro.m68k.bus import SimpleBus
@@ -450,3 +454,397 @@ class TestCycleAccounting:
         assert run_with_multiplier(1) == base + 2
         assert run_with_multiplier(0xFFFF) == base + 32
         assert run_with_multiplier(0x00FF) == base + 16
+
+
+# ---------------------------------------------------------------------------
+# Compiled instruction families against the M68000 manual.
+#
+# Each property runs one instruction from hypothesis-drawn registers,
+# flags and memory, then checks every register, the five flags, the
+# operand memory and (for the data-dependent families) the cycles
+# against a model written from the manual's definitions.  The bus
+# serves every access through its fast twins (the compiled path),
+# refuses them all (the compiled path's slow continuations), or serves
+# reads but refuses writes (the store-side continuations).
+
+MEM_LO, MEM_HI = 0x4000, 0x5000
+BUSES = pytest.mark.parametrize("bus", ["twins", "refused", "reads only"])
+SIZES = {"B": 1, "W": 2, "L": 4}
+CONDS = ("T", "F", "HI", "LS", "CC", "CS", "NE", "EQ", "VC", "VS", "PL",
+         "MI", "GE", "LT", "GT", "LE")
+
+
+#: 32-bit values: hypothesis's own (small and boundary-heavy), sign and
+#: carry edges, and uniform bits (sign bits set half the time).
+LONGS = st.one_of(
+    st.integers(0, 0xFFFF_FFFF),
+    st.sampled_from([0x7F, 0x80, 0xFF, 0x7FFF, 0x8000, 0xFFFF,
+                     0x7FFF_FFFF, 0x8000_0000, 0xFFFF_FFFF]),
+    st.randoms(use_true_random=False).map(lambda r: r.getrandbits(32)),
+)
+
+
+@st.composite
+def machine_state(draw):
+    """Registers (address registers point into the operand memory, far
+    enough from its ends for a step and a displacement), the five flags,
+    and a seed for the operand memory's contents."""
+    d = draw(st.lists(LONGS, min_size=8, max_size=8))
+    a = draw(st.lists(st.integers(MEM_LO // 2 + 128, MEM_HI // 2 - 128)
+                      .map(lambda w: 2 * w), min_size=8, max_size=8))
+    flags = draw(st.fixed_dictionaries(
+        {f: st.booleans() for f in "xnzvc"}))
+    return d, a, flags, draw(st.integers(0, 2**32))
+
+
+class ReadsOnlyBus(SimpleBus):
+    """Fast twins serve reads and refuse writes."""
+
+    def try_write(self, addr, value, size):
+        return False
+
+
+def execute(line, state, kind):
+    """Run ``line`` then HALT on a ``BUSES`` bus; return (cpu, memory
+    bytes, cycles).  A branch target ``there`` (a second HALT) follows."""
+    d, a, flags, seed = state
+    env = Environment()
+    bus = (ReadsOnlyBus if kind == "reads only" else SimpleBus)(
+        env, fast_path=kind != "refused")
+    bus.memory[MEM_LO:MEM_HI] = random.Random(seed).randbytes(MEM_HI - MEM_LO)
+    prog = assemble(f"    {line}\n    HALT\nthere:  HALT")
+    bus.load_program(prog)
+    cpu = CPU(env, bus)
+    cpu.reset(pc=prog.entry)
+    cpu.regs.d[:], cpu.regs.a[:] = d, a
+    for f, v in flags.items():
+        setattr(cpu.regs.ccr, f, v)
+    env.run(until=env.process(cpu.run()))
+    return cpu, bytes(bus.memory[MEM_LO:MEM_HI]), env.now - 4
+
+
+class Model:
+    """The manual's view of one instruction: registers, flags, memory."""
+
+    def __init__(self, state):
+        d, a, flags, seed = state
+        self.d, self.a = list(d), list(a)
+        self.f = dict(flags)
+        self.mem = bytearray(random.Random(seed).randbytes(MEM_HI - MEM_LO))
+
+    def ea(self, op, size):
+        """Address of a memory operand, applying its register update."""
+        kind, r, disp = op
+        step = 2 if r == 7 and size == 1 else size  # A7 stays word-aligned
+        if kind == "(An)+":
+            self.a[r] += step
+            return self.a[r] - step
+        if kind == "-(An)":
+            self.a[r] -= step
+            return self.a[r]
+        return self.a[r] + (disp if kind == "d16(An)" else 0)
+
+    def load(self, op, size):
+        kind, r, value = op
+        if kind == "Dn":
+            return self.d[r] % 256 ** size
+        if kind == "An":
+            return self.a[r] % 256 ** size
+        if kind == "#":
+            return value
+        addr = self.ea(op, size) - MEM_LO
+        return int.from_bytes(self.mem[addr:addr + size], "big")
+
+    def store(self, op, size, value, addr=None):
+        kind, r, _ = op
+        value %= 256 ** size
+        if kind == "Dn":
+            low = 256 ** size
+            self.d[r] = self.d[r] - self.d[r] % low + value
+            return
+        addr = (self.ea(op, size) if addr is None else addr) - MEM_LO
+        self.mem[addr:addr + size] = value.to_bytes(size, "big")
+
+    def nz(self, value, size):
+        self.f["n"] = value >= 128 * 256 ** (size - 1)
+        self.f["z"] = value == 0
+
+    def check(self, cpu, mem):
+        assert cpu.regs.d == self.d
+        assert cpu.regs.a == self.a
+        assert cpu.regs.ccr.as_dict() == {k.upper(): v
+                                          for k, v in self.f.items()}
+        assert mem == bytes(self.mem)
+
+
+def signed(value, size):
+    bits = 8 * size
+    return value - (1 << bits) if value >> (bits - 1) else value
+
+
+def text(op):
+    kind, r, v = op
+    return {"Dn": f"D{r}", "An": f"A{r}", "#": f"#{v}", "(An)": f"(A{r})",
+            "(An)+": f"(A{r})+", "-(An)": f"-(A{r})",
+            "d16(An)": f"{v}(A{r})"}[kind]
+
+
+MEM_MODES = ("(An)", "(An)+", "-(An)", "d16(An)")
+
+
+def operand(kinds, size):
+    """Strategy for an operand of one of ``kinds``; A7 is drawn as often
+    as the other registers, so its byte step is exercised."""
+    def build(kind, r, v):
+        if kind == "#":
+            return kind, 0, v % 256 ** size
+        return kind, r, v % 128 * 2 - 128 if kind == "d16(An)" else 0
+
+    return st.builds(build, st.sampled_from(kinds), st.integers(0, 7), LONGS)
+
+
+@BUSES
+@given(state=machine_state(), m=st.sampled_from(["MULU", "MULS"]),
+       s=st.integers(0, 7), dn=st.integers(0, 7))
+@settings(max_examples=150, deadline=None)
+def test_multiply_matches_manual(bus, state, m, s, dn):
+    cpu, mem, cycles = execute(f"{m} D{s},D{dn}", state, bus)
+    model = Model(state)
+    src, dst = model.d[s] & 0xFFFF, model.d[dn] & 0xFFFF
+    if m == "MULU":
+        product = src * dst
+        n = bin(src).count("1")
+    else:
+        product = signed(src, 2) * signed(dst, 2)
+        bits = f"{src:016b}0"  # a 0 appended at the LSB end
+        n = sum(x != y for x, y in zip(bits, bits[1:]))
+    model.d[dn] = product % 2**32
+    model.nz(model.d[dn], 4)
+    model.f["v"] = model.f["c"] = False  # X untouched
+    model.check(cpu, mem)
+    assert cycles == 38 + 2 * n
+
+
+@BUSES
+@given(state=machine_state(), m=st.sampled_from(["MULU", "MULS", "DIVU"]),
+       value=st.integers(0, 0xFFFF), dn=st.integers(0, 7))
+@settings(max_examples=100, deadline=None)
+def test_muldiv_immediate_matches_manual(bus, state, m, value, dn):
+    if m == "DIVU" and value == 0:
+        value = 1
+    cpu, mem, cycles = execute(f"{m} #{value},D{dn}", state, bus)
+    model = Model(state)
+    dst = model.d[dn]
+    if m == "DIVU":
+        quot, rem = divmod(dst, value)
+        if quot > 0xFFFF:
+            model.f["v"] = True  # overflow: the register is unchanged
+        else:
+            model.d[dn] = rem << 16 | quot
+            model.nz(quot, 2)
+            model.f["v"] = model.f["c"] = False
+        expect = 140 + 4
+    else:
+        product = value * (dst & 0xFFFF) if m == "MULU" \
+            else signed(value, 2) * signed(dst & 0xFFFF, 2)
+        model.d[dn] = product % 2**32
+        model.nz(model.d[dn], 4)
+        model.f["v"] = model.f["c"] = False
+        bits = f"{value:016b}0"
+        n = bin(value).count("1") if m == "MULU" \
+            else sum(x != y for x, y in zip(bits, bits[1:]))
+        expect = 38 + 2 * n + 4  # + the immediate word
+    model.check(cpu, mem)
+    assert cycles == expect
+
+
+@st.composite
+def move_case(draw):
+    size = draw(st.sampled_from("BWL"))
+    sz = SIZES[size]
+    regs = ("Dn",) if size == "B" else ("Dn", "An")
+    src = draw(operand(regs + ("#",) + MEM_MODES, sz))
+    movea = size != "B" and draw(st.booleans())
+    dst = draw(operand(("An",) if movea else ("Dn",) + MEM_MODES, sz))
+    return ("MOVEA" if movea else "MOVE"), size, src, dst
+
+
+@BUSES
+@given(state=machine_state(), case=move_case())
+@settings(max_examples=300, deadline=None)
+def test_move_matches_manual(bus, state, case):
+    m, size, src, dst = case
+    sz = SIZES[size]
+    cpu, mem, _ = execute(f"{m}.{size} {text(src)},{text(dst)}", state, bus)
+    model = Model(state)
+    value = model.load(src, sz)
+    if m == "MOVEA":  # word sources sign-extend; no flag changes
+        model.a[dst[1]] = signed(value, sz) % 2**32
+    else:
+        model.store(dst, sz, value)
+        model.nz(value, sz)
+        model.f["v"] = model.f["c"] = False  # X untouched
+    model.check(cpu, mem)
+
+
+@st.composite
+def alu_case(draw):
+    m = draw(st.sampled_from(["ADD", "SUB", "CMP", "AND", "OR", "EOR",
+                              "ADDI", "SUBI", "CMPI", "ANDI", "ORI", "EORI",
+                              "ADDQ", "SUBQ", "ADDA", "SUBA", "CMPA"]))
+    size = draw(st.sampled_from("WL" if m.endswith("A") else "BWL"))
+    sz = SIZES[size]
+    if m.endswith("A"):
+        return m, size, draw(operand(("Dn", "An", "#") + MEM_MODES, sz)), \
+            ("An", draw(st.integers(0, 7)), 0)
+    if m.endswith("Q"):
+        kinds = ("Dn",) + MEM_MODES + (() if size == "B" else ("An",))
+        return m, size, ("#", 0, draw(st.integers(1, 8))), \
+            draw(operand(kinds, sz))
+    if m.endswith("I"):
+        return m, size, draw(operand(("#",), sz)), \
+            draw(operand(("Dn",) + MEM_MODES, sz))
+    if m == "EOR":
+        return m, size, draw(operand(("Dn",), sz)), \
+            draw(operand(("Dn",) + MEM_MODES, sz))
+    if m != "CMP" and draw(st.booleans()):  # Dn to memory
+        return m, size, draw(operand(("Dn",), sz)), \
+            draw(operand(MEM_MODES, sz))
+    kinds = ("Dn", "#") + MEM_MODES
+    if size != "B" and m in ("ADD", "SUB", "CMP"):
+        kinds += ("An",)
+    return m, size, draw(operand(kinds, sz)), draw(operand(("Dn",), sz))
+
+
+@BUSES
+@given(state=machine_state(), case=alu_case())
+@settings(max_examples=500, deadline=None)
+def test_alu_matches_manual(bus, state, case):
+    m, size, src, dst = case
+    sz = SIZES[size]
+    cpu, mem, _ = execute(f"{m}.{size} {text(src)},{text(dst)}", state, bus)
+    model = Model(state)
+    f = model.f
+    value = model.load(src, sz)
+    if dst[0] == "An":  # 32 bits, word sources sign-extended
+        if m not in ("ADDQ", "SUBQ"):
+            value = signed(value, sz) % 2**32
+        a = model.a[dst[1]]
+        if m == "CMPA":
+            diff = signed(a, 4) - signed(value, 4)
+            f["c"] = value > a
+            f["v"] = not -2**31 <= diff < 2**31
+            model.nz((a - value) % 2**32, 4)
+        else:  # no flags change
+            model.a[dst[1]] = (a + value if m[:3] == "ADD" else a - value) \
+                % 2**32
+        model.check(cpu, mem)
+        return
+    addr = None
+    if dst[0] in MEM_MODES:  # read-modify-write: the address once
+        addr = model.ea(dst, sz)
+        old = int.from_bytes(model.mem[addr - MEM_LO:addr - MEM_LO + sz],
+                             "big")
+    else:
+        old = model.d[dst[1]] % 256 ** sz
+    base = m.rstrip("IQ")
+    lo, hi = -(128 * 256 ** (sz - 1)), 128 * 256 ** (sz - 1)
+    if base in ("ADD", "SUB", "CMP"):
+        add = base == "ADD"
+        result = old + value if add else old - value
+        exact = signed(old, sz) + signed(value, sz) if add \
+            else signed(old, sz) - signed(value, sz)
+        f["c"] = result >= 256 ** sz if add else value > old
+        if base != "CMP":
+            f["x"] = f["c"]  # CMP leaves X alone
+        f["v"] = not lo <= exact < hi
+    else:
+        result = {"AND": old & value, "OR": old | value,
+                  "EOR": old ^ value}[base]
+        f["v"] = f["c"] = False  # X untouched
+    result %= 256 ** sz
+    model.nz(result, sz)
+    if base != "CMP":
+        model.store(dst, sz, result, addr)
+    model.check(cpu, mem)
+
+
+def condition(cond, f):
+    """The manual's condition-code table."""
+    c, v, z, n = f["c"], f["v"], f["z"], f["n"]
+    return {"T": True, "F": False, "HI": not c and not z, "LS": c or z,
+            "CC": not c, "CS": c, "NE": not z, "EQ": z, "VC": not v,
+            "VS": v, "PL": not n, "MI": n, "GE": n == v, "LT": n != v,
+            "GT": n == v and not z, "LE": z or n != v}[cond]
+
+
+@BUSES
+@given(state=machine_state(), cond=st.sampled_from(CONDS + ("RA",)),
+       dn=st.integers(0, 7), low=st.sampled_from([0, 1, 2, 0x8000, 0xFFFF]))
+@settings(max_examples=150, deadline=None)
+def test_dbcc_matches_manual(bus, state, cond, dn, low):
+    d = list(state[0])
+    d[dn] = d[dn] & 0xFFFF_0000 | low  # counters at the loop's edges
+    state = (d,) + state[1:]
+    cpu, mem, cycles = execute(f"DB{cond} D{dn},there", state, bus)
+    model = Model(state)
+    if condition("F" if cond == "RA" else cond, model.f):
+        branched, expect = False, 12
+    else:
+        counter = (low - 1) % 0x10000  # the upper word is kept
+        model.d[dn] = model.d[dn] & 0xFFFF_0000 | counter
+        branched = counter != 0xFFFF  # expires at 0 -> 0xFFFF
+        expect = 10 if branched else 14
+    model.check(cpu, mem)
+    assert cycles == expect
+    # pc after the HALT that ran: DBcc is 4 bytes at the text origin,
+    # each HALT 2, and ``there`` is the second HALT.
+    assert cpu.regs.pc == 0x1000 + (8 if branched else 6)
+
+
+def shift_model(m, value, count, size, x):
+    """Shift ``value`` one bit at a time; returns (result, x, c, v)."""
+    bits = 8 * size
+    top = 1 << (bits - 1)
+    c, v = (x if m in ("ROXL", "ROXR") else False), False
+    for _ in range(count):
+        if m.endswith("L"):
+            out = bool(value & top)
+            fill = {"ROL": out, "ROXL": x}.get(m, False)
+            value = (value << 1) % (1 << bits) | fill
+            v = v or (m == "ASL" and bool(value & top) != out)
+        else:
+            out = bool(value & 1)
+            fill = {"ROR": out, "ROXR": x, "ASR": bool(value & top)} \
+                .get(m, False)
+            value = value >> 1 | (top if fill else 0)
+        c = out
+        if m[:2] != "RO" or m[:3] == "ROX":
+            x = out
+        if m in ("ROXL", "ROXR"):
+            c = x
+    return value, x, c, v
+
+
+@BUSES
+@given(state=machine_state(),
+       m=st.sampled_from(["LSL", "LSR", "ASL", "ASR", "ROL", "ROR", "ROXL",
+                          "ROXR"]),
+       size=st.sampled_from("BWL"), count=st.integers(1, 8),
+       creg=st.one_of(st.none(), st.integers(0, 7)), dn=st.integers(0, 7))
+@settings(max_examples=300, deadline=None)
+def test_shift_matches_manual(bus, state, m, size, count, creg, dn):
+    sz = SIZES[size]
+    model = Model(state)
+    if creg is None:
+        k, line = count, f"{m}.{size} #{count},D{dn}"
+    else:  # the count register (mod 64) may be the shifted one
+        k, line = model.d[creg] % 64, f"{m}.{size} D{creg},D{dn}"
+    cpu, mem, cycles = execute(line, state, bus)
+    value, x, c, v = shift_model(m, model.d[dn] % 256 ** sz, k, sz,
+                                 model.f["x"])
+    model.store(("Dn", dn, 0), sz, value)
+    model.nz(value, sz)
+    model.f.update(x=x, c=c, v=v)
+    model.check(cpu, mem)
+    assert cycles == (8 if sz == 4 else 6) + 2 * k
