@@ -167,8 +167,8 @@ class ExecutionEngine:
         (``close()`` or a ``with`` block) when done with it.  Under the
         fork start method (Linux's default) the pool forks all ``jobs``
         workers at its first batch, and the environment that jobs read
-        (``REPRO_CHAOS``, ``REPRO_LOCKSTEP``, ``REPRO_PURE_EVENTS``) is
-        captured then: close the engine to pick up a change.
+        (``REPRO_CHAOS``, ``REPRO_PURE_EVENTS``) is captured then: close
+        the engine to pick up a change.
     cache:
         Optional :class:`ResultCache`; ``None`` disables disk caching.
     stats:

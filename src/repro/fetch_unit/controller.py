@@ -96,7 +96,7 @@ class FetchUnitController:
         while True:
             kind, arg = yield self._commands.get()
             self.busy = True
-            if self.queue.lockstep:
+            if self.queue.fast_path:
                 yield from self._transfer_staged(kind, arg)
             elif kind == "block":
                 for instr in self._blocks[arg]:

@@ -57,14 +57,16 @@ class FetchUnitQueue:
         env: Environment,
         capacity_words: int,
         name: str = "fuq",
-        lockstep: bool = False,
+        fast_path: bool = False,
     ) -> None:
         if capacity_words < 1:
             raise ValueError(f"queue capacity must be >= 1, got {capacity_words}")
         self.env = env
         self.name = name
         self.capacity_words = capacity_words
-        self.lockstep = lockstep
+        #: Engine tier: True runs the lockstep rendezvous (stamped
+        #: requests, computed release instants), False the event one.
+        self.fast_path = fast_path
         self._items: deque[QueueItem] = deque()
         self._words_used = 0
         self._requests: dict[int, Event] = {}
@@ -265,7 +267,7 @@ class FetchUnitQueue:
         self._items.append(item)
         self._words_used += item.words
         self.words_enqueued += item.words
-        if self.lockstep:
+        if self.fast_path:
             self._admit_times.append(t)
             self._push_admit(t, item.words, sched=sched)
         else:
@@ -290,7 +292,7 @@ class FetchUnitQueue:
         space.  The caller must re-join simulated time at ``t_end``
         before touching any other shared state.
         """
-        if not self.lockstep:
+        if not self.fast_path:
             raise SimulationError(f"{self.name}: stage_block needs lockstep")
         if self._staged or self._stage_done is not None:
             raise SimulationError(
@@ -456,7 +458,7 @@ class FetchUnitQueue:
     # ------------------------------------------------------------------
     def _try_release(self) -> None:
         """Release head items while their whole mask has requests pending."""
-        if self.lockstep:
+        if self.fast_path:
             self._try_release_lockstep()
             return
         while self._items:
@@ -665,7 +667,7 @@ class FetchUnitQueue:
             self._items.append(item)
             self._words_used += item.words
             self.words_enqueued += item.words
-            if self.lockstep:
+            if self.fast_path:
                 self._admit_times.append(self.env.now)
                 self._push_admit(self.env.now, item.words, sample=False)
             else:

@@ -107,7 +107,6 @@ class SimpleBus(LocalTimeBus):
         n = instr.encoded_words()
         self.stream_accesses += n
         self._local += self._access_cycles(n, self.ws_stream)
-        self.local_charges += 1
         return instr
 
     def try_fetch_stream_words(self, addr: int, n: int) -> bool:
@@ -115,7 +114,6 @@ class SimpleBus(LocalTimeBus):
             return False
         self.stream_accesses += n
         self._local += self._access_cycles(n, self.ws_stream)
-        self.local_charges += 1
         return True
 
     def try_read(self, addr: int, size: int):
@@ -124,7 +122,6 @@ class SimpleBus(LocalTimeBus):
         n = access_count(size)
         self.data_accesses += n
         self._local += self._access_cycles(n, self.ws_data)
-        self.local_charges += 1
         return self.peek(addr, size)
 
     def try_write(self, addr: int, value: int, size: int) -> bool:
@@ -133,7 +130,6 @@ class SimpleBus(LocalTimeBus):
         n = access_count(size)
         self.data_accesses += n
         self._local += self._access_cycles(n, self.ws_data)
-        self.local_charges += 1
         self.poke(addr, value, size)
         return True
 
@@ -149,7 +145,6 @@ class SimpleBus(LocalTimeBus):
         cycles = self._access_cycles(n, self.ws_stream)
         if self.fast_path:
             self._local += cycles
-            self.local_charges += 1
             return instr
         yield self.env.sleep(cycles)
         return instr
@@ -160,7 +155,6 @@ class SimpleBus(LocalTimeBus):
         cycles = self._access_cycles(n, self.ws_stream)
         if self.fast_path:
             self._local += cycles
-            self.local_charges += 1
             return
         yield self.env.sleep(cycles)
 
@@ -171,7 +165,6 @@ class SimpleBus(LocalTimeBus):
         cycles = self._access_cycles(n, self.ws_data)
         if self.fast_path:
             self._local += cycles
-            self.local_charges += 1
             return self.peek(addr, size)
         yield self.env.sleep(cycles)
         return self.peek(addr, size)
@@ -183,7 +176,6 @@ class SimpleBus(LocalTimeBus):
         cycles = self._access_cycles(n, self.ws_data)
         if self.fast_path:
             self._local += cycles
-            self.local_charges += 1
             self.poke(addr, value, size)
             return
         yield self.env.sleep(cycles)
@@ -193,7 +185,6 @@ class SimpleBus(LocalTimeBus):
         """Generator: charge non-bus execution time."""
         if self.fast_path:
             self._local += cycles
-            self.local_charges += 1
             return
         yield self.env.sleep(cycles)
 

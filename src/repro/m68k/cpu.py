@@ -41,6 +41,11 @@ a shared resource.  The CPU attempts the fast twin first and falls back
 to the generator protocol on refusal, so blocking semantics are
 unchanged.
 
+A PE bus on the fast tier also offers ``try_queue_fetch(addr)`` (the
+lockstep SIMD-space fetch) and ``chain_bounds``, the main-RAM range in
+which the CPU replays straight-line runs as pre-decoded superinstruction
+chains, reading the bus's ``instructions`` and ``map``.
+
 The interpreter computes results *and* the manual timing
 (:func:`~repro.m68k.timing.instruction_timing`) for every executed
 instruction, charging ``internal_cycles`` so the total elapsed simulated
@@ -54,7 +59,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.errors import IllegalInstructionError, SimulationError
+from repro.errors import BusError, IllegalInstructionError, SimulationError
 from repro.m68k.addressing import Mode, Operand
 from repro.m68k.instructions import (
     ALU_ADDR,
@@ -197,6 +202,7 @@ class CPU:
         self._bus_try_charge = getattr(bus, "try_charge", None)
         self._bus_try_fetch = getattr(bus, "try_fetch_instruction", None)
         self._bus_try_queue_fetch = getattr(bus, "try_queue_fetch", None)
+        self._bus_chain_bounds = getattr(bus, "chain_bounds", None)
         self._bus_try_stream = getattr(bus, "try_fetch_stream_words", None)
         self._bus_try_read = getattr(bus, "try_read", None)
         self._bus_try_write = getattr(bus, "try_write", None)
@@ -216,10 +222,10 @@ class CPU:
         #: Optional per-instruction trace (enable with ``trace=True``).
         self.trace_records: list[InstructionRecord] = []
         self.trace = False
-        #: Superinstruction chains (lockstep tier): straight-line main-RAM
-        #: runs pre-decoded once and replayed without per-instruction
-        #: fetch/dispatch overhead.  Keyed by start pc; invalidated on
-        #: reset (program reload).
+        #: Superinstruction chains (PE buses on the fast tier): straight-
+        #: line main-RAM runs pre-decoded once and replayed without per-
+        #: instruction fetch/dispatch overhead.  Keyed by start pc;
+        #: invalidated on reset (program reload).
         self._chain_cache: dict[int, list] = {}
 
     # ------------------------------------------------------------------
@@ -246,33 +252,21 @@ class CPU:
         ts = self._bus_try_stream
         cats = self.category_cycles
         executed = 0
-        # Superinstruction chains (lockstep tier only, so the local-time
-        # tier stays a clean PR-3 baseline): straight-line main-RAM runs
-        # replay as one pre-decoded sequence.  Tracing and instruction
-        # caps take the per-instruction path.
-        chains = (
-            self._chain_cache
-            if (
-                bus_fast
-                and getattr(bus, "lockstep", False)
-                and not self.trace
-                and max_instructions is None
-            )
-            else None
-        )
-        if chains is not None:
+        # Superinstruction chains: straight-line main-RAM runs replay as
+        # one pre-decoded sequence on a bus that offers ``chain_bounds``
+        # (the PE bus on the fast tier; SimpleBus and the MC bus run per
+        # instruction).  Tracing and instruction caps take the
+        # per-instruction path.
+        chains = None
+        bounds = self._bus_chain_bounds
+        if bounds is not None and not self.trace and max_instructions is None:
+            chains = self._chain_cache
             ref_period, ref_steal = bus._ref_period, bus._ref_steal
             # Chains only ever start in main RAM; gating the cache lookup
             # on the region bounds keeps SIMD-space pcs (monotonically
             # increasing, so every pc is new) from flooding the cache
             # with empty entries.
-            from repro.memory.map import RegionKind
-
-            try:
-                main_region = bus.map.find(RegionKind.MAIN_RAM)
-                main_lo, main_hi = main_region.start, main_region.end
-            except Exception:
-                chains = None
+            main_lo, main_hi = bounds
         tq = self._bus_try_queue_fetch
         while self.halted is None:
             if chains is not None and main_lo <= self.regs.pc < main_hi:
@@ -374,7 +368,6 @@ class CPU:
                 if bus_fast:
                     bus._local += internal
                     bus._lc = internal
-                    bus.local_charges += 1
                 else:
                     tc = self._bus_try_charge
                     if tc is None or not tc(internal):
@@ -416,15 +409,13 @@ class CPU:
         from repro.memory.map import RegionKind
 
         bus = self.bus
-        instructions = getattr(bus, "instructions", None)
-        lookup = getattr(getattr(bus, "map", None), "lookup", None)
+        instructions = bus.instructions
+        lookup = bus.map.lookup
         entries: list = []
-        if instructions is None or lookup is None:
-            return entries
         while True:
             try:
                 region = lookup(pc)
-            except Exception:
+            except BusError:
                 break
             if region.kind is not RegionKind.MAIN_RAM:
                 break

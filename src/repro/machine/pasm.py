@@ -32,7 +32,6 @@ from repro.network import CircuitSwitchedNetwork, ExtraStageCubeTopology, Networ
 from repro.pe import ProcessingElement
 from repro.sim import AllOf, Environment
 from repro.sim.localtime import resolve_fast_path
-from repro.sim.lockstep import resolve_lockstep
 
 
 class _FailStopSignal(BaseException):
@@ -88,18 +87,16 @@ class PASMMachine:
         *,
         fault_plan: FaultPlan | None = None,
         fast_path: bool | None = None,
-        lockstep: bool | None = None,
     ) -> None:
         """The partition is ``partition_size`` PEs on the MCs numbered
         from 0 up (see :class:`~repro.machine.partition.Partition`).
 
-        ``fast_path`` selects local-time execution for the PE and MC buses
-        (see :mod:`repro.sim.localtime`); ``None`` defers to
-        ``$REPRO_PURE_EVENTS`` (default: enabled).  ``lockstep`` selects
-        the batched SIMD-rendezvous tier on top of it (see
-        :mod:`repro.sim.lockstep`); ``None`` defers to ``$REPRO_LOCKSTEP``
-        (default: enabled; forced off without the fast path).  Results
-        are bit-identical across all three tiers.
+        ``fast_path`` selects the engine tier: lockstep (local-time
+        clocks on the PE and MC buses plus the computed SIMD rendezvous,
+        see :mod:`repro.sim.lockstep`) when true, the pure-event
+        reference schedule when false; ``None`` defers to
+        ``$REPRO_PURE_EVENTS`` (default: lockstep).  Results are
+        bit-identical across both tiers.
 
         ``fault_plan`` injects failures into this run: its network faults
         are applied to the circuit allocator (with the extra stage
@@ -111,8 +108,7 @@ class PASMMachine:
         self.config = config or PrototypeConfig.calibrated()
         self.partition = Partition(self.config, partition_size)
         self.fault_plan = fault_plan
-        self.fast_path = fast_path
-        self.lockstep = resolve_lockstep(lockstep, resolve_fast_path(fast_path))
+        self.fast_path = resolve_fast_path(fast_path)
         if fault_plan is not None and fault_plan.failstops:
             physical = {
                 self.partition.physical_pe(logical)
@@ -156,7 +152,7 @@ class PASMMachine:
             mask = MaskRegister(slots)
             queue = FetchUnitQueue(
                 self.env, self.config.queue_capacity_words, name=f"fuq{mc}",
-                lockstep=self.lockstep,
+                fast_path=self.fast_path,
             )
             controller = FetchUnitController(
                 self.env,
@@ -170,7 +166,7 @@ class PASMMachine:
             self.controllers[mc] = controller
             self.mcs[mc] = MicroController(
                 self.env, self.config, mask, controller, name=f"MC{mc}",
-                batch_charges=self.lockstep,
+                batch_charges=self.fast_path,
             )
 
         # PEs, indexed by logical number.
@@ -186,8 +182,7 @@ class PASMMachine:
                     port=self.fabric.ports[physical],
                     queue=self.queues[mc],
                     pe_slot=logical,
-                    fast_path=fast_path,
-                    lockstep=self.lockstep,
+                    fast_path=self.fast_path,
                 )
             )
         self._net_setup_cycles = 0.0
@@ -310,7 +305,7 @@ class PASMMachine:
         if not proc.triggered:
             proc.interrupt(_FailStopSignal())
             queue = pe.bus.queue
-            if self.lockstep and queue is not None:
+            if self.fast_path and queue is not None:
                 # A stamped request whose arrival lies beyond the strike
                 # never registered in the event schedule (the PE died
                 # mid-charge): withdraw it so it cannot complete a mask.

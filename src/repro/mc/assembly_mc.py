@@ -108,21 +108,18 @@ class MCBus(LocalTimeBus):
         if instr is None:
             return None  # generator path raises the BusError
         self._local += self._ram_cycles(instr.encoded_words())
-        self.local_charges += 1
         return instr
 
     def try_fetch_stream_words(self, addr: int, n: int) -> bool:
         if not self.fast_path:
             return False
         self._local += self._ram_cycles(n)
-        self.local_charges += 1
         return True
 
     def try_read(self, addr: int, size: int):
         if not self.fast_path or addr == FU_WAIT_ADDR:
             return None
         self._local += self._ram_cycles(access_count(size))
-        self.local_charges += 1
         return self.memory.read(addr, size)
 
     def try_write(self, addr: int, value: int, size: int) -> bool:
@@ -131,7 +128,6 @@ class MCBus(LocalTimeBus):
         ):
             return False
         self._local += self._ram_cycles(access_count(size))
-        self.local_charges += 1
         self.memory.write(addr, value, size)
         return True
 
@@ -144,7 +140,6 @@ class MCBus(LocalTimeBus):
         cycles = self._ram_cycles(n)
         if self.fast_path:
             self._local += cycles
-            self.local_charges += 1
             return instr
         yield self.env.sleep(cycles)
         return instr
@@ -153,7 +148,6 @@ class MCBus(LocalTimeBus):
         cycles = self._ram_cycles(n)
         if self.fast_path:
             self._local += cycles
-            self.local_charges += 1
             return
         yield self.env.sleep(cycles)
 
@@ -169,7 +163,6 @@ class MCBus(LocalTimeBus):
         cycles = self._ram_cycles(n)
         if self.fast_path:
             self._local += cycles
-            self.local_charges += 1
             return self.memory.read(addr, size)
         yield self.env.sleep(cycles)
         return self.memory.read(addr, size)
@@ -197,7 +190,6 @@ class MCBus(LocalTimeBus):
             self.device_writes += 1
             if self.fast_path:
                 self._local += 4 + self.config.ws_device
-                self.local_charges += 1
                 return
             yield self.env.sleep(4 + self.config.ws_device)
             return
@@ -207,7 +199,6 @@ class MCBus(LocalTimeBus):
             self.device_writes += 1
             if self.fast_path:
                 self._local += 4 + self.config.ws_device
-                self.local_charges += 1
                 return
             yield self.env.sleep(4 + self.config.ws_device)
             return
@@ -215,7 +206,6 @@ class MCBus(LocalTimeBus):
         cycles = self._ram_cycles(n)
         if self.fast_path:
             self._local += cycles
-            self.local_charges += 1
             self.memory.write(addr, value, size)
             return
         yield self.env.sleep(cycles)
@@ -224,7 +214,6 @@ class MCBus(LocalTimeBus):
     def internal(self, cycles: float):
         if self.fast_path:
             self._local += cycles
-            self.local_charges += 1
             return
         yield self.env.sleep(cycles)
 

@@ -20,7 +20,7 @@ broadcast jump back to PE memory resumes the MIMD program.
 
 from __future__ import annotations
 
-from repro.errors import BusError, SimulationError
+from repro.errors import BusError, ConfigurationError, SimulationError
 from repro.fetch_unit.queue import FetchUnitQueue
 from repro.m68k.assembler import AssembledProgram
 from repro.m68k.bus import access_count
@@ -39,9 +39,11 @@ class PEBus(LocalTimeBus):
 
     With ``fast_path`` enabled (see :mod:`repro.sim.localtime`), private
     charges — main-RAM traffic and internal cycles — accrue in the local
-    clock; the bus flushes before every shared-resource interaction (Fetch
-    Unit Queue, network transfer registers) and for every sampling access
-    (network status, timer).
+    clock; the bus flushes before network transfer-register traffic and
+    for every sampling access (network status, timer), and meets the
+    Fetch Unit Queue in lockstep (see :mod:`repro.sim.lockstep`): a
+    stamped-arrival request resolved by carrier, not flush + event.  The
+    queue must run on the same tier.
     """
 
     def __init__(
@@ -54,7 +56,6 @@ class PEBus(LocalTimeBus):
         pe_slot: int,
         name: str = "pe",
         fast_path: bool | None = None,
-        lockstep: bool = False,
     ) -> None:
         self.env = env
         self.config = config
@@ -84,19 +85,27 @@ class PEBus(LocalTimeBus):
         self.net_bytes_sent = 0
         self.net_bytes_received = 0
         self.sync_reads = 0
-        #: Lockstep tier (see repro.sim.lockstep): queue rendezvous are
-        #: stamped-arrival requests resolved by carrier, not flush+event.
-        self.lockstep = lockstep
         self.lockstep_rendezvous = 0  #: stamped requests issued
         self._req_ev = None  #: recycled request event (one pending max)
         self._simd_ws = 0  #: SIMD-space wait states, stashed at request
         # -- tracing ---------------------------------------------------------
         #: When set, the four blocking sites below record (kind, t0, t1)
-        #: wait intervals.  ``sync()`` precedes every site, so env.now is
-        #: bus-true at both endpoints and the interval is exact.
+        #: wait intervals: from the arrival stamp to the release instant
+        #: at a lockstep rendezvous, and between bus-true instants (the
+        #: clock flushed) everywhere else, so every interval is exact.
         self.trace_waits = False
         self.wait_spans: list[tuple[str, float, float]] = []
         self._init_local_clock(fast_path)
+        if queue is not None and queue.fast_path != self.fast_path:
+            raise ConfigurationError(
+                f"{name}: bus and Fetch Unit Queue run on different engine "
+                f"tiers (fast_path={self.fast_path}, "
+                f"queue.fast_path={queue.fast_path})"
+            )
+        #: Main-RAM bounds the CPU may replay superinstruction chains in
+        #: (see CPU.run); only the fast tier chains, None elsewhere.
+        main = self.map.find(RegionKind.MAIN_RAM)
+        self.chain_bounds = (main.start, main.end) if self.fast_path else None
 
     # ------------------------------------------------------------------
     def load_program(self, program: AssembledProgram) -> None:
@@ -165,7 +174,6 @@ class PEBus(LocalTimeBus):
                 cycles += steal - phase
         self._local += cycles
         self._lc = cycles
-        self.local_charges += 1
         return instr
 
     def try_fetch_stream_words(self, addr: int, n: int) -> bool:
@@ -179,7 +187,6 @@ class PEBus(LocalTimeBus):
             cycles = n * (4 + region.wait_states)
         self._local += cycles
         self._lc = cycles
-        self.local_charges += 1
         return True
 
     def try_read(self, addr: int, size: int):
@@ -201,7 +208,6 @@ class PEBus(LocalTimeBus):
                 cycles += steal - phase
         self._local += cycles
         self._lc = cycles
-        self.local_charges += 1
         return self.memory.read(addr, size)
 
     def try_write(self, addr: int, value: int, size: int) -> bool:
@@ -222,7 +228,6 @@ class PEBus(LocalTimeBus):
                 cycles += steal - phase
         self._local += cycles
         self._lc = cycles
-        self.local_charges += 1
         self.memory.write(addr, value, size)
         return True
 
@@ -232,14 +237,14 @@ class PEBus(LocalTimeBus):
         Registers the stamped request inline and returns the event the
         CPU loop parks on directly (one ``yield``, no sub-generator
         frames); ``None`` falls back to the generator protocol (not in
-        SIMD space, lockstep off, or wait-span tracing armed).  When
+        SIMD space, pure events, or wait-span tracing armed).  When
         this PE's stamp completes the rendezvous the queue may resolve
         the release *synchronously* — the returned event comes back
         already fired and the CPU loop continues without parking at
         all.  The CPU completes either way via
         :meth:`finish_queue_fetch`.
         """
-        if not self.lockstep or self.trace_waits:
+        if not self.fast_path or self.trace_waits:
             return None
         region = self._fetch_region
         if region is None or not (region.start <= addr < region.end):
@@ -287,7 +292,6 @@ class PEBus(LocalTimeBus):
         cycles = n * (4 + self._simd_ws)
         self._local = released - self.env.now + cycles
         self._lc = cycles
-        self.local_charges += 1
         return payload
 
     # -- generator protocol ---------------------------------------------
@@ -306,14 +310,13 @@ class PEBus(LocalTimeBus):
             if self.fast_path:
                 self._local += cycles
                 self._lc = cycles
-                self.local_charges += 1
                 return instr
             yield self.env.sleep(cycles)
             return instr
         if region.kind is RegionKind.SIMD_SPACE:
             if self.queue is None:
                 raise BusError(f"{self.name}: no Fetch Unit attached")
-            if self.lockstep:
+            if self.fast_path:
                 # Lockstep rendezvous: no flush — pass the bus-true time
                 # as the arrival stamp; the queue computes the release
                 # instant and resumes us there with the clock rebased.
@@ -326,17 +329,12 @@ class PEBus(LocalTimeBus):
                 self._local = released - self.env.now
                 if self.trace_waits and released > arrival:
                     self.wait_spans.append(("queue_wait", arrival, released))
-            elif self.trace_waits:
-                # Shared interaction: flush so the queue request is made at
-                # true time; the queue-access charge afterwards is private.
-                yield from self.sync()
+            else:
+                # Pure events: no local clock, env.now is bus-true.
                 t0 = self.env.now
                 item = yield from self.queue.request(self.pe_slot)
-                if self.env.now > t0:
+                if self.trace_waits and self.env.now > t0:
                     self.wait_spans.append(("queue_wait", t0, self.env.now))
-            else:
-                yield from self.sync()
-                item = yield from self.queue.request(self.pe_slot)
             if item.payload is None:
                 raise SimulationError(
                     f"{self.name}: fetched a bare sync word as an instruction"
@@ -349,7 +347,6 @@ class PEBus(LocalTimeBus):
             if self.fast_path:
                 self._local += cycles
                 self._lc = cycles
-                self.local_charges += 1
                 return item.payload
             yield self.env.sleep(cycles)
             return item.payload
@@ -367,7 +364,6 @@ class PEBus(LocalTimeBus):
         if self.fast_path:
             self._local += cycles
             self._lc = cycles
-            self.local_charges += 1
             return
         yield self.env.sleep(cycles)
 
@@ -381,14 +377,13 @@ class PEBus(LocalTimeBus):
             if self.fast_path:
                 self._local += cycles
                 self._lc = cycles
-                self.local_charges += 1
                 return self.memory.read(addr, size)
             yield self.env.sleep(cycles)
             return self.memory.read(addr, size)
         if kind is RegionKind.SIMD_SPACE:
             # Barrier: a data read from SIMD space consumes one queue word
             # and completes only when all enabled PEs have read it.
-            if self.lockstep:
+            if self.fast_path:
                 arrival = self.env.now + self._local
                 sched = arrival - self._lc
                 self._local = 0.0
@@ -399,15 +394,11 @@ class PEBus(LocalTimeBus):
                 if self.trace_waits and released > arrival:
                     self.wait_spans.append(
                         ("barrier_wait", arrival, released))
-            elif self.trace_waits:
-                yield from self.sync()
+            else:
                 t0 = self.env.now
                 item = yield from self.queue.request(self.pe_slot)
-                if self.env.now > t0:
+                if self.trace_waits and self.env.now > t0:
                     self.wait_spans.append(("barrier_wait", t0, self.env.now))
-            else:
-                yield from self.sync()
-                item = yield from self.queue.request(self.pe_slot)
             if item.payload is not None:
                 raise SimulationError(
                     f"{self.name}: barrier read consumed an instruction "
@@ -418,7 +409,6 @@ class PEBus(LocalTimeBus):
             if self.fast_path:
                 self._local += 4 + region.wait_states
                 self._lc = 4 + region.wait_states
-                self.local_charges += 1
                 return 0
             yield self.env.sleep(4 + region.wait_states)
             return 0
@@ -436,7 +426,6 @@ class PEBus(LocalTimeBus):
             if self.fast_path:
                 self._local += 4 + region.wait_states
                 self._lc = 4 + region.wait_states
-                self.local_charges += 1
                 return value
             yield self.env.sleep(4 + region.wait_states)
             return value
@@ -472,7 +461,6 @@ class PEBus(LocalTimeBus):
             if self.fast_path:
                 self._local += cycles
                 self._lc = cycles
-                self.local_charges += 1
                 self.memory.write(addr, value, size)
                 return
             yield self.env.sleep(cycles)
@@ -497,7 +485,6 @@ class PEBus(LocalTimeBus):
             if self.fast_path:
                 self._local += 4 + region.wait_states
                 self._lc = 4 + region.wait_states
-                self.local_charges += 1
                 return
             yield self.env.sleep(4 + region.wait_states)
             return
@@ -507,7 +494,6 @@ class PEBus(LocalTimeBus):
         if self.fast_path:
             self._local += cycles
             self._lc = cycles
-            self.local_charges += 1
             return
         yield self.env.sleep(cycles)
 
@@ -524,7 +510,6 @@ class ProcessingElement:
         queue: FetchUnitQueue | None = None,
         pe_slot: int | None = None,
         fast_path: bool | None = None,
-        lockstep: bool = False,
     ) -> None:
         self.env = env
         self.config = config
@@ -539,7 +524,6 @@ class ProcessingElement:
             pe_slot if pe_slot is not None else physical_id,
             name=f"PE{physical_id}",
             fast_path=fast_path,
-            lockstep=lockstep,
         )
         self.cpu = CPU(env, self.bus, name=f"PE{physical_id}")
 

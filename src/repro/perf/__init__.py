@@ -8,10 +8,9 @@ during a run, so speed-ups can be attributed rather than guessed at:
 * :func:`kernel_counters` — event-queue traffic of an
   :class:`~repro.sim.environment.Environment` (pushes, pops, heap
   high-water mark, sleep-pool reuses);
-* :func:`machine_counters` — aggregate local-time statistics over every
-  bus of a :class:`~repro.machine.PASMMachine` (charges absorbed without
-  a heap event, local-clock flushes at shared-resource interaction
-  points);
+* :func:`machine_counters` — engine statistics of a
+  :class:`~repro.machine.PASMMachine` (the tier, lockstep rendezvous
+  batching, and the kernel counters);
 * :func:`percentile` — dependency-free percentile with linear
   interpolation, used by the execution engine's ``--stats`` table;
 * :func:`profile_to` — context manager dumping a :mod:`cProfile` capture
@@ -85,22 +84,17 @@ def _iter_buses(machine: "PASMMachine"):
 
 
 def machine_counters(machine: "PASMMachine") -> dict[str, int | bool]:
-    """Aggregate fast-path counters over every local-time bus.
+    """Aggregate engine counters over the machine's buses and queues.
 
-    Sums :class:`~repro.sim.localtime.LocalTimeBus` statistics across the
-    machine's PE buses and (MIMD) assembly-MC buses, and folds in the
-    shared kernel's counters.  ``local_charges`` is the number of private
-    time charges absorbed into a local clock instead of becoming heap
-    events — the quantity the fast path exists to maximise.
+    Counts the local-time buses (PE buses and, for assembly-MC runs, MC
+    buses), sums the lockstep batching statistics of the PE buses and
+    Fetch Unit Queues, and folds in the shared kernel's counters —
+    ``events_scheduled`` is what the fast path exists to minimise.
     """
-    local_charges = 0
-    sync_flushes = 0
     lockstep_rendezvous = 0
     buses = 0
     for bus in _iter_buses(machine):
         buses += 1
-        local_charges += getattr(bus, "local_charges", 0)
-        sync_flushes += getattr(bus, "sync_flushes", 0)
         lockstep_rendezvous += getattr(bus, "lockstep_rendezvous", 0)
     lockstep_releases = 0
     lockstep_batch_pes = 0
@@ -112,13 +106,11 @@ def machine_counters(machine: "PASMMachine") -> dict[str, int | bool]:
     out: dict[str, int | bool] = {
         "fast_path": bool(getattr(machine, "pes", None)
                           and machine.pes[0].bus.fast_path),
-        "lockstep": bool(getattr(machine, "lockstep", False)),
         "buses": buses,
-        "local_charges": local_charges,
-        "sync_flushes": sync_flushes,
-        # Lockstep tier: stamped PE requests, computed-rendezvous releases,
-        # PE resumptions delivered in batch, and carrier events scheduled
-        # (the ~1 heap event that replaces ~2·p on the event rendezvous).
+        # Lockstep (the fast tier): stamped PE requests, computed-
+        # rendezvous releases, PE resumptions delivered in batch, and
+        # carrier events scheduled (the ~1 heap event that replaces ~2·p
+        # on the event rendezvous).
         "lockstep_rendezvous": lockstep_rendezvous,
         "lockstep_releases": lockstep_releases,
         "lockstep_batch_pes": lockstep_batch_pes,

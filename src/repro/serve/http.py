@@ -26,6 +26,9 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Largest accepted request line / header line.
 MAX_LINE_BYTES = 16 * 1024
 
+#: Most header lines accepted in one request.
+MAX_HEADERS = 100
+
 #: Idle keep-alive connections are closed after this many seconds.
 KEEPALIVE_IDLE_S = 75.0
 
@@ -39,6 +42,7 @@ REASONS = {
     408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -135,7 +139,7 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
     if not version.startswith(b"HTTP/1."):
         raise HttpProtocolError(f"unsupported protocol {version!r}")
     headers: dict[str, str] = {}
-    while True:
+    for _ in range(MAX_HEADERS + 1):
         line = await _read_line(reader)
         if not line:
             break
@@ -145,20 +149,29 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
         headers[name.decode("latin-1").strip().lower()] = (
             value.decode("latin-1").strip()
         )
+    else:
+        raise HttpProtocolError(
+            f"more than {MAX_HEADERS} header lines", status=431)
     if headers.get("transfer-encoding"):
         raise HttpProtocolError("chunked transfer encoding not supported")
     length_text = headers.get("content-length", "0")
     try:
-        length = int(length_text)
+        # ASCII digits only: int() alone would also take "+10" and "1_0".
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise ValueError(length_text)
+        length = int(length_text)  # ValueError past 4300 digits
     except ValueError:
         raise HttpProtocolError(f"bad Content-Length {length_text!r}")
-    if length < 0 or length > MAX_BODY_BYTES:
+    if length > MAX_BODY_BYTES:
         raise HttpProtocolError(
             f"Content-Length {length} outside [0, {MAX_BODY_BYTES}]",
             status=413,
         )
     body = await reader.readexactly(length) if length else b""
-    url = urlsplit(target.decode("latin-1"))
+    try:
+        url = urlsplit(target.decode("latin-1"))
+    except ValueError as exc:  # e.g. "//[abc": an unclosed IPv6 host
+        raise HttpProtocolError(f"malformed request target: {exc}")
     return Request(
         method=method.decode("latin-1").upper(),
         path=unquote(url.path) or "/",

@@ -14,7 +14,7 @@ it.
 from repro.sim.events import AllOf, AnyOf, Event, SleepEvent, Timeout
 from repro.sim.environment import Environment, Process
 from repro.sim.localtime import LocalTimeBus, resolve_fast_path
-from repro.sim.lockstep import fire_event, resolve_lockstep
+from repro.sim.lockstep import fire_event
 from repro.sim.resources import Gate, Rendezvous, Store
 
 __all__ = [
@@ -30,6 +30,5 @@ __all__ = [
     "Rendezvous",
     "LocalTimeBus",
     "resolve_fast_path",
-    "resolve_lockstep",
     "fire_event",
 ]

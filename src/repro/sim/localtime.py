@@ -29,20 +29,20 @@ Set ``REPRO_PURE_EVENTS=1`` to disable the fast path globally and push
 every charge through the event queue (the reference behaviour that the
 equivalence suite compares against).
 
-This is the *middle* engine tier.  One interaction stays expensive here:
-the SIMD broadcast-fetch rendezvous, where every enabled PE still flushes
-(one event) and parks on a queue request (a second event) per broadcast
-instruction.  The lockstep tier (:mod:`repro.sim.lockstep`) removes that
-too, by stamping requests with the bus-true arrival time instead of
-flushing and computing the max-over-PEs release instant directly.
+:class:`LocalTimeBus` is the base of the fast engine tier, not a tier of
+its own: with the fast path on, the Fetch Unit rendezvous additionally
+runs in lockstep (:mod:`repro.sim.lockstep`) — requests carry the
+bus-true arrival stamp instead of flushing, and the queue computes the
+max-over-PEs release instant directly.
 """
 
 from __future__ import annotations
 
 import os
 
-#: Environment variable that disables the local-time fast path when set to
-#: a truthy value ("1", "true", "yes", "on").
+#: Environment variable that disables the fast path (local-time clocks and
+#: the lockstep rendezvous) when set to a truthy value ("1", "true", "yes",
+#: "on").
 PURE_EVENTS_ENV = "REPRO_PURE_EVENTS"
 
 _TRUTHY = ("1", "true", "yes", "on")
@@ -78,8 +78,6 @@ class LocalTimeBus:
         #: ordering for rendezvous arrivals (see FetchUnitQueue
         #: ``_settle_admits``).
         self._lc = 0.0
-        self.local_charges = 0  #: charges absorbed without a heap event
-        self.sync_flushes = 0  #: local-clock flushes at interaction points
 
     @property
     def now(self) -> float:
@@ -97,7 +95,6 @@ class LocalTimeBus:
         if self.fast_path:
             self._local += cycles
             self._lc = cycles
-            self.local_charges += 1
             return True
         return False
 
@@ -110,6 +107,5 @@ class LocalTimeBus:
         local = self._local
         if local:
             self._local = 0.0
-            self.sync_flushes += 1
             yield self.env.sleep(local)
         return None

@@ -1,12 +1,10 @@
 """Batched lockstep execution for SIMD-space rendezvous.
 
-The third engine tier.  The local-time fast path (:mod:`repro.sim.localtime`)
-removed heap events for *private* charges, but the SIMD broadcast fetch
-remained event-bound: every enabled PE flushed its local clock (one sleep
-event) and parked on a per-slot request event that the Fetch Unit Queue's
-release then succeeded (a second heap event per PE).  Two heap events per
-instruction fetch per PE is the reason the fast path gained only ~1.1x on
-SIMD while SERIAL gained 2.3x.
+The fast engine tier.  Local-time clocks (:mod:`repro.sim.localtime`)
+remove heap events for *private* charges, but a SIMD broadcast fetch
+would still be event-bound if every enabled PE flushed its local clock
+(one sleep event) and parked on a per-slot request event that the Fetch
+Unit Queue's release then succeeded (a second heap event per PE).
 
 The lockstep engine exploits the very structure the paper measures: a
 broadcast instruction completes at the *max over the enabled PEs* of its
@@ -26,46 +24,23 @@ event rendezvous:
 
 Everything that is not a queue rendezvous — network transfer-register
 traffic, status/timer sampling, MIMD-space execution, mask changes,
-fault-plan machinery — still goes through the local-time/event path
-unchanged, access by access.  There is no modal "driver": the handoff
-granularity is a single bus operation, so mixed workloads (S-MIMD barriers
-between MIMD phases, SIMD blocks with network transfers inside) fall back
-and re-enter naturally.
+fault-plan machinery — goes through the local-time path, access by
+access.  There is no modal "driver": the handoff granularity is a single
+bus operation, so mixed workloads (S-MIMD barriers between MIMD phases,
+SIMD blocks with network transfers inside) fall back and re-enter
+naturally.
 
-Set ``REPRO_LOCKSTEP=0`` to disable the lockstep tier (the machine then
-runs on the local-time tier; ``REPRO_PURE_EVENTS=1`` disables both).  The
-lockstep engine requires the fast path: with pure events requested, the
-flag resolves to off regardless.
+The tier is on whenever the fast path is (``fast_path=True``, the
+default); ``REPRO_PURE_EVENTS=1`` or ``fast_path=False`` selects the
+pure-event reference schedule instead, where the same rendezvous is
+discovered on the event heap.
 
-The equivalence contract is the same as the fast path's: cycle counts,
-per-PE finish times and category totals, result matrices, queue and MC
-statistics are bit-identical across all three tiers (see
-``tests/test_lockstep_differential.py``).
+The equivalence contract: cycle counts, per-PE finish times and category
+totals, result matrices, queue and MC statistics are bit-identical across
+both tiers (see ``tests/test_lockstep_differential.py``).
 """
 
 from __future__ import annotations
-
-import os
-
-#: Environment variable that disables the lockstep tier when set to a
-#: falsy value ("0", "false", "no", "off").  Default: enabled.
-LOCKSTEP_ENV = "REPRO_LOCKSTEP"
-
-_FALSY = ("0", "false", "no", "off")
-
-
-def resolve_lockstep(flag: bool | None, fast_path: bool) -> bool:
-    """Resolve the lockstep setting: needs fast path; flag > env > on.
-
-    ``fast_path`` is the *resolved* fast-path setting of the machine: the
-    lockstep tier builds on local-time clocks (arrival stamps are bus-true
-    times), so with pure events requested it is unconditionally off.
-    """
-    if not fast_path:
-        return False
-    if flag is not None:
-        return bool(flag)
-    return os.environ.get(LOCKSTEP_ENV, "").strip().lower() not in _FALSY
 
 
 def fire_event(ev, value) -> None:

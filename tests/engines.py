@@ -1,14 +1,15 @@
 """Shared engine-matrix helpers for the differential test suites.
 
-The repo has three micro-engine tiers that must be bit-identical in
-everything perf-visible (see DESIGN.md, "Engine tiers"):
+The micro engine has two tiers, selected by ``fast_path``, that must be
+bit-identical in everything perf-visible (see DESIGN.md, "Engine
+tiers"):
 
-* ``pure-events`` — every charge is a heap event (``fast_path=False``);
-* ``local-time``  — private charges accrue on per-bus local clocks and
-  flush at shared interactions (``fast_path=True``);
-* ``lockstep``    — local-time plus the batched SIMD rendezvous: the
-  queue computes each release instant directly and resumes the enabled
-  set as a batch (``fast_path=True, lockstep=True``); the default.
+* ``pure-events`` — every charge is a heap event and the SIMD
+  rendezvous is discovered on the heap (``fast_path=False``); the
+  reference oracle;
+* ``lockstep``    — private charges accrue on per-bus local clocks, and
+  the queue computes each release instant directly and resumes the
+  enabled set as a batch (``fast_path=True``); the default.
 
 :func:`signature` captures everything a user of the simulator can
 observe — cycle counts, per-PE finish times and category breakdowns,
@@ -33,15 +34,14 @@ from repro.programs.loader import build_matmul, run_matmul
 CFG = PrototypeConfig.calibrated()
 
 #: Engine tier name -> PASMMachine constructor flags.  Every tier pins
-#: both flags explicitly so the matrix is immune to REPRO_PURE_EVENTS /
-#: REPRO_LOCKSTEP environment overrides leaking into tests.
+#: the flag explicitly so the matrix is immune to a REPRO_PURE_EVENTS
+#: environment override leaking into tests.
 ENGINES = {
-    "pure-events": {"fast_path": False, "lockstep": False},
-    "local-time": {"fast_path": True, "lockstep": False},
-    "lockstep": {"fast_path": True, "lockstep": True},
+    "pure-events": {"fast_path": False},
+    "lockstep": {"fast_path": True},
 }
 
-#: All tier names, in cost order (the differential suites iterate this).
+#: All tier names, oracle first (the differential suites iterate this).
 ENGINE_TIERS = list(ENGINES)
 
 #: Reference tier every other tier is compared against.
@@ -86,13 +86,15 @@ def make_machine(p: int, engine: str = "lockstep", *, cfg=None,
 
 
 def run_matmul_on(mode: ExecutionMode, n: int, p: int, engine: str, *,
-                  m: int = 0, cfg=None, fault_plan=None, b_bits=None):
+                  m: int = 0, cfg=None, fault_plan=None, b_bits=None,
+                  traced: bool = False):
     """Run the pinned matmul workload on one engine tier.
 
     Returns ``(machine, run)`` so callers can inspect counters beyond
     the :class:`MachineResult`.  ``m`` adds data-dependent multiplies to
     the inner loop (the Figure 7 knob); ``b_bits`` widens the B-matrix
-    operands (more MULU timing variance).
+    operands (more MULU timing variance); ``traced`` arms
+    :meth:`PASMMachine.enable_tracing` before the run.
     """
     cfg = cfg or CFG
     kwargs = {} if b_bits is None else {"b_bits": b_bits, "b_max": 1 << b_bits}
@@ -100,6 +102,8 @@ def run_matmul_on(mode: ExecutionMode, n: int, p: int, engine: str, *,
     bundle = build_matmul(mode, n, p, added_multiplies=m,
                           device_symbols=cfg.device_symbols())
     machine = make_machine(p, engine, cfg=cfg, fault_plan=fault_plan)
+    if traced:
+        machine.enable_tracing()
     run = run_matmul(machine, bundle, a, b)
     return machine, run
 

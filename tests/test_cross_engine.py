@@ -15,7 +15,7 @@ from tests.engines import run_matmul_on
 CFG = PrototypeConfig()
 
 #: The micro engine tier the macro model is validated against.  The
-#: differential suites prove all three tiers bit-identical, so any tier
+#: differential suites prove both tiers bit-identical, so either tier
 #: would do; lockstep is the one the experiment runner uses by default.
 MICRO_ENGINE = "lockstep"
 

@@ -19,7 +19,7 @@ from repro.mc import EnqueueBlock, Loop, MCCostModel, MicroController, SetMask
 from repro.memory import RefreshModel
 from repro.pe import ProcessingElement
 from repro.programs.data import MatmulLayout
-from repro.sim import Environment
+from repro.sim import Environment, resolve_fast_path
 
 CFG = PrototypeConfig()
 
@@ -94,7 +94,7 @@ class TestPEBusErrors:
         """A data read from SIMD space must find a sync word, not an
         instruction — mixing them is a program bug the model reports."""
         env = Environment()
-        queue = FetchUnitQueue(env, 16)
+        queue = FetchUnitQueue(env, 16, fast_path=resolve_fast_path())
         from repro.fetch_unit.queue import QueueItem
         from repro.m68k.instructions import Instruction
 
@@ -108,7 +108,7 @@ class TestPEBusErrors:
 
     def test_instruction_fetch_consuming_sync_word_detected(self):
         env = Environment()
-        queue = FetchUnitQueue(env, 16)
+        queue = FetchUnitQueue(env, 16, fast_path=resolve_fast_path())
         queue.try_enqueue(sync_item({0}))
         pe = ProcessingElement(env, CFG, 0, queue=queue, pe_slot=0)
         prog = assemble("    JMP SIMDSPACE",

@@ -1,19 +1,20 @@
 """The fast path's one invariant, tested from every angle: local-time
-execution and the decoded/handler caches are *invisible*.
+execution, the lockstep rendezvous and the decoded/handler caches are
+*invisible*.
 
 A machine with ``fast_path=True`` must produce, bit for bit, everything
 the pure-event schedule produces — cycle counts, per-PE finish times,
 instruction counts, per-category cycle accounting, queue/MC statistics,
 and the result matrices — across all four execution modes, under
 hypothesis-chosen shapes, and with an active fault plan (the fail-stop
-watchdog must fire at the same instant either way).  The third engine
-tier (lockstep) gets the same treatment in
+watchdog must fire at the same instant either way).  The lockstep
+rendezvous itself is probed further in
 ``test_lockstep_differential.py``; both suites share
 :mod:`tests.engines`.
 
 Plus unit tests for the machinery itself: the kernel's sleep-event free
-list, the local-clock counters, the closed-form inline refresh stall,
-and the :mod:`repro.perf` read side.
+list, the heap-event savings, the closed-form inline refresh stall, and
+the :mod:`repro.perf` read side.
 """
 
 import pytest
@@ -37,7 +38,7 @@ from repro.sim.localtime import resolve_fast_path
 # Equivalence across the four modes
 @pytest.mark.parametrize("mode,p", ALL_MODES, ids=MODE_IDS)
 def test_fast_path_bit_identical(mode, p):
-    fast = signature(mode, 16, p, "local-time")
+    fast = signature(mode, 16, p, "lockstep")
     pure = signature(mode, 16, p, "pure-events")
     assert fast == pure
 
@@ -50,7 +51,7 @@ def test_fast_path_bit_identical_random_shapes(data):
         [ExecutionMode.SIMD, ExecutionMode.SMIMD, ExecutionMode.MIMD]))
     p = data.draw(st.sampled_from([4, 8, 16]))
     n = data.draw(st.sampled_from([k for k in (4, 8, 12, 16) if k % p == 0]))
-    assert (signature(mode, n, p, "local-time")
+    assert (signature(mode, n, p, "lockstep")
             == signature(mode, n, p, "pure-events"))
 
 
@@ -67,7 +68,7 @@ def _failstop_plan(p: int, logical: int) -> FaultPlan:
 def test_failstop_detection_identical_under_fast_path(mode):
     plan = _failstop_plan(4, logical=1)
     outcomes = []
-    for engine in ("local-time", "pure-events"):
+    for engine in ("lockstep", "pure-events"):
         with pytest.raises(PEFailStopError) as exc_info:
             signature(mode, 16, 4, engine, fault_plan=plan)
         outcomes.append((exc_info.value.pes, exc_info.value.detected_at))
@@ -79,7 +80,7 @@ def test_late_strike_equivalent_under_fast_path():
     """A strike after completion must not disturb either schedule."""
     plan = FaultPlan(failstops=(
         PEFailStop(Partition(CFG, 4).physical_pe(1), 10_000_000.0),))
-    fast = signature(ExecutionMode.SMIMD, 16, 4, "local-time",
+    fast = signature(ExecutionMode.SMIMD, 16, 4, "lockstep",
                      fault_plan=plan)
     pure = signature(ExecutionMode.SMIMD, 16, 4, "pure-events",
                      fault_plan=plan)
@@ -87,7 +88,7 @@ def test_late_strike_equivalent_under_fast_path():
 
 
 # ---------------------------------------------------------------------------
-# The machinery: sleep pool, local clocks, counters
+# The machinery: sleep pool, heap-event savings, counters
 def test_sleep_events_are_recycled():
     env = Environment()
 
@@ -118,8 +119,6 @@ def test_fast_path_absorbs_charges_without_heap_events():
         return machine_counters(machine)
 
     fast, pure = events_for(True), events_for(False)
-    assert pure["local_charges"] == 0 and pure["sync_flushes"] == 0
-    assert fast["local_charges"] > 1_000
     assert fast["events_scheduled"] < pure["events_scheduled"] / 4
     assert fast["fast_path"] and not pure["fast_path"]
 

@@ -1,5 +1,5 @@
 """The lockstep engine's license to exist: differential proof of
-bit-identity against both event engines.
+bit-identity against the pure-event engine.
 
 ``repro.sim.lockstep`` replaces the SIMD rendezvous discovered by event
 interleaving with one computed directly (max over the enabled PEs'
@@ -10,9 +10,11 @@ and category accounting, instruction counts, finish times, result
 matrices, queue statistics, MC busy accounting, and fault-detection
 instants — must equal the pure-event schedule bit for bit, across all
 four execution modes, under data-dependent timing variance, degraded
-network routing, and fail-stop faults.  The three-tier matrix lives in
+network routing, and fail-stop faults.  The two-tier matrix lives in
 :mod:`tests.engines`; the ``engine_pair`` fixture names the candidate
-tier in each test ID.
+tier in each test ID.  The trace section checks that arming tracing
+changes nothing and that the exported trace lanes reproduce the
+per-category accounting on both tiers.
 
 The seam programs pin hand-written SIMD streams that mix broadcast
 compute with the instructions whose effect differs per PE: mask changes
@@ -38,8 +40,8 @@ from repro.machine import ExecutionMode, PASMMachine
 from repro.machine.partition import Partition
 from repro.mc import EnqueueBlock, Loop, SetMask, WaitController
 from repro.network import ExtraStageCubeTopology
+from repro.obs.simtrace import machine_events
 from repro.perf import machine_counters
-from repro.sim.lockstep import resolve_lockstep
 from tests.engines import (
     ALL_MODES,
     CFG,
@@ -50,6 +52,7 @@ from tests.engines import (
     make_machine,
     mode_and_p,  # noqa: F401  (fixture)
     result_signature,
+    run_matmul_on,
     signature,
 )
 
@@ -62,7 +65,7 @@ def _cached_signature(mode, n, p, engine, m=0, b_bits=None):
 
 
 # ---------------------------------------------------------------------------
-# The core claim: three engines, four modes, one signature
+# The core claim: two engines, four modes, one signature
 def test_engine_tiers_identical(engine_pair, mode_and_p):
     baseline, candidate = engine_pair
     mode, p = mode_and_p
@@ -207,7 +210,7 @@ def _run_simd_matmul(machine):
 
 def test_lockstep_counters_report_batching():
     counters = _run_simd_matmul(make_machine(4, "lockstep"))
-    assert counters["lockstep"] is True
+    assert counters["fast_path"] is True
     assert counters["lockstep_rendezvous"] > 1_000
     assert counters["lockstep_releases"] > 1_000
     # Batching is real: p PEs resume per release, and carriers (the one
@@ -216,23 +219,40 @@ def test_lockstep_counters_report_batching():
     assert counters["lockstep_batch_pes"] >= counters["lockstep_releases"]
     assert counters["lockstep_carriers"] < counters["lockstep_releases"]
 
-    off_counters = _run_simd_matmul(make_machine(4, "local-time"))
-    assert off_counters["lockstep"] is False
+    off_counters = _run_simd_matmul(make_machine(4, "pure-events"))
+    assert off_counters["fast_path"] is False
     assert off_counters["lockstep_rendezvous"] == 0
     # The batched engine needs far fewer heap events for the same run.
     assert (counters["events_scheduled"]
             < off_counters["events_scheduled"] / 2)
 
 
-def test_resolve_lockstep_env(monkeypatch):
-    monkeypatch.delenv("REPRO_LOCKSTEP", raising=False)
-    assert resolve_lockstep(None, True) is True    # default: on
-    assert resolve_lockstep(None, False) is False  # needs the fast path
-    assert resolve_lockstep(True, False) is False  # even when forced
-    assert resolve_lockstep(False, True) is False
-    monkeypatch.setenv("REPRO_LOCKSTEP", "0")
-    assert resolve_lockstep(None, True) is False
-    assert resolve_lockstep(True, True) is True    # explicit flag wins
+# ---------------------------------------------------------------------------
+# The trace is an oracle: arming it perturbs nothing, and its lanes
+# reproduce the per-category accounting and agree across tiers
+def test_trace_lanes_are_an_oracle(mode_and_p):
+    mode, p = mode_and_p
+    waits = {}
+    for engine in ENGINE_TIERS:
+        machine, run = run_matmul_on(mode, 16, p, engine, traced=True)
+        sig = result_signature(machine, run.result)
+        sig["product"] = run.product.tolist()
+        assert sig == _cached_signature(mode, 16, p, engine)
+
+        events = machine_events(machine, label=engine, max_spans=10**7)
+        lanes: dict[int, dict[str, float]] = {}
+        for ev in events:
+            assert ev["cat"] in ("instr", "wait")  # nothing truncated
+            if ev["cat"] == "instr":
+                cats = lanes.setdefault(int(ev["thread"].split()[1]), {})
+                cats[ev["name"]] = cats.get(ev["name"], 0.0) + ev["dur"]
+        assert lanes == run.result.per_pe_categories
+        waits[engine] = [(ev["thread"], ev["name"], ev["ts"], ev["dur"])
+                         for ev in events if ev["cat"] == "wait"]
+    assert waits["lockstep"] == waits["pure-events"]
+    # Queue rendezvous block in SIMD and S/MIMD; MIMD polls the network.
+    assert waits["lockstep"] or mode in (ExecutionMode.SERIAL,
+                                         ExecutionMode.MIMD)
 
 
 # ---------------------------------------------------------------------------
