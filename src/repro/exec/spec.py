@@ -19,7 +19,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExecError, ReproError
 from repro.faults.plan import FaultPlan
 from repro.machine.config import PrototypeConfig
 from repro.memory.dram import RefreshModel
@@ -50,18 +50,43 @@ def content_hash_of(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-def _params_pairs(params) -> tuple:
-    """Normalise ``params`` input to the sorted tuple-of-pairs form.
+def _is_int(value) -> bool:
+    """A JSON integer: ``int`` but not ``bool`` (``True`` is an ``int``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    Accepts a mapping (``to_dict`` output) or an iterable of ``(key,
-    value)`` pairs — the shape JSON gives a client that serialises the
-    spec field directly, since tuples round-trip as lists.  Malformed
-    pairs raise ``ValueError``/``TypeError``, which the serving layer
-    maps to a 400.
+
+def _params_pairs(params) -> tuple:
+    """Normalise ``params`` input to a tuple of ``(key, value)`` pairs.
+
+    Accepts a mapping (``to_dict`` output) or a list of ``[key, value]``
+    pairs — the shape JSON gives a client that serialises the spec field
+    directly, since tuples round-trip as lists.
     """
     if hasattr(params, "items"):
-        params = params.items()
-    return tuple(sorted((k, v) for k, v in params))
+        return tuple(params.items())
+    pairs = tuple(params)
+    if not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
+        raise ConfigurationError(
+            "params must be an object or a list of [key, value] pairs"
+        )
+    return tuple((k, v) for k, v in pairs)
+
+
+def _config_from_dict(cfg) -> PrototypeConfig:
+    """Rebuild a :class:`PrototypeConfig`, every field an integer.
+
+    The dataclass itself does not check types (calibration builds
+    configs in code); a config that arrives as JSON is checked here so a
+    string or float never reaches the engines.
+    """
+    cfg = dict(cfg)
+    refresh = dict(cfg.pop("refresh"))
+    for name, value in [*cfg.items(), *refresh.items()]:
+        if not _is_int(value):
+            raise ConfigurationError(
+                f"config field {name!r} must be an integer, got {value!r}"
+            )
+    return PrototypeConfig(**cfg, refresh=RefreshModel(**refresh))
 
 
 @dataclass(frozen=True)
@@ -123,6 +148,19 @@ class SimJobSpec:
     trace: object | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.program, str):
+            raise ConfigurationError(
+                f"program must be a string, got {self.program!r}"
+            )
+        for name in ("n", "p", "added_multiplies", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}"
+                )
+        if self.b_max is not None and not _is_int(self.b_max):
+            raise ConfigurationError(
+                f"b_max must be an integer or null, got {self.b_max!r}"
+            )
         if self.mode not in _MODES:
             raise ConfigurationError(
                 f"unknown mode {self.mode!r}; choose from {_MODES}"
@@ -135,6 +173,12 @@ class SimJobSpec:
             raise ConfigurationError(
                 f"invalid job geometry n={self.n} p={self.p} "
                 f"m={self.added_multiplies}"
+            )
+        keys = [k for k, _ in self.params]
+        if not all(isinstance(k, str) for k in keys) \
+                or len(set(keys)) != len(keys):
+            raise ConfigurationError(
+                f"params keys must be distinct strings, got {keys!r}"
             )
         # Normalise params so construction order never changes the hash.
         object.__setattr__(self, "params", tuple(sorted(self.params)))
@@ -166,27 +210,41 @@ class SimJobSpec:
         the same default the constructor applies — so hand-written specs
         (e.g. JSON posted to the serving layer) need not spell out the
         whole machine description.
+
+        This is the one place that decides a spec is malformed: any
+        input that does not describe a valid spec — not an object, a
+        missing field, a value of the wrong type or out of range —
+        raises one :class:`~repro.errors.ExecError` whose message starts
+        with ``"malformed job spec"``, so callers catch
+        :class:`~repro.errors.ReproError` only.
         """
-        if d.get("config") is None:
-            config = PrototypeConfig.calibrated()
-        else:
-            cfg = dict(d["config"])
-            cfg["refresh"] = RefreshModel(**cfg["refresh"])
-            config = PrototypeConfig(**cfg)
-        return cls(
-            program=d["program"],
-            mode=d["mode"],
-            n=d["n"],
-            p=d["p"],
-            added_multiplies=d.get("added_multiplies", 0),
-            engine=d.get("engine", "macro"),
-            seed=d.get("seed", DEFAULT_SEED),
-            b_max=d.get("b_max"),
-            config=config,
-            params=_params_pairs(d.get("params") or {}),
-            fault_plan=(FaultPlan.from_dict(d["fault_plan"])
-                        if d.get("fault_plan") else None),
-        )
+        try:
+            if not isinstance(d, dict):
+                raise ConfigurationError(
+                    f"expected a JSON object, got {type(d).__name__}"
+                )
+            config = d.get("config")
+            return cls(
+                program=d["program"],
+                mode=d["mode"],
+                n=d["n"],
+                p=d["p"],
+                added_multiplies=d.get("added_multiplies", 0),
+                engine=d.get("engine", "macro"),
+                seed=d.get("seed", DEFAULT_SEED),
+                b_max=d.get("b_max"),
+                config=(PrototypeConfig.calibrated() if config is None
+                        else _config_from_dict(config)),
+                params=_params_pairs(d.get("params") or {}),
+                fault_plan=(FaultPlan.from_dict(d["fault_plan"])
+                            if d.get("fault_plan") else None),
+            )
+        except (ReproError, AttributeError, LookupError, TypeError,
+                ValueError) as exc:
+            detail = str(exc) if isinstance(exc, ReproError) \
+                else f"{type(exc).__name__}: {exc}"
+            raise ExecError(f"malformed job spec: {detail}",
+                            cause=exc) from exc
 
     @property
     def content_hash(self) -> str:

@@ -86,6 +86,10 @@ class PrototypeConfig:
     timer_addr: int = 0xF1_0000
 
     def __post_init__(self) -> None:
+        if self.n_pes < 1 or self.n_mcs < 1:
+            raise ConfigurationError(
+                f"n_pes ({self.n_pes}) and n_mcs ({self.n_mcs}) must be >= 1"
+            )
         if self.n_pes % self.n_mcs:
             raise ConfigurationError(
                 f"n_pes ({self.n_pes}) must be a multiple of n_mcs ({self.n_mcs})"

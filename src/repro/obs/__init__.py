@@ -1,16 +1,13 @@
 """repro.obs — end-to-end observability: correlation IDs, span tracing,
-Chrome trace-event export, structured logging, and fleet health.
+Chrome trace-event export, structured logging, and process self-metrics.
 
 See ``docs/OBSERVABILITY.md`` for the tracing model and how the pieces
 connect: :mod:`repro.obs.ids` (W3C-style identifiers),
 :mod:`repro.obs.tracer` (recorder + Perfetto export),
 :mod:`repro.obs.simtrace` (per-PE simulated-time lanes),
 :mod:`repro.obs.schema` (trace validation), :mod:`repro.obs.jsonlog`
-(structured serve logs), :mod:`repro.obs.timeseries` (ring-buffer
-metric history behind ``GET /v1/timeseries``), :mod:`repro.obs.slo`
-(multi-window burn-rate alerting behind ``GET /v1/alerts``),
-:mod:`repro.obs.recorder` (flight-recorder incident bundles), and
-:mod:`repro.obs.procstats` (``pasm_process_*`` self-metrics).
+(structured serve logs), and :mod:`repro.obs.procstats`
+(``pasm_process_*`` self-metrics, rendered on each ``/metrics`` scrape).
 """
 
 from repro.obs.ids import (
@@ -23,9 +20,7 @@ from repro.obs.ids import (
 from repro.obs.jsonlog import FORMATS as LOG_FORMATS
 from repro.obs.jsonlog import StructuredLogger
 from repro.obs.procstats import ProcessStats
-from repro.obs.recorder import FlightRecorder
 from repro.obs.schema import validate_chrome_trace
-from repro.obs.slo import SLO, AlertState, SLOEvaluator, default_slos
 from repro.obs.simtrace import (
     arm_machine,
     collect_machine,
@@ -33,7 +28,6 @@ from repro.obs.simtrace import (
     machine_events,
     tracing_job,
 )
-from repro.obs.timeseries import TimeseriesStore, aggregate_timeseries
 from repro.obs.tracer import (
     DEFAULT_MAX_EVENTS,
     TraceContext,
@@ -47,20 +41,13 @@ from repro.obs.tracer import (
 __all__ = [
     "DEFAULT_MAX_EVENTS",
     "LOG_FORMATS",
-    "AlertState",
-    "FlightRecorder",
     "ProcessStats",
-    "SLO",
-    "SLOEvaluator",
     "StructuredLogger",
-    "TimeseriesStore",
     "TraceContext",
     "Tracer",
-    "aggregate_timeseries",
     "arm_machine",
     "collect_machine",
     "current_job_trace",
-    "default_slos",
     "export_chrome",
     "format_traceparent",
     "instant_event",

@@ -165,47 +165,6 @@ class MetricsRegistry:
 
         return percentile(self.samples(name, **labels), 100.0 * q)
 
-    def snapshot(self) -> dict[str, dict]:
-        """One structured, consistent read of every metric.
-
-        Returns ``{name: {"kind": ..., "help": ..., "series": {...}}}``
-        where ``series`` maps each label key (the sorted
-        ``((label, value), ...)`` tuple) to the current float for
-        counters/gauges, or to ``{"count", "sum", "quantiles"}`` for
-        summaries (quantiles computed over the retained window).  This
-        is the read side the timeseries sampler
-        (:class:`repro.obs.timeseries.TimeseriesStore`) scrapes — one
-        lock acquisition per sample instead of parsing the rendered
-        Prometheus page.
-        """
-        from repro.perf import percentile
-
-        with self._lock:
-            raw = [
-                (m.name, m.kind, m.help, dict(m.values),
-                 {k: list(w) for k, w in m.windows.items()},
-                 dict(m.count), dict(m.sum))
-                for m in self._metrics.values()
-            ]
-        doc: dict[str, dict] = {}
-        for name, kind, help_, values, windows, counts, sums in raw:
-            if kind == "summary":
-                series = {
-                    key: {
-                        "count": counts[key],
-                        "sum": sums[key],
-                        "quantiles": {
-                            q: percentile(window, 100.0 * q)
-                            for q in SUMMARY_QUANTILES
-                        },
-                    }
-                    for key, window in windows.items()
-                }
-            else:
-                series = dict(values)
-            doc[name] = {"kind": kind, "help": help_, "series": series}
-        return doc
-
     # ------------------------------------------------------------------
     def render(self, extra: Iterable[str] = ()) -> str:
         """Prometheus text exposition of every metric in the registry."""

@@ -23,20 +23,9 @@ Endpoints
 ``GET /metrics``
     Prometheus text rendering of the broker's
     :class:`repro.perf.MetricsRegistry` (plus ``pasm_process_*``
-    self-metrics and ``pasm_slo_*`` alert state).
-``GET /v1/timeseries``
-    The retained metric history (ring-buffer samples; counters carry
-    derived rates).  ``?since=<unix ts>`` trims the window.  404 when
-    sampling is disabled (``--sample-interval 0``).
-``GET /v1/alerts``
-    Burn-rate alert state of every SLO (``repro.obs.slo``).
+    self-metrics, collected on each scrape).
 ``GET /v1/stats``
     The execution engine's ``--stats`` table, as text.
-
-``SIGQUIT`` dumps a flight-recorder incident bundle (recent requests,
-shed decisions, pool rebuilds, alert transitions — correlation IDs
-intact) without disturbing the service; SLO pages and pool crashes dump
-one automatically.
 
 Run it::
 
@@ -71,9 +60,6 @@ from repro.obs.ids import (
 )
 from repro.obs.jsonlog import StructuredLogger
 from repro.obs.procstats import ProcessStats
-from repro.obs.recorder import FlightRecorder
-from repro.obs.slo import SLOEvaluator
-from repro.obs.timeseries import TimeseriesStore
 from repro.serve.broker import DONE, FAILED, JobBroker, JobEntry
 from repro.serve.config import LANES, ServeConfig
 from repro.serve.http import HttpServer, Request, Response
@@ -88,33 +74,12 @@ class ServeApp:
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
         self.log = StructuredLogger(fmt=self.config.log_format)
-        self.recorder = FlightRecorder(
-            self.config.recorder_events,
-            dump_dir=self.config.recorder_dir,
-            instance=self.config.instance or "",
-        )
-        self.broker = JobBroker(self.config, recorder=self.recorder)
-        self.broker.on_incident = self.dump_incident
+        self.broker = JobBroker(self.config)
         self.metrics = self.broker.metrics
         self.procstats = ProcessStats(self.metrics)
-        self.timeseries: TimeseriesStore | None = None
-        self.slo: SLOEvaluator | None = None
-        if self.config.sampling_enabled:
-            self.timeseries = TimeseriesStore(
-                self.metrics,
-                interval_s=self.config.sample_interval_s,
-                retention_points=self.config.retention_points,
-            )
-            self.slo = SLOEvaluator(
-                self.config.make_slos(), self.timeseries,
-                metrics=self.metrics, log=self.log,
-                on_fire=self._on_slo_fire, on_resolve=self._on_slo_resolve,
-            )
         self.server = HttpServer(self.handle, host=self.config.host,
                                  port=self.config.port)
         self._stopped: asyncio.Event | None = None
-        self._sampler: asyncio.Task | None = None
-        self._last_heartbeat = time.monotonic()
 
     @property
     def port(self) -> int:
@@ -138,100 +103,15 @@ class ServeApp:
             "(the router's aggregated /metrics keeps one line each)")
         self.metrics.set_gauge("pasm_serve_instance_info", 1,
                                instance=self.instance_name)
-        self.recorder.instance = self.instance_name
-        tick = self._tick_interval()
-        if tick is not None:
-            self._sampler = asyncio.ensure_future(self._sampler_loop(tick))
 
     async def shutdown(self) -> None:
         """Graceful drain: refuse new work, finish what's admitted."""
         if self._stopped is None or self._stopped.is_set():
             return
         self.broker.draining = True
-        if self._sampler is not None:
-            self._sampler.cancel()
-            await asyncio.gather(self._sampler, return_exceptions=True)
-            self._sampler = None
         await self.server.stop()
         await self.broker.drain()
         self._stopped.set()
-
-    # ------------------------------------------------------------------
-    # Health sampling: timeseries points, SLO evaluation, heartbeat
-    def _tick_interval(self) -> float | None:
-        """Sampler cadence, or ``None`` when nothing needs a loop."""
-        if self.config.sampling_enabled:
-            return self.config.sample_interval_s
-        if self.config.heartbeat_interval_s > 0:
-            return self.config.heartbeat_interval_s
-        return None
-
-    async def _sampler_loop(self, tick: float) -> None:
-        while True:
-            await asyncio.sleep(tick)
-            try:
-                self.sample_once()
-            except Exception as exc:  # sampling must never kill the app
-                self.log.warning("sampler_error",
-                                 error=f"{type(exc).__name__}: {exc}")
-
-    def sample_once(self) -> None:
-        """One health tick (tests call this directly, no loop needed)."""
-        self.procstats.collect()
-        if self.timeseries is not None:
-            self.timeseries.sample()
-        if self.slo is not None:
-            self.slo.evaluate()
-        interval = self.config.heartbeat_interval_s
-        now = time.monotonic()
-        if interval > 0 and now - self._last_heartbeat >= interval:
-            self._last_heartbeat = now
-            self.heartbeat()
-
-    def heartbeat(self) -> None:
-        """One structured history line for scrape-free deployments."""
-        m = self.metrics
-        self.log.info(
-            "heartbeat",
-            instance=self.instance_name,
-            queue_depth=self.broker.queue_depth,
-            in_flight=self.broker.in_flight,
-            cache_hit_ratio=round(
-                m.value("pasm_serve_cache_hit_ratio"), 4),
-            submitted=int(m.total("pasm_serve_submitted_total")),
-            computed=int(m.total("pasm_serve_computed_total")),
-            failed=int(m.total("pasm_serve_failed_total")),
-            alerts_firing=len(self.slo.firing) if self.slo else 0,
-            uptime_s=round(m.value("pasm_process_uptime_seconds"), 1),
-        )
-
-    # ------------------------------------------------------------------
-    # Incidents
-    def _on_slo_fire(self, state) -> None:
-        self.recorder.record("alert", slo=state.slo.name, to="firing",
-                             measured=state.last_measured,
-                             target=state.slo.target,
-                             burn=dict(state.last_burn))
-        self.dump_incident(f"slo-{state.slo.name}")
-
-    def _on_slo_resolve(self, state) -> None:
-        self.recorder.record("alert", slo=state.slo.name, to="ok")
-
-    def dump_incident(self, reason: str, *, force: bool = False) -> str | None:
-        """Write a flight-recorder bundle (rate-limited unless forced)."""
-        extra: dict = {
-            "instance": self.instance_name,
-            "queue_depth": self.broker.queue_depth,
-            "in_flight": self.broker.in_flight,
-            "pool_jobs": self.broker.pool_jobs,
-        }
-        if self.slo is not None:
-            extra["alerts"] = self.slo.to_doc()
-        path = self.recorder.dump(reason, extra=extra, force=force)
-        if path is not None:
-            self.log.warning("flight_recorder_dump", reason=reason,
-                             path=path)
-        return path
 
     async def run_forever(self) -> None:
         await self.start()
@@ -263,8 +143,8 @@ class ServeApp:
             response = await self._route(request, trace_id, request_id)
         except Exception as exc:  # noqa: BLE001
             # A handler bug answered by the raw HTTP layer would bypass
-            # the metrics/log/recorder below — and with them the
-            # error-ratio SLO.  Convert it here so the 500 is counted.
+            # the metrics and log below.  Convert it here so the 500 is
+            # counted.
             self.log.error("handler_error", path=request.path,
                            error=f"{type(exc).__name__}: {exc}",
                            request_id=request_id)
@@ -293,14 +173,6 @@ class ServeApp:
         if trace_id is not None:
             fields["trace_id"] = trace_id
         self.log.info("request", **fields)
-        self.recorder.record("request", **fields)
-        if response.status in (429, 503):
-            retry_after = response.body.get("retry_after") \
-                if isinstance(response.body, dict) else None
-            self.recorder.record("shed", status=response.status,
-                                 path=request.path, request_id=request_id,
-                                 trace_id=trace_id, retry_after=retry_after,
-                                 queue_depth=self.broker.queue_depth)
         return response
 
     async def _route(self, request: Request, trace_id: str | None,
@@ -319,10 +191,6 @@ class ServeApp:
                 return Response(body=self.broker.stats.summary_table(
                     title=f"serve stats (pool={self.broker.pool_jobs})"
                 ) + "\n")
-            if path == "/v1/timeseries" and method == "GET":
-                return self._timeseries(request)
-            if path == "/v1/alerts" and method == "GET":
-                return self._alerts()
             if path == "/v1/jobs" and method == "POST":
                 return await self._submit(request, trace_id, request_id)
             if path.startswith("/v1/jobs/") and path.endswith("/trace") \
@@ -335,7 +203,7 @@ class ServeApp:
                 return await self._exhibit(request,
                                            path[len("/v1/exhibits/"):])
             if path in ("/v1/jobs", "/v1/exhibits", "/healthz", "/metrics",
-                        "/v1/stats", "/v1/timeseries", "/v1/alerts"):
+                        "/v1/stats"):
                 return _error(405, f"{method} not supported on {path}")
             return _error(404, f"no route for {path}")
         except BackpressureError as exc:
@@ -355,30 +223,8 @@ class ServeApp:
             "in_flight": self.broker.in_flight,
             "pool_jobs": self.broker.pool_jobs,
             "cache": self.broker.cache is not None,
-            "alerts_firing": len(self.slo.firing) if self.slo else 0,
             "api": API_VERSION,
         })
-
-    def _timeseries(self, request: Request) -> Response:
-        if self.timeseries is None:
-            return _error(404, "timeseries sampling is disabled "
-                               "(service started with --sample-interval 0)")
-        since = None
-        if "since" in request.query:
-            try:
-                since = float(request.query["since"])
-            except ValueError:
-                return _error(400, f"since must be a unix timestamp, got "
-                                   f"{request.query['since']!r}")
-        return Response(body=self.timeseries.to_doc(
-            since=since, instance=self.instance_name,
-        ))
-
-    def _alerts(self) -> Response:
-        if self.slo is None:
-            return _error(404, "SLO evaluation is disabled "
-                               "(service started with --sample-interval 0)")
-        return Response(body=self.slo.to_doc(instance=self.instance_name))
 
     async def _submit(self, request: Request, trace_id: str | None,
                       request_id: str) -> Response:
@@ -395,9 +241,7 @@ class ServeApp:
             try:
                 spec = SimJobSpec.from_dict(doc["spec"])
             except ReproError as exc:
-                return _error(400, f"invalid job spec: {exc}")
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                return _error(400, f"malformed job spec: {exc!r}")
+                return _error(400, str(exc))
             entry, outcome = await self.broker.submit(
                 spec=spec, lane=lane, trace_id=trace_id,
                 request_id=request_id,
@@ -623,36 +467,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--name", default=None, metavar="NAME",
                         help="instance name for fleet views "
                              "(default: host:port)")
-    parser.add_argument("--sample-interval", type=float, default=5.0,
-                        metavar="S",
-                        help="health sampler cadence: timeseries points, "
-                             "SLO evaluation, self-metrics (0 disables; "
-                             "default: 5)")
-    parser.add_argument("--retention", type=int, default=720,
-                        metavar="POINTS",
-                        help="timeseries ring bound per series "
-                             "(default: 720 = 1h at 5s)")
-    parser.add_argument("--heartbeat", type=float, default=60.0, metavar="S",
-                        help="heartbeat log-line interval (0 disables; "
-                             "default: 60)")
-    parser.add_argument("--slo-error-ratio", type=float, default=0.05,
-                        metavar="FRAC",
-                        help="429/5xx ratio SLO target (default: 0.05)")
-    parser.add_argument("--slo-p95", type=float, default=60.0, metavar="S",
-                        help="p95 job-latency SLO target (default: 60)")
-    parser.add_argument("--slo-dedup-min", type=float, default=None,
-                        metavar="FRAC",
-                        help="minimum dedup/cache-hit ratio SLO "
-                             "(default: off)")
-    parser.add_argument("--slo-fast-window", type=float, default=60.0,
-                        metavar="S",
-                        help="fast burn-rate window (default: 60)")
-    parser.add_argument("--slo-slow-window", type=float, default=300.0,
-                        metavar="S",
-                        help="slow burn-rate window (default: 300)")
-    parser.add_argument("--recorder-dir", default=None, metavar="DIR",
-                        help="flight-recorder bundle directory (default: "
-                             "$REPRO_FLIGHTREC_DIR or ./.pasm-flightrec)")
+    # Ignored; bench/serve.py still starts every instance with it.
+    parser.add_argument("--recorder-dir", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     try:
         config = ServeConfig(
@@ -669,15 +485,6 @@ def main(argv: list[str] | None = None) -> int:
             trace=args.trace,
             log_format=args.log_format,
             instance=args.name,
-            sample_interval_s=args.sample_interval,
-            retention_points=args.retention,
-            heartbeat_interval_s=args.heartbeat,
-            slo_error_ratio=args.slo_error_ratio,
-            slo_p95_latency_s=args.slo_p95,
-            slo_dedup_min=args.slo_dedup_min,
-            slo_fast_window_s=args.slo_fast_window,
-            slo_slow_window_s=args.slo_slow_window,
-            recorder_dir=args.recorder_dir,
         )
         config.resolved_jobs()
     except ReproError as exc:
@@ -693,12 +500,6 @@ async def _serve(config: ServeConfig) -> int:
         loop.add_signal_handler(
             getattr(signal, signame),
             lambda: asyncio.ensure_future(app.shutdown()),
-        )
-    if hasattr(signal, "SIGQUIT"):
-        # Operator-requested incident bundle; the service keeps running.
-        loop.add_signal_handler(
-            signal.SIGQUIT,
-            lambda: app.dump_incident("sigquit", force=True),
         )
     app.log.info(
         "startup",

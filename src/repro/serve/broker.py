@@ -212,19 +212,11 @@ class JobBroker:
     """
 
     def __init__(self, config: ServeConfig,
-                 metrics: MetricsRegistry | None = None,
-                 recorder=None) -> None:
+                 metrics: MetricsRegistry | None = None) -> None:
         self.config = config
         self.pool_jobs = config.resolved_jobs()
         self.cache = config.make_cache()
         self.metrics = metrics or MetricsRegistry()
-        #: Optional :class:`~repro.obs.recorder.FlightRecorder`; the
-        #: broker records pool rebuilds and job failures on it.
-        self.recorder = recorder
-        #: Optional ``(reason: str) -> None`` hook fired on the events
-        #: that justify an incident bundle (pool crashes).  The serve
-        #: app points this at its flight-recorder dump.
-        self.on_incident = None
         self.stats = ExecStats()
         self.entries: "OrderedDict[str, JobEntry]" = OrderedDict()
         self.queues: dict[str, deque[JobEntry]] = {
@@ -590,12 +582,6 @@ class JobBroker:
             max_workers=self.pool_jobs, mp_context=_pool_context()
         )
         old.shutdown(wait=False, cancel_futures=True)
-        if self.recorder is not None:
-            self.recorder.record("pool_rebuild", generation=self._pool_gen,
-                                 in_flight=self.in_flight,
-                                 queue_depth=self.queue_depth)
-        if self.on_incident is not None:
-            self.on_incident("pool-crash")
 
     # ------------------------------------------------------------------
     # Exhibit jobs
@@ -667,13 +653,6 @@ class JobBroker:
         entry.finished = time.monotonic()
         entry.error = message
         self.metrics.inc("pasm_serve_failed_total", reason=reason)
-        if self.recorder is not None:
-            self.recorder.record("job_failed", job=entry.key[:16],
-                                 label=entry.label(), reason=reason,
-                                 error=message, lane=entry.lane,
-                                 attempts=entry.attempts,
-                                 request_id=entry.request_id,
-                                 trace_id=entry.trace_id)
         if not entry.future.done():
             job = entry.spec.to_dict() if entry.spec is not None else None
             entry.future.set_exception(

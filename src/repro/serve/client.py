@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.errors import ServeError
+from repro.errors import ReproError, ServeError
 from repro.exec import SimJobSpec, content_hash_of
 from repro.obs.ids import format_traceparent, new_request_id, new_span_id, new_trace_id
 from repro.serve.config import default_port
@@ -270,7 +270,7 @@ class ServeClient:
             return spec.content_hash
         try:
             return SimJobSpec.from_dict(spec).content_hash
-        except Exception:
+        except ReproError:
             # Malformed spec: route it stably anyway; the owning
             # instance will answer with the structured 400.
             return content_hash_of(spec)

@@ -96,32 +96,6 @@ class ServeConfig:
         surfaced in ``/healthz`` and the ``pasm_serve_instance_info``
         metric so the router's aggregated views can tell instances
         apart.  Defaults to ``host:port`` once the port is bound.
-    sample_interval_s:
-        Cadence of the health sampler (timeseries points, SLO
-        evaluation, process self-metrics).  ``0`` disables sampling
-        entirely — no task, no per-request cost — and
-        ``GET /v1/timeseries``/``/v1/alerts`` answer 404.
-    retention_points:
-        Ring bound per timeseries (720 x 5s default = one hour).
-    heartbeat_interval_s:
-        Cadence of the ``heartbeat`` structured-log line (queue depth,
-        inflight, hit ratio) so plain-log deployments get history
-        without scraping.  ``0`` disables it.
-    slo_error_ratio, slo_p95_latency_s, slo_queue_depth_frac,
-    slo_dedup_min:
-        Targets of the default SLOs (see
-        :func:`repro.obs.slo.default_slos`).  ``slo_queue_depth_frac``
-        is a fraction of ``queue_limit``; ``slo_dedup_min=None``
-        leaves the dedup-collapse objective off.
-    slo_fast_window_s, slo_slow_window_s, slo_resolve_after:
-        Burn-rate windows and resolve hysteresis shared by the default
-        SLOs.
-    recorder_events:
-        Flight-recorder ring bound (recent structured events kept for
-        incident bundles).
-    recorder_dir:
-        Where incident bundles are written
-        (default ``$REPRO_FLIGHTREC_DIR`` or ``./.pasm-flightrec``).
     """
 
     host: str = "127.0.0.1"
@@ -141,18 +115,6 @@ class ServeConfig:
     trace: bool = False
     log_format: str = "text"
     instance: str | None = None
-    sample_interval_s: float = 5.0
-    retention_points: int = 720
-    heartbeat_interval_s: float = 60.0
-    slo_error_ratio: float = 0.05
-    slo_p95_latency_s: float = 60.0
-    slo_queue_depth_frac: float = 0.75
-    slo_dedup_min: float | None = None
-    slo_fast_window_s: float = 60.0
-    slo_slow_window_s: float = 300.0
-    slo_resolve_after: int = 3
-    recorder_events: int = 2048
-    recorder_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.log_format not in ("text", "json"):
@@ -174,30 +136,6 @@ class ServeConfig:
                 raise ConfigurationError(
                     f"{name} must be positive, got {getattr(self, name)}"
                 )
-        for name in ("sample_interval_s", "heartbeat_interval_s"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(
-                    f"{name} must be >= 0 (0 disables), "
-                    f"got {getattr(self, name)}"
-                )
-        if self.retention_points < 2:
-            raise ConfigurationError(
-                f"retention_points must be >= 2, got {self.retention_points}"
-            )
-        if self.recorder_events < 1:
-            raise ConfigurationError(
-                f"recorder_events must be >= 1, got {self.recorder_events}"
-            )
-        if self.sampling_enabled \
-                and self.slo_fast_window_s >= self.slo_slow_window_s:
-            raise ConfigurationError(
-                "slo_fast_window_s must be shorter than slo_slow_window_s "
-                f"({self.slo_fast_window_s} vs {self.slo_slow_window_s})"
-            )
-
-    @property
-    def sampling_enabled(self) -> bool:
-        return self.sample_interval_s > 0
 
     # ------------------------------------------------------------------
     def resolved_jobs(self) -> int:
@@ -209,21 +147,6 @@ class ServeConfig:
         if self.no_cache:
             return None
         return ResultCache(self.cache_dir, max_mb=self.cache_max_mb)
-
-    def make_slos(self):
-        """The default SLO set this configuration implies."""
-        from repro.obs.slo import default_slos
-
-        return default_slos(
-            error_ratio=self.slo_error_ratio,
-            p95_latency_s=self.slo_p95_latency_s,
-            queue_depth=max(1.0,
-                            self.slo_queue_depth_frac * self.queue_limit),
-            dedup_min=self.slo_dedup_min,
-            fast_window_s=self.slo_fast_window_s,
-            slow_window_s=self.slo_slow_window_s,
-            resolve_after=self.slo_resolve_after,
-        )
 
     def with_overrides(self, **kwargs) -> "ServeConfig":
         return replace(self, **kwargs)

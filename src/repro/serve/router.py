@@ -28,11 +28,7 @@ Behaviour:
   page (``*_ratio`` gauges are averaged, weighted by each instance's
   traffic) plus the router's own counters; ``GET /v1/stats``
   concatenates per-instance tables; ``GET /healthz`` reports every
-  instance; ``GET /v1/timeseries`` returns per-instance ring-buffer
-  history plus a fleet-wide aggregate
-  (:func:`repro.obs.timeseries.aggregate_timeseries`) and the
-  router's own series; ``GET /v1/alerts`` collects every instance's
-  SLO alert states.
+  instance.
 
 Run it::
 
@@ -63,7 +59,6 @@ from repro.obs.ids import (
 )
 from repro.obs.jsonlog import StructuredLogger
 from repro.obs.procstats import ProcessStats
-from repro.obs.timeseries import TimeseriesStore, aggregate_timeseries
 from repro.perf import MetricsRegistry
 from repro.serve.broker import exhibit_key
 from repro.serve.http import HttpServer, Request, Response, send_request
@@ -120,13 +115,6 @@ class RouterConfig:
         How long a dead instance is skipped before being probed again.
     retry_after_s:
         ``Retry-After`` hint when the whole fleet is unreachable.
-    sample_interval_s:
-        Cadence of the router's own health sampler (its timeseries
-        ring and ``pasm_process_*`` self-metrics).  ``0`` disables it;
-        fleet views still work, the router just contributes no series
-        of its own.
-    retention_points:
-        Ring bound per router timeseries.
     """
 
     instances: tuple[str, ...]
@@ -137,8 +125,6 @@ class RouterConfig:
     cooldown_s: float = 2.0
     retry_after_s: float = 1.0
     log_format: str = "text"
-    sample_interval_s: float = 5.0
-    retention_points: int = 720
 
     def __post_init__(self) -> None:
         if not self.instances:
@@ -150,19 +136,6 @@ class RouterConfig:
                 raise ConfigurationError(
                     f"{name} must be positive, got {getattr(self, name)}"
                 )
-        if self.sample_interval_s < 0:
-            raise ConfigurationError(
-                "sample_interval_s must be >= 0 (0 disables), "
-                f"got {self.sample_interval_s}"
-            )
-        if self.retention_points < 2:
-            raise ConfigurationError(
-                f"retention_points must be >= 2, got {self.retention_points}"
-            )
-
-    @property
-    def sampling_enabled(self) -> bool:
-        return self.sample_interval_s > 0
 
 
 def route_key(request: Request) -> str:
@@ -194,7 +167,7 @@ def route_key(request: Request) -> str:
             seed_text = request.query.get("seed")
             seed = int(seed_text) if seed_text is not None else None
             return exhibit_key(name, seed)
-    except (ReproError, KeyError, TypeError, ValueError):
+    except (ReproError, ValueError):  # ValueError: a non-integer ?seed=
         pass
     return hashlib.sha256(
         f"{request.method} {path}".encode() + request.body
@@ -299,13 +272,6 @@ class RouterApp:
         self._cooling: dict[str, float] = {}  #: base -> monotonic deadline
         self._stopped: asyncio.Event | None = None
         self.procstats = ProcessStats(self.metrics)
-        self.timeseries = (
-            TimeseriesStore(self.metrics,
-                            interval_s=config.sample_interval_s,
-                            retention_points=config.retention_points)
-            if config.sampling_enabled else None
-        )
-        self._sampler: asyncio.Task | None = None
         m = self.metrics
         m.describe("pasm_router_requests_total", "counter",
                    "Requests forwarded, by instance and status")
@@ -326,34 +292,12 @@ class RouterApp:
     async def start(self) -> None:
         self._stopped = asyncio.Event()
         await self.server.start()
-        if self.timeseries is not None:
-            self._sampler = asyncio.create_task(
-                self._sampler_loop(self.config.sample_interval_s)
-            )
 
     async def shutdown(self) -> None:
         if self._stopped is None or self._stopped.is_set():
             return
-        if self._sampler is not None:
-            self._sampler.cancel()
-            self._sampler = None
         await self.server.stop()
         self._stopped.set()
-
-    async def _sampler_loop(self, tick: float) -> None:
-        while True:
-            await asyncio.sleep(tick)
-            try:
-                self.sample_once()
-            except Exception as exc:  # keep sampling through surprises
-                self.log.warning("sampler_error",
-                                 error=f"{type(exc).__name__}: {exc}")
-
-    def sample_once(self) -> None:
-        """One sampler pass: self-metrics, then a timeseries point."""
-        self.procstats.collect()
-        if self.timeseries is not None:
-            self.timeseries.sample()
 
     # ------------------------------------------------------------------
     # Routing
@@ -368,10 +312,6 @@ class RouterApp:
                 response = await self._fleet_metrics()
             elif path == "/v1/stats" and request.method == "GET":
                 response = await self._fleet_stats()
-            elif path == "/v1/timeseries" and request.method == "GET":
-                response = await self._fleet_timeseries(request)
-            elif path == "/v1/alerts" and request.method == "GET":
-                response = await self._fleet_alerts()
             else:
                 response = await self._proxy(request, request_id)
         except Exception as exc:  # noqa: BLE001
@@ -525,79 +465,6 @@ class RouterApp:
             content_type="text/plain; version=0.0.4; charset=utf-8",
         )
 
-    async def _fleet_timeseries(self, request: Request) -> Response:
-        since_text = request.query.get("since")
-        path = "/v1/timeseries"
-        since = None
-        if since_text is not None:
-            try:
-                since = float(since_text)
-            except ValueError:
-                return Response(status=400, body={
-                    "error": f"invalid since value {since_text!r}"
-                })
-            path += "?" + urlencode({"since": since_text})
-        polled = await self._fetch_all(path)
-        instances: dict[str, object] = {}
-        docs = []
-        for base, outcome in sorted(polled.items()):
-            if isinstance(outcome, BaseException):
-                instances[base] = {
-                    "error": f"{type(outcome).__name__}: {outcome}"
-                }
-                continue
-            status, body = outcome
-            if status != 200:
-                instances[base] = {"error": f"http {status}"}
-                continue
-            try:
-                doc = json.loads(body)
-            except ValueError:
-                instances[base] = {"error": "unparseable body"}
-                continue
-            instances[base] = doc
-            docs.append(doc)
-        body_doc: dict[str, object] = {
-            "now": time.time(),
-            "fleet": aggregate_timeseries(docs),
-            "instances": instances,
-        }
-        if self.timeseries is not None:
-            body_doc["router"] = self.timeseries.to_doc(
-                since=since, instance=f"router:{self.port}"
-            )
-        return Response(body=body_doc)
-
-    async def _fleet_alerts(self) -> Response:
-        polled = await self._fetch_all("/v1/alerts")
-        instances: dict[str, object] = {}
-        firing: list[dict] = []
-        for base, outcome in sorted(polled.items()):
-            if isinstance(outcome, BaseException):
-                instances[base] = {
-                    "error": f"{type(outcome).__name__}: {outcome}"
-                }
-                continue
-            status, body = outcome
-            if status != 200:
-                instances[base] = {"error": f"http {status}"}
-                continue
-            try:
-                doc = json.loads(body)
-            except ValueError:
-                instances[base] = {"error": "unparseable body"}
-                continue
-            instances[base] = doc
-            for alert in doc.get("alerts", ()):
-                if alert.get("state") == "firing":
-                    firing.append(dict(alert, instance=base))
-        return Response(body={
-            "now": time.time(),
-            "firing": firing,
-            "firing_count": len(firing),
-            "instances": instances,
-        })
-
     async def _fleet_stats(self) -> Response:
         polled = await self._fetch_all("/v1/stats")
         parts = []
@@ -701,14 +568,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="Retry-After hint when the fleet is down")
     parser.add_argument("--log-format", choices=("text", "json"),
                         default="text")
-    parser.add_argument("--sample-interval", type=float, default=5.0,
-                        metavar="S",
-                        help="router health sampler cadence "
-                             "(0 disables; default: 5)")
-    parser.add_argument("--retention", type=int, default=720,
-                        metavar="POINTS",
-                        help="timeseries ring bound per series "
-                             "(default: 720)")
     args = parser.parse_args(argv)
     instances = tuple(
         part.strip()
@@ -726,8 +585,6 @@ def main(argv: list[str] | None = None) -> int:
             cooldown_s=args.cooldown,
             retry_after_s=args.retry_after,
             log_format=args.log_format,
-            sample_interval_s=args.sample_interval,
-            retention_points=args.retention,
         )
     except ReproError as exc:
         parser.error(str(exc))

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DecouplingStudy
-from repro.errors import ConfigurationError, ExecError
+from repro.errors import ConfigurationError, ExecError, ReproError
 from repro.exec import (
     ExecutionEngine,
     ResultCache,
@@ -99,7 +99,7 @@ class TestSimJobSpec:
         clone = SimJobSpec.from_dict(as_pairs)
         assert clone == spec
         assert clone.content_hash == spec.content_hash
-        with pytest.raises((TypeError, ValueError)):
+        with pytest.raises(ExecError, match="^malformed job spec"):
             SimJobSpec.from_dict(dict(as_dict, params=[["x", 1, "extra"]]))
 
     def test_job_seed_derived_from_hash(self):
@@ -120,6 +120,82 @@ class TestSimJobSpec:
     def test_label_mentions_identity(self):
         label = matmul_spec(ExecutionMode.SIMD, 64, 4).label()
         assert "matmul" in label and "n=64" in label and "p=4" in label
+
+    @pytest.mark.parametrize("doc", [
+        "x", [1, 2], 3, None, {}, {"program": "matmul"},
+        dict(matmul_spec("simd", 16, 4).to_dict(), n="16"),
+        dict(matmul_spec("simd", 16, 4).to_dict(), p=True),
+        dict(matmul_spec("simd", 16, 4).to_dict(), params=[["a", 1], ["a", 2]]),
+    ])
+    def test_malformed_input_is_one_exec_error(self, doc):
+        with pytest.raises(ExecError, match="^malformed job spec"):
+            SimJobSpec.from_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# SimJobSpec.from_dict under untrusted JSON: whatever a client posts, it
+# either decodes to a spec whose dictionary form decodes to the same
+# content hash again, or it raises a ReproError -- never anything else.
+_SCALAR = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_JSON = st.recursive(
+    _SCALAR,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=12,
+)
+_VALID = matmul_spec("simd", 16, 4, engine="micro").to_dict()
+#: Every field a spec dictionary can carry, nested ones as key paths.
+_PATHS = (
+    [(key,) for key in [*_VALID, "fault_plan"]]
+    + [("config", key) for key in _VALID["config"]]
+    + [("config", "refresh", key) for key in _VALID["config"]["refresh"]]
+)
+
+
+#: Stands for "delete the field" among the mutation values.
+_DELETE = object()
+
+
+def _single_field_mutations(value):
+    """The valid spec dictionary with each field in turn set to ``value``."""
+    for *parents, key in _PATHS:
+        doc = json.loads(json.dumps(_VALID))
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        if value is _DELETE:
+            target.pop(key, None)
+        else:
+            target[key] = value
+        yield doc
+
+
+def _check_from_dict(doc):
+    try:
+        spec = SimJobSpec.from_dict(doc)
+    except ReproError:
+        return
+    again = SimJobSpec.from_dict(spec.to_dict())
+    assert again.content_hash == spec.content_hash
+    # The same holds for the dictionary after a trip through JSON, which
+    # is how a client's spec reaches the service.
+    wire = json.loads(canonical_json(spec.to_dict()))
+    assert SimJobSpec.from_dict(wire).content_hash == spec.content_hash
+
+
+@settings(deadline=None, max_examples=300)
+@given(doc=st.one_of(
+    _JSON, st.dictionaries(st.sampled_from(sorted(_VALID)) | st.text(), _JSON),
+))
+def test_from_dict_on_arbitrary_json(doc):
+    _check_from_dict(doc)
+
+
+@settings(deadline=None, max_examples=150)
+@given(value=st.just(_DELETE) | st.integers(-2, 2) | _SCALAR | _JSON)
+def test_from_dict_on_single_field_mutations(value):
+    for doc in _single_field_mutations(value):
+        _check_from_dict(doc)
 
 
 class TestSerialEngine:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, NetworkFaultError
+from repro.errors import ConfigurationError, ExecError, NetworkFaultError
 from repro.exec import SimJobSpec
 from repro.faults import (
     FaultPlan,
@@ -258,8 +258,10 @@ def test_fault_plan_from_dict_rejects_malformed_faults(faults, named):
     assert named in str(exc_info.value)
     spec = {"program": "matmul", "mode": "smimd", "n": 16, "p": 4,
             "fault_plan": {"faults": faults}}
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ExecError, match="^malformed job spec") as exc_info:
         SimJobSpec.from_dict(spec)
+    assert isinstance(exc_info.value.cause, ConfigurationError)
+    assert named in str(exc_info.value)
 
 
 def test_fault_plan_queries():

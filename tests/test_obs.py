@@ -13,7 +13,9 @@ Covered contracts:
   wait spans that the equivalent MIMD run provably lacks (the paper's
   whole point, visible on a timeline);
 * **opt-in invariance** — attaching a trace context changes neither
-  the job's content hash nor its payload.
+  the job's content hash nor its payload;
+* **process self-metrics** — the ``pasm_process_*`` family ``/metrics``
+  renders on each scrape is populated and its CPU counter never falls.
 """
 
 import io
@@ -38,7 +40,9 @@ from repro.obs import (
     span_event,
     validate_chrome_trace,
 )
+from repro.obs.procstats import ProcessStats
 from repro.obs.simtrace import tracing_job
+from repro.perf import MetricsRegistry
 
 
 # ---------------------------------------------------------------------------
@@ -336,3 +340,48 @@ class TestEngineTracing:
         cols = [c.strip() for c in header.split("|")]
         assert cols.index("dedup") == cols.index("resubmits") - 1
         assert stats.dedup == 2
+
+
+# ---------------------------------------------------------------------------
+# Process self-metrics (rendered on each /metrics scrape)
+# ---------------------------------------------------------------------------
+class FakeClock:
+    def __init__(self, now=1000.0):
+        self.now = now
+
+    def __call__(self):
+        return self.now
+
+    def advance(self, dt):
+        self.now += dt
+        return self.now
+
+
+class TestProcessStats:
+    def test_collect_populates_the_process_family(self):
+        registry = MetricsRegistry()
+        clock = FakeClock()
+        stats = ProcessStats(registry, clock=clock)
+        clock.advance(3.0)
+        stats.collect()
+        assert registry.value("pasm_process_resident_memory_bytes") > 0
+        assert registry.value("pasm_process_uptime_seconds") \
+            == pytest.approx(3.0)
+        assert registry.total("pasm_process_cpu_seconds_total") > 0
+
+    def test_cpu_counter_is_monotone_across_collections(self):
+        registry = MetricsRegistry()
+        stats = ProcessStats(registry)
+        stats.collect()
+        first = registry.total("pasm_process_cpu_seconds_total")
+        sum(i * i for i in range(50_000))  # burn a little CPU
+        stats.collect()
+        assert registry.total("pasm_process_cpu_seconds_total") >= first
+
+    def test_open_fds_reported_where_proc_exists(self):
+        import os
+
+        registry = MetricsRegistry()
+        ProcessStats(registry).collect()
+        if os.path.isdir("/proc/self/fd"):
+            assert registry.value("pasm_process_open_fds") > 0

@@ -71,7 +71,6 @@ CONSOLE_SCRIPT_MODULES = (
     "repro.tools.runner",
     "repro.serve.app",
     "repro.serve.router",
-    "repro.tools.top",
     "repro.tools.trace_cli",
 )
 

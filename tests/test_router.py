@@ -134,13 +134,16 @@ class TestRouteKey:
         assert route_key(bare) == exhibit_key("fig7", None)
 
     def test_malformed_bodies_route_stably(self):
-        bad = Request(method="POST", path="/v1/jobs", query={},
-                      headers={}, body=b"{not json")
-        assert route_key(bad) == route_key(bad)
+        bodies = [b"{not json", b"{other garbage",
+                  b'{"spec": "x"}', b'{"spec": [1, 2]}']
+        keys = []
+        for body in bodies:
+            bad = Request(method="POST", path="/v1/jobs", query={},
+                          headers={}, body=body)
+            assert route_key(bad) == route_key(bad), body
+            keys.append(route_key(bad))
         # ...and differently from other garbage.
-        other = Request(method="POST", path="/v1/jobs", query={},
-                        headers={}, body=b"{other garbage")
-        assert route_key(bad) != route_key(other)
+        assert len(set(keys)) == len(bodies)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +254,14 @@ class TestFleetEndToEnd:
         doc = direct.submit(spec, wait=True)
         assert doc["state"] == "done"
         assert doc["outcome"] == "cached"
+
+    def test_malformed_spec_is_the_instances_400(self):
+        client = self.client(max_retries=0)
+        for spec in ("x", [1, 2], 3):
+            reply = client.request("POST", "/v1/jobs", doc={"spec": spec})
+            assert reply.status == 400, spec
+            assert reply.json()["error"].startswith("malformed job spec")
+            assert reply.headers["x-pasm-instance"] in self.bases
 
     def test_correlation_survives_the_hop(self):
         client = self.client(trace=True)

@@ -336,6 +336,7 @@ class TestHttpService:
         assert doc["api"] == "v1"
         assert doc["pool_jobs"] == 2
         assert doc["cache"] is True
+        assert "alerts_firing" not in doc
 
     def test_served_payload_bit_identical_to_cli_engine(self, shared_client):
         spec = matmul_spec(ExecutionMode.SIMD, 16, 4, engine="macro")
@@ -389,10 +390,47 @@ class TestHttpService:
             assert "error" in reply.json()
 
     def test_unknown_routes_and_methods(self, shared_client):
-        assert shared_client.request("GET", "/v1/nope").status == 404
+        for path in ("/v1/nope", "/v1/timeseries", "/v1/alerts"):
+            assert shared_client.request("GET", path).status == 404, path
         assert shared_client.request("DELETE", "/healthz").status == 405
         assert shared_client.request(
             "GET", "/v1/jobs/deadbeef").status == 404
+
+
+# ---------------------------------------------------------------------------
+# Handler bugs must land inside the counted path: an exception escaping
+# a route handler becomes a 500 that shows up in requests_total, not an
+# uninstrumented socket write.
+class TestHandlerErrorsAreCounted:
+    def test_unhandled_exception_is_a_counted_500(self):
+        with ServerThread(ServeConfig(port=0, jobs=1)) as server:
+            async def boom(request, trace_id, request_id):
+                raise RuntimeError("handler bug")
+
+            server.app._route = boom
+            reply = ServeClient(port=server.port, max_retries=0) \
+                .request("GET", "/healthz")
+            assert reply.status == 500
+            body = reply.json()
+            assert "RuntimeError" in body["error"]
+            assert body["request_id"]
+            rendered = server.app.metrics.render()
+            assert 'pasm_serve_requests_total{method="GET"' in rendered
+            assert 'status="500"} 1' in rendered
+
+    def test_malformed_params_shape_is_a_400(self):
+        with ServerThread(ServeConfig(port=0, jobs=1)) as server:
+            client = ServeClient(port=server.port, max_retries=0)
+            spec = echo_spec("pairs").to_dict()
+            spec["params"] = [["action", "echo"], ["value", "pairs"]]
+            reply = client.request("POST", "/v1/jobs?wait=1&timeout=30",
+                                   doc={"spec": spec})
+            assert reply.status in (200, 202)
+            spec["params"] = [["action", "echo", "extra"]]
+            reply = client.request("POST", "/v1/jobs?wait=1&timeout=30",
+                                   doc={"spec": spec})
+            assert reply.status == 400
+            assert "malformed job spec" in reply.json()["error"]
 
 
 class TestBackpressureHttp:
