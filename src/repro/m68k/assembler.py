@@ -55,7 +55,7 @@ TIME_CATEGORIES = ("mult", "comm", "control", "sync", "other")
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):")
 _REG_RE = re.compile(r"^(D|A)([0-7])$", re.IGNORECASE)
 _INDEX_RE = re.compile(
-    r"^\(?A([0-7]),(D|A)([0-7])(?:\.[WL])?\)$", re.IGNORECASE
+    r"^\(?A([0-7]),(D|A)([0-7])(?:\.([WL]))?\)$", re.IGNORECASE
 )
 
 
@@ -201,6 +201,11 @@ class _Parser:
                 return Operand(Mode.PCDISP, disp=int(disp))
             idx = _INDEX_RE.match(inner + ")")
             if idx:
+                if (idx.group(4) or "W").upper() == "L":
+                    raise AssemblerError(
+                        f"long index register in {text!r}: only the word "
+                        "index (Xn.W) is supported", line_no
+                    )
                 base = int(idx.group(1))
                 kind = idx.group(2).upper()
                 num = int(idx.group(3))
@@ -290,6 +295,31 @@ def _strip_comment(line: str) -> str:
             break
         out.append(ch)
     return "".join(out).rstrip()
+
+
+#: The range each extension field of a resolved operand can hold.
+_FIELDS = {
+    Mode.INDEX: ("disp", -0x80, 0x7F),
+    Mode.DISP: ("disp", -0x8000, 0x7FFF),
+    Mode.PCDISP: ("disp", -0x8000, 0x7FFF),
+    Mode.ABS_W: ("value", -0x8000, 0xFFFF),
+}
+
+
+def _check_fields(instr: Instruction) -> None:
+    """Reject a displacement or absolute-short address that does not fit
+    its extension field (it would wrap to another address)."""
+    for op in instr.operands:
+        field = _FIELDS.get(op.mode)
+        if field is None:
+            continue
+        name, lo, hi = field
+        value = getattr(op, name)
+        if not lo <= value <= hi:
+            raise AssemblerError(
+                f"{op.mode.value} field {value} out of range {lo}..{hi} "
+                f"in {op}", instr.line_no
+            )
 
 
 def _check(instr: Instruction) -> None:
@@ -506,6 +536,7 @@ def assemble(
         if new_ops != instr.operands:
             instr.operands = new_ops
             _check(instr)  # values only a resolved symbol reveals
+        _check_fields(instr)
         if isinstance(instr.target, str):
             instr.target = int(
                 parser.eval_expr(instr.target, instr.line_no, allow_unresolved=False)

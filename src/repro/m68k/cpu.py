@@ -46,6 +46,16 @@ lockstep SIMD-space fetch) and ``chain_bounds``, the main-RAM range in
 which the CPU replays straight-line runs as pre-decoded superinstruction
 chains, reading the bus's ``instructions`` and ``map``.
 
+Every instruction is compiled, the first time it is resolved, into one
+*handler*: a closure over everything the instruction fixes at assembly
+time (operand registers, displacements and addresses, size masks, branch
+targets and its TimingInfo variants), called as ``handler(cpu, pc,
+next_pc)``.  A handler returns the instruction's TimingInfo, or a
+generator that the run loop drives to it: the rest of the instruction
+from the first access a fast twin refused (a *slow continuation*), or the
+whole of a rarely executed instruction.  Every effective address follows
+one rule, :func:`_ea`.
+
 The interpreter computes results *and* the manual timing
 (:func:`~repro.m68k.timing.instruction_timing`) for every executed
 instruction, charging ``internal_cycles`` so the total elapsed simulated
@@ -60,7 +70,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.errors import BusError, IllegalInstructionError, SimulationError
-from repro.m68k.addressing import Mode, Operand
+from repro.m68k.addressing import Mode, Operand, extension_words
 from repro.m68k.instructions import (
     ALU_ADDR,
     ALU_ALL,
@@ -81,25 +91,13 @@ from repro.m68k.registers import RegisterFile
 from repro.m68k.timing import TimingInfo, instruction_timing, mul_timings
 from repro.utils.bitops import sign_extend, to_signed, to_unsigned
 
-
-def _static_timing(instr: Instruction) -> TimingInfo:
-    """Static-instruction timing via the per-instruction cache.
-
-    Equivalent to ``instruction_timing(instr)`` for instructions whose
-    timing has no dynamic arguments; skips the function call and dispatch
-    once the cache is warm.
-    """
-    t = instr._static_timing_cache
-    return t if t is not None else instruction_timing(instr)
-
-
 _M32 = 0xFFFF_FFFF
 _MASK = {1: 0xFF, 2: 0xFFFF, 4: _M32}
 _SIGN = {1: 0x80, 2: 0x8000, 4: 0x8000_0000}
 
 
-# ALU results and flags on size-masked operands, for the generic and the
-# compiled handlers alike.  Each returns the value to store, or None for
+# ALU results and flags on size-masked operands ``a`` (the destination)
+# and ``b`` (the source).  Each returns the value to store, or None for
 # the compare family.
 def _alu_add(ccr, a, b, mask, sign):
     r = a + b
@@ -153,8 +151,116 @@ def _alu_eor(ccr, a, b, mask, sign):
     return res
 
 
+# ADDX/SUBX add in or subtract X, and only ever clear Z, so a
+# multi-precision chain's Z tests the whole of its result.
+def _alu_addx(ccr, a, b, mask, sign):
+    r = a + b + ccr.x
+    res = r & mask
+    ccr.x = ccr.c = r > mask
+    ccr.n = res >= sign
+    if res:
+        ccr.z = False
+    ccr.v = ((a ^ b) & sign) == 0 and ((a ^ res) & sign) != 0
+    return res
+
+
+def _alu_subx(ccr, a, b, mask, sign):
+    x = ccr.x
+    res = (a - b - x) & mask
+    ccr.x = ccr.c = b + x > a
+    ccr.n = res >= sign
+    if res:
+        ccr.z = False
+    ccr.v = ((a ^ b) & sign) != 0 and ((a ^ res) & sign) != 0
+    return res
+
+
 _ALU_OPS = {"ADD": _alu_add, "SUB": _alu_sub, "CMP": _alu_cmp,
-            "AND": _alu_and, "OR": _alu_or, "EOR": _alu_eor}
+            "AND": _alu_and, "OR": _alu_or, "EOR": _alu_eor,
+            "ADDX": _alu_addx, "SUBX": _alu_subx}
+
+
+def _alu_tas(ccr, v, mask, sign):
+    _alu_cmp(ccr, v, 0, mask, sign)  # the flags test the old byte
+    return v | 0x80
+
+
+#: The unary family as ALU operations on its operand ``v``.
+_UNARY_OPS = {
+    "CLR": lambda ccr, v, mask, sign: _alu_and(ccr, v, 0, mask, sign),
+    "NOT": lambda ccr, v, mask, sign: _alu_eor(ccr, v, mask, mask, sign),
+    "NEG": lambda ccr, v, mask, sign: _alu_sub(ccr, 0, v, mask, sign),
+    "NEGX": lambda ccr, v, mask, sign: _alu_subx(ccr, 0, v, mask, sign),
+    "TST": lambda ccr, v, mask, sign: _alu_cmp(ccr, v, 0, mask, sign),
+    "TAS": _alu_tas,
+}
+
+#: The bit ops' new value from the old one and the bit (BTST: none).
+_BIT_CHANGES = {"BTST": None, "BSET": int.__or__,
+                "BCLR": lambda v, bit: v & ~bit, "BCHG": int.__xor__}
+
+
+# Shifts and rotates by 1..63 of a size-masked ``v`` of ``bits`` bits:
+# each sets C and (except ROL/ROR) X, ASL also V, and returns the result.
+def _lsl(ccr, v, k, bits, mask):
+    ccr.x = ccr.c = k <= bits and (v >> (bits - k)) & 1 == 1
+    return (v << k) & mask
+
+
+def _lsr(ccr, v, k, bits, mask):
+    ccr.x = ccr.c = k <= bits and (v >> (k - 1)) & 1 == 1
+    return v >> k
+
+
+def _asl(ccr, v, k, bits, mask):
+    if k < bits:  # V: the bits shifted through the sign were not all equal
+        top = v >> (bits - 1 - k)
+        ccr.v = top != 0 and top != (2 << k) - 1
+    else:
+        ccr.v = v != 0
+    return _lsl(ccr, v, k, bits, mask)
+
+
+def _asr(ccr, v, k, bits, mask):
+    if v >> (bits - 1):
+        v |= ~mask  # negative: Python's >> then shifts the sign in
+    ccr.x = ccr.c = (v >> (k - 1)) & 1 == 1
+    return (v >> k) & mask
+
+
+def _rol(ccr, v, k, bits, mask):
+    n = k % bits
+    res = ((v << n) | (v >> (bits - n))) & mask
+    ccr.c = res & 1 == 1
+    return res
+
+
+def _ror(ccr, v, k, bits, mask):
+    n = k % bits
+    res = ((v >> n) | (v << (bits - n))) & mask
+    ccr.c = res >> (bits - 1) == 1
+    return res
+
+
+# ROXL/ROXR rotate the bits + 1 bits of X above the operand.
+def _roxl(ccr, v, k, bits, mask):
+    n = k % (bits + 1)
+    w = ccr.x << bits | v
+    w = (w << n | w >> (bits + 1 - n)) & (mask << 1 | 1)
+    ccr.x = ccr.c = w >> bits == 1
+    return w & mask
+
+
+def _roxr(ccr, v, k, bits, mask):
+    n = k % (bits + 1)
+    w = ccr.x << bits | v
+    w = (w >> n | w << (bits + 1 - n)) & (mask << 1 | 1)
+    ccr.x = ccr.c = w >> bits == 1
+    return w & mask
+
+
+_SHIFT_OPS = {"LSL": _lsl, "LSR": _lsr, "ASL": _asl, "ASR": _asr,
+              "ROL": _rol, "ROR": _ror, "ROXL": _roxl, "ROXR": _roxr}
 
 
 class HaltReason(enum.Enum):
@@ -207,10 +313,6 @@ class CPU:
         self._bus_try_read = getattr(bus, "try_read", None)
         self._bus_try_write = getattr(bus, "try_write", None)
         self._bus_now = self._bus_sync is not None
-        #: Address computed by ``_read_operand_now``/``_write_operand_now``
-        #: when the fast twin refused; the caller replays the access through
-        #: the generator protocol without re-running EA side effects.
-        self._pending_addr = 0
         self.regs = RegisterFile()
         self.halted: HaltReason | None = None
         self.instruction_count = 0
@@ -277,7 +379,7 @@ class CPU:
                 if chain:
                     # -- chain replay: same arithmetic as the per-
                     # instruction path below, minus fetch and lookup ----
-                    for pc, instr, w, base, npc, k, h, cat in chain:
+                    for pc, instr, w, base, npc, h, cat in chain:
                         start = env.now + bus._local
                         cycles = base
                         if ref_steal:
@@ -288,12 +390,9 @@ class CPU:
                         bus._lc = cycles
                         bus.stream_accesses += w
                         self.regs.pc = npc
-                        if k:
-                            timing = h(self, instr, pc, npc)
-                            if k == 2 and type(timing) is not TimingInfo:
-                                timing = yield from timing
-                        else:
-                            timing = yield from h(self, instr, pc, npc)
+                        timing = h(self, pc, npc)
+                        if type(timing) is not TimingInfo:
+                            timing = yield from timing
                         extra_stream = timing.stream_words - w
                         if extra_stream > 0:
                             ts(self.regs.pc, extra_stream)
@@ -340,17 +439,12 @@ class CPU:
             next_pc = pc + 2 * w
             self.regs.pc = next_pc  # may be overridden by control flow
 
-            hc = instr._exec_handler_cache
-            if hc is None:
-                hc = _resolve_handler(instr)
-                instr._exec_handler_cache = hc
-            k = hc[0]
-            if k:
-                timing = hc[1](self, instr, pc, next_pc)
-                if k == 2 and type(timing) is not TimingInfo:
-                    timing = yield from timing
-            else:
-                timing = yield from hc[1](self, instr, pc, next_pc)
+            h = instr._exec_handler_cache
+            if h is None:
+                h = instr._exec_handler_cache = _resolve_handler(instr)
+            timing = h(self, pc, next_pc)
+            if type(timing) is not TimingInfo:
+                timing = yield from timing
 
             extra_stream = timing.stream_words - w
             if extra_stream > 0:
@@ -399,10 +493,10 @@ class CPU:
         """Decode the straight-line main-RAM run starting at ``pc``.
 
         Returns pre-resolved ``(pc, instr, words, fetch_base, next_pc,
-        kind, handler, timecat)`` entries for every consecutive
-        instruction up to (exclusive) the first control-flow instruction,
-        HALT, or non-main-RAM address; empty when ``pc`` itself is not
-        chainable (the caller then takes the per-instruction path).
+        handler, timecat)`` entries for every consecutive instruction up
+        to (exclusive) the first control-flow instruction, HALT, or
+        non-main-RAM address; empty when ``pc`` itself is not chainable
+        (the caller then takes the per-instruction path).
         ``fetch_base`` is the refresh-free fetch charge — the replay adds
         the closed-form refresh stall, which depends on absolute time.
         """
@@ -425,908 +519,34 @@ class CPU:
             w = instr._encoded_words_cache
             if w is None:
                 w = instr.encoded_words()
-            hc = instr._exec_handler_cache
-            if hc is None:
-                hc = _resolve_handler(instr)
-                instr._exec_handler_cache = hc
+            h = instr._exec_handler_cache
+            if h is None:
+                h = instr._exec_handler_cache = _resolve_handler(instr)
             next_pc = pc + 2 * w
             entries.append(
-                (pc, instr, w, w * (4 + region.wait_states), next_pc,
-                 hc[0], hc[1], instr.timecat)
+                (pc, instr, w, w * (4 + region.wait_states), next_pc, h,
+                 instr.timecat)
             )
             pc = next_pc
         return entries
 
-    # ------------------------------------------------------------------
-    # effective addresses and operand access
-    def _ea_address(self, op: Operand, size: int, instr_addr: int) -> int:
-        """Compute the operand address, applying side effects once."""
-        mode = op.mode
-        r = self.regs
-        if mode is Mode.IND:
-            return r.a[op.reg]
-        if mode is Mode.POSTINC:
-            addr = r.a[op.reg]
-            step = size
-            if op.reg == 7 and size == 1:
-                step = 2  # A7 stays word-aligned on the 68000
-            r.a[op.reg] = (addr + step) & 0xFFFF_FFFF
-            return addr
-        if mode is Mode.PREDEC:
-            step = size
-            if op.reg == 7 and size == 1:
-                step = 2
-            r.a[op.reg] = (r.a[op.reg] - step) & 0xFFFF_FFFF
-            return r.a[op.reg]
-        if mode is Mode.DISP:
-            return (r.a[op.reg] + sign_extend(op.disp, 16)) & 0xFFFF_FFFF
-        if mode is Mode.INDEX:
-            kind, num = op.index_reg
-            idx = r.d[num] if kind == "D" else r.a[num]
-            idx = sign_extend(idx, 16)  # .W index form
-            return (r.a[op.reg] + sign_extend(op.disp, 8) + idx) & 0xFFFF_FFFF
-        if mode is Mode.ABS_W:
-            return sign_extend(int(op.value), 16) & 0xFFFF_FFFF
-        if mode is Mode.ABS_L:
-            return int(op.value) & 0xFFFF_FFFF
-        if mode is Mode.PCDISP:
-            return (instr_addr + 2 + sign_extend(op.disp, 16)) & 0xFFFF_FFFF
-        raise IllegalInstructionError(f"no address for mode {mode}")
-
-    def _read_operand_now(self, op: Operand, size: int, instr_addr: int):
-        """Operand value (unsigned) without a generator, or ``None``.
-
-        ``None`` means the access may block: the EA (side effects applied
-        exactly once) is parked in ``_pending_addr`` and the caller must
-        replay ``bus.read(self._pending_addr, size)`` through the
-        generator protocol.  Register/immediate operands never block.
-        """
-        mode = op.mode
-        if mode is Mode.DREG:
-            return self.regs.read_d(op.reg, size)
-        if mode is Mode.AREG:
-            return self.regs.read_a(op.reg, size)
-        if mode is Mode.IMM:
-            return to_unsigned(int(op.value), size)
-        # The three hottest memory modes are inlined (same arithmetic and
-        # side effects as _ea_address; keep them in sync).
-        if mode is Mode.IND:
-            addr = self.regs.a[op.reg]
-        elif mode is Mode.POSTINC:
-            regs = self.regs
-            addr = regs.a[op.reg]
-            step = size
-            if op.reg == 7 and size == 1:
-                step = 2  # A7 stays word-aligned on the 68000
-            regs.a[op.reg] = (addr + step) & 0xFFFF_FFFF
-        elif mode is Mode.DISP:
-            d = op.disp & 0xFFFF
-            if d & 0x8000:
-                d -= 0x10000
-            addr = (self.regs.a[op.reg] + d) & 0xFFFF_FFFF
-        else:
-            addr = self._ea_address(op, size, instr_addr)
+    # -- operand access for the generator handlers ----------------------
+    def _load(self, addr: int, size: int):
+        """Generator: the ``size``-byte value at ``addr``, through the
+        fast twin when it serves the access."""
         tr = self._bus_try_read
-        if tr is not None:
-            value = tr(addr, size)
-            if value is not None:
-                # Fast twins serve plain RAM only: already unsigned.
-                return value
-        self._pending_addr = addr
-        return None
-
-    def _write_operand_now(
-        self, op: Operand, value: int, size: int, instr_addr: int
-    ) -> bool:
-        """Write ``value`` to the operand without a generator, if possible.
-
-        Returns False when the access may block (EA parked in
-        ``_pending_addr``; caller replays through ``bus.write``).
-        """
-        mode = op.mode
-        if mode is Mode.DREG:
-            self.regs.write_d(op.reg, value, size)
-            return True
-        if mode is Mode.AREG:
-            self.regs.write_a(op.reg, value, size)
-            return True
-        # Hot memory modes inlined; see _read_operand_now.
-        if mode is Mode.IND:
-            addr = self.regs.a[op.reg]
-        elif mode is Mode.POSTINC:
-            regs = self.regs
-            addr = regs.a[op.reg]
-            step = size
-            if op.reg == 7 and size == 1:
-                step = 2  # A7 stays word-aligned on the 68000
-            regs.a[op.reg] = (addr + step) & 0xFFFF_FFFF
-        elif mode is Mode.DISP:
-            d = op.disp & 0xFFFF
-            if d & 0x8000:
-                d -= 0x10000
-            addr = (self.regs.a[op.reg] + d) & 0xFFFF_FFFF
-        else:
-            addr = self._ea_address(op, size, instr_addr)
-        tw = self._bus_try_write
-        if tw is not None and tw(addr, to_unsigned(value, size), size):
-            return True
-        self._pending_addr = addr
-        return False
-
-    def _read_operand(self, op: Operand, size: int, instr_addr: int):
-        """Generator: operand value (unsigned), charging bus time."""
-        value = self._read_operand_now(op, size, instr_addr)
+        value = tr(addr, size) if tr is not None else None
         if value is None:
-            value = yield from self.bus.read(self._pending_addr, size)
-            value = to_unsigned(value, size)
+            value = (yield from self.bus.read(addr, size)) & _MASK[size]
         return value
 
-    def _write_operand(self, op: Operand, value: int, size: int, instr_addr: int):
-        """Generator: write ``value`` to the operand location."""
-        if not self._write_operand_now(op, value, size, instr_addr):
-            yield from self.bus.write(
-                self._pending_addr, to_unsigned(value, size), size
-            )
-
-    def _pending_read(self, size: int):
-        """Generator: replay a refused operand read at ``_pending_addr``."""
-        value = yield from self.bus.read(self._pending_addr, size)
-        return to_unsigned(value, size)
-
-    def _try_read(self, addr: int, size: int):
-        """Fast-twin read: the value, or None to fall back to bus.read."""
-        tr = self._bus_try_read
-        return tr(addr, size) if tr is not None else None
-
-    def _try_write(self, addr: int, value: int, size: int) -> bool:
-        """Fast-twin write: True when done, False to fall back."""
+    def _store(self, addr: int, value: int, size: int):
+        """Generator: write ``value`` at ``addr``, through the fast twin
+        when it serves the access."""
         tw = self._bus_try_write
-        return tw is not None and tw(addr, value, size)
+        if tw is None or not tw(addr, value, size):
+            yield from self.bus.write(addr, value, size)
 
-    # -- synchronous handlers ------------------------------------------
-    # Plain calls for instructions the resolver proved bus-free (all
-    # operands in registers or the instruction stream): no generator is
-    # created for them.  Semantics are byte-for-byte those of the
-    # generator handlers below restricted to register/immediate operands.
-    # The hottest families (MOVE, ALU, MUL/DIV, DBcc, shifts) are compiled
-    # instead; see "Compiled handlers" below the class.
-    def _exec_branch(self, instr, pc, next_pc):
-        target = int(instr.target)
-        taken = True if instr.mnemonic == "BRA" \
-            else self.regs.ccr.test(instr.condition)
-        if taken:
-            self.regs.pc = target
-        return instruction_timing(instr, branch_taken=taken)
-
-    def _exec_unary_reg(self, instr, pc, next_pc):
-        m = instr.mnemonic
-        size = instr.size_bytes
-        dst = instr.operands[0]
-        regs = self.regs
-        if m == "TST":
-            if dst.mode is Mode.DREG:
-                value = regs.read_d(dst.reg, size)
-            elif dst.mode is Mode.AREG:
-                value = regs.read_a(dst.reg, size)
-            else:  # IMM
-                value = to_unsigned(int(dst.value), size)
-            regs.ccr.set_nz(value, size)
-            return _static_timing(instr)
-        # read-modify-write on a data register
-        old = regs.read_d(dst.reg, size)
-        new, _flags_from = self._unary_result(m, old, size)
-        regs.write_d(dst.reg, new, size)
-        self._unary_flags(m, old, new, size)
-        return _static_timing(instr)
-
-    def _exec_halt(self, instr, pc, next_pc):
-        self.halted = HaltReason.HALT_INSTRUCTION
-        return _static_timing(instr)
-
-    def _exec_nop(self, instr, pc, next_pc):
-        return _static_timing(instr)
-
-    def _exec_moveq(self, instr, pc, next_pc):
-        ops = instr.operands
-        value = to_signed(int(ops[0].value) & 0xFF, 1)
-        self.regs.write_d(ops[1].reg, value & 0xFFFF_FFFF, 4)
-        self.regs.ccr.set_nz(value & 0xFFFF_FFFF, 4)
-        return _static_timing(instr)
-
-    def _exec_lea(self, instr, pc, next_pc):
-        ops = instr.operands
-        addr = self._ea_address(ops[0], 4, pc)
-        self.regs.write_a(ops[1].reg, addr, 4)
-        return _static_timing(instr)
-
-    def _exec_exg(self, instr, pc, next_pc):
-        a, b = instr.operands
-        va = self.regs.d[a.reg] if a.mode is Mode.DREG else self.regs.a[a.reg]
-        vb = self.regs.d[b.reg] if b.mode is Mode.DREG else self.regs.a[b.reg]
-        if a.mode is Mode.DREG:
-            self.regs.d[a.reg] = vb
-        else:
-            self.regs.a[a.reg] = vb
-        if b.mode is Mode.DREG:
-            self.regs.d[b.reg] = va
-        else:
-            self.regs.a[b.reg] = va
-        return _static_timing(instr)
-
-    def _exec_swap(self, instr, pc, next_pc):
-        r = instr.operands[0].reg
-        v = self.regs.d[r]
-        v = ((v >> 16) | (v << 16)) & 0xFFFF_FFFF
-        self.regs.d[r] = v
-        self.regs.ccr.set_nz(v, 4)
-        return _static_timing(instr)
-
-    def _exec_ext(self, instr, pc, next_pc):
-        r = instr.operands[0].reg
-        if instr.size_bytes == 2:  # byte → word
-            self.regs.write_d(r, sign_extend(self.regs.read_d(r, 1), 8), 2)
-            self.regs.ccr.set_nz(self.regs.read_d(r, 2), 2)
-        else:  # word → long
-            self.regs.write_d(r, sign_extend(self.regs.read_d(r, 2), 16), 4)
-            self.regs.ccr.set_nz(self.regs.read_d(r, 4), 4)
-        return _static_timing(instr)
-
-    def _exec_jmp(self, instr, pc, next_pc):
-        self.regs.pc = self._ea_address(instr.operands[0], 4, pc)
-        return _static_timing(instr)
-
-    def _exec_scc_reg(self, instr, pc, next_pc):
-        taken = self.regs.ccr.test(instr.condition)
-        self.regs.write_d(instr.operands[0].reg, 0xFF if taken else 0x00, 1)
-        return instruction_timing(instr, branch_taken=taken)
-
-    def _exec_bitop_reg(self, instr, pc, next_pc):
-        m = instr.mnemonic
-        bit_src, dst = instr.operands
-        if bit_src.mode is Mode.IMM:
-            bit = int(bit_src.value)
-        else:
-            bit = self.regs.read_d(bit_src.reg, 4)
-        bit %= 32
-        old = self.regs.read_d(dst.reg, 4)
-        mask = 1 << bit
-        self.regs.ccr.z = not (old & mask)
-        if m == "BSET":
-            self.regs.write_d(dst.reg, old | mask, 4)
-        elif m == "BCLR":
-            self.regs.write_d(dst.reg, old & ~mask, 4)
-        elif m == "BCHG":
-            self.regs.write_d(dst.reg, old ^ mask, 4)
-        return _static_timing(instr)
-
-    def _exec_addx_reg(self, instr, pc, next_pc):
-        src, dst = instr.operands
-        size = instr.size_bytes
-        x_in = int(self.regs.ccr.x)
-        src_val = self.regs.read_d(src.reg, size)
-        dst_val = self.regs.read_d(dst.reg, size)
-        r = self._addx_core(instr.mnemonic, src_val, dst_val, x_in, size)
-        self.regs.write_d(dst.reg, r, size)
-        return _static_timing(instr)
-
-    # -- shared result/flag cores (no bus traffic) ---------------------
-    def _muldiv_core(self, m: str, src_val: int, dst) -> None:
-        regs = self.regs
-        ccr = regs.ccr
-        if m == "MULU":
-            result = src_val * regs.read_d(dst.reg, 2)
-            regs.write_d(dst.reg, result & 0xFFFF_FFFF, 4)
-            ccr.set_nz(result & 0xFFFF_FFFF, 4)
-        elif m == "MULS":
-            result = to_signed(src_val, 2) * to_signed(regs.read_d(dst.reg, 2), 2)
-            regs.write_d(dst.reg, result & 0xFFFF_FFFF, 4)
-            ccr.set_nz(result & 0xFFFF_FFFF, 4)
-        elif m == "DIVU":
-            divisor = src_val
-            if divisor == 0:
-                raise IllegalInstructionError(f"{self.name}: divide by zero")
-            dividend = regs.read_d(dst.reg, 4)
-            quot, rem = divmod(dividend, divisor)
-            if quot > 0xFFFF:
-                ccr.v = True  # overflow: register unchanged
-            else:
-                regs.write_d(dst.reg, (rem << 16) | quot, 4)
-                ccr.set_nz(quot, 2)
-        else:  # DIVS
-            divisor = to_signed(src_val, 2)
-            if divisor == 0:
-                raise IllegalInstructionError(f"{self.name}: divide by zero")
-            dividend = to_signed(regs.read_d(dst.reg, 4), 4)
-            quot = int(dividend / divisor)  # trunc toward zero
-            rem = dividend - quot * divisor
-            if not -0x8000 <= quot <= 0x7FFF:
-                ccr.v = True
-            else:
-                regs.write_d(
-                    dst.reg,
-                    ((to_unsigned(rem, 2)) << 16) | to_unsigned(quot, 2),
-                    4,
-                )
-                ccr.set_nz(to_unsigned(quot, 2), 2)
-
-    def _addx_core(self, m: str, src_val: int, dst_val: int, x_in: int,
-                   size: int) -> int:
-        """ADDX/SUBX arithmetic + flags; returns the unsigned result."""
-        ccr = self.regs.ccr
-        if m == "ADDX":
-            result = dst_val + src_val + x_in
-            self._add_flags(dst_val, src_val + x_in, result, size)
-        else:
-            result = dst_val - src_val - x_in
-            borrow = (src_val + x_in) > dst_val
-            bits = size * 8
-            r = result & ((1 << bits) - 1)
-            ccr.n = bool(r >> (bits - 1))
-            ccr.c = ccr.x = borrow
-            sa, sb = dst_val >> (bits - 1), src_val >> (bits - 1)
-            ccr.v = (sa != sb) and ((r >> (bits - 1)) != sa)
-        r = to_unsigned(result, size)
-        # Z accumulates across a multi-precision chain: only cleared.
-        if r != 0:
-            ccr.z = False
-        return r
-
-    # -- hybrid handlers -----------------------------------------------
-    # Plain calls that return a TimingInfo when every bus access was
-    # absorbed by the fast twins, or a *generator* (the ``_slow``
-    # continuation) the caller must drive when an access may block.  EA
-    # side effects have already been applied exactly once by then.
-    def _exec_move_mem(self, instr, pc, next_pc):
-        src, dst = instr.operands
-        size = instr.size_bytes
-        value = self._read_operand_now(src, size, pc)
-        if value is None:
-            return self._move_load_slow(instr, pc)
-        if instr.mnemonic == "MOVEA" or dst.mode is Mode.AREG:
-            self.regs.write_a(dst.reg, value, size)
-            return _static_timing(instr)
-        if self._write_operand_now(dst, value, size, pc):
-            self.regs.ccr.set_nz(value, size)
-            return _static_timing(instr)
-        return self._move_store_slow(instr, value)
-
-    def _move_load_slow(self, instr, pc):
-        """Generator: MOVE whose source read was refused by the fast twin."""
-        size = instr.size_bytes
-        value = yield from self._pending_read(size)
-        dst = instr.operands[1]
-        if instr.mnemonic == "MOVEA" or dst.mode is Mode.AREG:
-            self.regs.write_a(dst.reg, value, size)
-        else:
-            if not self._write_operand_now(dst, value, size, pc):
-                yield from self.bus.write(
-                    self._pending_addr, to_unsigned(value, size), size
-                )
-            self.regs.ccr.set_nz(value, size)
-        return _static_timing(instr)
-
-    def _move_store_slow(self, instr, value):
-        """Generator: MOVE whose destination write was refused."""
-        size = instr.size_bytes
-        yield from self.bus.write(
-            self._pending_addr, to_unsigned(value, size), size
-        )
-        self.regs.ccr.set_nz(value, size)
-        return _static_timing(instr)
-
-    def _exec_bsr(self, instr, pc, next_pc):
-        self.regs.sp = (self.regs.sp - 4) & 0xFFFF_FFFF
-        if not self._try_write(self.regs.sp, next_pc, 4):
-            yield from self.bus.write(self.regs.sp, next_pc, 4)
-        self.regs.pc = int(instr.target)
-        return _static_timing(instr)
-
-    def _exec_muldiv_mem(self, instr, pc, next_pc):
-        src, dst = instr.operands
-        src_val = self._read_operand_now(src, 2, pc)
-        if src_val is None:
-            return self._muldiv_slow(instr)
-        self._muldiv_core(instr.mnemonic, src_val, dst)
-        return instruction_timing(instr, src_value=src_val)
-
-    def _muldiv_slow(self, instr):
-        """Generator: MUL/DIV whose source read was refused."""
-        src_val = yield from self._pending_read(2)
-        self._muldiv_core(instr.mnemonic, src_val, instr.operands[1])
-        return instruction_timing(instr, src_value=src_val)
-
-    def _exec_unary_mem(self, instr, pc, next_pc):
-        m = instr.mnemonic
-        size = instr.size_bytes
-        dst = instr.operands[0]
-        if m == "TST":
-            value = self._read_operand_now(dst, size, pc)
-            if value is None:
-                return self._tst_slow(instr)
-            self.regs.ccr.set_nz(value, size)
-            return _static_timing(instr)
-        # read-modify-write (the 68000 reads even for CLR)
-        addr = self._ea_address(dst, size, pc)
-        old = self._try_read(addr, size)
-        if old is None:
-            return self._unary_rmw_slow(instr, addr)
-        new, _flags_from = self._unary_result(m, old, size)
-        if not self._try_write(addr, new, size):
-            return self._unary_store_slow(instr, addr, old, new)
-        self._unary_flags(m, old, new, size)
-        return _static_timing(instr)
-
-    def _tst_slow(self, instr):
-        """Generator: TST whose operand read was refused."""
-        size = instr.size_bytes
-        value = yield from self._pending_read(size)
-        self.regs.ccr.set_nz(value, size)
-        return _static_timing(instr)
-
-    def _unary_rmw_slow(self, instr, addr):
-        """Generator: unary read-modify-write whose read was refused."""
-        m = instr.mnemonic
-        size = instr.size_bytes
-        old = yield from self.bus.read(addr, size)
-        new, _flags_from = self._unary_result(m, old, size)
-        if not self._try_write(addr, new, size):
-            yield from self.bus.write(addr, new, size)
-        self._unary_flags(m, old, new, size)
-        return _static_timing(instr)
-
-    def _unary_store_slow(self, instr, addr, old, new):
-        """Generator: unary read-modify-write whose write-back was refused."""
-        size = instr.size_bytes
-        yield from self.bus.write(addr, new, size)
-        self._unary_flags(instr.mnemonic, old, new, size)
-        return _static_timing(instr)
-
-    def _exec_jsr(self, instr, pc, next_pc):
-        addr = self._ea_address(instr.operands[0], 4, pc)
-        self.regs.sp = (self.regs.sp - 4) & 0xFFFF_FFFF
-        if not self._try_write(self.regs.sp, next_pc, 4):
-            yield from self.bus.write(self.regs.sp, next_pc, 4)
-        self.regs.pc = addr
-        return _static_timing(instr)
-
-    def _exec_rts(self, instr, pc, next_pc):
-        addr = self._try_read(self.regs.sp, 4)
-        if addr is None:
-            addr = yield from self.bus.read(self.regs.sp, 4)
-        self.regs.sp = (self.regs.sp + 4) & 0xFFFF_FFFF
-        self.regs.pc = addr & 0xFFFF_FFFF
-        return _static_timing(instr)
-
-    def _exec_pea(self, instr, pc, next_pc):
-        addr = self._ea_address(instr.operands[0], 4, pc)
-        self.regs.sp = (self.regs.sp - 4) & 0xFFFF_FFFF
-        if not self._try_write(self.regs.sp, addr, 4):
-            yield from self.bus.write(self.regs.sp, addr, 4)
-        return _static_timing(instr)
-
-    def _exec_link(self, instr, pc, next_pc):
-        an, disp = instr.operands
-        self.regs.sp = (self.regs.sp - 4) & 0xFFFF_FFFF
-        if not self._try_write(self.regs.sp, self.regs.a[an.reg], 4):
-            yield from self.bus.write(self.regs.sp, self.regs.a[an.reg], 4)
-        self.regs.a[an.reg] = self.regs.sp
-        self.regs.sp = (self.regs.sp + to_signed(int(disp.value), 2)) \
-            & 0xFFFF_FFFF
-        return _static_timing(instr)
-
-    def _exec_unlk(self, instr, pc, next_pc):
-        an = instr.operands[0].reg
-        self.regs.sp = self.regs.a[an]
-        value = self._try_read(self.regs.sp, 4)
-        if value is None:
-            value = yield from self.bus.read(self.regs.sp, 4)
-        self.regs.a[an] = value
-        self.regs.sp = (self.regs.sp + 4) & 0xFFFF_FFFF
-        return _static_timing(instr)
-
-    def _exec_cmpm(self, instr, pc, next_pc):
-        ops = instr.operands
-        size = instr.size_bytes
-        src_val = self._read_operand_now(ops[0], size, pc)
-        if src_val is None:
-            src_val = yield from self._pending_read(size)
-        dst_val = self._read_operand_now(ops[1], size, pc)
-        if dst_val is None:
-            dst_val = yield from self._pending_read(size)
-        _alu_cmp(self.regs.ccr, dst_val, src_val, _MASK[size], _SIGN[size])
-        return _static_timing(instr)
-
-    def _exec_scc_mem(self, instr, pc, next_pc):
-        taken = self.regs.ccr.test(instr.condition)
-        value = 0xFF if taken else 0x00
-        addr = self._ea_address(instr.operands[0], 1, pc)
-        # read-modify-write like the hardware
-        if self._try_read(addr, 1) is None:
-            yield from self.bus.read(addr, 1)
-        if not self._try_write(addr, value, 1):
-            yield from self.bus.write(addr, value, 1)
-        return instruction_timing(instr, branch_taken=taken)
-
-    def _exec_illegal(self, instr, pc, next_pc):
-        raise IllegalInstructionError(
-            f"{self.name}: cannot execute {instr.mnemonic}"
-        )
-        yield  # pragma: no cover — registered as a generator handler
-
-    # ------------------------------------------------------------------
-    def _addx_subx(self, instr, pc, next_pc):
-        """ADDX/SUBX -(Ay),-(Ax): multi-precision through memory.
-
-        The register form is handled synchronously by
-        :meth:`_exec_addx_reg`.
-        """
-        m = instr.mnemonic
-        size = instr.size_bytes
-        src, dst = instr.operands
-        x_in = int(self.regs.ccr.x)
-        src_addr = self._ea_address(src, size, pc)
-        src_val = self._try_read(src_addr, size)
-        if src_val is None:
-            src_val = yield from self.bus.read(src_addr, size)
-        dst_addr = self._ea_address(dst, size, pc)
-        dst_val = self._try_read(dst_addr, size)
-        if dst_val is None:
-            dst_val = yield from self.bus.read(dst_addr, size)
-        r = self._addx_core(m, src_val, dst_val, x_in, size)
-        if not self._try_write(dst_addr, r, size):
-            yield from self.bus.write(dst_addr, r, size)
-        return _static_timing(instr)
-
-    def _exec_bitop_mem(self, instr, pc, next_pc):
-        """BTST/BSET/BCLR/BCHG on memory: Z is the tested (pre-change) bit.
-
-        The data-register form is handled synchronously by
-        :meth:`_exec_bitop_reg`.
-        """
-        m = instr.mnemonic
-        bit_src, dst = instr.operands
-        if bit_src.mode is Mode.IMM:
-            bit = int(bit_src.value)
-        else:
-            bit = self.regs.read_d(bit_src.reg, 4)
-        bit %= 8
-        addr = self._ea_address(dst, 1, pc)
-        old = self._try_read(addr, 1)
-        if old is None:
-            old = yield from self.bus.read(addr, 1)
-        mask = 1 << bit
-        self.regs.ccr.z = not (old & mask)
-        if m != "BTST":
-            new = {"BSET": old | mask, "BCLR": old & ~mask,
-                   "BCHG": old ^ mask}[m]
-            if not self._try_write(addr, new, 1):
-                yield from self.bus.write(addr, new, 1)
-        return _static_timing(instr)
-
-    def _movem(self, instr, pc, next_pc):
-        """MOVEM: multi-register transfer.
-
-        Loads/stores proceed in mask order (D0→A7 ascending), except the
-        pre-decrement store form which runs A7→D0 with the address moving
-        downward, exactly like the hardware.
-        """
-        size = instr.size_bytes
-        ea = instr.operands[0]
-        regs = sorted(
-            instr.reg_list,
-            key=lambda r: (r[0] == "A", r[1]),
-        )
-
-        def read_reg(kind, num):
-            return self.regs.d[num] if kind == "D" else self.regs.a[num]
-
-        def write_reg(kind, num, value):
-            # MOVEM.W loads sign-extend into the full register.
-            if size == 2:
-                value = to_unsigned(sign_extend(value, 16), 4)
-            if kind == "D":
-                self.regs.d[num] = value & 0xFFFF_FFFF
-            else:
-                self.regs.a[num] = value & 0xFFFF_FFFF
-
-        if instr.movem_store:
-            if ea.mode is Mode.PREDEC:
-                for kind, num in reversed(regs):
-                    self.regs.a[ea.reg] = (self.regs.a[ea.reg] - size) \
-                        & 0xFFFF_FFFF
-                    v = to_unsigned(read_reg(kind, num), size)
-                    if not self._try_write(self.regs.a[ea.reg], v, size):
-                        yield from self.bus.write(
-                            self.regs.a[ea.reg], v, size
-                        )
-            else:
-                addr = self._ea_address(ea, size, pc) \
-                    if ea.mode is not Mode.IND else self.regs.a[ea.reg]
-                for kind, num in regs:
-                    v = to_unsigned(read_reg(kind, num), size)
-                    if not self._try_write(addr, v, size):
-                        yield from self.bus.write(addr, v, size)
-                    addr += size
-        else:
-            if ea.mode is Mode.POSTINC:
-                for kind, num in regs:
-                    value = self._try_read(self.regs.a[ea.reg], size)
-                    if value is None:
-                        value = yield from self.bus.read(
-                            self.regs.a[ea.reg], size
-                        )
-                    write_reg(kind, num, value)
-                    self.regs.a[ea.reg] = (self.regs.a[ea.reg] + size) \
-                        & 0xFFFF_FFFF
-            else:
-                addr = self._ea_address(ea, size, pc) \
-                    if ea.mode is not Mode.IND else self.regs.a[ea.reg]
-                for kind, num in regs:
-                    value = self._try_read(addr, size)
-                    if value is None:
-                        value = yield from self.bus.read(addr, size)
-                    write_reg(kind, num, value)
-                    addr += size
-        return _static_timing(instr)
-
-    # ------------------------------------------------------------------
-    def _unary_result(self, m: str, old: int, size: int) -> tuple[int, int]:
-        if m == "CLR":
-            return 0, 0
-        if m == "NOT":
-            return to_unsigned(~old, size), 0
-        if m == "NEG":
-            return to_unsigned(-old, size), 0
-        if m == "NEGX":
-            x_in = int(self.regs.ccr.x)
-            return to_unsigned(-old - x_in, size), x_in
-        if m == "TAS":
-            return to_unsigned(old | 0x80, 1), 0
-        raise AssertionError(m)
-
-    def _unary_flags(self, m: str, old: int, new: int, size: int) -> None:
-        ccr = self.regs.ccr
-        if m == "CLR":
-            ccr.n, ccr.z, ccr.v, ccr.c = False, True, False, False
-        elif m == "NOT":
-            ccr.set_nz(new, size)
-        elif m == "NEG":
-            ccr.set_nz(new, size)
-            ccr.c = new != 0
-            ccr.x = ccr.c
-            ccr.v = old == (1 << (size * 8 - 1))  # -MIN overflows
-        elif m == "NEGX":
-            # Z is only *cleared*, never set (multi-precision chains
-            # preserve a zero result built up across words).
-            was_z = ccr.z
-            ccr.set_nz(new, size)
-            ccr.z = was_z and ccr.z
-            # Borrow out of 0 − old − X happens unless old == X == 0.
-            ccr.c = (old != 0) or (new != 0)
-            ccr.x = ccr.c
-            sign_bit = 1 << (size * 8 - 1)
-            ccr.v = bool(old & sign_bit) and bool(new & sign_bit)
-        elif m == "TAS":
-            # Flags reflect the *tested* (pre-set) value.
-            self.regs.ccr.set_nz(old, 1)
-
-    def _shift(self, m: str, value: int, count: int, size: int) -> int:
-        """Apply a shift/rotate; sets flags; returns the new value."""
-        bits = size * 8
-        mask = (1 << bits) - 1
-        ccr = self.regs.ccr
-        value &= mask
-        if count == 0:
-            ccr.set_nz(value, size)
-            # Rotates through X report X in C even for a zero count.
-            ccr.c = ccr.x if m in ("ROXL", "ROXR") else False
-            return value
-        carry = False
-        if m in ("LSL", "ASL"):
-            overflow = False
-            for _ in range(count):
-                carry = bool(value >> (bits - 1))
-                shifted = (value << 1) & mask
-                if m == "ASL" and (value >> (bits - 1)) != (shifted >> (bits - 1)):
-                    overflow = True
-                value = shifted
-            ccr.set_nz(value, size)
-            ccr.c = ccr.x = carry
-            ccr.v = overflow if m == "ASL" else False
-        elif m == "LSR":
-            for _ in range(count):
-                carry = bool(value & 1)
-                value >>= 1
-            ccr.set_nz(value, size)
-            ccr.c = ccr.x = carry
-        elif m == "ASR":
-            sign = value >> (bits - 1)
-            for _ in range(count):
-                carry = bool(value & 1)
-                value = (value >> 1) | (sign << (bits - 1))
-            ccr.set_nz(value, size)
-            ccr.c = ccr.x = carry
-        elif m == "ROL":
-            for _ in range(count):
-                top = value >> (bits - 1)
-                value = ((value << 1) | top) & mask
-                carry = bool(top)
-            ccr.set_nz(value, size)
-            ccr.c = carry
-        elif m == "ROR":
-            for _ in range(count):
-                low = value & 1
-                value = (value >> 1) | (low << (bits - 1))
-                carry = bool(low)
-            ccr.set_nz(value, size)
-            ccr.c = carry
-        elif m == "ROXL":
-            x = ccr.x
-            for _ in range(count):
-                top = bool(value >> (bits - 1))
-                value = ((value << 1) | int(x)) & mask
-                x = top
-            ccr.set_nz(value, size)
-            ccr.c = ccr.x = x
-        elif m == "ROXR":
-            x = ccr.x
-            for _ in range(count):
-                low = bool(value & 1)
-                value = (value >> 1) | (int(x) << (bits - 1))
-                x = low
-            ccr.set_nz(value, size)
-            ccr.c = ccr.x = x
-        else:  # pragma: no cover
-            raise AssertionError(m)
-        return value
-
-    # ------------------------------------------------------------------
-    def _alu(self, instr, pc, next_pc):
-        """Hybrid handler for the ADD/SUB/CMP/logic families (all variants).
-
-        Covers the forms :func:`_compile_alu` leaves (absolute, indexed
-        and PC-relative operands), returning a slow-continuation
-        generator when a bus access was refused.
-        """
-        src_val = self._read_operand_now(
-            instr.operands[0], instr.size_bytes, pc
-        )
-        if src_val is None:
-            return self._alu_src_slow(instr, pc)
-        return self._alu_finish(instr, pc, src_val)
-
-    def _alu_src_slow(self, instr, pc):
-        """Generator: ALU op whose source read was refused."""
-        src_val = yield from self._pending_read(instr.size_bytes)
-        t = self._alu_finish(instr, pc, src_val)
-        if type(t) is not TimingInfo:
-            t = yield from t
-        return t
-
-    def _alu_finish(self, instr, pc, src_val):
-        """Rest of an ALU op once the source value is in hand.
-
-        Returns the TimingInfo, or a generator when the destination
-        access was refused.
-        """
-        m = instr.mnemonic
-        size = instr.size_bytes
-        dst = instr.operands[1]
-        regs = self.regs
-        base = instr._alu_base_cache
-        if base is None:
-            base = _alu_base(m)
-            instr._alu_base_cache = base
-
-        if m in ALU_ADDR:
-            # Word sources sign-extend; operation is on the full 32 bits.
-            if size == 2:
-                src_val32 = to_unsigned(sign_extend(src_val, 16), 4)
-            else:
-                src_val32 = src_val
-            dst_val = regs.read_a(dst.reg, 4)
-            if base == "ADD":
-                regs.write_a(dst.reg, dst_val + src_val32, 4)
-            elif base == "SUB":
-                regs.write_a(dst.reg, dst_val - src_val32, 4)
-            else:  # CMPA
-                _alu_cmp(regs.ccr, dst_val, src_val32, _M32, _SIGN[4])
-            return _static_timing(instr)
-
-        if dst.mode is Mode.AREG:
-            # ADDQ/SUBQ #n,An (no flags); other An destinations are
-            # rejected below by _ea_address, as before the registry.
-            if m in QUICK:
-                dst_val = regs.read_a(dst.reg, 4)
-                delta = int(instr.operands[0].value)
-                if base == "ADD":
-                    regs.write_a(dst.reg, dst_val + delta, 4)
-                else:
-                    regs.write_a(dst.reg, dst_val - delta, 4)
-                return _static_timing(instr)
-
-        op = _ALU_OPS[base]
-        if dst.mode is Mode.DREG:
-            dst_val = regs.read_d(dst.reg, size)
-            result = op(regs.ccr, dst_val, src_val, _MASK[size], _SIGN[size])
-            if result is not None:
-                regs.write_d(dst.reg, result, size)
-            return _static_timing(instr)
-
-        dst_addr = self._ea_address(dst, size, pc)
-        dst_val = self._try_read(dst_addr, size)
-        if dst_val is None:
-            return self._alu_mem_slow(instr, dst_addr, src_val)
-        result = op(regs.ccr, dst_val, src_val, _MASK[size], _SIGN[size])
-        if result is not None and not self._try_write(dst_addr, result, size):
-            return self._alu_store_slow(instr, dst_addr, result)
-        return _static_timing(instr)
-
-    def _alu_mem_slow(self, instr, dst_addr, src_val):
-        """Generator: ALU memory destination whose read was refused."""
-        size = instr.size_bytes
-        dst_val = yield from self.bus.read(dst_addr, size)
-        result = _ALU_OPS[instr._alu_base_cache](
-            self.regs.ccr, dst_val, src_val, _MASK[size], _SIGN[size]
-        )
-        if result is not None and not self._try_write(dst_addr, result, size):
-            yield from self.bus.write(dst_addr, result, size)
-        return _static_timing(instr)
-
-    def _alu_store_slow(self, instr, dst_addr, result):
-        """Generator: ALU memory destination whose write-back was refused."""
-        yield from self.bus.write(dst_addr, result, instr.size_bytes)
-        return _static_timing(instr)
-
-    def _add_flags(self, a: int, b: int, result: int, size: int) -> None:
-        bits = size * 8
-        mask = (1 << bits) - 1
-        ccr = self.regs.ccr
-        r = result & mask
-        ccr.z = r == 0
-        ccr.n = bool(r >> (bits - 1))
-        ccr.c = result > mask
-        ccr.x = ccr.c
-        sa, sb, sr = a >> (bits - 1), b >> (bits - 1), r >> (bits - 1)
-        ccr.v = (sa == sb) and (sr != sa)
-
-
-# ----------------------------------------------------------------------
-# Execute-handler registry.
-#
-# ``_resolve_handler`` maps an assembled instruction to its handler once;
-# the ``(kind, function)`` pair is cached on the instruction.  Kinds:
-#
-# 0 — generator handler: driven through the bus protocol as usual.
-# 1 — sync handler: a plain function; the resolver proved, from the
-#     mnemonic and operand modes alone, that execution can never touch
-#     the bus, so the interpreter skips the generator machinery.
-# 2 — hybrid handler: a plain function that returns a TimingInfo when
-#     all bus accesses were absorbed by the fast twins, or a generator
-#     continuation when one was refused (possible blocking access).
-
-_GEN, _SYNC, _HYBRID = 0, 1, 2
-
-_REG_OR_IMM = (Mode.DREG, Mode.AREG, Mode.IMM)
-
-_SYNC_SINGLETONS = {
-    "HALT": CPU._exec_halt,
-    "NOP": CPU._exec_nop,
-    "MOVEQ": CPU._exec_moveq,
-    "LEA": CPU._exec_lea,
-    "EXG": CPU._exec_exg,
-    "SWAP": CPU._exec_swap,
-    "EXT": CPU._exec_ext,
-}
-
-_GEN_SINGLETONS = {
-    "RTS": CPU._exec_rts,
-    "PEA": CPU._exec_pea,
-    "LINK": CPU._exec_link,
-    "UNLK": CPU._exec_unlk,
-    "CMPM": CPU._exec_cmpm,
-    "MOVEM": CPU._movem,
-}
 
 #: Instructions that end a superinstruction chain: anything that moves the
 #: pc non-linearly, plus HALT (which must be seen by the run loop).
@@ -1344,153 +564,243 @@ def _alu_base(m: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# Compiled handlers.
-#
-# The hot instruction forms are compiled, when first resolved, into a
-# closure over everything the instruction fixes at assembly time: operand
-# registers, size masks and sign bits, displacements, branch targets and
-# the instruction's TimingInfo variants.  A closure binds nothing of a CPU
-# (a SIMD broadcast shares one Instruction object across PEs) and nothing
-# of one instruction object (equal instructions share it, see
-# ``_compiled``); it takes the same ``(cpu, instr, pc, next_pc)``
-# arguments as the CPU methods and, where a fast twin refuses an access,
-# returns the same ``_slow`` continuation the generic hybrid handler
-# would.  A compiler returns None for forms it leaves to the generic
-# handlers: absolute, indexed and PC-relative operands, and shapes
-# ``validate`` rejects.
+# Effective addresses.
 
-#: Memory modes the compiled handlers address inline.
+#: :func:`_ea`'s base for a PC-relative operand.
+_PC = 8
+
+#: The memory modes the hot handlers address inline.
 _AN_MODES = (Mode.IND, Mode.POSTINC, Mode.PREDEC, Mode.DISP)
 
 
-def _an_ea(op: Operand, size: int) -> tuple[int, int, int, bool]:
-    """``(reg, pre, post, writeback)`` of a register or ``_AN_MODES``
-    operand.
+def _ea(op: Operand, size: int, ext: int = 0) -> tuple:
+    """The effective-address rule of a memory operand: ``(base, disp,
+    index, post)``.
 
-    A memory operand's address is ``a[reg] + pre``; with writeback
-    ``a[reg]`` then becomes the address plus ``post`` (the arithmetic of
-    :meth:`CPU._ea_address`).
+    The address is ``B + disp`` plus, for ``d8(An,Xn)``, the sign-extended
+    low word of the index register ``index`` (``("D"|"A", n)``), mod
+    2**32.  ``B`` is ``a[base]`` for an address register, 0 for an
+    absolute address (``base`` None), and the address of the operand's
+    extension word for ``d16(PC)`` (``base`` ``_PC``: the instruction's
+    address plus 2, plus 2 for each of the ``ext`` extension words ahead
+    of the operand's own).  Unless ``post`` is None, ``a[base]`` becomes
+    the address plus ``post`` once the operand is addressed: ``(An)+``
+    steps past the operand, ``-(An)`` keeps the address it stepped down
+    to.  The step is the operand size, but 2 for a byte on A7: the
+    stack stays word-aligned.
     """
-    step = 2 if op.reg == 7 and size == 1 else size  # A7 stays word-aligned
-    if op.mode is Mode.POSTINC:
-        return op.reg, 0, step, True
-    if op.mode is Mode.PREDEC:
-        return op.reg, -step, 0, True
-    if op.mode is Mode.DISP:
-        return op.reg, sign_extend(op.disp, 16), 0, False
-    return op.reg, 0, 0, False
+    mode = op.mode
+    r = op.reg
+    step = 2 if r == 7 and size == 1 else size
+    if mode is Mode.IND:
+        return r, 0, None, None
+    if mode is Mode.POSTINC:
+        return r, 0, None, step
+    if mode is Mode.PREDEC:
+        return r, -step, None, 0
+    if mode is Mode.DISP:
+        return r, sign_extend(op.disp, 16), None, None
+    if mode is Mode.INDEX:
+        return r, sign_extend(op.disp, 8), op.index_reg, None
+    if mode is Mode.ABS_W:
+        return None, sign_extend(int(op.value), 16) & _M32, None, None
+    if mode is Mode.ABS_L:
+        return None, int(op.value) & _M32, None, None
+    if mode is Mode.PCDISP:
+        return _PC, 2 + 2 * ext + sign_extend(op.disp, 16), None, None
+    raise IllegalInstructionError(f"no address for mode {mode}")
 
 
-def _source(op: Operand, size: int) -> tuple:
-    """``(imm, is_d, reg, pre, post, writeback)`` of a compiled source.
+def _addresser(op: Operand, size: int, ext: int = 0):
+    """``at(regs, pc)``: the address of memory operand ``op`` of an
+    instruction at ``pc`` under :func:`_ea`, its register update
+    applied."""
+    base, disp, index, post = _ea(op, size, ext)
+    if index is not None:
+        data, x = index[0] == "D", index[1]
 
-    ``imm`` is the masked immediate or None; ``is_d`` picks the data
-    register bank; the rest is :func:`_an_ea`.
+        def at(regs, pc):
+            i = (regs.d if data else regs.a)[x] & 0xFFFF
+            return (regs.a[base] + disp + ((i ^ 0x8000) - 0x8000)) & _M32
+    elif base is None:
+        def at(regs, pc):
+            return disp
+    elif base == _PC:
+        def at(regs, pc):
+            return (pc + disp) & _M32
+    elif post is None:
+        def at(regs, pc):
+            return (regs.a[base] + disp) & _M32
+    else:
+        def at(regs, pc):
+            ar = regs.a
+            addr = (ar[base] + disp) & _M32
+            ar[base] = (addr + post) & _M32
+            return addr
+    return at
+
+
+def _operand(op: Operand, size: int, ext: int = 0) -> tuple:
+    """How a hot handler reaches ``op``: ``(imm, is_d, reg, pre, post,
+    at)``.
+
+    ``imm`` is a masked immediate, else None.  A register operand is
+    register ``reg`` of the data bank (``is_d``) or the address bank.
+    An ``(An)``-family operand is addressed inline from ``reg``, ``pre``
+    and ``post``, :func:`_ea`'s ``base``, ``disp`` and ``post``; any other
+    memory operand by its addresser ``at``.
     """
-    if op.mode is Mode.IMM:
-        return to_unsigned(int(op.value), size), False, 0, 0, 0, False
-    return (None, op.mode is Mode.DREG) + _an_ea(op, size)
+    mode = op.mode
+    if mode is Mode.IMM:
+        return to_unsigned(int(op.value), size), False, 0, 0, None, None
+    if mode is Mode.DREG or mode is Mode.AREG:
+        return None, mode is Mode.DREG, op.reg, 0, None, None
+    if mode in _AN_MODES:
+        reg, pre, _, post = _ea(op, size)
+        return None, False, reg, pre, post, None
+    return None, False, 0, 0, None, _addresser(op, size, ext)
 
+
+# ----------------------------------------------------------------------
+# Slow continuations: the rest of an instruction from the access a fast
+# twin refused, driven by the run loop through the generator protocol.
+
+def _resume(handler, cpu, addr, size, pc, next_pc):
+    """Generator: the source read at ``addr``, then the rest of
+    ``handler`` (a MOVE, ALU or MUL handler) from the value read."""
+    value = (yield from cpu.bus.read(addr, size)) & _MASK[size]
+    t = handler(cpu, pc, next_pc, value)
+    if type(t) is not TimingInfo:
+        t = yield from t
+    return t
+
+
+def _finish_write(bus, addr, value, size, t):
+    """Generator: the write at ``addr``, then the timing ``t``."""
+    yield from bus.write(addr, value, size)
+    return t
+
+
+def _write(cpu, addr, value, size, t):
+    """Write through the fast twin and return ``t``, or return the
+    write's slow continuation."""
+    tw = cpu._bus_try_write
+    if tw is not None and tw(addr, value, size):
+        return t
+    return _finish_write(cpu.bus, addr, value, size, t)
+
+
+# ----------------------------------------------------------------------
+# Compiled handlers.
+#
+# One compiler per instruction family builds the handler when the
+# instruction is first resolved.  A handler binds nothing of a CPU (a
+# SIMD broadcast shares one Instruction object across PEs) and nothing of
+# one instruction object (equal instructions share it, see
+# ``_compiled``).  MOVE, the ALU families, MUL, Bcc, DBcc and the shifts
+# are plain calls, MOVE and the ALU addressing the (An) family inline;
+# the other families with bus traffic are generator functions that take
+# every memory operand through :func:`_addresser`.  A shape ``validate``
+# lets through but no family executes (``ADD D0,A0``, ``CLR A0``) raises
+# IllegalInstructionError when compiled.
 
 def _compile_move(instr: Instruction):
-    """MOVE/MOVEA between registers, immediates and ``_AN_MODES``."""
+    """MOVE and MOVEA."""
     src, dst = instr.operands
     size = instr.size_bytes
     to_d = dst.mode is Mode.DREG
     to_a = dst.mode is Mode.AREG
-    if (
-        (instr.mnemonic == "MOVEA" and not to_a)
-        or (to_a and size == 1)
-        or not (to_d or to_a or dst.mode in _AN_MODES)
-        or src.mode not in _REG_OR_IMM + _AN_MODES
-    ):
-        return None
-    imm, s_d, sr, spre, spost, swb = _source(src, size)
-    s_mem = src.mode in _AN_MODES
-    d, dpre, dpost, dwb = _an_ea(dst, size)
+    s_mem = src.mode.is_memory
+    imm, s_d, sr, spre, spost, s_at = _operand(src, size)
+    _, _, d, dpre, dpost, d_at = _operand(
+        dst, size, extension_words(src, size))
     mask, sign = _MASK[size], _SIGN[size]
     keep = _M32 ^ mask
     wext = size == 2  # MOVEA.W sign-extends into the full register
     t = instruction_timing(instr)
 
-    def move(cpu, instr, pc, next_pc):
+    def move(cpu, pc, next_pc, v=None):
         regs = cpu.regs
         if s_mem:
-            ar = regs.a
-            addr = (ar[sr] + spre) & _M32
-            if swb:
-                ar[sr] = (addr + spost) & _M32
-            tr = cpu._bus_try_read
-            v = tr(addr, size) if tr is not None else None
             if v is None:
-                cpu._pending_addr = addr
-                return cpu._move_load_slow(instr, pc)
+                if s_at is None:
+                    ar = regs.a
+                    addr = (ar[sr] + spre) & _M32
+                    if spost is not None:
+                        ar[sr] = (addr + spost) & _M32
+                else:
+                    addr = s_at(regs, pc)
+                tr = cpu._bus_try_read
+                v = tr(addr, size) if tr is not None else None
+                if v is None:
+                    return _resume(move, cpu, addr, size, pc, next_pc)
         elif imm is None:
             v = (regs.d if s_d else regs.a)[sr] & mask
         else:
             v = imm
-        if to_d:
-            dr = regs.d
-            dr[d] = (dr[d] & keep) | v
-        elif to_a:
+        if to_a:
             regs.a[d] = ((v ^ 0x8000) - 0x8000) & _M32 if wext else v
             return t
-        else:
-            ar = regs.a
-            addr = (ar[d] + dpre) & _M32
-            if dwb:
-                ar[d] = (addr + dpost) & _M32
-            tw = cpu._bus_try_write
-            if tw is None or not tw(addr, v, size):
-                cpu._pending_addr = addr
-                return cpu._move_store_slow(instr, v)
         ccr = regs.ccr
         ccr.n = v >= sign
         ccr.z = v == 0
         ccr.v = ccr.c = False
-        return t
+        if to_d:
+            dr = regs.d
+            dr[d] = (dr[d] & keep) | v
+            return t
+        if d_at is None:
+            ar = regs.a
+            addr = (ar[d] + dpre) & _M32
+            if dpost is not None:
+                ar[d] = (addr + dpost) & _M32
+        else:
+            addr = d_at(regs, pc)
+        tw = cpu._bus_try_write
+        if tw is not None and tw(addr, v, size):
+            return t
+        return _finish_write(cpu.bus, addr, v, size, t)
 
-    return (_HYBRID if s_mem or not (to_d or to_a) else _SYNC, move)
+    return move
 
 
 def _compile_alu(instr: Instruction):
-    """The ADD/SUB/CMP/AND/OR/EOR families (incl. the A, I and Q forms)
-    with register, immediate and ``_AN_MODES`` operands."""
+    """The ADD/SUB/CMP/AND/OR/EOR families, with their A, I and Q forms."""
     m = instr.mnemonic
     src, dst = instr.operands
     size = instr.size_bytes
     to_d = dst.mode is Mode.DREG
     to_a = dst.mode is Mode.AREG
-    s_mem = src.mode in _AN_MODES
-    if (
-        (to_a and (size == 1 or not (m in ALU_ADDR or m in QUICK)))
-        or not (to_d or to_a or (dst.mode in _AN_MODES and not s_mem))
-        or src.mode not in _REG_OR_IMM + _AN_MODES
-    ):
-        return None
+    if to_a and not (m in ALU_ADDR or m in QUICK):
+        raise IllegalInstructionError(f"{m} cannot target {dst}")
     base = _alu_base(m)
-    imm, s_d, sr, spre, spost, swb = _source(src, size)
+    op = _ALU_OPS[base]
+    s_mem = src.mode.is_memory
+    imm, s_d, sr, spre, spost, s_at = _operand(src, size)
     sext = size == 2  # word sources to An sign-extend
     if to_a and m in QUICK:  # ADDQ/SUBQ #n,An: the count, unextended
         imm, sext = int(src.value), False
-    d, dpre, dpost, dwb = _an_ea(dst, size)
-    op = _ALU_OPS[base]
+    _, _, d, dpre, dpost, d_at = _operand(
+        dst, size, extension_words(src, size))
     mask, sign = _MASK[size], _SIGN[size]
     keep = _M32 ^ mask
     t = instruction_timing(instr)
 
-    def alu(cpu, instr, pc, next_pc):
+    def alu(cpu, pc, next_pc, v=None):
         regs = cpu.regs
         if s_mem:
-            ar = regs.a
-            addr = (ar[sr] + spre) & _M32
-            if swb:
-                ar[sr] = (addr + spost) & _M32
-            tr = cpu._bus_try_read
-            v = tr(addr, size) if tr is not None else None
             if v is None:
-                cpu._pending_addr = addr
-                return cpu._alu_src_slow(instr, pc)
+                if s_at is None:
+                    ar = regs.a
+                    addr = (ar[sr] + spre) & _M32
+                    if spost is not None:
+                        ar[sr] = (addr + spost) & _M32
+                else:
+                    addr = s_at(regs, pc)
+                tr = cpu._bus_try_read
+                v = tr(addr, size) if tr is not None else None
+                if v is None:
+                    return _resume(alu, cpu, addr, size, pc, next_pc)
         elif imm is None:
             v = (regs.d if s_d else regs.a)[sr] & mask
         else:
@@ -1513,81 +823,117 @@ def _compile_alu(instr: Instruction):
                 _alu_cmp(regs.ccr, ar[d], v, _M32, _SIGN[4])
             return t
         # memory destination: read-modify-write
-        addr = (ar[d] + dpre) & _M32
-        if dwb:
-            ar[d] = (addr + dpost) & _M32
+        if d_at is None:
+            addr = (ar[d] + dpre) & _M32
+            if dpost is not None:
+                ar[d] = (addr + dpost) & _M32
+        else:
+            addr = d_at(regs, pc)
         tr = cpu._bus_try_read
         old = tr(addr, size) if tr is not None else None
         if old is None:
-            return cpu._alu_mem_slow(instr, addr, v)
+            return modify(cpu, addr, v)
         res = op(regs.ccr, old, v, mask, sign)
+        if res is None:
+            return t
+        tw = cpu._bus_try_write
+        if tw is not None and tw(addr, res, size):
+            return t
+        return _finish_write(cpu.bus, addr, res, size, t)
+
+    def modify(cpu, addr, v):
+        """Generator: the memory destination from its refused read."""
+        old = (yield from cpu.bus.read(addr, size)) & mask
+        res = op(cpu.regs.ccr, old, v, mask, sign)
         if res is not None:
-            tw = cpu._bus_try_write
-            if tw is None or not tw(addr, res, size):
-                return cpu._alu_store_slow(instr, addr, res)
+            yield from cpu._store(addr, res, size)
         return t
 
-    return (_HYBRID if s_mem or not (to_d or to_a) else _SYNC, alu)
+    return alu
 
 
 def _compile_muldiv(instr: Instruction):
-    """MULU/MULS/DIVU/DIVS with a data-register or immediate source.
+    """MULU/MULS/DIVU/DIVS.
 
-    MULU/MULS Dn,Dn index their :func:`mul_timings` table by the ones or
-    transitions of the multiplier; the other forms have one timing.
+    A multiply indexes its :func:`mul_timings` table by the ones (MULU)
+    or the transitions (MULS) of the multiplier; a divide has one timing.
     """
     m = instr.mnemonic
     src, dst = instr.operands
-    if src.mode is Mode.IMM:
-        imm, s = to_unsigned(int(src.value), 2), 0
-    elif src.mode is Mode.DREG:
-        imm, s = None, src.reg
-    else:
-        return None
+    s_d, s = src.mode is Mode.DREG, src.reg
+    imm = to_unsigned(int(src.value), 2) if src.mode is Mode.IMM else None
+    at = _addresser(src, 2) if src.mode.is_memory else None
     d = dst.reg
-    if imm is None and m == "MULU":
+    signed = m in ("MULS", "DIVS")
+
+    if m in ("MULU", "MULS"):
         table = mul_timings(instr)
 
-        def mulu(cpu, instr, pc, next_pc):
+        def mul(cpu, pc, next_pc, v=None):
             regs = cpu.regs
             dr = regs.d
-            v = dr[s] & 0xFFFF
-            r = v * (dr[d] & 0xFFFF)
+            if s_d:
+                v = dr[s] & 0xFFFF
+            elif v is None:
+                if at is None:
+                    v = imm
+                else:
+                    addr = at(regs, pc)
+                    tr = cpu._bus_try_read
+                    v = tr(addr, 2) if tr is not None else None
+                    if v is None:
+                        return _resume(mul, cpu, addr, 2, pc, next_pc)
+            if signed:
+                r = (((v ^ 0x8000) - 0x8000)
+                     * (((dr[d] & 0xFFFF) ^ 0x8000) - 0x8000)) & _M32
+                w = v << 1  # transitions, with a 0 appended at the LSB end
+                n = ((w ^ (w >> 1)) & 0xFFFF).bit_count()
+            else:
+                r = v * (dr[d] & 0xFFFF)
+                n = v.bit_count()
             dr[d] = r
             ccr = regs.ccr
             ccr.n = r >= 0x8000_0000
             ccr.z = r == 0
             ccr.v = ccr.c = False
-            return table[v.bit_count()]
+            return table[n]
 
-        return (_SYNC, mulu)
-    if imm is None and m == "MULS":
-        table = mul_timings(instr)
+        return mul
+    t = instruction_timing(instr)
 
-        def muls(cpu, instr, pc, next_pc):
-            regs = cpu.regs
-            dr = regs.d
+    def div(cpu, pc, next_pc):
+        regs = cpu.regs
+        dr = regs.d
+        if s_d:
             v = dr[s] & 0xFFFF
-            r = (((v ^ 0x8000) - 0x8000)
-                 * (((dr[d] & 0xFFFF) ^ 0x8000) - 0x8000)) & _M32
-            dr[d] = r
-            ccr = regs.ccr
-            ccr.n = r >= 0x8000_0000
-            ccr.z = r == 0
-            ccr.v = ccr.c = False
-            w = v << 1  # transitions, with a 0 appended at the LSB end
-            return table[((w ^ (w >> 1)) & 0xFFFF).bit_count()]
-
-        return (_SYNC, muls)
-    t = instruction_timing(instr, src_value=imm)  # DIVU/DIVS or MUL #imm
-
-    def muldiv(cpu, instr, pc, next_pc):
-        cpu._muldiv_core(
-            m, cpu.regs.d[s] & 0xFFFF if imm is None else imm, dst
-        )
+        elif at is None:
+            v = imm
+        else:
+            v = yield from cpu._load(at(regs, pc), 2)
+        if v == 0:
+            raise IllegalInstructionError(f"{cpu.name}: divide by zero")
+        if signed:
+            divisor = (v ^ 0x8000) - 0x8000
+            dividend = to_signed(dr[d], 4)
+            quot = int(dividend / divisor)  # trunc toward zero
+            rem = dividend - quot * divisor
+            overflow = not -0x8000 <= quot <= 0x7FFF
+        else:
+            quot, rem = divmod(dr[d], v)
+            overflow = quot > 0xFFFF
+        ccr = regs.ccr
+        ccr.c = False
+        if overflow:
+            ccr.v = True  # the register is unchanged, N and Z undefined
+            return t
+        quot &= 0xFFFF
+        dr[d] = (rem & 0xFFFF) << 16 | quot
+        ccr.n = quot >= 0x8000
+        ccr.z = quot == 0
+        ccr.v = False
         return t
 
-    return (_SYNC, muldiv)
+    return div
 
 
 def _compile_dbcc(instr: Instruction):
@@ -1599,7 +945,7 @@ def _compile_dbcc(instr: Instruction):
     expired = instruction_timing(instr, branch_taken=False, dbcc_expired=True)
     held = instruction_timing(instr, branch_taken=False)  # condition true
 
-    def dbcc(cpu, instr, pc, next_pc):
+    def dbcc(cpu, pc, next_pc):
         regs = cpu.regs
         if cond != "F" and regs.ccr.test(cond):
             return held
@@ -1612,137 +958,471 @@ def _compile_dbcc(instr: Instruction):
         regs.pc = target
         return taken
 
-    return (_SYNC, dbcc)
+    return dbcc
 
 
 def _compile_shift(instr: Instruction):
-    """Shifts and rotates of a data register.
-
-    LSL/LSR by an immediate 1..8 (the only counts ``validate`` accepts)
-    are computed inline; the other forms call :meth:`CPU._shift`, with
-    the timing bound for an immediate count or looked up by the
-    register count.
-    """
+    """Shifts and rotates of a data register, by an immediate count or
+    by a data register's mod 64."""
     m = instr.mnemonic
     count_op, reg_op = instr.operands
     size = instr.size_bytes
+    bits = 8 * size
     r = reg_op.reg
     mask, sign = _MASK[size], _SIGN[size]
     keep = _M32 ^ mask
-    if count_op.mode is not Mode.IMM:
-        c = count_op.reg
-        timings: list = [None] * 64
+    op = _SHIFT_OPS[m]
+    rox = m in ("ROXL", "ROXR")
+    by_reg = count_op.mode is not Mode.IMM
+    c, count = count_op.reg, None if by_reg else int(count_op.value)
+    timings = [instruction_timing(instr, shift_count=k) for k in range(64)]
 
-        def shift_by_reg(cpu, instr, pc, next_pc):
-            dr = cpu.regs.d
-            k = dr[c] % 64
-            old = dr[r]
-            dr[r] = (old & keep) | cpu._shift(m, old & mask, k, size)
-            t = timings[k]
-            if t is None:
-                t = timings[k] = instruction_timing(instr, shift_count=k)
-            return t
+    def shift(cpu, pc, next_pc):
+        regs = cpu.regs
+        dr = regs.d
+        k = dr[c] % 64 if by_reg else count
+        v = dr[r] & mask
+        ccr = regs.ccr
+        ccr.v = False
+        if k:
+            v = op(ccr, v, k, bits, mask)
+        else:  # flags only; a rotate through X reports X in C
+            ccr.c = rox and ccr.x
+        dr[r] = (dr[r] & keep) | v
+        ccr.n = v >= sign
+        ccr.z = v == 0
+        return timings[k]
 
-        return (_SYNC, shift_by_reg)
-    k = int(count_op.value)
-    t = instruction_timing(instr, shift_count=k)
-    if m in ("LSL", "LSR") and 1 <= k <= 8:
-        left = m == "LSL"
-        out = 8 * size - k if left else k - 1  # the last bit shifted out
+    return shift
 
-        def logical_shift(cpu, instr, pc, next_pc):
+
+def _compile_branch(instr: Instruction):
+    """BRA, Bcc and BSR."""
+    target = int(instr.target)
+    if instr.mnemonic == "BSR":
+        t = instruction_timing(instr)
+
+        def bsr(cpu, pc, next_pc):
             regs = cpu.regs
-            dr = regs.d
-            old = dr[r]
-            v = old & mask
-            res = (v << k) & mask if left else v >> k
-            dr[r] = (old & keep) | res
-            ccr = regs.ccr
-            ccr.x = ccr.c = (v >> out) & 1 == 1
-            ccr.n = res >= sign
-            ccr.z = res == 0
-            ccr.v = False
+            sp = regs.sp = (regs.sp - 4) & _M32
+            regs.pc = target
+            return _write(cpu, sp, next_pc, 4, t)
+
+        return bsr
+    cond = instr.condition  # None for BRA
+    taken = instruction_timing(instr, branch_taken=True)
+    fallthrough = instruction_timing(instr, branch_taken=False)
+
+    def branch(cpu, pc, next_pc):
+        if cond is None or cpu.regs.ccr.test(cond):
+            cpu.regs.pc = target
+            return taken
+        return fallthrough
+
+    return branch
+
+
+def _compile_unary(instr: Instruction):
+    """CLR, NOT, NEG, NEGX, TST and TAS; the 68000 reads a memory operand
+    even to clear it."""
+    m = instr.mnemonic
+    size = instr.size_bytes
+    dst = instr.operands[0]
+    op = _UNARY_OPS[m]
+    mask, sign = _MASK[size], _SIGN[size]
+    keep = _M32 ^ mask
+    is_d, r = dst.mode is Mode.DREG, dst.reg
+    imm = to_unsigned(int(dst.value), size) if dst.mode is Mode.IMM else None
+    # TST also reads An and #imm; a register operand is otherwise Dn
+    in_reg = is_d or (m == "TST" and not dst.mode.is_memory)
+    at = None if in_reg else _addresser(dst, size)
+    t = instruction_timing(instr)
+
+    def unary(cpu, pc, next_pc):
+        regs = cpu.regs
+        if at is None:
+            bank = regs.d if is_d else regs.a
+            new = op(regs.ccr, bank[r] & mask if imm is None else imm,
+                     mask, sign)
+            if new is not None:
+                bank[r] = (bank[r] & keep) | new
             return t
-
-        return (_SYNC, logical_shift)
-
-    def shift(cpu, instr, pc, next_pc):
-        dr = cpu.regs.d
-        old = dr[r]
-        dr[r] = (old & keep) | cpu._shift(m, old & mask, k, size)
+        addr = at(regs, pc)
+        old = yield from cpu._load(addr, size)
+        new = op(regs.ccr, old, mask, sign)
+        if new is not None:
+            yield from cpu._store(addr, new, size)
         return t
 
-    return (_SYNC, shift)
+    return unary
+
+
+def _compile_bitop(instr: Instruction):
+    """BTST/BSET/BCLR/BCHG: Z is the tested bit, before any change.  A
+    data register is a long (bit number mod 32), memory a byte (mod 8)."""
+    bit, dst = instr.operands
+    change = _BIT_CHANGES[instr.mnemonic]
+    imm = int(bit.value) if bit.mode is Mode.IMM else None
+    b = bit.reg
+    r = dst.reg
+    at = None if dst.mode is Mode.DREG else _addresser(
+        dst, 1, extension_words(bit, 1))
+    width = 32 if at is None else 8
+    t = instruction_timing(instr)
+
+    def bitop(cpu, pc, next_pc):
+        regs = cpu.regs
+        mask = 1 << (regs.d[b] if imm is None else imm) % width
+        if at is None:
+            old = regs.d[r]
+            regs.ccr.z = not old & mask
+            if change is not None:
+                regs.d[r] = change(old, mask)
+            return t
+        addr = at(regs, pc)
+        old = yield from cpu._load(addr, 1)
+        regs.ccr.z = not old & mask
+        if change is not None:
+            yield from cpu._store(addr, change(old, mask), 1)
+        return t
+
+    return bitop
+
+
+def _compile_scc(instr: Instruction):
+    """Scc: 0xFF into the byte when the condition holds, else 0; memory
+    is read first, like the hardware's read-modify-write."""
+    cond = instr.condition
+    dst = instr.operands[0]
+    r = dst.reg
+    at = None if dst.mode is Mode.DREG else _addresser(dst, 1)
+    t_true = instruction_timing(instr, branch_taken=True)
+    t_false = instruction_timing(instr, branch_taken=False)
+
+    def scc(cpu, pc, next_pc):
+        regs = cpu.regs
+        true = regs.ccr.test(cond)
+        value = 0xFF if true else 0x00
+        if at is None:
+            dr = regs.d
+            dr[r] = (dr[r] & 0xFFFF_FF00) | value
+        else:
+            addr = at(regs, pc)
+            yield from cpu._load(addr, 1)
+            yield from cpu._store(addr, value, 1)
+        return t_true if true else t_false
+
+    return scc
+
+
+def _compile_addx(instr: Instruction):
+    """ADDX/SUBX Dy,Dx and -(Ay),-(Ax)."""
+    src, dst = instr.operands
+    size = instr.size_bytes
+    op = _ALU_OPS[instr.mnemonic]
+    mask, sign = _MASK[size], _SIGN[size]
+    keep = _M32 ^ mask
+    s, d = src.reg, dst.reg
+    in_reg = src.mode is Mode.DREG
+    s_at = None if in_reg else _addresser(src, size)
+    d_at = None if in_reg else _addresser(dst, size)
+    t = instruction_timing(instr)
+
+    def addx(cpu, pc, next_pc):
+        regs = cpu.regs
+        if in_reg:
+            dr = regs.d
+            dr[d] = (dr[d] & keep) | op(regs.ccr, dr[d] & mask, dr[s] & mask,
+                                        mask, sign)
+            return t
+        v = yield from cpu._load(s_at(regs, pc), size)
+        addr = d_at(regs, pc)
+        old = yield from cpu._load(addr, size)
+        yield from cpu._store(addr, op(regs.ccr, old, v, mask, sign), size)
+        return t
+
+    return addx
+
+
+def _compile_cmpm(instr: Instruction):
+    """CMPM (Ay)+,(Ax)+."""
+    src, dst = instr.operands
+    size = instr.size_bytes
+    mask, sign = _MASK[size], _SIGN[size]
+    s_at, d_at = _addresser(src, size), _addresser(dst, size)
+    t = instruction_timing(instr)
+
+    def cmpm(cpu, pc, next_pc):
+        regs = cpu.regs
+        v = yield from cpu._load(s_at(regs, pc), size)
+        old = yield from cpu._load(d_at(regs, pc), size)
+        _alu_cmp(regs.ccr, old, v, mask, sign)
+        return t
+
+    return cmpm
+
+
+def _compile_movem(instr: Instruction):
+    """MOVEM: registers in D0..A7 order, but A7..D0 downward for a
+    -(An) store.  A stored register stores its value from before the
+    instruction; a (An)+ load leaves An past the last register loaded,
+    over a value loaded into An; a word load sign-extends."""
+    size = instr.size_bytes
+    ea = instr.operands[0]
+    store = instr.movem_store
+    order = [(kind == "D", num) for kind, num in
+             sorted(instr.reg_list, key=lambda r: (r[0] == "A", r[1]))]
+    down = store and ea.mode is Mode.PREDEC
+    walk = down or (not store and ea.mode is Mode.POSTINC)
+    if down:
+        order.reverse()
+    an = ea.reg
+    # the register mask word precedes the EA's extension words
+    at = None if walk else _addresser(ea, size, 1)
+    mask = _MASK[size]
+    t = instruction_timing(instr)
+
+    def movem(cpu, pc, next_pc):
+        regs = cpu.regs
+        addr = regs.a[an] if walk else at(regs, pc)
+        if store:
+            for v in [(regs.d if is_d else regs.a)[n] & mask
+                      for is_d, n in order]:
+                if down:
+                    addr = (addr - size) & _M32
+                yield from cpu._store(addr, v, size)
+                if not down:
+                    addr += size
+        else:
+            for is_d, n in order:
+                v = yield from cpu._load(addr, size)
+                if size == 2:
+                    v = ((v ^ 0x8000) - 0x8000) & _M32
+                (regs.d if is_d else regs.a)[n] = v
+                addr += size
+        if walk:
+            regs.a[an] = addr & _M32
+        return t
+
+    return movem
+
+
+def _compile_lea(instr: Instruction):
+    src, dst = instr.operands
+    at = _addresser(src, 4)
+    r = dst.reg
+    t = instruction_timing(instr)
+
+    def lea(cpu, pc, next_pc):
+        regs = cpu.regs
+        regs.a[r] = at(regs, pc)
+        return t
+
+    return lea
+
+
+def _compile_pea(instr: Instruction):
+    at = _addresser(instr.operands[0], 4)
+    t = instruction_timing(instr)
+
+    def pea(cpu, pc, next_pc):
+        regs = cpu.regs
+        addr = at(regs, pc)
+        sp = regs.sp = (regs.sp - 4) & _M32
+        return _write(cpu, sp, addr, 4, t)
+
+    return pea
+
+
+def _compile_jump(instr: Instruction):
+    """JMP and JSR."""
+    at = _addresser(instr.operands[0], 4)
+    t = instruction_timing(instr)
+    if instr.mnemonic == "JSR":
+        def jsr(cpu, pc, next_pc):
+            regs = cpu.regs
+            regs.pc = at(regs, pc)
+            sp = regs.sp = (regs.sp - 4) & _M32
+            return _write(cpu, sp, next_pc, 4, t)
+
+        return jsr
+
+    def jmp(cpu, pc, next_pc):
+        regs = cpu.regs
+        regs.pc = at(regs, pc)
+        return t
+
+    return jmp
+
+
+def _compile_rts(instr: Instruction):
+    t = instruction_timing(instr)
+
+    def rts(cpu, pc, next_pc):
+        regs = cpu.regs
+        addr = yield from cpu._load(regs.sp, 4)
+        regs.sp = (regs.sp + 4) & _M32
+        regs.pc = addr
+        return t
+
+    return rts
+
+
+def _compile_link(instr: Instruction):
+    an, disp = instr.operands
+    r = an.reg
+    d = to_signed(int(disp.value), 2)
+    t = instruction_timing(instr)
+
+    def link(cpu, pc, next_pc):
+        regs = cpu.regs
+        sp = regs.sp = (regs.sp - 4) & _M32
+        value = regs.a[r]
+        regs.a[r] = sp
+        regs.sp = (sp + d) & _M32
+        return _write(cpu, sp, value, 4, t)
+
+    return link
+
+
+def _compile_unlk(instr: Instruction):
+    r = instr.operands[0].reg
+    t = instruction_timing(instr)
+
+    def unlk(cpu, pc, next_pc):
+        regs = cpu.regs
+        regs.sp = regs.a[r]
+        regs.a[r] = yield from cpu._load(regs.sp, 4)
+        regs.sp = (regs.sp + 4) & _M32
+        return t
+
+    return unlk
+
+
+def _compile_moveq(instr: Instruction):
+    value = to_signed(int(instr.operands[0].value) & 0xFF, 1) & _M32
+    r = instr.operands[1].reg
+    t = instruction_timing(instr)
+
+    def moveq(cpu, pc, next_pc):
+        regs = cpu.regs
+        regs.d[r] = value
+        regs.ccr.set_nz(value, 4)
+        return t
+
+    return moveq
+
+
+def _compile_exg(instr: Instruction):
+    a, b = instr.operands
+    a_d, b_d = a.mode is Mode.DREG, b.mode is Mode.DREG
+    ra, rb = a.reg, b.reg
+    t = instruction_timing(instr)
+
+    def exg(cpu, pc, next_pc):
+        regs = cpu.regs
+        x = regs.d if a_d else regs.a
+        y = regs.d if b_d else regs.a
+        x[ra], y[rb] = y[rb], x[ra]
+        return t
+
+    return exg
+
+
+def _compile_swap(instr: Instruction):
+    r = instr.operands[0].reg
+    t = instruction_timing(instr)
+
+    def swap(cpu, pc, next_pc):
+        regs = cpu.regs
+        v = regs.d[r]
+        v = ((v >> 16) | (v << 16)) & _M32
+        regs.d[r] = v
+        regs.ccr.set_nz(v, 4)
+        return t
+
+    return swap
+
+
+def _compile_ext(instr: Instruction):
+    """EXT.W (byte to word) and EXT.L (word to long)."""
+    r = instr.operands[0].reg
+    size = 2 if instr.size_bytes == 2 else 4
+    half = 0x80 if size == 2 else 0x8000
+    low, mask = 2 * half - 1, _MASK[size]
+    keep = _M32 ^ mask
+    t = instruction_timing(instr)
+
+    def ext(cpu, pc, next_pc):
+        regs = cpu.regs
+        dr = regs.d
+        v = (((dr[r] & low) ^ half) - half) & mask
+        dr[r] = (dr[r] & keep) | v
+        regs.ccr.set_nz(v, size)
+        return t
+
+    return ext
+
+
+def _compile_nop(instr: Instruction):
+    t = instruction_timing(instr)
+
+    def nop(cpu, pc, next_pc):
+        return t
+
+    return nop
+
+
+def _compile_halt(instr: Instruction):
+    t = instruction_timing(instr)
+
+    def halt(cpu, pc, next_pc):
+        cpu.halted = HaltReason.HALT_INSTRUCTION
+        return t
+
+    return halt
+
+
+#: Each mnemonic's compiler.
+_COMPILERS = {
+    **dict.fromkeys(("MOVE", "MOVEA"), _compile_move),
+    **dict.fromkeys(ALU_ALL, _compile_alu),
+    **dict.fromkeys(MULDIV, _compile_muldiv),
+    **dict.fromkeys(DBCC, _compile_dbcc),
+    **dict.fromkeys(SHIFTS, _compile_shift),
+    **dict.fromkeys(BRANCHES, _compile_branch),
+    **dict.fromkeys(UNARY, _compile_unary),
+    **dict.fromkeys(BITOPS, _compile_bitop),
+    **dict.fromkeys(SCC, _compile_scc),
+    **dict.fromkeys(EXTENDED, _compile_addx),
+    **dict.fromkeys(JUMPS, _compile_jump),
+    "CMPM": _compile_cmpm, "MOVEM": _compile_movem, "LEA": _compile_lea,
+    "PEA": _compile_pea, "RTS": _compile_rts, "LINK": _compile_link,
+    "UNLK": _compile_unlk, "MOVEQ": _compile_moveq, "EXG": _compile_exg,
+    "SWAP": _compile_swap, "EXT": _compile_ext, "NOP": _compile_nop,
+    "HALT": _compile_halt,
+}
 
 
 @lru_cache(maxsize=4096)
-def _compiled(compiler, mnemonic, size, operands, target):
-    """``compiler``'s handler for an instruction of these fields.
+def _compiled(mnemonic, size, operands, target, reg_list, movem_store):
+    """The handler of an instruction with these fields.
 
     Equal instructions share one handler (a matmul program repeats
     ``MULU D1,D5`` m times, and every build of a program repeats all of
     them), so the closures cost memory per distinct form, not per
     instruction.  The compiler sees only the fields of the key.
     """
-    return compiler(Instruction(mnemonic, size, operands, target))
+    return _COMPILERS[mnemonic](Instruction(
+        mnemonic, size, operands, target, reg_list=reg_list,
+        movem_store=movem_store))
 
 
-def _compile(instr: Instruction, compiler):
-    return _compiled(compiler, instr.mnemonic, instr.size, instr.operands,
-                     instr.target)
+def _resolve_handler(instr: Instruction):
+    """The execute handler of ``instr``.
 
-
-def _resolve_handler(instr: Instruction) -> tuple:
-    """Pick, or compile, the execute handler for ``instr``:
-    ``(kind, function)``.
-
-    The choice depends only on fields fixed at assembly time (mnemonic,
-    size, operands and branch target), so the caller caches it on the
-    instruction.
+    It depends only on fields fixed at assembly time, so the caller
+    caches it on the instruction.
     """
-    m = instr.mnemonic
-    ops = instr.operands
-    if m == "MOVE" or m == "MOVEA":
-        return _compile(instr, _compile_move) or (_HYBRID, CPU._exec_move_mem)
-    if m in ALU_ALL:
-        instr._alu_base_cache = _alu_base(m)  # read by _alu_mem_slow
-        return _compile(instr, _compile_alu) or (_HYBRID, CPU._alu)
-    if m in DBCC:
-        return _compile(instr, _compile_dbcc)
-    if m in BRANCHES:
-        if m == "BSR":
-            return (_GEN, CPU._exec_bsr)
-        return (_SYNC, CPU._exec_branch)
-    if m in MULDIV:
-        return _compile(instr, _compile_muldiv) \
-            or (_HYBRID, CPU._exec_muldiv_mem)
-    if m in UNARY:
-        dst = ops[0]
-        if dst.mode is Mode.DREG or (m == "TST" and dst.mode in _REG_OR_IMM):
-            return (_SYNC, CPU._exec_unary_reg)
-        return (_HYBRID, CPU._exec_unary_mem)
-    if m in SHIFTS:
-        return _compile(instr, _compile_shift)
-    fn = _SYNC_SINGLETONS.get(m)
-    if fn is not None:
-        return (_SYNC, fn)
-    if m in JUMPS:
-        if m == "JSR":
-            return (_GEN, CPU._exec_jsr)
-        return (_SYNC, CPU._exec_jmp)
-    if m in EXTENDED:
-        if ops[0].mode is Mode.DREG:
-            return (_SYNC, CPU._exec_addx_reg)
-        return (_GEN, CPU._addx_subx)
-    if m in SCC:
-        if ops[0].mode is Mode.DREG:
-            return (_SYNC, CPU._exec_scc_reg)
-        return (_GEN, CPU._exec_scc_mem)
-    if m in BITOPS:
-        if ops[1].mode is Mode.DREG:
-            return (_SYNC, CPU._exec_bitop_reg)
-        return (_GEN, CPU._exec_bitop_mem)
-    fn = _GEN_SINGLETONS.get(m)
-    if fn is not None:
-        return (_GEN, fn)
-    return (_GEN, CPU._exec_illegal)
+    return _compiled(instr.mnemonic, instr.size, instr.operands,
+                     instr.target, instr.reg_list, instr.movem_store)

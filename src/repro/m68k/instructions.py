@@ -114,12 +114,10 @@ class Instruction:
     #: Lazy caches (interpreter hot path); not part of the public API.
     _encoded_words_cache: int | None = None
     _size_bytes_cache: int | None = None
-    _alu_base_cache: str | None = None
     _static_timing_cache: object = None
-    #: ``(kind, handler)`` resolved, and for the hot forms compiled, by
-    #: the interpreter's dispatch registry
+    #: The execute handler compiled by the interpreter
     #: (:func:`repro.m68k.cpu._resolve_handler`).
-    _exec_handler_cache: tuple | None = None
+    _exec_handler_cache: object = None
     #: Per-variant timings for outcome-dependent instructions, keyed by
     #: shift count / branch outcome.
     _variant_timing_cache: dict | None = None

@@ -1,5 +1,7 @@
 """Assembler tests: parsing, layout, symbols, directives, diagnostics."""
 
+import re
+
 import pytest
 
 from repro.errors import AssemblerError
@@ -241,6 +243,36 @@ class TestDirectivesAndDiagnostics:
     def test_illegal_forms_rejected(self, line, match):
         with pytest.raises(AssemblerError, match=match):
             assemble(f"    NOP\n    {line}\n    HALT")
+
+    def test_long_index_register_rejected(self):
+        # Only the word index is modelled; D1.L used to assemble as D1.W.
+        with pytest.raises(AssemblerError, match="line 2.*D1.L"):
+            assemble("    NOP\n    MOVE.W 0(A0,D1.L),D2\n    HALT")
+
+    @pytest.mark.parametrize("operand, shown", [
+        ("200(A0,D1.W)", "200(A0,D1.W)"),
+        ("-129(A0,A1.W)", "-129(A0,A1.W)"),
+        ("40000(A0)", "40000(A0)"),
+        ("-32769(A0)", "-32769(A0)"),
+        ("70000(PC)", "70000(PC)"),
+        ("($12345).W", "(74565).W"),
+        ("(-32769).W", "(-32769).W"),
+    ])
+    def test_field_out_of_range_rejected(self, operand, shown):
+        with pytest.raises(AssemblerError,
+                           match=rf"line 2.*out of range.*{re.escape(shown)}"):
+            assemble(f"    NOP\n    MOVE.W {operand},D2\n    HALT")
+
+    @pytest.mark.parametrize("operand", [
+        "127(A0,D1.W)", "-128(A0,A1.W)", "32767(A0)", "-32768(A0)",
+        "32767(PC)", "($FFFF).W", "(-32768).W",
+    ])
+    def test_field_edges_accepted(self, operand):
+        assemble(f"    MOVE.W {operand},D2\n    HALT")
+
+    def test_absolute_short_checked_once_its_symbol_resolves(self):
+        with pytest.raises(AssemblerError, match="line 1.*out of range"):
+            assemble("    MOVE.W (FAR).W,D0\n    HALT\n    .equ FAR,$12345")
 
     def test_quick_data_checked_once_a_symbol_resolves(self):
         with pytest.raises(AssemblerError, match="line 1.*1..8, got 9"):
