@@ -9,8 +9,10 @@ operations."  This example runs a small SIMD matrix multiplication on the
 instruction-level engine with full tracing and shows that invariant
 holding: the Fetch Unit Queue's occupancy stays off the floor after
 start-up, the PEs' activity timeline shows no control-category time at
-all (the MCs run it), and the per-instruction trace exposes the
-data-dependent multiply times directly.
+all (the MCs run it), its wait lanes show each PE's fetch waiting on the
+slowest sibling (the max over PEs the paper measures), and the
+per-instruction trace exposes the data-dependent multiply times
+directly.
 
     python examples/inspect_simd_overlap.py
 """
@@ -21,7 +23,9 @@ from repro.programs import build_matmul, generate_matrices
 from repro.programs.loader import run_matmul
 from repro.programs.parallel import build_parallel_programs
 from repro.programs.data import MatmulLayout
-from repro.trace import activity_gantt, format_trace, queue_occupancy
+from repro.obs import (
+    format_trace, machine_events, queue_occupancy, render_gantt,
+)
 
 CFG = PrototypeConfig.calibrated()
 N, P = 16, 4
@@ -33,8 +37,7 @@ def main() -> None:
     bundle = build_matmul(
         ExecutionMode.SIMD, N, P, device_symbols=CFG.device_symbols()
     )
-    for pe in machine.pes:
-        pe.cpu.trace = True
+    machine.enable_tracing()
     run = run_matmul(machine, bundle, a, b)
 
     print(f"SIMD {N}x{N} matmul on {P} PEs: {run.result.cycles:.0f} cycles")
@@ -61,11 +64,10 @@ def main() -> None:
     print(format_trace(inner, limit=6))
     print()
 
-    # Activity timeline for all four PEs (a sample of the run).
-    traces = {
-        f"PE{lp}": machine.pe(lp).cpu.trace_records for lp in range(P)
-    }
-    print(activity_gantt(traces, width=70))
+    # Activity timeline for all four PEs, with their fetch-wait lanes
+    # (q = waiting on an empty Fetch Unit Queue).
+    print(render_gantt(machine_events(machine, label=f"simd p={P}"),
+                       width=70))
     print()
 
     # What the PEs were actually fed: the MIMD text for comparison.

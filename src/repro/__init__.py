@@ -18,8 +18,9 @@ Layer map (see DESIGN.md):
 * :mod:`repro.programs` — the paper's matrix-multiplication programs;
 * :mod:`repro.timing_model` — the vectorized macro performance model;
 * :mod:`repro.experiments` — regeneration of every table and figure;
-* :mod:`repro.analysis`, :mod:`repro.trace`, :mod:`repro.tools` —
-  predictions, instrumentation, and the ``pasm-run`` CLI.
+* :mod:`repro.analysis`, :mod:`repro.obs`, :mod:`repro.tools` —
+  predictions, instrumentation (simulated-time trace lanes and their
+  renderers), and the ``pasm-run`` / ``pasm-trace`` CLIs.
 """
 
 from repro.core import DecouplingStudy, find_crossover

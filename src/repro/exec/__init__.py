@@ -20,7 +20,6 @@ routes through it) and above the substrates (:mod:`repro.machine`,
 from repro.errors import ExecError
 from repro.exec.cache import (
     CACHE_MAX_ENV,
-    DEFAULT_CACHE_DIR,
     ResultCache,
     resolve_cache_max_bytes,
 )
@@ -35,7 +34,7 @@ from repro.exec.jobs import (
 )
 from repro.exec.pool import JOBS_ENV, WorkerPool, resolve_jobs
 from repro.exec.spec import SimJobSpec, canonical_json, content_hash_of
-from repro.exec.store import STORE_ENV, SharedStore, default_store_root
+from repro.exec.store import DEFAULT_CACHE_DIR, SharedStore, default_store_root
 
 __all__ = [
     "CACHE_MAX_ENV",
@@ -45,7 +44,6 @@ __all__ = [
     "ExecutionEngine",
     "JOBS_ENV",
     "ResultCache",
-    "STORE_ENV",
     "SharedStore",
     "SimJobSpec",
     "WorkerPool",

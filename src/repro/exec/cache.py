@@ -13,8 +13,7 @@ Entries live under ``<root>/<version>/<content_hash>.json`` so a
 package version bump invalidates every cached result at once (the
 directory is simply never consulted again).  The root defaults to
 ``.repro_cache/`` in the working directory, overridable with
-``REPRO_CACHE_DIR`` (this process) or ``REPRO_STORE`` (fleet-wide
-shared location; the cache-specific variable wins when both are set).
+``REPRO_CACHE_DIR`` (:func:`repro.exec.store.default_store_root`).
 
 The store is optionally **size-bounded**: with ``max_mb`` (or
 ``$REPRO_CACHE_MAX_MB``) set, every write prunes the *whole root* —
@@ -33,11 +32,8 @@ from pathlib import Path
 
 from repro.errors import ConfigurationError
 from repro.exec.spec import SimJobSpec
-from repro.exec.store import STORE_ENV, SharedStore
+from repro.exec.store import SharedStore, default_store_root
 from repro.faults.chaos import maybe_corrupt_entry
-
-#: Default cache root, relative to the working directory.
-DEFAULT_CACHE_DIR = ".repro_cache"
 
 #: Environment variable bounding the cache size (megabytes, float).
 CACHE_MAX_ENV = "REPRO_CACHE_MAX_MB"
@@ -85,9 +81,7 @@ class ResultCache:
                  version: str | None = None,
                  max_mb: float | None = None) -> None:
         if root is None:
-            root = (os.environ.get("REPRO_CACHE_DIR")
-                    or os.environ.get(STORE_ENV)
-                    or DEFAULT_CACHE_DIR)
+            root = default_store_root()
         self.version = str(version) if version is not None else _package_version()
         self.backend = SharedStore(root, version=self.version)
         self.max_bytes = resolve_cache_max_bytes(max_mb)

@@ -383,10 +383,9 @@ def traced_execute(spec: SimJobSpec):
     ``(payload, wall_seconds, events)`` with the simulated-time per-PE
     lane events recorded during execution.
     """
-    ctx = spec.trace
-    if ctx is None or not getattr(ctx, "enabled", False):
+    if spec.trace is None:
         return timed_execute(spec)
-    with tracing_job(ctx) as state:
+    with tracing_job(spec.trace) as state:
         start = time.perf_counter()
         payload = execute_job(spec)
         wall = time.perf_counter() - start

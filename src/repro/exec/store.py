@@ -26,8 +26,9 @@ an older cache, a rebuilt database) are still counted against the size
 cap and evicted by file mtime as a fallback, so eviction tolerates
 everything loads tolerate.
 
-The default root honours ``$REPRO_STORE`` so a fleet can point every
-instance at one shared location with a single variable.
+The default root honours ``$REPRO_CACHE_DIR`` (the variable behind
+``--cache-dir``), so a fleet can point every instance at one shared
+location with a single variable.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ import threading
 import time
 from pathlib import Path
 
-#: Environment variable naming the shared store root for a whole fleet.
-STORE_ENV = "REPRO_STORE"
+#: Default store root, relative to the working directory.
+DEFAULT_CACHE_DIR = ".repro_cache"
 
 #: Index filename under the store root.
 INDEX_DB = "store.db"
@@ -70,8 +71,8 @@ CREATE INDEX IF NOT EXISTS entries_last_access ON entries (last_access);
 
 
 def default_store_root() -> str:
-    """``$REPRO_STORE`` or the conventional ``.repro_cache``."""
-    return os.environ.get(STORE_ENV) or ".repro_cache"
+    """``$REPRO_CACHE_DIR`` or the conventional ``.repro_cache``."""
+    return os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
 
 
 def _content_hash_of(obj) -> str:

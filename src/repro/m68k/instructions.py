@@ -226,6 +226,7 @@ def validate(instr: Instruction) -> None:
     mistakes that matter when writing the PASM programs: wrong operand
     counts, illegal sources and destinations, byte operations on address
     registers, and quick data (shift counts, ADDQ/SUBQ) outside 1..8.
+    Every form it accepts has 68000 semantics the interpreter executes.
     """
     m = instr.mnemonic
     ops = instr.operands
@@ -278,6 +279,11 @@ def validate(instr: Instruction) -> None:
             raise ProgramError("MOVEM transfers to/from memory")
         if instr.size is Size.BYTE:
             raise ProgramError("MOVEM moves words or longs")
+        if instr.movem_store and (ops[0].mode is Mode.POSTINC
+                                  or not ops[0].mode.is_alterable):
+            raise ProgramError(f"{instr}: MOVEM cannot store to {ops[0]}")
+        if not instr.movem_store and ops[0].mode is Mode.PREDEC:
+            raise ProgramError(f"{instr}: MOVEM cannot load from {ops[0]}")
         return
     if m == "LINK":
         need(2)
@@ -309,11 +315,16 @@ def validate(instr: Instruction) -> None:
         need(1)
         if ops[0].mode is not Mode.DREG:
             raise ProgramError(f"{m} operates on a data register")
+        if m == "EXT" and instr.size is Size.BYTE:
+            raise ProgramError(f"{instr}: EXT extends to a word or a long")
         return
     if m in UNARY:
         need(1)
         if m != "TST" and not ops[0].mode.is_alterable:
             raise ProgramError(f"{m} destination not alterable: {ops[0]}")
+        if m != "TST" and ops[0].mode is Mode.AREG:
+            raise ProgramError(f"{instr}: {m} cannot target an address "
+                               "register")
         return
     if m == "MOVEQ":
         need(2)
@@ -356,7 +367,10 @@ def validate(instr: Instruction) -> None:
             raise ProgramError(f"{m} source must be immediate")
         if ops[1].mode is Mode.AREG:
             raise ProgramError(f"{m} cannot target an address register")
+        if not ops[1].mode.is_alterable:
+            raise ProgramError(f"{instr}: {m} destination not alterable")
         return
+
     def byte_an() -> bool:  # after need(2)
         return instr.size is Size.BYTE and Mode.AREG in (
             ops[0].mode, ops[1].mode
@@ -369,6 +383,8 @@ def validate(instr: Instruction) -> None:
         _need_quick_data(m, ops[0], "data")
         if byte_an():
             raise ProgramError(f"byte {m} cannot use an address register")
+        if not ops[1].mode.is_alterable:
+            raise ProgramError(f"{instr}: {m} destination not alterable")
         return
     if m in ALU_ADDR:
         need(2)
@@ -390,8 +406,12 @@ def validate(instr: Instruction) -> None:
                 raise ProgramError(f"{m} needs a data-register operand")
         if m == "CMP" and ops[1].mode is not Mode.DREG:
             raise ProgramError("CMP destination must be a data register")
-        if m == "EOR" and ops[1].mode is Mode.AREG:
-            raise ProgramError("EOR cannot target an address register")
+        if ops[1].mode is Mode.AREG:
+            hint = f" (use {m}A)" if m in ("ADD", "SUB") else ""
+            raise ProgramError(f"{instr}: {m} cannot target an address "
+                               f"register{hint}")
+        if not ops[1].mode.is_alterable:
+            raise ProgramError(f"{instr}: {m} destination not alterable")
         return
     if m in ("MOVE", "MOVEA"):
         need(2)

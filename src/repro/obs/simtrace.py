@@ -70,13 +70,13 @@ def tracing_job(ctx: TraceContext | None):
     """Activate job tracing for the duration of the ``with`` block.
 
     Yields the :class:`JobTrace` state (or ``None`` when ``ctx`` is
-    absent/disabled, making the block a transparent no-op).  The global
+    absent, making the block a transparent no-op).  The global
     is saved and restored, so nested/sequential jobs in one process —
     the in-process serial engine path — cannot leak spans into each
     other.
     """
     global _STATE
-    if ctx is None or not ctx.enabled:
+    if ctx is None:
         yield None
         return
     previous = _STATE

@@ -54,13 +54,10 @@ class TraceContext:
     Attached to a :class:`~repro.exec.SimJobSpec` (``spec.trace``), it
     re-seeds the recorder inside a spawn-context pool worker so the
     worker's simulated-time spans join the submitting side's trace.
-    ``enabled=False`` is a carried-but-dormant context (never attached
-    in practice; the field exists so call sites can guard uniformly).
+    A job is traced exactly when it carries one.
     """
 
     trace_id: str
-    parent_span: str = ""
-    enabled: bool = True
     max_events: int = DEFAULT_MAX_EVENTS
 
 

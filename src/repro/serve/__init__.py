@@ -19,7 +19,7 @@ Layout::
     router  — `pasm-router`: fleet front door, failover, fleet views
 
 Fleet mode: N instances share one content-addressed result store
-(:class:`~repro.exec.SharedStore`, ``$REPRO_STORE``), and the router
+(:class:`~repro.exec.SharedStore`, ``$REPRO_CACHE_DIR``), and the router
 consistent-hashes job content hashes onto them so single-flight dedup
 collapses identical submissions fleet-wide.
 

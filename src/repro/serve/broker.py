@@ -58,6 +58,11 @@ from repro.utils.rng import DEFAULT_SEED
 #: Entry lifecycle states.
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
 
+#: Seconds a retired pool's workers get, together, to take their
+#: shutdown sentinel and exit before they are killed.  Every job still
+#: running in a retired pool has already failed or been resubmitted.
+RETIRE_GRACE_S = 1.0
+
 
 def exhibit_key(name: str, seed: int | None) -> str:
     """Content hash identifying one whole-exhibit job."""
@@ -80,6 +85,32 @@ def _pool_context():
     methods = multiprocessing.get_all_start_methods()
     method = "spawn" if "spawn" in methods else methods[0]
     return multiprocessing.get_context(method)
+
+
+def _retire_pool(pool: ProcessPoolExecutor) -> None:
+    """Shut ``pool`` down and reap every worker it started (blocking).
+
+    ``shutdown(wait=False)`` alone can leave a worker behind: one the
+    pool spawned on a submit while a sibling's crash was breaking it
+    misses the pool's own clean-up, and blocks on its call pipe for
+    ever.  Interpreter exit joins every child process, so that one
+    worker would hang the exit.  The pool's manager thread gets
+    :data:`RETIRE_GRACE_S` to stop its workers; whatever is still
+    alive then is killed.  Workers are joined only once the manager
+    has exited, so two threads never reap one child.
+    """
+    manager = pool._executor_manager_thread
+    workers = list((pool._processes or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    if manager is not None:
+        manager.join(RETIRE_GRACE_S)
+    for proc in workers:
+        if proc.is_alive():
+            proc.kill()
+    if manager is not None:
+        manager.join()
+    for proc in workers:
+        proc.join()
 
 
 class JobEntry:
@@ -229,6 +260,9 @@ class JobBroker:
         self._workers: list[asyncio.Task] = []
         self._executor: ProcessPoolExecutor | None = None
         self._pool_gen = 0
+        #: Retired pools being reaped off the event loop; drain waits
+        #: for them.
+        self._retiring: list[asyncio.Future] = []
         self._exhibit_pool: ThreadPoolExecutor | None = None
         self._exhibit_tasks: set[asyncio.Task] = set()
         self._describe_metrics()
@@ -314,8 +348,11 @@ class JobBroker:
             except asyncio.TimeoutError:
                 pass
         if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
+            self._retiring.append(self.loop.run_in_executor(
+                None, _retire_pool, self._executor))
             self._executor = None
+        await asyncio.gather(*self._retiring)
+        self._retiring = []
         if self._exhibit_pool is not None:
             self._exhibit_pool.shutdown(wait=False, cancel_futures=True)
             self._exhibit_pool = None
@@ -581,7 +618,9 @@ class JobBroker:
         self._executor = ProcessPoolExecutor(
             max_workers=self.pool_jobs, mp_context=_pool_context()
         )
-        old.shutdown(wait=False, cancel_futures=True)
+        self._retiring = [f for f in self._retiring if not f.done()]
+        self._retiring.append(
+            self.loop.run_in_executor(None, _retire_pool, old))
 
     # ------------------------------------------------------------------
     # Exhibit jobs

@@ -214,20 +214,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pasm-run: {exc}", file=sys.stderr)
         return 1
     if args.trace_out is not None:
-        import json
+        from repro.obs.tracer import Tracer
 
-        from repro.obs.ids import new_trace_id
-        from repro.obs.tracer import export_chrome
-
-        doc = export_chrome(
-            outcome.trace_events or [],
-            trace_id=new_trace_id(),
-            meta={"tool": "pasm-run", "program": str(args.program),
-                  "mode": args.mode, "p": args.p},
-        )
-        args.trace_out.write_text(json.dumps(doc) + "\n")
-        print(f"trace written to {args.trace_out} "
-              f"({len(doc['traceEvents'])} events)")
+        tracer = Tracer()
+        tracer.extend(outcome.trace_events)
+        count = tracer.write(args.trace_out, meta={
+            "tool": "pasm-run", "program": str(args.program),
+            "mode": args.mode, "p": args.p,
+        })
+        print(f"trace written to {args.trace_out} ({count} events)")
     print(outcome.render())
     return 0
 

@@ -6,16 +6,16 @@ directly.  This tool works on those files *without* a browser::
 
     pasm-trace validate run.json       # schema check (CI uses this)
     pasm-trace summarize run.json      # per-lane span/busy-time table
-    pasm-trace render run.json         # the old ASCII Gantt, per lane
+    pasm-trace render run.json         # ASCII Gantt, one row per lane
     pasm-trace render run.json --proc "sim"   # only simulated-time lanes
 
 ``validate`` runs the same structural checks as the CI trace-smoke job
 (monotonic timestamps, matched B/E pairs, required fields) and exits
-non-zero on any problem.  ``render`` draws one row per lane with one
-column per time bucket, the same presentation as
-:func:`repro.trace.activity_gantt` but driven by the exported document,
-so serve-side wall-clock lanes and per-PE simulated lanes render with
-the same tool.
+non-zero on any problem.  ``summarize`` and ``render`` print
+:func:`repro.obs.render.summarize` and
+:func:`repro.obs.render.render_gantt` of the document, so serve-side
+wall-clock lanes and per-PE simulated lanes render with the same tool;
+this module is only their argument parsing.
 """
 
 from __future__ import annotations
@@ -25,20 +25,8 @@ import json
 import sys
 from pathlib import Path
 
+from repro.obs.render import render_gantt, summarize
 from repro.obs.schema import validate_chrome_trace
-from repro.obs.tracer import lanes_from_chrome
-from repro.trace import CATEGORY_CODES
-
-#: Fallback single-char codes for span names outside the instruction
-#: categories (waits, serve lanes).  Anything else uses its first letter.
-_EXTRA_CODES = {
-    "queue_wait": "q",
-    "barrier_wait": "b",
-    "net_rx_wait": "r",
-    "net_tx_wait": "t",
-    "queue wait": "q",
-    "execute": "E",
-}
 
 
 def _load(path: Path) -> dict:
@@ -46,113 +34,6 @@ def _load(path: Path) -> dict:
         return json.loads(path.read_text())
     except (OSError, ValueError) as exc:
         raise SystemExit(f"pasm-trace: cannot read {path}: {exc}")
-
-
-def _span_code(name: str) -> str:
-    code = CATEGORY_CODES.get(name) or _EXTRA_CODES.get(name)
-    if code:
-        return code
-    return name[0] if name else "?"
-
-
-def _select_lanes(doc: dict, proc: str | None):
-    """Non-empty lanes, optionally filtered by process-name substring."""
-    lanes = lanes_from_chrome(doc)
-    return {
-        key: events for key, events in lanes.items()
-        if events and (proc is None or proc in key[0])
-    }
-
-
-def _lane_span(events) -> tuple[float, float]:
-    lo = min(e["ts"] for e in events)
-    hi = max(e["ts"] + e.get("dur", 0.0) for e in events)
-    return lo, hi
-
-
-def render_gantt(doc: dict, *, width: int = 72,
-                 proc: str | None = None) -> str:
-    """ASCII timeline of a Chrome trace doc: one row per lane.
-
-    Each column is a time bucket showing the span name that consumed
-    most of it (first-letter codes; instruction categories reuse
-    :data:`repro.trace.CATEGORY_CODES`).  Lanes from different
-    processes can live on different clocks (wall vs simulated cycles),
-    so each *process* gets its own horizon header.
-    """
-    lanes = _select_lanes(doc, proc)
-    if not lanes:
-        return "(no matching lanes)"
-    out: list[str] = []
-    by_proc: dict[str, dict] = {}
-    for (pname, tname), events in lanes.items():
-        by_proc.setdefault(pname, {})[tname] = events
-    legend: dict[str, str] = {}
-    for pname in sorted(by_proc):
-        rows = by_proc[pname]
-        horizon = max(_lane_span(ev)[1] for ev in rows.values())
-        if horizon <= 0:
-            horizon = 1.0
-        bucket = horizon / width
-        out.append(f"{pname}: 0 .. {horizon:.0f} us, "
-                   f"{bucket:.1f} us/column")
-        name_w = max(len(t) for t in rows)
-        for tname in sorted(rows):
-            weights: list[dict] = [dict() for _ in range(width)]
-            for ev in rows[tname]:
-                t0 = ev["ts"]
-                t1 = t0 + ev.get("dur", 0.0)
-                lo = min(int(t0 / bucket), width - 1)
-                hi = min(int(t1 / bucket), width - 1)
-                for b in range(lo, hi + 1):
-                    seg = (min(t1, (b + 1) * bucket)
-                           - max(t0, b * bucket))
-                    # Zero-duration instants still deserve a mark.
-                    seg = max(seg, bucket * 1e-6)
-                    w = weights[b]
-                    w[ev["name"]] = w.get(ev["name"], 0.0) + seg
-            row = "".join(
-                _span_code(max(w, key=w.get)) if w else " "
-                for w in weights
-            )
-            for w in weights:
-                for name in w:
-                    legend.setdefault(name, _span_code(name))
-            out.append(f"{tname:>{name_w}} |{row}|")
-        out.append("")
-    out.append("legend: " + " ".join(
-        f"{code}={name}" for name, code in sorted(legend.items())
-    ))
-    return "\n".join(out)
-
-
-def summarize(doc: dict, *, proc: str | None = None) -> str:
-    """Per-lane table: span count, busy time, dominant span names."""
-    lanes = _select_lanes(doc, proc)
-    other = doc.get("otherData", {})
-    out = [
-        f"trace id: {other.get('trace_id', '?')}",
-        f"events:   {len(doc.get('traceEvents', []))}"
-        f"  lanes: {len(lanes)}",
-    ]
-    meta = other.get("meta", {})
-    if meta:
-        out.append("meta:     " + json.dumps(meta, sort_keys=True))
-    out.append("")
-    header = f"{'lane':<40} {'spans':>6} {'busy':>12}  top spans"
-    out.append(header)
-    out.append("-" * len(header))
-    for (pname, tname), events in sorted(lanes.items()):
-        busy = sum(e.get("dur", 0.0) for e in events)
-        totals: dict[str, float] = {}
-        for e in events:
-            totals[e["name"]] = (totals.get(e["name"], 0.0)
-                                 + e.get("dur", 0.0))
-        top = sorted(totals.items(), key=lambda kv: -kv[1])[:3]
-        top_text = ", ".join(f"{n} ({d:.0f})" for n, d in top)
-        lane = f"{pname} / {tname}"
-        out.append(f"{lane:<40} {len(events):>6} {busy:>12.1f}  {top_text}")
-    return "\n".join(out)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -239,6 +239,31 @@ class TestDirectivesAndDiagnostics:
         ("OR.L A1,D2", "OR source may not be an address register"),
         ("EOR.W (A0),D0", "EOR source must be a data register"),
         ("EOR.L A3,D1", "EOR source must be a data register"),
+        # Forms with no 68000 encoding, named in the error.  Each used to
+        # assemble and then raise IllegalInstructionError when it ran...
+        ("ADD.W D0,A0", r"ADD\.W D0,A0: ADD cannot target .*\(use ADDA\)"),
+        ("SUB.L D1,A2", r"SUB\.L D1,A2: SUB cannot target .*\(use SUBA\)"),
+        ("AND.W D0,A0", r"AND\.W D0,A0: AND cannot target an address reg"),
+        ("OR.W D0,A0", r"OR\.W D0,A0: OR cannot target an address reg"),
+        ("CLR.W A0", r"CLR\.W A0: CLR cannot target an address reg"),
+        ("NOT.W A0", r"NOT\.W A0: NOT cannot target an address reg"),
+        ("NEG.L A1", r"NEG\.L A1: NEG cannot target an address reg"),
+        ("NEGX.W A0", r"NEGX\.W A0: NEGX cannot target an address reg"),
+        ("TAS.B A0", r"TAS\.B A0: TAS cannot target an address reg"),
+        # ...wrote through PC-relative memory...
+        ("ADDI.W #1,16(PC)", r"ADDI\.W #1,16\(PC\): ADDI destination not"),
+        ("CMPI.W #1,16(PC)", r"CMPI\.W #1,16\(PC\): CMPI destination not"),
+        ("ADDQ.W #1,16(PC)", r"ADDQ\.W #1,16\(PC\): ADDQ destination not"),
+        ("ADD.W D0,16(PC)", r"ADD\.W D0,16\(PC\): ADD destination not"),
+        # ...stored upward through one post-increment step, took one
+        # pre-decrement step and loaded upward, or stored PC-relative...
+        ("MOVEM.L D0/D1,(A0)+",
+         r"MOVEM\.L D0/D1,\(A0\)\+: MOVEM cannot store to \(A0\)\+"),
+        ("MOVEM.L -(A0),D0/D1",
+         r"MOVEM\.L -\(A0\),D0/D1: MOVEM cannot load from -\(A0\)"),
+        ("MOVEM.W D0,16(PC)", r"MOVEM\.W D0,16\(PC\): MOVEM cannot store"),
+        # ...or ran as EXT.L.
+        ("EXT.B D0", r"EXT\.B D0: EXT extends to a word or a long"),
     ])
     def test_illegal_forms_rejected(self, line, match):
         with pytest.raises(AssemblerError, match=match):

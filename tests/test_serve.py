@@ -16,6 +16,7 @@ The contracts under test are the ones the subsystem exists for:
 import asyncio
 import concurrent.futures
 import json
+import multiprocessing
 import pathlib
 import time
 
@@ -68,12 +69,16 @@ def broker_run(body, **overrides):
     config = ServeConfig(port=0, **overrides)
 
     async def main():
+        before = set(multiprocessing.active_children())
         broker = JobBroker(config)
         await broker.start()
         try:
             return await body(broker)
         finally:
             await broker.drain(grace_s=2.0)
+            # Drain reaps every pool worker it started: none may outlive
+            # it (a stray one blocks interpreter exit, which joins it).
+            assert set(multiprocessing.active_children()) <= before
 
     return asyncio.run(main())
 

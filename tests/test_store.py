@@ -60,7 +60,7 @@ class TestRoundTrip:
         assert store.get("k") is None
 
     def test_env_var_names_the_default_root(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "fleet"))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "fleet"))
         assert default_store_root() == str(tmp_path / "fleet")
         store = SharedStore(version="1.0")
         store.put("k", {"x": 1})

@@ -1,11 +1,16 @@
-"""Tests for tracing and instrumentation."""
+"""Tests for the simulated-time trace renderers and ``pasm-trace``."""
+
+import json
 
 import pytest
 
 from repro.machine import PASMMachine, PrototypeConfig
 from repro.m68k.assembler import assemble
 from repro.mc import EnqueueBlock, Loop
-from repro.trace import activity_gantt, format_trace, queue_occupancy
+from repro.obs import (
+    format_trace, machine_events, queue_occupancy, render_gantt,
+)
+from repro.tools import runner, trace_cli
 
 CFG = PrototypeConfig()
 
@@ -13,7 +18,7 @@ CFG = PrototypeConfig()
 def traced_serial_run(source):
     machine = PASMMachine(CFG, partition_size=1)
     program = assemble(source, predefined=CFG.device_symbols())
-    machine.pe(0).cpu.trace = True
+    machine.enable_tracing()
     machine.run_serial(program)
     return machine
 
@@ -60,13 +65,14 @@ class TestActivityGantt:
             HALT
             """
         )
-        chart = activity_gantt({"PE0": machine.pe(0).cpu.trace_records})
-        assert "PE0 |" in chart
+        chart = render_gantt(machine_events(machine, label="serial"))
+        assert "PE 0 |" in chart
         assert "M" in chart  # multiply-dominated buckets
         assert "M=mult" in chart
 
     def test_empty(self):
-        assert "(no traces)" in activity_gantt({})
+        assert render_gantt([]) == "(no matching lanes)"
+        assert render_gantt({}) == "(no matching lanes)"
 
 
 class TestQueueOccupancy:
@@ -122,3 +128,72 @@ class TestQueueOccupancy:
         text = str(stats)
         assert "mean" in text and "empty" in text
         assert stats.mean_words == pytest.approx((10 * 0 + 10 * 4 + 10 * 0) / 30)
+
+
+# ---------------------------------------------------------------------------
+# pasm-trace over a pasm-run --trace-out export
+RING_SRC = """
+        MOVE.W  #PEID,D0
+        MOVE.W  SIMDSPACE,D7    ; barrier
+        MOVE.B  D0,NETTX
+        MOVE.B  NETRX,D3
+        .timecat mult
+        MULU    D0,D3
+        HALT
+"""
+
+
+@pytest.fixture
+def exported(tmp_path, capsys):
+    """A 4-PE S/MIMD run exported by ``pasm-run --trace-out``."""
+    source = tmp_path / "ring.s"
+    source.write_text(RING_SRC)
+    out = tmp_path / "run.json"
+    assert runner.main([str(source), "--mode", "smimd", "-p", "4",
+                        "--sync-words", "1", "--trace-out", str(out)]) == 0
+    assert "trace written to" in capsys.readouterr().out
+    return out
+
+
+class TestTraceCli:
+    def test_validate_accepts_the_export(self, exported, capsys):
+        assert trace_cli.main(["validate", str(exported)]) == 0
+        assert "OK" in capsys.readouterr().out
+
+    def test_validate_rejects_a_corrupted_document(self, exported, capsys):
+        doc = json.loads(exported.read_text())
+        # Drop the first span end: its begin is left unmatched.
+        ends = [i for i, ev in enumerate(doc["traceEvents"])
+                if ev.get("ph") == "E"]
+        del doc["traceEvents"][ends[0]]
+        exported.write_text(json.dumps(doc))
+        assert trace_cli.main(["validate", str(exported)]) == 1
+        assert "pasm-trace:" in capsys.readouterr().err
+
+    def test_summarize_lists_every_pe_lane(self, exported, capsys):
+        assert trace_cli.main(["summarize", str(exported)]) == 0
+        text = capsys.readouterr().out
+        for pe in range(4):
+            assert f"/ PE {pe} " in text
+            assert f"/ PE {pe} waits" in text
+
+    def test_render_draws_one_row_per_lane_and_the_legend(
+            self, exported, capsys):
+        assert trace_cli.main(["render", str(exported), "--width", "40"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line for line in lines if line.endswith("|")]
+        names = sorted(row.split("|")[0].strip() for row in rows)
+        assert names == sorted([f"PE {i}" for i in range(4)]
+                               + [f"PE {i} waits" for i in range(4)])
+        assert all(len(row.split("|")[1]) == 40 for row in rows)
+        assert lines[-1].startswith("legend: ")
+        assert "M=mult" in lines[-1] and "r=net_rx_wait" in lines[-1]
+
+    def test_unreadable_file_exits_with_its_message(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(SystemExit, match="cannot read .*missing.json"):
+            trace_cli.main(["render", str(missing)])
+        garbled = tmp_path / "garbled.json"
+        garbled.write_text("{not json")
+        with pytest.raises(SystemExit, match="cannot read .*garbled.json"):
+            trace_cli.main(["summarize", str(garbled)])
