@@ -11,14 +11,19 @@ keep waiting for a later item that includes them (disabled PEs "do not
 participate in the instruction and wait until an instruction is broadcast
 for which they are enabled").
 
-Lockstep tier (see :mod:`repro.sim.lockstep`): PEs instead call
-:meth:`FetchUnitQueue.request_at` with a *stamped arrival* — their
-bus-true time — without flushing their local clocks.  The release time
-of the head item is then computed directly, ``T_r = max(admit time, max
-of the mask's stamped arrivals)``, and a single **carrier** event fires
-at ``T_r``, resuming the whole batch of waiting PEs synchronously.  One
+Lockstep tier (see :mod:`repro.sim.lockstep`): PEs instead register a
+*stamped arrival* — their bus-true time — without flushing their local
+clocks.  The release time of the head item is then computed directly,
+``T_r = max(admit time, max of the mask's stamped arrivals)``; a release
+due before the next heap event runs inline, and any other waits for one
+**carrier** event at ``T_r``.  Either way the whole batch of waiting PEs
+is served synchronously, and a PE parked on an instruction fetch is
+served by **broadcast step**: the queue runs the released instruction on
+its CPU, and the PE's request stays registered, re-stamped for its next
+fetch, without its generator resuming
+(:meth:`FetchUnitQueue._release_head_now`).  At most one
 heap event replaces the ~2·p (flush + succeed per PE) the event
-rendezvous costs.
+rendezvous costs, and ~p generator resumptions go with it.
 """
 
 from __future__ import annotations
@@ -70,6 +75,10 @@ class FetchUnitQueue:
         self._items: deque[QueueItem] = deque()
         self._words_used = 0
         self._requests: dict[int, Event] = {}
+        #: CPUs whose pending request may be served by broadcast step
+        #: (lockstep only; one entry per pending request, so none
+        #: outlives the run).
+        self._steppers: dict[int, object] = {}
         self._space_waiters: deque[tuple[Event, QueueItem]] = deque()
         # -- lockstep rendezvous state -------------------------------------
         self._arrivals: dict[int, float] = {}  #: stamped bus-true arrivals
@@ -120,8 +129,11 @@ class FetchUnitQueue:
         self._pending_admits: list[tuple[float, int, bool, float | None]] = []
         self._stats_words = 0  #: settled occupancy (lockstep stats view)
         self.lockstep_releases = 0  #: items released via computed rendezvous
-        self.lockstep_batch_pes = 0  #: PE resumptions delivered by carriers
+        self.lockstep_batch_pes = 0  #: PE requests served by releases
         self.lockstep_carriers = 0  #: carrier events scheduled
+        #: PE instructions executed by broadcast step, the PE's generator
+        #: left parked.
+        self.broadcast_steps = 0
 
     def _sample(self) -> None:
         self._occ.append((self.env.now, self._words_used))
@@ -192,18 +204,6 @@ class FetchUnitQueue:
             if sample:
                 self._occ.append((t, self._stats_words))
 
-    def _has_admit_tie(self, t_r: float) -> bool:
-        """True when some pending *scheduled* admit lands exactly at
-        ``t_r`` (entries are sorted; earlier ones settle unconditionally,
-        so the tie entry need not be at the front)."""
-        for entry in self._pending_admits:
-            t = entry[0]
-            if t > t_r:
-                return False
-            if t == t_r and entry[3] is not None:
-                return True
-        return False
-
     @property
     def high_water(self) -> int:
         self._settle_admits(float("inf"))
@@ -273,7 +273,8 @@ class FetchUnitQueue:
         else:
             self._hw = max(self._hw, self._words_used)
             self._occ.append((t, self._words_used))
-        self._try_release()
+        if not self._releasing:  # a release cascade re-checks the head
+            self._try_release()
 
     # -- lockstep bulk staging -----------------------------------------
     def stage_block(self, entries):
@@ -390,18 +391,22 @@ class FetchUnitQueue:
         return ev
 
     def register_request_inline(self, pe_slot: int, arrival: float,
-                                ev: Event, sched: float) -> Event:
+                                ev: Event, sched: float, cpu) -> Event:
         """Stamped request that may resolve the rendezvous *synchronously*.
 
         When this registration completes the head's mask and the release
         time precedes every pending heap event, the release cascade runs
-        right here: the other waiters are resumed nested, and ``ev``
+        right here: the other waiters are served nested, and ``ev``
         comes back already fired (``callbacks is None``) with the
         ``(item, t_r)`` pair in its value — the caller continues without
         parking.  This is what lets the mask-completing PE *stream*
         through a broadcast block with zero heap events.  Callers that
         cannot consume an already-fired event must use
         :meth:`register_request_at` (carrier delivery only).
+
+        ``cpu`` is the instruction fetcher parked on ``ev``, or None:
+        while it is parked, a release may serve it by broadcast step (see
+        :meth:`_release_head_now`).
         """
         if pe_slot in self._requests:
             raise SimulationError(
@@ -410,6 +415,8 @@ class FetchUnitQueue:
         self._requests[pe_slot] = ev
         self._arrivals[pe_slot] = arrival
         self._scheds[pe_slot] = sched
+        if cpu is not None:
+            self._steppers[pe_slot] = cpu
         if not self._releasing and not self._carrier_pending and self._items:
             self._run_releases()
         return ev
@@ -444,6 +451,7 @@ class FetchUnitQueue:
         if arrival is not None and arrival > after:
             del self._arrivals[pe_slot]
             self._scheds.pop(pe_slot, None)
+            self._steppers.pop(pe_slot, None)
             del self._requests[pe_slot]
 
     def pending_arrival_max(self) -> float:
@@ -559,38 +567,27 @@ class FetchUnitQueue:
         finally:
             self._releasing = False
 
-    def _release_head_now(self, t_r: float) -> None:
-        """Release the head at recorded time ``t_r`` (>= env.now) and
-        resume its batch of PEs.
-
-        Ordering mirrors the event engine's release exactly: stall
-        accounting, pop + occupancy sample, staging pump / space-waiter
-        refill (their state mutations happen before any succeed is
-        *processed* there), and only then the PE resumptions — delivered
-        synchronously in mask-iteration order, the order the succeed
-        events would pop.  Each waiter receives the ``(item, t_r)``
-        pair so it can rebase its local clock when ``t_r`` is ahead of
-        env.now.
-        """
-        head = self._items[0]
-        head_admit = self._admit_times[0]
-        inclusive = head_admit == t_r
-        staged = self._staged
-        # Pre-release staging probe: does the next staged transfer
-        # complete *exactly* at this release, fitting without the head's
-        # space?  Then its timeout event and the release's enabling
-        # arrival tie on the heap and schedule order decides who goes
-        # first — the event engine may admit it before the release.
-        probe = bool(
-            staged and not inclusive
-            and self._stage_clock + staged[0][1] == t_r
-            and staged[0][0].words <= self.capacity_words - self._words_used
-        )
+    def _settle_for_release(self, head: QueueItem, t_r: float,
+                            inclusive: bool, probe: bool) -> None:
+        """Settle the admits due at the release of ``head`` at ``t_r``,
+        in the event engine's heap order (see :meth:`_settle_admits`),
+        and run the staged admission the probe found tying with it."""
         arrivals = self._arrivals
         scheds = self._scheds
         neg_inf = float("-inf")
         enabler_sched = neg_inf
-        if not inclusive and (probe or self._has_admit_tie(t_r)):
+        tie = probe
+        if not (inclusive or probe):
+            # Does some pending *scheduled* admit land exactly at t_r?
+            # (Entries are sorted; earlier ones settle unconditionally,
+            # so the tie entry need not be at the front.)
+            for t, _, _, sched in self._pending_admits:
+                if t > t_r:
+                    break
+                if t == t_r and sched is not None:
+                    tie = True
+                    break
+        if tie:
             # An admit ties with this release: find the schedule instant
             # of the latest arrival attaining t_r (the enabling event) to
             # replay the heap order.
@@ -609,20 +606,56 @@ class FetchUnitQueue:
                 if (stall_view is None or a < stall_view[0]
                         or (a == stall_view[0] and sc < stall_view[1])):
                     stall_view = (a, sc)
-        self._settle_admits(t_r, inclusive=inclusive,
-                            enabler_sched=enabler_sched,
-                            stall_view=stall_view)
+        self._settle_admits(t_r, inclusive, enabler_sched, stall_view)
         if probe and self._stage_clock <= enabler_sched:
             # Admit-before-release: run the staged admission now, while
             # the head still occupies the queue, and settle it against
             # the same enabler — the occupancy peak spans both.
-            item, cycles = staged.popleft()
+            item, cycles = self._staged.popleft()
             start = self._stage_clock
             self._stage_clock = t_r
             self._admit_at(item, t_r, sched=start)
-            self._settle_admits(t_r, inclusive=False,
-                                enabler_sched=enabler_sched,
-                                stall_view=stall_view)
+            self._settle_admits(t_r, False, enabler_sched, stall_view)
+
+    def _release_head_now(self, t_r: float) -> None:
+        """Release the head at recorded time ``t_r`` (>= env.now) and
+        serve its batch of PEs.
+
+        Ordering mirrors the event engine's release exactly: stall
+        accounting, pop + occupancy sample, staging pump / space-waiter
+        refill (their state mutations happen before any succeed is
+        *processed* there), and only then the PEs — served
+        synchronously in mask-iteration order, the order the succeed
+        events would pop.  A PE parked on an instruction fetch is served
+        by *broadcast step*: its CPU executes the instruction here
+        (:meth:`~repro.m68k.cpu.CPU.broadcast_step`) and, still in SIMD
+        space, re-stamps the same request for its next fetch, so its
+        generator is not resumed at all.  Every other waiter — a barrier
+        read, a sync word, a fetcher that is tracing, capped or may
+        fail-stop, the PE whose own registration ran this release, or a
+        step that reached an edge — is resumed with a value: the
+        ``(item, t_r)`` pair, from which it rebases its local clock when
+        ``t_r`` is ahead of env.now, or what the step handed back.
+        """
+        head = self._items[0]
+        inclusive = self._admit_times[0] == t_r
+        staged = self._staged
+        # Pre-release staging probe: does the next staged transfer
+        # complete *exactly* at this release, fitting without the head's
+        # space?  Then its timeout event and the release's enabling
+        # arrival tie on the heap and schedule order decides who goes
+        # first — the event engine may admit it before the release.
+        probe = (
+            not inclusive and bool(staged)
+            and self._stage_clock + staged[0][1] == t_r
+            and staged[0][0].words <= self.capacity_words - self._words_used
+        )
+        pend = self._pending_admits
+        # With no admit due by t_r (a third of the releases of a SIMD
+        # matmul) there is nothing to settle and no tie to order.
+        due = bool(pend) and pend[0][0] <= t_r
+        if due or probe:
+            self._settle_for_release(head, t_r, inclusive, probe)
         self._items.popleft()
         self._admit_times.popleft()
         if self._ls_stall_start is not None:
@@ -643,20 +676,44 @@ class FetchUnitQueue:
         # stampers) are what the pure engine's release-time latch sees.
         if self._stats_words == 0:
             self._stats_empty_since = t_r
-        waiters = [self._requests.pop(slot) for slot in head.mask]
-        for slot in head.mask:
-            arrivals.pop(slot, None)
-            scheds.pop(slot, None)
         if self._staged or self._stage_done is not None:
             # The probe above may have drained staging; pumping with an
             # empty deque still fires the stage-done event.
             self._pump_staging(t_r)
         else:
             self._refill_from_waiters()
-        self.lockstep_batch_pes += len(waiters)
+        mask = head.mask
+        self.lockstep_batch_pes += len(mask)
+        requests = self._requests
+        steppers = self._steppers
+        arrivals = self._arrivals
+        scheds = self._scheds
         value = (head, t_r)
-        for ev in waiters:
-            fire_event(ev, value)
+        step = head.payload is not None
+        steps = 0
+        # Serving a PE touches no other slot's request (a resumed
+        # generator's own registrations wait for this cascade), so each
+        # slot leaves the books only when its PE is resumed.
+        for slot in mask:
+            ev = requests[slot]
+            cpu = steppers.get(slot)
+            if cpu is not None and step and ev.callbacks:
+                # Broadcast step: the PE is parked on ev, so run the
+                # instruction on it here, in mask order.  Its request
+                # stays on the books: unless the PE reached an edge, the
+                # step re-stamped it for the PE's next fetch.
+                got = cpu.broadcast_step(head, t_r, arrivals[slot])
+                if got is None:
+                    steps += 1
+                    continue
+            else:
+                got = value
+            del requests[slot]
+            steppers.pop(slot, None)
+            arrivals.pop(slot, None)
+            scheds.pop(slot, None)
+            fire_event(ev, got)
+        self.broadcast_steps += steps
 
     def _refill_from_waiters(self) -> None:
         while self._space_waiters:

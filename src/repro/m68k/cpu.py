@@ -41,10 +41,14 @@ a shared resource.  The CPU attempts the fast twin first and falls back
 to the generator protocol on refusal, so blocking semantics are
 unchanged.
 
-A PE bus on the fast tier also offers ``try_queue_fetch(addr)`` (the
-lockstep SIMD-space fetch) and ``chain_bounds``, the main-RAM range in
-which the CPU replays straight-line runs as pre-decoded superinstruction
-chains, reading the bus's ``instructions`` and ``map``.
+A PE bus on the fast tier also offers ``try_queue_fetch(addr, cpu)``
+(the lockstep SIMD-space fetch) and ``chain_bounds``, the main-RAM range
+in which the CPU replays straight-line runs as pre-decoded
+superinstruction chains, reading the bus's ``instructions`` and ``map``.
+A SIMD-space fetch parks the run loop on one request event; while it is
+parked the Fetch Unit Queue may serve it by *broadcast steps*
+(:meth:`CPU.broadcast_step`), executing each released instruction here
+without resuming the generator.
 
 Every instruction is compiled, the first time it is resolved, into one
 *handler*: a closure over everything the instruction fixes at assembly
@@ -324,6 +328,11 @@ class CPU:
         #: Optional per-instruction trace (enable with ``trace=True``).
         self.trace_records: list[InstructionRecord] = []
         self.trace = False
+        #: False keeps the queue from serving this CPU's SIMD-space
+        #: fetches by broadcast step: a PE with a scheduled fail-stop
+        #: must meet every release in its own generator, which a dead
+        #: board absorbs.
+        self.steppable = True
         #: Superinstruction chains (PE buses on the fast tier): straight-
         #: line main-RAM runs pre-decoded once and replayed without per-
         #: instruction fetch/dispatch overhead.  Keyed by start pc;
@@ -370,6 +379,11 @@ class CPU:
             # with empty entries.
             main_lo, main_hi = bounds
         tq = self._bus_try_queue_fetch
+        # Broadcast steps serve parked SIMD-space fetches outside this
+        # generator; tracing and instruction caps count here, so they
+        # keep every instruction in the loop.
+        stepper = (self if self.steppable and not self.trace
+                   and max_instructions is None else None)
         while self.halted is None:
             if chains is not None and main_lo <= self.regs.pc < main_hi:
                 chain = chains.get(self.regs.pc)
@@ -422,17 +436,32 @@ class CPU:
                 # When this PE's stamp completed the rendezvous the queue
                 # resolves it synchronously (callbacks already None) and
                 # the loop streams on without parking at all.
-                ev = tq(pc) if tq is not None else None
+                ev = tq(pc, stepper) if tq is not None else None
                 if ev is not None:
-                    pair = ev._value if ev.callbacks is None else (yield ev)
-                    instr = bus.finish_queue_fetch(pair)
-                else:
-                    instr = yield from bus.fetch_instruction(pc)
-                    if not isinstance(instr, Instruction):
-                        raise SimulationError(
-                            f"{self.name}: no instruction at {pc:#x} "
-                            f"(got {instr!r})"
-                        )
+                    got = ev._value if ev.callbacks is None else (yield ev)
+                    if len(got) == 2:  # (item, T_r): run it here
+                        got = self._run_released(got[0], got[1], start)
+                    elif not got:
+                        # Broadcast steps ran this PE to an edge (out of
+                        # SIMD space, or HALT) with nothing left over.
+                        continue
+                    if got is not None:
+                        # A handler's generator, from this loop or a
+                        # broadcast step: drive it, then retire.
+                        timing, instr, w, start = got
+                        timing = yield from timing
+                        self._retire(instr, timing, w, start)
+                    executed += 1
+                    if (max_instructions is not None
+                            and executed >= max_instructions):
+                        self.halted = HaltReason.EXTERNAL
+                    continue
+                instr = yield from bus.fetch_instruction(pc)
+                if not isinstance(instr, Instruction):
+                    raise SimulationError(
+                        f"{self.name}: no instruction at {pc:#x} "
+                        f"(got {instr!r})"
+                    )
             w = instr._encoded_words_cache
             if w is None:
                 w = instr.encoded_words()
@@ -487,6 +516,94 @@ class CPU:
             yield from self._bus_sync()
         self.finish_time = self.env.now
         return self.halted
+
+    # -- SIMD-space execution on the fast tier ---------------------------
+    def _run_released(self, item, t_r: float, start: float):
+        """Execute the broadcast instruction of queue ``item``, released
+        at ``t_r`` to this PE's request stamped ``start``.
+
+        Returns None once the instruction retired, or ``(continuation,
+        instr, words, start)`` when its handler handed back a generator,
+        which the run loop drives before :meth:`_retire`.
+        """
+        instr = item.payload
+        if instr is None:
+            raise SimulationError(
+                f"{self.name}: fetched a bare sync word as an instruction"
+            )
+        # The fetch: rebase the local clock on the release instant (env.now
+        # may lag behind it while the queue fast-forwards) and charge the
+        # item's words from the SIMD space's static RAM, no refresh.
+        bus = self.bus
+        n = item.words
+        bus.queue_fetches += n
+        bus.stream_accesses += n
+        cycles = n * (4 + bus._simd_ws)
+        bus._local = t_r - self.env.now + cycles
+        bus._lc = cycles
+        w = instr._encoded_words_cache
+        if w is None:
+            w = instr.encoded_words()
+        regs = self.regs
+        pc = regs.pc
+        next_pc = pc + 2 * w
+        regs.pc = next_pc  # may be overridden by control flow
+        h = instr._exec_handler_cache
+        if h is None:
+            h = instr._exec_handler_cache = _resolve_handler(instr)
+        timing = h(self, pc, next_pc)
+        if type(timing) is not TimingInfo:
+            return timing, instr, w, start
+        self._retire(instr, timing, w, start)
+        return None
+
+    def _retire(self, instr, timing, w: int, start: float) -> None:
+        """Post-handler accounting of a SIMD-space instruction on the fast
+        tier, the one copy the run loop, the broadcast step and its
+        continuation share: extra stream words, internal cycles, the
+        category cycles since ``start`` and the instruction count."""
+        bus = self.bus
+        extra_stream = timing.stream_words - w
+        if extra_stream > 0:
+            bus.try_fetch_stream_words(self.regs.pc, extra_stream)
+        internal = timing.internal_cycles
+        if internal:
+            if internal < 0:
+                raise SimulationError(
+                    f"{self.name}: negative internal time for {instr}"
+                    f" ({timing})"
+                )
+            bus._local += internal
+            bus._lc = internal
+        end = self.env.now + bus._local
+        self.instruction_count += 1
+        cats = self.category_cycles
+        cat = instr.timecat
+        try:
+            cats[cat] += end - start
+        except KeyError:
+            cats[cat] = end - start
+        if self.trace:
+            self.trace_records.append(
+                InstructionRecord(instr, start, end, timing))
+
+    def broadcast_step(self, item, t_r: float, start: float):
+        """Serve this CPU's parked SIMD-space fetch without resuming it.
+
+        Called by the Fetch Unit Queue when it releases ``item`` at
+        ``t_r`` to the request stamped ``start``: the instruction runs
+        and retires here, and the PE's next fetch is stamped on the same
+        parked event.  Returns None when the PE stays parked; otherwise
+        the value its generator resumes with — a handler's continuation
+        (``(continuation, instr, words, start)``), or ``()`` at an edge
+        with nothing left over (the pc left SIMD space, or HALT).
+        """
+        got = self._run_released(item, t_r, start)
+        if got is not None:
+            return got
+        if self.halted is None and self.bus.restamp_queue_fetch(self.regs.pc):
+            return None
+        return ()
 
     # ------------------------------------------------------------------
     def _build_chain(self, pc: int) -> list:

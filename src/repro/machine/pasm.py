@@ -280,6 +280,9 @@ class PASMMachine:
             if at is None:
                 procs.append(pe.run_process())
                 continue
+            # A dead board must absorb the releases still addressed to
+            # it in its own generator, never run them by broadcast step.
+            pe.cpu.steppable = False
             proc = self.env.process(
                 self._mortal(pe), name=f"PE{pe.physical_id}"
             )

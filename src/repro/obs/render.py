@@ -116,7 +116,10 @@ def summarize(doc: dict, *, proc: str | None = None) -> str:
         f"events:   {len(doc.get('traceEvents', []))}"
         f"  lanes: {len(lanes)}",
     ]
-    meta = other.get("meta", {})
+    # export_chrome merges the caller's meta into otherData beside its
+    # own three keys; show everything the caller put there.
+    meta = {k: v for k, v in other.items()
+            if k not in ("generator", "clock_note", "trace_id")}
     if meta:
         out.append("meta:     " + json.dumps(meta, sort_keys=True))
     out.append("")

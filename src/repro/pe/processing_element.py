@@ -106,6 +106,8 @@ class PEBus(LocalTimeBus):
         #: (see CPU.run); only the fast tier chains, None elsewhere.
         main = self.map.find(RegionKind.MAIN_RAM)
         self.chain_bounds = (main.start, main.end) if self.fast_path else None
+        simd = self.map.find(RegionKind.SIMD_SPACE)
+        self._simd_bounds = (simd.start, simd.end)
 
     # ------------------------------------------------------------------
     def load_program(self, program: AssembledProgram) -> None:
@@ -231,7 +233,7 @@ class PEBus(LocalTimeBus):
         self.memory.write(addr, value, size)
         return True
 
-    def try_queue_fetch(self, addr: int):
+    def try_queue_fetch(self, addr: int, cpu):
         """Lockstep fast twin of the SIMD-space instruction fetch.
 
         Registers the stamped request inline and returns the event the
@@ -241,8 +243,10 @@ class PEBus(LocalTimeBus):
         this PE's stamp completes the rendezvous the queue may resolve
         the release *synchronously* — the returned event comes back
         already fired and the CPU loop continues without parking at
-        all.  The CPU completes either way via
-        :meth:`finish_queue_fetch`.
+        all.  While the loop is parked, the queue may serve the request
+        by broadcast step on ``cpu``
+        (:meth:`~repro.m68k.cpu.CPU.broadcast_step`); None keeps every
+        release in the generator.
         """
         if not self.fast_path or self.trace_waits:
             return None
@@ -273,26 +277,28 @@ class PEBus(LocalTimeBus):
         # on the pure-event path — the heap position of the succeed this
         # stamp may enable (same-timestamp tie-breaking in the queue).
         return queue.register_request_inline(self.pe_slot, arrival, ev,
-                                             arrival - self._lc)
+                                             arrival - self._lc, cpu)
 
-    def finish_queue_fetch(self, pair) -> Instruction:
-        """Complete a :meth:`try_queue_fetch` from its ``(item, t_r)`` pair."""
-        item, released = pair
-        payload = item.payload
-        if payload is None:
-            raise SimulationError(
-                f"{self.name}: fetched a bare sync word as an instruction"
-            )
-        n = item.words
-        self.queue_fetches += n
-        self.stream_accesses += n
-        # Rebase on the recorded release instant (env.now may lag behind
-        # during queue fast-forward) and charge the fetch accesses —
-        # static RAM, no refresh.
-        cycles = n * (4 + self._simd_ws)
-        self._local = released - self.env.now + cycles
-        self._lc = cycles
-        return payload
+    def restamp_queue_fetch(self, pc: int) -> bool:
+        """Stamp a broadcast-stepped PE's next fetch, from ``pc``.
+
+        The twin of :meth:`try_queue_fetch` for a PE the queue is
+        serving by broadcast step, inside a release: the PE's request
+        (its parked event) stays registered, and only its arrival stamp
+        and schedule instant move on, with no release attempt.  False at
+        an edge: ``pc`` left SIMD space, so the PE must go back to its
+        generator.
+        """
+        lo, hi = self._simd_bounds
+        if not lo <= pc < hi:
+            return False
+        arrival = self.env.now + self._local
+        self._local = 0.0
+        self.lockstep_rendezvous += 1
+        queue = self.queue
+        queue._arrivals[self.pe_slot] = arrival
+        queue._scheds[self.pe_slot] = arrival - self._lc
+        return True
 
     # -- generator protocol ---------------------------------------------
     def fetch_instruction(self, addr: int):

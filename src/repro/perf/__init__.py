@@ -99,22 +99,27 @@ def machine_counters(machine: "PASMMachine") -> dict[str, int | bool]:
     lockstep_releases = 0
     lockstep_batch_pes = 0
     lockstep_carriers = 0
+    broadcast_steps = 0
     for queue in getattr(machine, "queues", {}).values():
         lockstep_releases += getattr(queue, "lockstep_releases", 0)
         lockstep_batch_pes += getattr(queue, "lockstep_batch_pes", 0)
         lockstep_carriers += getattr(queue, "lockstep_carriers", 0)
+        broadcast_steps += getattr(queue, "broadcast_steps", 0)
     out: dict[str, int | bool] = {
         "fast_path": bool(getattr(machine, "pes", None)
                           and machine.pes[0].bus.fast_path),
         "buses": buses,
         # Lockstep (the fast tier): stamped PE requests, computed-
-        # rendezvous releases, PE resumptions delivered in batch, and
+        # rendezvous releases, PE requests those releases served, and
         # carrier events scheduled (the ~1 heap event that replaces ~2·p
         # on the event rendezvous).
         "lockstep_rendezvous": lockstep_rendezvous,
         "lockstep_releases": lockstep_releases,
         "lockstep_batch_pes": lockstep_batch_pes,
         "lockstep_carriers": lockstep_carriers,
+        # PE instructions executed by broadcast step, without resuming
+        # the PE's generator.
+        "broadcast_steps": broadcast_steps,
     }
     out.update(kernel_counters(machine.env))
     return out

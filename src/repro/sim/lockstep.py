@@ -18,9 +18,22 @@ event rendezvous:
 * the queue releases the head item at ``T_r = max(admit time, max of the
   mask's arrival stamps)`` — the exact instant the pure-event schedule
   would have assembled the rendezvous;
-* delivery is batched: one **carrier** event fires at ``T_r`` and resumes
-  every waiting PE synchronously, so a p-PE broadcast step costs one heap
-  event instead of ~2p.
+* delivery is batched: one **carrier** event fires at ``T_r`` and serves
+  every waiting PE synchronously, so a p-PE broadcast instruction costs
+  one heap event instead of ~2p — or none, when ``T_r`` precedes the
+  next heap event and the release runs inline;
+* a PE parked on an instruction fetch is served by a **broadcast step**
+  (:meth:`repro.m68k.cpu.CPU.broadcast_step`): the queue runs the
+  released instruction on it directly, in mask order, and re-stamps the
+  PE's request for its next fetch — its generator is not resumed.  This
+  is the max-plus recurrence of the release times evaluated release by
+  release, with the per-PE arrivals computed by the PEs' own handlers.
+  A PE goes back to its generator only at an edge:
+  its handler hands back a generator (network, SIMD-space data or
+  barrier access, a cold instruction family), its pc leaves SIMD space,
+  it halts, or the item is a sync word.  A barrier read, a fetch by a
+  CPU that is tracing or under an instruction cap, and a PE with a
+  scheduled fail-stop are never stepped.
 
 Everything that is not a queue rendezvous — network transfer-register
 traffic, status/timer sampling, MIMD-space execution, mask changes,

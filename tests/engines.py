@@ -8,8 +8,9 @@ tiers"):
   rendezvous is discovered on the heap (``fast_path=False``); the
   reference oracle;
 * ``lockstep``    — private charges accrue on per-bus local clocks, and
-  the queue computes each release instant directly and resumes the
-  enabled set as a batch (``fast_path=True``); the default.
+  the queue computes each release instant directly and serves the
+  enabled set as a batch, by broadcast step where a PE is parked on
+  an instruction fetch (``fast_path=True``); the default.
 
 :func:`signature` captures everything a user of the simulator can
 observe — cycle counts, per-PE finish times and category breakdowns,

@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PEFailStopError
+from repro.errors import BusError, PEFailStopError
 from repro.faults import FaultPlan, PEFailStop, representative_fault_plan
 from repro.m68k.assembler import assemble
 from repro.machine import ExecutionMode, PASMMachine
@@ -204,8 +204,8 @@ def _run_simd_matmul(machine):
     bundle = build_matmul(ExecutionMode.SIMD, 16, machine.p,
                           device_symbols=CFG.device_symbols())
     a, b = generate_matrices(16)
-    run_matmul(machine, bundle, a, b)
-    return machine_counters(machine)
+    result = run_matmul(machine, bundle, a, b).result
+    return {**machine_counters(machine), "instructions": result.instructions}
 
 
 def test_lockstep_counters_report_batching():
@@ -213,15 +213,22 @@ def test_lockstep_counters_report_batching():
     assert counters["fast_path"] is True
     assert counters["lockstep_rendezvous"] > 1_000
     assert counters["lockstep_releases"] > 1_000
-    # Batching is real: p PEs resume per release, and carriers (the one
-    # heap event a rendezvous may still need) are strictly rarer than
-    # releases — fast-forwarded and inline releases need none at all.
+    # Batching is real: p PEs are served per release, and carriers (the
+    # one heap event a rendezvous may still need) are strictly rarer
+    # than releases — fast-forwarded and inline releases need none.
     assert counters["lockstep_batch_pes"] >= counters["lockstep_releases"]
     assert counters["lockstep_carriers"] < counters["lockstep_releases"]
+    # Broadcast steps engage: every instruction of this run is fetched
+    # from SIMD space, and at least three quarters of them run without a
+    # generator resume (the hand-backs are mostly the network
+    # transfers).  Nothing else would notice a step that stopped
+    # engaging: the schedule is the same either way.
+    assert counters["broadcast_steps"] >= 0.75 * counters["instructions"]
 
     off_counters = _run_simd_matmul(make_machine(4, "pure-events"))
     assert off_counters["fast_path"] is False
     assert off_counters["lockstep_rendezvous"] == 0
+    assert off_counters["broadcast_steps"] == 0
     # The batched engine needs far fewer heap events for the same run.
     assert (counters["events_scheduled"]
             < off_counters["events_scheduled"] / 2)
@@ -276,12 +283,18 @@ def _simd_plan(stages):
     return plan + [WaitController(), SetMask(_ALL), EnqueueBlock("fini")]
 
 
-def _simd_signature(engine: str, plan, blocks_src, seeds):
-    """Run a SIMD program on one engine tier; fingerprint it."""
-    machine = make_machine(4, engine)
+def _simd_signature(engine: str, plan, blocks_src, seeds,
+                    pe_text="    HALT", fault_plan=None):
+    """Run a SIMD program on one engine tier; fingerprint it.
+
+    ``pe_text`` is the code in each PE's main RAM, at $1000, for
+    broadcast jumps out of SIMD space; each PE's multiplier seed is the
+    word at $4000, and the words from $4100 on are fingerprinted for
+    broadcast stores."""
+    machine = make_machine(4, engine, fault_plan=fault_plan)
     data_programs = [
         assemble(
-            f"    HALT\n    .data\n    .org $4000\nmul: .dc.w {seed}",
+            f"{pe_text}\n    .data\n    .org $4000\nmul: .dc.w {seed}",
             predefined=CFG.device_symbols(),
         )
         for seed in seeds
@@ -296,36 +309,87 @@ def _simd_signature(engine: str, plan, blocks_src, seeds):
     sig = result_signature(machine, result)
     sig["d2"] = [machine.pe(lp).cpu.regs.d[2] & 0xFFFF for lp in range(4)]
     sig["d3"] = [machine.pe(lp).cpu.regs.d[3] & 0xFFFF for lp in range(4)]
+    sig["stored"] = [[machine.pe(lp).memory.read(0x4100 + 2 * k, 2)
+                      for k in range(8)] for lp in range(4)]
     return sig
 
 
 #: Seam programs: broadcast compute around one instruction whose effect
-#: differs per PE, as (blocks, stages).
+#: differs per PE, as (blocks, stages, PE main-RAM code).
 SEAM_PROGRAMS = {
     # The enabled mask narrows between two broadcast blocks.
     "mask-change": ({"wide": "    MULU    D1,D2\n    ADDQ.W  #1,D2",
                      "narrow": "    MULU    D1,D2\n    LSR.W   #1,D2"},
-                    [(_ALL, "wide", 3), ((1, 2), "narrow", 3)]),
+                    [(_ALL, "wide", 3), ((1, 2), "narrow", 3)],
+                    "    HALT"),
     # DIVU: data-dependent time, and a zero divisor would trap.
     "divu": ({"b0": "    ADDQ.W  #1,D2\n    MULU    D1,D2\n"
                     "    DIVU    D1,D2\n    ADDQ.W  #3,D2"},
-             [(_ALL, "b0", 3)]),
+             [(_ALL, "b0", 3)], "    HALT"),
     # Scc stores each PE's own condition codes.
     "scc": ({"b0": "    ADDQ.W  #1,D2\n    SNE     D3\n    MULU    D1,D2"},
-            [(_ALL, "b0", 3)]),
+            [(_ALL, "b0", 3)], "    HALT"),
     # A device read outside main RAM (the TIMER register).
     "timer": ({"b0": "    ADDQ.W  #1,D2\n    MOVE.W  TIMER,D3\n"
                      "    MULU    D1,D2"},
-              [(_ALL, "b0", 3)]),
+              [(_ALL, "b0", 3)], "    HALT"),
+    # A broadcast JMP into PE main RAM mid-block: each PE leaves SIMD
+    # space, runs its own data-dependent MULU there, and jumps back to
+    # take the rest of the block.
+    "jmp-main": ({"b0": "    MULU    D1,D2\n    JMP     $1000\n"
+                        "    ADDQ.W  #1,D3"},
+                 [(_ALL, "b0", 3)],
+                 "    ADDQ.W  #1,D2\n    MULU    D1,D2\n"
+                 "    JMP     SIMDSPACE"),
+    # Broadcast stores through (A0)+ into each PE's own memory, next to
+    # a data-dependent MULU, under a full and then a narrowed mask.
+    "store-postinc": ({"ptr": "    LEA     $4100,A0",
+                       "b0": "    MULU    D1,D2\n    MOVE.W  D2,(A0)+\n"
+                             "    ADDQ.W  #1,D2"},
+                      [(_ALL, "ptr", 1), (_ALL, "b0", 3),
+                       ((0, 3), "b0", 2)],
+                      "    HALT"),
 }
 
 
 @pytest.mark.parametrize("name", list(SEAM_PROGRAMS))
 def test_seam_program_identical(name):
-    blocks_src, stages = SEAM_PROGRAMS[name]
+    blocks_src, stages, pe_text = SEAM_PROGRAMS[name]
     plan = _simd_plan(stages)
-    assert (_simd_signature("lockstep", plan, blocks_src, _SEEDS)
-            == _simd_signature("pure-events", plan, blocks_src, _SEEDS))
+    assert (_simd_signature("lockstep", plan, blocks_src, _SEEDS, pe_text)
+            == _simd_signature("pure-events", plan, blocks_src, _SEEDS,
+                               pe_text))
+
+
+@pytest.mark.parametrize("engine", ENGINE_TIERS)
+def test_broadcast_bus_error_raises(engine):
+    """A broadcast read through PE 2's unmapped pointer raises out of
+    the run on every tier, also when a broadcast step executes it."""
+    blocks_src = {"b0": "    MULU    D1,D2\n    MOVEA.W D1,A0\n"
+                        "    MOVE.W  (A0),D3"}
+    with pytest.raises(BusError, match="unmapped address 0xfffffffe"):
+        _simd_signature(engine, _simd_plan([(_ALL, "b0", 2)]), blocks_src,
+                        [2, 4, 0xFFFE, 6])
+
+
+def test_failstop_of_parked_pe_identical():
+    """A PE struck while parked on a broadcast fetch, its zero multiplier
+    keeping it ahead of three slow PEs: the release its request still
+    completes must reach the dead board's generator, never run by
+    broadcast step, so the watchdog strikes where pure events do."""
+    victim = Partition(CFG, 4).physical_pe(0)
+    plan = FaultPlan(failstops=(PEFailStop(victim, 100.0),),
+                     failstop_timeout=2_000.0)
+    blocks_src = {"b0": "    MULU    D1,D2\n    ADDQ.W  #1,D3"}
+    outcomes = []
+    for engine in ENGINE_TIERS:
+        with pytest.raises(PEFailStopError) as exc_info:
+            _simd_signature(engine, _simd_plan([(_ALL, "b0", 20)]),
+                            blocks_src, [0, 0xFFFF, 0xFFFF, 0xFFFF],
+                            fault_plan=plan)
+        outcomes.append((exc_info.value.pes, exc_info.value.detected_at))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (victim,)
 
 
 _BODY_VOCAB = (

@@ -1,12 +1,16 @@
 """Machine-level integration tests: each execution mode end to end on
 small hand-written programs."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.m68k.assembler import assemble, AssembledProgram
 from repro.m68k.instructions import Instruction
 from repro.machine import ExecutionMode, PASMMachine, PrototypeConfig
 from repro.mc import EnqueueBlock, Loop, SetMask
+from tests.engines import ALL_MODES, ENGINE_TIERS, MODE_IDS, run_matmul_on
 
 
 CFG = PrototypeConfig()
@@ -326,3 +330,22 @@ class TestSMIMD:
         for lp in range(4):
             sender = (lp + 1) % 4
             assert m.pe(lp).memory.read(0x4000, 2) == 200 + sender
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("engine", ENGINE_TIERS)
+    @pytest.mark.parametrize("mode,p", ALL_MODES, ids=MODE_IDS)
+    def test_finished_machine_freed_without_gc(self, mode, p, engine):
+        """A finished run leaves no reference cycle through the machine:
+        reference counting alone frees it and its PE memories, so a
+        sweep's memory does not wait for the cyclic collector."""
+        gc.collect()
+        gc.disable()
+        try:
+            machine, run = run_matmul_on(mode, 8, p, engine)
+            refs = [weakref.ref(machine)]
+            refs += [weakref.ref(pe.memory) for pe in machine.pes]
+            del machine, run
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            gc.enable()

@@ -176,6 +176,11 @@ class TestTraceCli:
         for pe in range(4):
             assert f"/ PE {pe} " in text
             assert f"/ PE {pe} waits" in text
+        # The meta line carries what pasm-run passed to the export.
+        meta = [line for line in text.splitlines()
+                if line.startswith("meta:")]
+        assert len(meta) == 1
+        assert '"mode": "smimd"' in meta[0] and '"p": 4' in meta[0]
 
     def test_render_draws_one_row_per_lane_and_the_legend(
             self, exported, capsys):
