@@ -45,7 +45,7 @@ class FetchUnitController:
         self.words_transferred = 0
         self._outstanding = 0
         self._idle_waiters: list = []
-        env.process(self._run(), name=f"controller:{name}")
+        self._process = env.process(self._run(), name=f"controller:{name}")
 
     # ------------------------------------------------------------------
     def register_block(self, name: str, instructions: list[Instruction]) -> None:
@@ -67,6 +67,15 @@ class FetchUnitController:
     def outstanding(self) -> int:
         """Commands submitted but not yet fully transferred."""
         return self._outstanding
+
+    def close(self) -> None:
+        """Stop the controller process once its machine's run is over.
+
+        Parked on the command register, the process is a reference cycle
+        (controller, register store, waiter event, process, generator
+        frame) that would keep the queue and its statistics alive until
+        the cyclic collector ran."""
+        self._process.generator.close()
 
     # ------------------------------------------------------------------
     def submit_block(self, name: str):

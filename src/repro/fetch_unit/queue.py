@@ -80,6 +80,9 @@ class FetchUnitQueue:
         #: outlives the run).
         self._steppers: dict[int, object] = {}
         self._space_waiters: deque[tuple[Event, QueueItem]] = deque()
+        #: Lockstep: fail-stop strike instant by slot.  A stamp beyond it
+        #: is never registered: the event schedule kills the board first.
+        self._struck: dict[int, float] = {}
         # -- lockstep rendezvous state -------------------------------------
         self._arrivals: dict[int, float] = {}  #: stamped bus-true arrivals
         #: Schedule instants of the stamped arrivals: the time the pure
@@ -134,6 +137,12 @@ class FetchUnitQueue:
         #: PE instructions executed by broadcast step, the PE's generator
         #: left parked.
         self.broadcast_steps = 0
+        #: Admit-vs-release settles at equal time *and* equal schedule
+        #: instant: the event heap orders those by sequence, which the
+        #: lockstep tier does not track, so it guesses admit-first and
+        #: ``queue_stats`` may differ from pure events (the known
+        #: lockstep tie).  Zero means the run's stats are exact.
+        self.sched_ties = 0
 
     def _sample(self) -> None:
         self._occ.append((self.env.now, self._words_used))
@@ -185,15 +194,19 @@ class FetchUnitQueue:
             t, words, sample, sched = pend[0]
             if t > limit:
                 break
-            if (t == limit and not inclusive
-                    and sched is not None and sched > enabler_sched):
-                break
+            if t == limit and not inclusive and sched is not None:
+                if sched > enabler_sched:
+                    break
+                if sched == enabler_sched:
+                    self.sched_ties += 1
             pend.pop(0)
             if (stall_view is not None and self._stats_words == 0
                     and self._ls_stall_start is None
                     and not (sched is None
                              and t == self._stats_empty_since)):
                 amin, asched = stall_view
+                if amin == t and asched == sched:
+                    self.sched_ties += 1
                 if amin < t or (amin == t and sched is not None
                                 and asched < sched):
                     self._ls_stall_start = max(self._stats_empty_since,
@@ -384,6 +397,8 @@ class FetchUnitQueue:
             )
         if ev is None:
             ev = self.env.event(name=f"req:{self.name}:{pe_slot}")
+        if self._struck and arrival > self._struck.get(pe_slot, arrival):
+            return ev  # a dead board's request: it parks for good
         self._requests[pe_slot] = ev
         self._arrivals[pe_slot] = arrival
         self._scheds[pe_slot] = float("-inf") if sched is None else sched
@@ -412,6 +427,8 @@ class FetchUnitQueue:
             raise SimulationError(
                 f"PE slot {pe_slot} already has a pending request on {self.name}"
             )
+        if self._struck and arrival > self._struck.get(pe_slot, arrival):
+            return ev  # a dead board's request: it parks for good
         self._requests[pe_slot] = ev
         self._arrivals[pe_slot] = arrival
         self._scheds[pe_slot] = sched
@@ -445,8 +462,12 @@ class FetchUnitQueue:
         lockstep stamp must be withdrawn or it could wrongly complete a
         rendezvous mask.  A stamp at or before the strike stays: the
         pure-event flush sleep (scheduled earlier than the strike kicker)
-        lands first at equal times, so that request did register.
+        lands first at equal times, so that request did register.  No
+        later stamp of the slot registers either: a release served
+        before the kill reaches the board in lockstep may still run it
+        on to its next request.
         """
+        self._struck[pe_slot] = after
         arrival = self._arrivals.get(pe_slot)
         if arrival is not None and arrival > after:
             del self._arrivals[pe_slot]
@@ -607,6 +628,8 @@ class FetchUnitQueue:
                         or (a == stall_view[0] and sc < stall_view[1])):
                     stall_view = (a, sc)
         self._settle_admits(t_r, inclusive, enabler_sched, stall_view)
+        if probe and self._stage_clock == enabler_sched:
+            self.sched_ties += 1
         if probe and self._stage_clock <= enabler_sched:
             # Admit-before-release: run the staged admission now, while
             # the head still occupies the queue, and settle it against

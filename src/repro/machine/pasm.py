@@ -140,6 +140,7 @@ class PASMMachine:
         )
         self.fabric = NetworkFabric(
             self.env, self.network, byte_latency=byte_latency,
+            fast_path=self.fast_path,
         )
 
         # Fetch Units and MCs, one per partition MC.
@@ -281,8 +282,10 @@ class PASMMachine:
                 procs.append(pe.run_process())
                 continue
             # A dead board must absorb the releases still addressed to
-            # it in its own generator, never run them by broadcast step.
+            # it in its own generator, never run them by broadcast step,
+            # and no network stamp of it may pass the strike.
             pe.cpu.steppable = False
+            pe.bus.flush_net = True
             proc = self.env.process(
                 self._mortal(pe), name=f"PE{pe.physical_id}"
             )
@@ -335,10 +338,17 @@ class PASMMachine:
             nxt = env.peek()
             if nxt == float("inf") or nxt > deadline:
                 if nxt == float("inf"):
-                    # Lockstep: surviving PEs' unflushed arrivals are real
-                    # time in the event schedule (their flush sleeps would
-                    # have advanced the clock before the heap drained).
+                    # Lockstep: surviving PEs' unflushed arrivals, at the
+                    # queues and parked on network pipes, are real time in
+                    # the event schedule (their flush sleeps would have
+                    # advanced the clock before the heap drained), and so
+                    # are the store and mover events of the bytes the
+                    # pipes settled.
                     virtual = env.now
+                    for pipe in self.fabric.pipes():
+                        a = pipe.horizon()
+                        if a > virtual:
+                            virtual = a
                     for q in self.queues.values():
                         a = q.pending_arrival_max()
                         if a > virtual:
@@ -373,8 +383,15 @@ class PASMMachine:
 
     def _run(self, mode: ExecutionMode) -> MachineResult:
         """Start the loaded PEs, run to completion, and collect."""
-        self._watched_run(self._start_pes())
-        return self._collect(mode)
+        try:
+            self._watched_run(self._start_pes())
+            return self._collect(mode)
+        finally:
+            # The controllers wait for commands for good: stop them, so
+            # the queues are freed with the machine, not by the cyclic
+            # collector.
+            for controller in self.controllers.values():
+                controller.close()
 
     # ------------------------------------------------------------------
     def run_serial(self, program: AssembledProgram) -> MachineResult:

@@ -39,11 +39,17 @@ class PEBus(LocalTimeBus):
 
     With ``fast_path`` enabled (see :mod:`repro.sim.localtime`), private
     charges — main-RAM traffic and internal cycles — accrue in the local
-    clock; the bus flushes before network transfer-register traffic and
-    for every sampling access (network status, timer), and meets the
-    Fetch Unit Queue in lockstep (see :mod:`repro.sim.lockstep`): a
-    stamped-arrival request resolved by carrier, not flush + event.  The
-    queue must run on the same tier.
+    clock, and the bus flushes only for a sampling access (network
+    status, timer).  It meets the Fetch Unit Queue in lockstep (see
+    :mod:`repro.sim.lockstep`) and the network on its port's pipes
+    (:class:`~repro.network.transfer.Pipe`): a ``NETTX`` write or
+    ``NETRX`` read passes its bus-true stamp, the fast twins
+    :meth:`try_write`/:meth:`try_read` serve it when the pipe has
+    settled its term, and the generator protocol parks on the pipe's
+    carrier otherwise; either way the bus continues locally from the
+    settled instant plus the access.  ``flush_net`` (PEs with a
+    scheduled fail-stop) flushes before each transfer access instead.
+    The queue and the fabric must run on the same tier.
     """
 
     def __init__(
@@ -96,6 +102,10 @@ class PEBus(LocalTimeBus):
         self.trace_waits = False
         self.wait_spans: list[tuple[str, float, float]] = []
         self._init_local_clock(fast_path)
+        #: Fast tier: flush the local clock before each network register
+        #: access, so no stamp passes a scheduled fail-stop strike (set
+        #: by PASMMachine for such PEs); False serves accesses stamped.
+        self.flush_net = False
         if queue is not None and queue.fast_path != self.fast_path:
             raise ConfigurationError(
                 f"{name}: bus and Fetch Unit Queue run on different engine "
@@ -199,6 +209,11 @@ class PEBus(LocalTimeBus):
         if region is None or not (region.start <= addr < region.end):
             region = self._dregion(addr)
         if region.kind is not RegionKind.MAIN_RAM:
+            if region.kind is RegionKind.NET_RX and not self.flush_net:
+                stamp = self.env.now + self._local
+                got = self.port.rx_pipe.read(stamp)
+                if got is not None:
+                    return self._net_read_done(region, stamp, got)
             return None
         n = 2 if size == 4 else 1
         self.data_accesses += n
@@ -219,6 +234,13 @@ class PEBus(LocalTimeBus):
         if region is None or not (region.start <= addr < region.end):
             region = self._dregion(addr)
         if region.kind is not RegionKind.MAIN_RAM:
+            if (region.kind is RegionKind.NET_TX and size == 1
+                    and not self.flush_net):
+                stamp = self.env.now + self._local
+                t = self.port.tx_pipe.write(stamp, value)
+                if t is not None:
+                    self._net_write_done(region, stamp, t)
+                    return True
             return False
         n = 2 if size == 4 else 1
         self.data_accesses += n
@@ -419,20 +441,23 @@ class PEBus(LocalTimeBus):
             yield self.env.sleep(4 + region.wait_states)
             return 0
         if kind is RegionKind.NET_RX:
-            yield from self.sync()
-            if self.trace_waits:
-                t0 = self.env.now
-                value = yield from self.port.read_rx()
-                if self.env.now > t0:
-                    self.wait_spans.append(("net_rx_wait", t0, self.env.now))
-            else:
-                value = yield from self.port.read_rx()
+            if self.fast_path:
+                # Stamped read: no flush (but for a PE that may fail-
+                # stop); park only while the pipe cannot settle R_k.
+                if self.flush_net:
+                    yield from self.sync()
+                stamp = self.env.now + self._local
+                pipe = self.port.rx_pipe
+                got = pipe.read(stamp)
+                if got is None:
+                    got = yield pipe.park_read(stamp)
+                return self._net_read_done(region, stamp, got)
+            t0 = self.env.now
+            value = yield from self.port.read_rx()
+            if self.trace_waits and self.env.now > t0:
+                self.wait_spans.append(("net_rx_wait", t0, self.env.now))
             self.net_bytes_received += 1
             self.data_accesses += 1
-            if self.fast_path:
-                self._local += 4 + region.wait_states
-                self._lc = 4 + region.wait_states
-                return value
             yield self.env.sleep(4 + region.wait_states)
             return value
         if kind is RegionKind.NET_STATUS:
@@ -441,7 +466,10 @@ class PEBus(LocalTimeBus):
             # event-loop point as on the pure-event path.
             yield from self.sync()
             self.data_accesses += 1
-            yield self.env.sleep(4 + region.wait_states)
+            c = 4 + region.wait_states
+            yield self.env.sleep(c)
+            if self.fast_path:
+                return self.port.status_at(self.env.now, c)
             return self.port.status()
         if kind is RegionKind.TIMER:
             n = access_count(size)
@@ -478,23 +506,53 @@ class PEBus(LocalTimeBus):
                     f"{self.name}: network data path is 8 bits wide; "
                     f"{size}-byte write to NET_TX"
                 )
-            yield from self.sync()
-            if self.trace_waits:
-                t0 = self.env.now
-                yield from self.port.write_tx(value)
-                if self.env.now > t0:
-                    self.wait_spans.append(("net_tx_wait", t0, self.env.now))
-            else:
-                yield from self.port.write_tx(value)
+            if self.fast_path:
+                if self.flush_net:
+                    yield from self.sync()
+                stamp = self.env.now + self._local
+                pipe = self.port.tx_pipe
+                t = pipe.write(stamp, value)
+                if t is None:
+                    t = yield pipe.park_write(stamp, value)
+                self._net_write_done(region, stamp, t)
+                return
+            t0 = self.env.now
+            yield from self.port.write_tx(value)
+            if self.trace_waits and self.env.now > t0:
+                self.wait_spans.append(("net_tx_wait", t0, self.env.now))
             self.net_bytes_sent += 1
             self.data_accesses += 1
-            if self.fast_path:
-                self._local += 4 + region.wait_states
-                self._lc = 4 + region.wait_states
-                return
             yield self.env.sleep(4 + region.wait_states)
             return
         raise BusError(f"{self.name}: cannot write {kind.value} at {addr:#x}")
+
+    # -- stamped network transfers (fast tier) ---------------------------
+    def _net_read_done(self, region, stamp: float, got) -> int:
+        """Finish a stamped NETRX read the pipe settled at ``R_k``
+        (``got`` = ``(R_k, byte)``): the bus continues locally from
+        ``R_k`` plus the access."""
+        t, value = got
+        if self.trace_waits and t > stamp:
+            self.wait_spans.append(("net_rx_wait", stamp, t))
+        self.port.bytes_received += 1
+        self.net_bytes_received += 1
+        self.data_accesses += 1
+        c = 4 + region.wait_states
+        self._local = t + c - self.env.now
+        self._lc = c
+        return value
+
+    def _net_write_done(self, region, stamp: float, t: float) -> None:
+        """Finish a stamped NETTX write the pipe settled at ``W_k =
+        t``: the bus continues locally from ``t`` plus the access."""
+        if self.trace_waits and t > stamp:
+            self.wait_spans.append(("net_tx_wait", stamp, t))
+        self.port.bytes_sent += 1
+        self.net_bytes_sent += 1
+        self.data_accesses += 1
+        c = 4 + region.wait_states
+        self._local = t + c - self.env.now
+        self._lc = c
 
     def internal(self, cycles: float):
         if self.fast_path:

@@ -105,6 +105,9 @@ def machine_counters(machine: "PASMMachine") -> dict[str, int | bool]:
         lockstep_batch_pes += getattr(queue, "lockstep_batch_pes", 0)
         lockstep_carriers += getattr(queue, "lockstep_carriers", 0)
         broadcast_steps += getattr(queue, "broadcast_steps", 0)
+    fabric = getattr(machine, "fabric", None)
+    net_carriers = (sum(pipe.carriers for pipe in fabric.pipes())
+                    if fabric is not None else 0)
     out: dict[str, int | bool] = {
         "fast_path": bool(getattr(machine, "pes", None)
                           and machine.pes[0].bus.fast_path),
@@ -120,6 +123,10 @@ def machine_counters(machine: "PASMMachine") -> dict[str, int | bool]:
         # PE instructions executed by broadcast step, without resuming
         # the PE's generator.
         "broadcast_steps": broadcast_steps,
+        # Network accesses that parked on a pipe until a partner PE's
+        # stamp settled them, each served by one carrier event (the fast
+        # tier's only heap traffic for transfers but status sampling).
+        "net_carriers": net_carriers,
     }
     out.update(kernel_counters(machine.env))
     return out

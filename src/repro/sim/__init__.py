@@ -15,7 +15,7 @@ from repro.sim.events import AllOf, AnyOf, Event, SleepEvent, Timeout
 from repro.sim.environment import Environment, Process
 from repro.sim.localtime import LocalTimeBus, resolve_fast_path
 from repro.sim.lockstep import fire_event
-from repro.sim.resources import Gate, Rendezvous, Store
+from repro.sim.resources import Store
 
 __all__ = [
     "Environment",
@@ -26,8 +26,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Store",
-    "Gate",
-    "Rendezvous",
     "LocalTimeBus",
     "resolve_fast_path",
     "fire_event",

@@ -6,34 +6,41 @@ instruction fetches from its own DRAM, register operations, ``internal()``
 cycles, local reads and writes — it cannot affect, or be affected by, any
 other simulation process.  So those charges need not round-trip through
 the global event queue at all: :class:`LocalTimeBus` accumulates them in a
-per-bus local clock, and the bus re-joins global simulated time only at
-*shared-resource interaction points* (Fetch Unit Queue requests, network
-transfer-register traffic, status/timer sampling, halt).
+per-bus local clock, and the bus re-joins global simulated time only
+where it *samples* shared state (network status, timer, halt).
 
 The synchronization invariant
 -----------------------------
 A bus with ``fast_path`` enabled maintains ``true time = env.now +
-_local``.  Before any operation that touches shared state (or samples it),
-the bus *flushes*: it yields one pooled sleep event of ``_local`` cycles,
-landing at exactly the simulated time the pure-event execution would have
-reached by then.  Because every charge in the micro engine is an integral
-number of cycles, the local accumulation is exact float arithmetic and the
+_local``.  Before an operation that samples shared state, the bus
+*flushes*: it yields one pooled sleep event of ``_local`` cycles, landing
+at exactly the simulated time the pure-event execution would have reached
+by then.  Because every charge in the micro engine is an integral number
+of cycles, the local accumulation is exact float arithmetic and the
 flushed timestamps are bit-identical to the pure-event path.  Operations
-that *sample* shared state after their access charge (network status,
+that sample shared state after their access charge (network status,
 Fetch-Unit wait flag) additionally issue the final access charge as a real
 timeout, so the sampling event is scheduled at the same point in the event
 loop as in the pure-event path and tie-breaking at equal timestamps is
 preserved.
+
+The shared touches that only exchange data do not flush: a Fetch Unit
+Queue request and a network transfer-register access pass the bus-true
+time (``env.now + _local``) as a *stamp*, and the queue
+(:mod:`repro.sim.lockstep`) or the circuit's pipe
+(:class:`repro.network.transfer.Pipe`) computes the instant the access
+completes, from which the bus continues locally.  Only a PE with a
+scheduled fail-stop flushes before its transfer-register accesses, so
+no stamp of it passes the strike.
 
 Set ``REPRO_PURE_EVENTS=1`` to disable the fast path globally and push
 every charge through the event queue (the reference behaviour that the
 equivalence suite compares against).
 
 :class:`LocalTimeBus` is the base of the fast engine tier, not a tier of
-its own: with the fast path on, the Fetch Unit rendezvous additionally
-runs in lockstep (:mod:`repro.sim.lockstep`) — requests carry the
-bus-true arrival stamp instead of flushing, and the queue computes the
-max-over-PEs release instant directly.
+its own: with the fast path on, the Fetch Unit rendezvous runs in
+lockstep and network transfers settle on stamped pipes, both as the
+max-plus recurrences stated in DESIGN.md §2b.
 """
 
 from __future__ import annotations
@@ -62,8 +69,9 @@ class LocalTimeBus:
 
     * charge private time with ``self._local += cycles`` (guarded by
       ``self.fast_path``) instead of yielding a timeout;
-    * ``yield from self.sync()`` immediately before any shared-resource
-      interaction;
+    * ``yield from self.sync()`` immediately before sampling shared
+      state, or pass ``now`` as a stamp to a resource that computes
+      when the access completes;
     * read the bus-true current time from :attr:`now` (never ``env.now``
       directly while the local clock may be ahead).
     """

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim import AllOf, AnyOf, Environment, Event, Gate, Rendezvous, Store
+from repro.sim import AllOf, AnyOf, Environment, Event, Store
 
 
 def test_timeout_advances_time():
@@ -296,116 +296,7 @@ class TestStore:
         env.run()
         assert out == [(6, "z")]
 
-    def test_try_put(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        assert store.try_put(1) is True
-        env.run()
-        assert store.try_put(2) is False
-        assert list(store.items) == [1]
-
     def test_invalid_capacity(self):
         env = Environment()
         with pytest.raises(ValueError):
             Store(env, capacity=0)
-
-
-class TestGate:
-    def test_wait_blocks_until_open(self):
-        env = Environment()
-        gate = Gate(env)
-        out = []
-
-        def waiter():
-            yield gate.wait()
-            out.append(env.now)
-
-        def opener():
-            yield env.timeout(8)
-            gate.open()
-
-        env.process(waiter())
-        env.process(opener())
-        env.run()
-        assert out == [8]
-
-    def test_open_gate_passes_immediately(self):
-        env = Environment()
-        gate = Gate(env, is_open=True)
-
-        def waiter():
-            yield gate.wait()
-            return env.now
-
-        p = env.process(waiter())
-        env.run()
-        assert p.value == 0
-
-    def test_close_reblocks(self):
-        env = Environment()
-        gate = Gate(env, is_open=True)
-        gate.close()
-        assert not gate.is_open
-
-
-class TestRendezvous:
-    def test_barrier_releases_all_at_last_arrival(self):
-        env = Environment()
-        bar = Rendezvous(env, parties=3)
-        releases = []
-
-        def party(delay):
-            yield env.timeout(delay)
-            gen = yield bar.arrive()
-            releases.append((env.now, gen))
-
-        for d in (1, 5, 9):
-            env.process(party(d))
-        env.run()
-        assert releases == [(9, 0), (9, 0), (9, 0)]
-
-    def test_auto_reset_generations(self):
-        env = Environment()
-        bar = Rendezvous(env, parties=2)
-        gens = []
-
-        def party():
-            for _ in range(3):
-                gen = yield bar.arrive()
-                gens.append(gen)
-                yield env.timeout(1)
-
-        env.process(party())
-        env.process(party())
-        env.run()
-        assert sorted(gens) == [0, 0, 1, 1, 2, 2]
-
-    def test_single_party_never_blocks(self):
-        env = Environment()
-        bar = Rendezvous(env, parties=1)
-
-        def party():
-            yield bar.arrive()
-            return env.now
-
-        p = env.process(party())
-        env.run()
-        assert p.value == 0
-
-    def test_invalid_parties(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            Rendezvous(env, parties=0)
-
-    def test_cannot_shrink_below_arrived(self):
-        env = Environment()
-        bar = Rendezvous(env, parties=3)
-
-        def party():
-            yield bar.arrive()
-
-        env.process(party())
-        env.process(party())
-        env.run(until=1)
-        with pytest.raises(SimulationError):
-            bar.parties = 2
