@@ -381,27 +381,27 @@ class FetchUnitQueue:
         return item
 
     def register_request_at(self, pe_slot: int, arrival: float,
-                            ev: Event | None = None,
-                            sched: float | None = None) -> Event:
+                            sched: float) -> Event:
         """Register a stamped lockstep request; return the event to park on.
 
-        Non-generator entry so the CPU's hot loop can park on the request
-        with a single ``yield`` (no sub-generator frames).  ``ev`` lets
-        the caller supply a recycled event object.  ``sched`` is the
-        schedule instant of the arrival's final charge event (defaults
-        to -inf: ties break release-first, the pre-sched behaviour).
+        The PE does *not* flush its local clock first: ``arrival`` is its
+        bus-true time (``env.now + local``) and the caller zeroes the
+        local clock.  ``sched`` is the schedule instant of the arrival's
+        final charge event.  The PE resumes, carrier-delivered, with the
+        ``(item, t_r)`` release pair; ``t_r`` is the computed rendezvous
+        instant (env.now may lag behind it during queue fast-forward),
+        from which the caller rebases its local clock.
         """
         if pe_slot in self._requests:
             raise SimulationError(
                 f"PE slot {pe_slot} already has a pending request on {self.name}"
             )
-        if ev is None:
-            ev = self.env.event(name=f"req:{self.name}:{pe_slot}")
+        ev = self.env.event(name=f"req:{self.name}:{pe_slot}")
         if self._struck and arrival > self._struck.get(pe_slot, arrival):
             return ev  # a dead board's request: it parks for good
         self._requests[pe_slot] = ev
         self._arrivals[pe_slot] = arrival
-        self._scheds[pe_slot] = float("-inf") if sched is None else sched
+        self._scheds[pe_slot] = sched
         self._try_release()
         return ev
 
@@ -438,21 +438,6 @@ class FetchUnitQueue:
             self._run_releases()
         return ev
 
-    def request_at(self, pe_slot: int, arrival: float,
-                   sched: float | None = None):
-        """Generator (PE side, lockstep): stamped fetch request.
-
-        The PE does *not* flush its local clock first: ``arrival`` is its
-        bus-true time (``env.now + local``) and the caller zeroes the
-        local clock at the call.  The PE resumes — carrier-delivered —
-        with the ``(item, t_r)`` release pair as the yield value;
-        ``t_r`` is the computed rendezvous instant (env.now may lag
-        behind it during queue fast-forward) and the caller rebases its
-        local clock from it.
-        """
-        pair = yield self.register_request_at(pe_slot, arrival, sched=sched)
-        return pair
-
     def cancel_lockstep_request(self, pe_slot: int, after: float) -> None:
         """Withdraw a stamped request whose arrival lies strictly after
         ``after`` (fail-stop support).
@@ -474,6 +459,12 @@ class FetchUnitQueue:
             self._scheds.pop(pe_slot, None)
             self._steppers.pop(pe_slot, None)
             del self._requests[pe_slot]
+            if (self._carrier_pending and self._items
+                    and pe_slot in self._items[0].mask):
+                # The carrier was for the release this stamp completed,
+                # which no longer happens.
+                self.env.withdraw(self._carrier_fired)
+                self._carrier_pending = False
 
     def pending_arrival_max(self) -> float:
         """Latest stamped arrival among pending requests (-inf if none).

@@ -60,13 +60,9 @@ class SimpleBus(LocalTimeBus):
         self.ws_stream = ws_stream
         self.ws_data = ws_data
         self.refresh = refresh
-        if refresh is not None:
-            self._ref_period, self._ref_steal = refresh.inline_constants()
-        else:
-            self._ref_period, self._ref_steal = 1, 0
         self.stream_accesses = 0
         self.data_accesses = 0
-        self._init_local_clock(fast_path)
+        self._init_local_clock(fast_path, refresh)
 
     # ------------------------------------------------------------------
     def load_program(self, program: AssembledProgram) -> None:
@@ -79,22 +75,6 @@ class SimpleBus(LocalTimeBus):
                 )
             self.memory[addr : addr + len(chunk)] = chunk
 
-    # ------------------------------------------------------------------
-    def _access_cycles(self, n: int, ws: float) -> float:
-        """Access burst cost at the *bus-true* current time.
-
-        The DRAM refresh stall is a pure function of absolute time, so it
-        is computed against ``env.now + _local`` (closed form, inlined) —
-        identical to the pure-event path, where ``_local`` is always 0.
-        """
-        cycles = n * (4 + ws)
-        steal = self._ref_steal
-        if steal:
-            phase = (self.env.now + self._local) % self._ref_period
-            if phase < steal:
-                cycles += steal - phase
-        return cycles
-
     # -- non-generator fast ops (fast path only; None/False = fall back
     # to the generator protocol).  A SimpleBus has no shared resources,
     # so every access succeeds locally when the fast path is on. --------
@@ -106,14 +86,14 @@ class SimpleBus(LocalTimeBus):
             return None  # generator path raises the BusError
         n = instr.encoded_words()
         self.stream_accesses += n
-        self._local += self._access_cycles(n, self.ws_stream)
+        self._local += self._ram_cycles(n, self.ws_stream)
         return instr
 
     def try_fetch_stream_words(self, addr: int, n: int) -> bool:
         if not self.fast_path:
             return False
         self.stream_accesses += n
-        self._local += self._access_cycles(n, self.ws_stream)
+        self._local += self._ram_cycles(n, self.ws_stream)
         return True
 
     def try_read(self, addr: int, size: int):
@@ -121,7 +101,7 @@ class SimpleBus(LocalTimeBus):
             return None
         n = access_count(size)
         self.data_accesses += n
-        self._local += self._access_cycles(n, self.ws_data)
+        self._local += self._ram_cycles(n, self.ws_data)
         return self.peek(addr, size)
 
     def try_write(self, addr: int, value: int, size: int) -> bool:
@@ -129,7 +109,7 @@ class SimpleBus(LocalTimeBus):
             return False
         n = access_count(size)
         self.data_accesses += n
-        self._local += self._access_cycles(n, self.ws_data)
+        self._local += self._ram_cycles(n, self.ws_data)
         self.poke(addr, value, size)
         return True
 
@@ -142,51 +122,27 @@ class SimpleBus(LocalTimeBus):
             raise BusError(f"no instruction at {addr:#x}") from None
         n = instr.encoded_words()
         self.stream_accesses += n
-        cycles = self._access_cycles(n, self.ws_stream)
-        if self.fast_path:
-            self._local += cycles
-            return instr
-        yield self.env.sleep(cycles)
+        yield from self.charge(self._ram_cycles(n, self.ws_stream))
         return instr
 
     def fetch_stream_words(self, addr: int, n: int):
         """Generator: charge ``n`` extra instruction-stream accesses."""
         self.stream_accesses += n
-        cycles = self._access_cycles(n, self.ws_stream)
-        if self.fast_path:
-            self._local += cycles
-            return
-        yield self.env.sleep(cycles)
+        yield from self.charge(self._ram_cycles(n, self.ws_stream))
 
     def read(self, addr: int, size: int):
         """Generator: read ``size`` bytes big-endian, charging access time."""
         n = access_count(size)
         self.data_accesses += n
-        cycles = self._access_cycles(n, self.ws_data)
-        if self.fast_path:
-            self._local += cycles
-            return self.peek(addr, size)
-        yield self.env.sleep(cycles)
+        yield from self.charge(self._ram_cycles(n, self.ws_data))
         return self.peek(addr, size)
 
     def write(self, addr: int, value: int, size: int):
         """Generator: write ``size`` bytes big-endian, charging access time."""
         n = access_count(size)
         self.data_accesses += n
-        cycles = self._access_cycles(n, self.ws_data)
-        if self.fast_path:
-            self._local += cycles
-            self.poke(addr, value, size)
-            return
-        yield self.env.sleep(cycles)
+        yield from self.charge(self._ram_cycles(n, self.ws_data))
         self.poke(addr, value, size)
-
-    def internal(self, cycles: float):
-        """Generator: charge non-bus execution time."""
-        if self.fast_path:
-            self._local += cycles
-            return
-        yield self.env.sleep(cycles)
 
     # -- zero-time debug access ----------------------------------------
     def peek(self, addr: int, size: int) -> int:

@@ -11,7 +11,10 @@ traffic goes through the bus as generator calls so that
   instruction broadcast, implicit network synchronization, and barrier
   mechanism work.
 
-Bus protocol (all methods are generators driven by the sim kernel):
+Bus protocol.  Every bus subclasses
+:class:`repro.sim.localtime.LocalTimeBus`, which fixes the protocol: the
+CPU binds the same methods on every bus.  The generator methods, driven
+by the sim kernel:
 
 ``fetch_instruction(addr)``
     returns the :class:`Instruction` at ``addr`` after charging its
@@ -21,32 +24,30 @@ Bus protocol (all methods are generators driven by the sim kernel):
     prefetches, RTS pipeline refill).
 ``read(addr, size)`` / ``write(addr, value, size)``
     operand accesses; may block on device registers.
-``internal(cycles)``
+``charge(cycles)``
     pure execution time (no bus activity).
+``sync()``
+    flushes the bus's local clock (at halt).
 
-Buses may additionally provide the local-time fast-path extensions of
-:class:`repro.sim.localtime.LocalTimeBus` — ``now`` (bus-true current
-time), ``try_charge(cycles)`` (absorb pure execution time into the local
-clock) and ``sync()`` (flush the local clock) — which the CPU discovers
-with ``getattr`` and uses when present.  Timestamps in traces and
-category totals are then taken from ``bus.now`` so they remain identical
-to the pure-event path.
-
-Buses can also expose *non-generator* twins of the four bus calls —
+Each of the four access calls has a *non-generator* fast twin —
 ``try_fetch_instruction(addr)``, ``try_fetch_stream_words(addr, n)``,
 ``try_read(addr, size)`` and ``try_write(addr, value, size)`` — that
-complete a purely private access (own-DRAM traffic) without creating a
-generator, returning ``None``/``False`` whenever the access might touch
-a shared resource.  The CPU attempts the fast twin first and falls back
-to the generator protocol on refusal, so blocking semantics are
-unchanged.
+completes a purely private access (own-DRAM traffic) on the fast tier
+without creating a generator, accruing its time in the bus's local
+clock, and returns ``None``/``False`` whenever the access might touch a
+shared resource (and always on the pure-event tier).  The CPU attempts
+the fast twin first and falls back to the generator protocol on refusal,
+so blocking semantics are unchanged.  Timestamps in traces and category
+totals are taken at bus-true time, ``env.now + bus._local``, so they are
+identical to the pure-event path, where ``_local`` stays 0.
 
-A PE bus on the fast tier also offers ``try_queue_fetch(addr, cpu)``
-(the lockstep SIMD-space fetch) and ``chain_bounds``, the main-RAM range
-in which the CPU replays straight-line runs as pre-decoded
-superinstruction chains, reading the bus's ``instructions`` and ``map``.
-A SIMD-space fetch parks the run loop on one request event; while it is
-parked the Fetch Unit Queue may serve it by *broadcast steps*
+A PE bus on the fast tier also serves ``try_queue_fetch(addr, cpu)``
+(the lockstep SIMD-space fetch) and sets ``chain_bounds``, the main-RAM
+range in which the CPU replays straight-line runs as pre-decoded
+superinstruction chains, reading the bus's ``instructions`` and ``map``;
+the base class refuses the one and leaves the other None.  A SIMD-space
+fetch parks the run loop on one request event; while it is parked the
+Fetch Unit Queue may serve it by *broadcast steps*
 (:meth:`CPU.broadcast_step`), executing each released instruction here
 without resuming the generator.
 
@@ -307,16 +308,12 @@ class CPU:
         self.env = env
         self.bus = bus
         self.name = name
-        # Optional fast-path bus extensions (see module docstring).
-        self._bus_sync = getattr(bus, "sync", None)
-        self._bus_try_charge = getattr(bus, "try_charge", None)
-        self._bus_try_fetch = getattr(bus, "try_fetch_instruction", None)
-        self._bus_try_queue_fetch = getattr(bus, "try_queue_fetch", None)
-        self._bus_chain_bounds = getattr(bus, "chain_bounds", None)
-        self._bus_try_stream = getattr(bus, "try_fetch_stream_words", None)
-        self._bus_try_read = getattr(bus, "try_read", None)
-        self._bus_try_write = getattr(bus, "try_write", None)
-        self._bus_now = self._bus_sync is not None
+        # The non-generator bus calls, bound once (see module docstring).
+        self._bus_try_fetch = bus.try_fetch_instruction
+        self._bus_try_queue_fetch = bus.try_queue_fetch
+        self._bus_try_stream = bus.try_fetch_stream_words
+        self._bus_try_read = bus.try_read
+        self._bus_try_write = bus.try_write
         self.regs = RegisterFile()
         self.halted: HaltReason | None = None
         self.instruction_count = 0
@@ -357,8 +354,7 @@ class CPU:
         """
         env = self.env
         bus = self.bus
-        fast = self._bus_now
-        bus_fast = fast and bus.fast_path
+        bus_fast = bus.fast_path
         tf = self._bus_try_fetch
         ts = self._bus_try_stream
         cats = self.category_cycles
@@ -369,7 +365,7 @@ class CPU:
         # instruction).  Tracing and instruction caps take the
         # per-instruction path.
         chains = None
-        bounds = self._bus_chain_bounds
+        bounds = bus.chain_bounds
         if bounds is not None and not self.trace and max_instructions is None:
             chains = self._chain_cache
             ref_period, ref_steal = bus._ref_period, bus._ref_steal
@@ -395,6 +391,8 @@ class CPU:
                     # instruction path below, minus fetch and lookup ----
                     for pc, instr, w, base, npc, h, cat in chain:
                         start = env.now + bus._local
+                        # The fetch: LocalTimeBus._ram_cycles, inlined
+                        # (the MIMD hot loop).
                         cycles = base
                         if ref_steal:
                             phase = start % ref_period
@@ -427,16 +425,16 @@ class CPU:
                     self.instruction_count += len(chain)
                     continue  # chain ended at control flow / HALT / region edge
             # -- one instruction: fetch, dispatch, time ---------------
-            start = env.now + bus._local if fast else env.now
+            start = env.now + bus._local
             pc = self.regs.pc
-            instr = tf(pc) if tf is not None else None
+            instr = tf(pc)
             if instr is None:
                 # Lockstep SIMD-space fetch: park on the stamped request
                 # event directly — one yield, no sub-generator frames.
                 # When this PE's stamp completed the rendezvous the queue
                 # resolves it synchronously (callbacks already None) and
                 # the loop streams on without parking at all.
-                ev = tq(pc, stepper) if tq is not None else None
+                ev = tq(pc, stepper)
                 if ev is not None:
                     got = ev._value if ev.callbacks is None else (yield ev)
                     if len(got) == 2:  # (item, T_r): run it here
@@ -477,7 +475,7 @@ class CPU:
 
             extra_stream = timing.stream_words - w
             if extra_stream > 0:
-                if ts is None or not ts(self.regs.pc, extra_stream):
+                if not ts(self.regs.pc, extra_stream):
                     yield from bus.fetch_stream_words(
                         self.regs.pc, extra_stream
                     )
@@ -492,11 +490,9 @@ class CPU:
                     bus._local += internal
                     bus._lc = internal
                 else:
-                    tc = self._bus_try_charge
-                    if tc is None or not tc(internal):
-                        yield from bus.internal(internal)
+                    yield from bus.charge(internal)
 
-            end = env.now + bus._local if fast else env.now
+            end = env.now + bus._local
             self.instruction_count += 1
             cat = instr.timecat
             try:
@@ -510,10 +506,9 @@ class CPU:
             executed += 1
             if max_instructions is not None and executed >= max_instructions:
                 self.halted = HaltReason.EXTERNAL
-        if self._bus_sync is not None:
-            # Flush any locally-accrued time so env.now reflects the true
-            # halt time (bit-identical to the pure-event path).
-            yield from self._bus_sync()
+        # Flush any locally-accrued time so env.now reflects the true
+        # halt time (bit-identical to the pure-event path).
+        yield from bus.sync()
         self.finish_time = self.env.now
         return self.halted
 
@@ -533,8 +528,11 @@ class CPU:
             )
         # The fetch: rebase the local clock on the release instant (env.now
         # may lag behind it while the queue fast-forwards) and charge the
-        # item's words from the SIMD space's static RAM, no refresh.
+        # item's words from the SIMD space's static RAM, no refresh.  A
+        # traced PE records its wait, from the stamp to the release.
         bus = self.bus
+        if bus.trace_waits and t_r > start:
+            bus.wait_spans.append(("queue_wait", start, t_r))
         n = item.words
         bus.queue_fetches += n
         bus.stream_accesses += n
@@ -651,8 +649,7 @@ class CPU:
     def _load(self, addr: int, size: int):
         """Generator: the ``size``-byte value at ``addr``, through the
         fast twin when it serves the access."""
-        tr = self._bus_try_read
-        value = tr(addr, size) if tr is not None else None
+        value = self._bus_try_read(addr, size)
         if value is None:
             value = (yield from self.bus.read(addr, size)) & _MASK[size]
         return value
@@ -660,8 +657,7 @@ class CPU:
     def _store(self, addr: int, value: int, size: int):
         """Generator: write ``value`` at ``addr``, through the fast twin
         when it serves the access."""
-        tw = self._bus_try_write
-        if tw is None or not tw(addr, value, size):
+        if not self._bus_try_write(addr, value, size):
             yield from self.bus.write(addr, value, size)
 
 
@@ -801,8 +797,7 @@ def _finish_write(bus, addr, value, size, t):
 def _write(cpu, addr, value, size, t):
     """Write through the fast twin and return ``t``, or return the
     write's slow continuation."""
-    tw = cpu._bus_try_write
-    if tw is not None and tw(addr, value, size):
+    if cpu._bus_try_write(addr, value, size):
         return t
     return _finish_write(cpu.bus, addr, value, size, t)
 
@@ -847,8 +842,7 @@ def _compile_move(instr: Instruction):
                         ar[sr] = (addr + spost) & _M32
                 else:
                     addr = s_at(regs, pc)
-                tr = cpu._bus_try_read
-                v = tr(addr, size) if tr is not None else None
+                v = cpu._bus_try_read(addr, size)
                 if v is None:
                     return _resume(move, cpu, addr, size, pc, next_pc)
         elif imm is None:
@@ -873,8 +867,7 @@ def _compile_move(instr: Instruction):
                 ar[d] = (addr + dpost) & _M32
         else:
             addr = d_at(regs, pc)
-        tw = cpu._bus_try_write
-        if tw is not None and tw(addr, v, size):
+        if cpu._bus_try_write(addr, v, size):
             return t
         return _finish_write(cpu.bus, addr, v, size, t)
 
@@ -914,8 +907,7 @@ def _compile_alu(instr: Instruction):
                         ar[sr] = (addr + spost) & _M32
                 else:
                     addr = s_at(regs, pc)
-                tr = cpu._bus_try_read
-                v = tr(addr, size) if tr is not None else None
+                v = cpu._bus_try_read(addr, size)
                 if v is None:
                     return _resume(alu, cpu, addr, size, pc, next_pc)
         elif imm is None:
@@ -946,15 +938,13 @@ def _compile_alu(instr: Instruction):
                 ar[d] = (addr + dpost) & _M32
         else:
             addr = d_at(regs, pc)
-        tr = cpu._bus_try_read
-        old = tr(addr, size) if tr is not None else None
+        old = cpu._bus_try_read(addr, size)
         if old is None:
             return modify(cpu, addr, v)
         res = op(regs.ccr, old, v, mask, sign)
         if res is None:
             return t
-        tw = cpu._bus_try_write
-        if tw is not None and tw(addr, res, size):
+        if cpu._bus_try_write(addr, res, size):
             return t
         return _finish_write(cpu.bus, addr, res, size, t)
 
@@ -996,8 +986,7 @@ def _compile_muldiv(instr: Instruction):
                     v = imm
                 else:
                     addr = at(regs, pc)
-                    tr = cpu._bus_try_read
-                    v = tr(addr, 2) if tr is not None else None
+                    v = cpu._bus_try_read(addr, 2)
                     if v is None:
                         return _resume(mul, cpu, addr, 2, pc, next_pc)
             if signed:

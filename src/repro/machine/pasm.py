@@ -299,10 +299,16 @@ class PASMMachine:
     def _mortal(self, pe: ProcessingElement):
         """Run a PE that may fail-stop: after the kill signal the board goes
         silent forever (its process never completes, and any stale event
-        callback that still resumes it is absorbed without side effects)."""
+        callback that still resumes it is absorbed without side effects).
+
+        The kill also withdraws the charge the board was sleeping through
+        (on the fast tier, the flush to the end of its private run): its
+        end is past the strike, where the dead board never gets, so it
+        must not set the watchdog's detection instant either."""
         try:
             yield from pe.cpu.run()
         except _FailStopSignal:
+            self.env.withdraw(self.env.active_process._resume)
             while True:
                 yield self.env.event(name=f"dead:PE{pe.physical_id}")
 
@@ -387,11 +393,13 @@ class PASMMachine:
             self._watched_run(self._start_pes())
             return self._collect(mode)
         finally:
-            # The controllers wait for commands for good: stop them, so
-            # the queues are freed with the machine, not by the cyclic
+            # The controllers wait for commands, and the network movers
+            # for bytes, for good: stop them, so the queues and the
+            # environment are freed with the machine, not by the cyclic
             # collector.
             for controller in self.controllers.values():
                 controller.close()
+            self.fabric.close()
 
     # ------------------------------------------------------------------
     def run_serial(self, program: AssembledProgram) -> MachineResult:

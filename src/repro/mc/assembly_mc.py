@@ -78,24 +78,13 @@ class MCBus(LocalTimeBus):
         self.memory = MemoryModule(MC_RAM_SIZE)
         self.instructions: dict[int, Instruction] = {}
         self.device_writes = 0
-        self._ref_period, self._ref_steal = config.refresh.inline_constants()
-        self._init_local_clock(fast_path)
+        self._ws = config.ws_main
+        self._init_local_clock(fast_path, config.refresh)
 
     def load_program(self, program: AssembledProgram) -> None:
         self.instructions.update(program.instructions)
         for addr, chunk in program.data:
             self.memory.load(addr, chunk)
-
-    # -- timing helpers -------------------------------------------------
-    def _ram_cycles(self, n_accesses: int) -> float:
-        # Inlined closed form of RefreshModel.stall_cycles at bus-true time.
-        cycles = n_accesses * (4 + self.config.ws_main)
-        steal = self._ref_steal
-        if steal:
-            phase = (self.env.now + self._local) % self._ref_period
-            if phase < steal:
-                cycles += steal - phase
-        return cycles
 
     # -- CPU bus protocol ------------------------------------------------
     # Non-generator fast ops (fast path only; None/False = fall back to
@@ -107,19 +96,19 @@ class MCBus(LocalTimeBus):
         instr = self.instructions.get(addr)
         if instr is None:
             return None  # generator path raises the BusError
-        self._local += self._ram_cycles(instr.encoded_words())
+        self._local += self._ram_cycles(instr.encoded_words(), self._ws)
         return instr
 
     def try_fetch_stream_words(self, addr: int, n: int) -> bool:
         if not self.fast_path:
             return False
-        self._local += self._ram_cycles(n)
+        self._local += self._ram_cycles(n, self._ws)
         return True
 
     def try_read(self, addr: int, size: int):
         if not self.fast_path or addr == FU_WAIT_ADDR:
             return None
-        self._local += self._ram_cycles(access_count(size))
+        self._local += self._ram_cycles(access_count(size), self._ws)
         return self.memory.read(addr, size)
 
     def try_write(self, addr: int, value: int, size: int) -> bool:
@@ -127,7 +116,7 @@ class MCBus(LocalTimeBus):
             FU_MASK_ADDR, FU_CTRL_ADDR, FU_SYNC_ADDR
         ):
             return False
-        self._local += self._ram_cycles(access_count(size))
+        self._local += self._ram_cycles(access_count(size), self._ws)
         self.memory.write(addr, value, size)
         return True
 
@@ -137,19 +126,11 @@ class MCBus(LocalTimeBus):
         except KeyError:
             raise BusError(f"{self.name}: no instruction at {addr:#x}") from None
         n = instr.encoded_words()
-        cycles = self._ram_cycles(n)
-        if self.fast_path:
-            self._local += cycles
-            return instr
-        yield self.env.sleep(cycles)
+        yield from self.charge(self._ram_cycles(n, self._ws))
         return instr
 
     def fetch_stream_words(self, addr: int, n: int):
-        cycles = self._ram_cycles(n)
-        if self.fast_path:
-            self._local += cycles
-            return
-        yield self.env.sleep(cycles)
+        yield from self.charge(self._ram_cycles(n, self._ws))
 
     def read(self, addr: int, size: int):
         if addr == FU_WAIT_ADDR:
@@ -159,12 +140,7 @@ class MCBus(LocalTimeBus):
             yield from self.sync()
             yield self.env.sleep(4 + self.config.ws_device)
             return 1 if self.controller.outstanding else 0
-        n = access_count(size)
-        cycles = self._ram_cycles(n)
-        if self.fast_path:
-            self._local += cycles
-            return self.memory.read(addr, size)
-        yield self.env.sleep(cycles)
+        yield from self.charge(self._ram_cycles(access_count(size), self._ws))
         return self.memory.read(addr, size)
 
     def write(self, addr: int, value: int, size: int):
@@ -188,34 +164,16 @@ class MCBus(LocalTimeBus):
             yield from self.sync()
             yield from self.controller.submit_block(name)
             self.device_writes += 1
-            if self.fast_path:
-                self._local += 4 + self.config.ws_device
-                return
-            yield self.env.sleep(4 + self.config.ws_device)
+            yield from self.charge(4 + self.config.ws_device)
             return
         if addr == FU_SYNC_ADDR:
             yield from self.sync()
             yield from self.controller.submit_sync_words(value)
             self.device_writes += 1
-            if self.fast_path:
-                self._local += 4 + self.config.ws_device
-                return
-            yield self.env.sleep(4 + self.config.ws_device)
+            yield from self.charge(4 + self.config.ws_device)
             return
-        n = access_count(size)
-        cycles = self._ram_cycles(n)
-        if self.fast_path:
-            self._local += cycles
-            self.memory.write(addr, value, size)
-            return
-        yield self.env.sleep(cycles)
+        yield from self.charge(self._ram_cycles(access_count(size), self._ws))
         self.memory.write(addr, value, size)
-
-    def internal(self, cycles: float):
-        if self.fast_path:
-            self._local += cycles
-            return
-        yield self.env.sleep(cycles)
 
 
 class AssemblyMicroController:

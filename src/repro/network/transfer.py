@@ -326,6 +326,7 @@ class NetworkFabric:
             TransferPort(env, t, fast_path)
             for t in range(network.topology.n_terminals)
         ]
+        self._movers: list = []  #: mover processes (pure events)
 
     def connect(self, source: int, dest: int) -> Circuit:
         """Establish a circuit and start carrying bytes along it."""
@@ -347,8 +348,17 @@ class NetworkFabric:
             self.ports[source].tx_pipe = pipe
             self.ports[dest].rx_pipe = pipe
         else:
-            self.env.process(self._mover(circuit),
-                             name=f"net:{source}->{dest}")
+            self._movers.append(self.env.process(
+                self._mover(circuit), name=f"net:{source}->{dest}"))
+
+    def close(self) -> None:
+        """Stop the mover processes once the machine's run is over.
+
+        A mover parked on its TX register is a reference cycle (process,
+        generator frame, port, register store, waiter event) that would
+        keep the environment alive until the cyclic collector ran."""
+        for mover in self._movers:
+            mover.generator.close()
 
     def pipes(self) -> list[Pipe]:
         """Every pipe a port accesses (fast tier; empty on pure events)."""

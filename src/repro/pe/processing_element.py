@@ -72,7 +72,6 @@ class PEBus(LocalTimeBus):
         self.pe_slot = pe_slot
         self.name = name
         self.instructions: dict[int, Instruction] = {}
-        self._ref_period, self._ref_steal = config.refresh.inline_constants()
         # Region decode caches (the map is immutable after build).  The
         # instruction stream has near-perfect region locality (PC walks
         # one region at a time), so fetches keep the last region.  Data
@@ -95,13 +94,13 @@ class PEBus(LocalTimeBus):
         self._req_ev = None  #: recycled request event (one pending max)
         self._simd_ws = 0  #: SIMD-space wait states, stashed at request
         # -- tracing ---------------------------------------------------------
-        #: When set, the four blocking sites below record (kind, t0, t1)
-        #: wait intervals: from the arrival stamp to the release instant
-        #: at a lockstep rendezvous, and between bus-true instants (the
-        #: clock flushed) everywhere else, so every interval is exact.
+        #: When set, the four blocking sites record (kind, t0, t1) wait
+        #: intervals: from the stamp to the settled instant on the fast
+        #: tier (a lockstep fetch's in CPU._run_released), and between
+        #: bus-true instants on pure events, so every interval is exact.
         self.trace_waits = False
         self.wait_spans: list[tuple[str, float, float]] = []
-        self._init_local_clock(fast_path)
+        self._init_local_clock(fast_path, config.refresh)
         #: Fast tier: flush the local clock before each network register
         #: access, so no stamp passes a scheduled fail-stop strike (set
         #: by PASMMachine for such PEs); False serves accesses stamped.
@@ -113,9 +112,10 @@ class PEBus(LocalTimeBus):
                 f"queue.fast_path={queue.fast_path})"
             )
         #: Main-RAM bounds the CPU may replay superinstruction chains in
-        #: (see CPU.run); only the fast tier chains, None elsewhere.
-        main = self.map.find(RegionKind.MAIN_RAM)
-        self.chain_bounds = (main.start, main.end) if self.fast_path else None
+        #: (see CPU.run); only the fast tier chains.
+        if self.fast_path:
+            main = self.map.find(RegionKind.MAIN_RAM)
+            self.chain_bounds = (main.start, main.end)
         simd = self.map.find(RegionKind.SIMD_SPACE)
         self._simd_bounds = (simd.start, simd.end)
 
@@ -143,25 +143,14 @@ class PEBus(LocalTimeBus):
         self._data_region = region
         return region
 
-    def _ram_access(self, n_accesses: int, wait_states: int) -> float:
-        # Refresh stall is a pure function of bus-true absolute time;
-        # inlined closed form of RefreshModel.stall_cycles.
-        cycles = n_accesses * (4 + wait_states)
-        steal = self._ref_steal
-        if steal:
-            phase = (self.env.now + self._local) % self._ref_period
-            if phase < steal:
-                cycles += steal - phase
-        return cycles
-
     # -- CPU bus protocol -------------------------------------------------
     # -- non-generator fast ops (fast path only; None/False = fall back
     # to the generator protocol) ----------------------------------------
     def try_fetch_instruction(self, addr: int):
         """Fetch + charge entirely locally, or None to use the generator.
 
-        Hot path: region lookup and the refresh closed form are inlined
-        (same arithmetic as :meth:`_fregion` / :meth:`_ram_access`).
+        Hot path: the region lookup is inlined (same arithmetic as
+        :meth:`_fregion`).
         """
         if not self.fast_path:
             return None
@@ -178,12 +167,7 @@ class PEBus(LocalTimeBus):
         if n is None:
             n = instr.encoded_words()
         self.stream_accesses += n
-        cycles = n * (4 + region.wait_states)
-        steal = self._ref_steal
-        if steal:
-            phase = (self.env.now + self._local) % self._ref_period
-            if phase < steal:
-                cycles += steal - phase
+        cycles = self._ram_cycles(n, region.wait_states)
         self._local += cycles
         self._lc = cycles
         return instr
@@ -194,7 +178,7 @@ class PEBus(LocalTimeBus):
         region = self._fregion(addr)
         self.stream_accesses += n
         if region.kind is RegionKind.MAIN_RAM:
-            cycles = self._ram_access(n, region.wait_states)
+            cycles = self._ram_cycles(n, region.wait_states)
         else:
             cycles = n * (4 + region.wait_states)
         self._local += cycles
@@ -217,12 +201,7 @@ class PEBus(LocalTimeBus):
             return None
         n = 2 if size == 4 else 1
         self.data_accesses += n
-        cycles = n * (4 + region.wait_states)
-        steal = self._ref_steal
-        if steal:
-            phase = (self.env.now + self._local) % self._ref_period
-            if phase < steal:
-                cycles += steal - phase
+        cycles = self._ram_cycles(n, region.wait_states)
         self._local += cycles
         self._lc = cycles
         return self.memory.read(addr, size)
@@ -244,12 +223,7 @@ class PEBus(LocalTimeBus):
             return False
         n = 2 if size == 4 else 1
         self.data_accesses += n
-        cycles = n * (4 + region.wait_states)
-        steal = self._ref_steal
-        if steal:
-            phase = (self.env.now + self._local) % self._ref_period
-            if phase < steal:
-                cycles += steal - phase
+        cycles = self._ram_cycles(n, region.wait_states)
         self._local += cycles
         self._lc = cycles
         self.memory.write(addr, value, size)
@@ -261,16 +235,17 @@ class PEBus(LocalTimeBus):
         Registers the stamped request inline and returns the event the
         CPU loop parks on directly (one ``yield``, no sub-generator
         frames); ``None`` falls back to the generator protocol (not in
-        SIMD space, pure events, or wait-span tracing armed).  When
-        this PE's stamp completes the rendezvous the queue may resolve
-        the release *synchronously* — the returned event comes back
-        already fired and the CPU loop continues without parking at
-        all.  While the loop is parked, the queue may serve the request
+        SIMD space, no Fetch Unit attached, or pure events).  A traced
+        PE takes this path too: :meth:`repro.m68k.cpu.CPU._run_released`
+        records its queue wait.  When this PE's stamp completes the
+        rendezvous the queue may resolve the release *synchronously* —
+        the returned event comes back already fired and the CPU loop
+        continues without parking at all.  While the loop is parked, the queue may serve the request
         by broadcast step on ``cpu``
         (:meth:`~repro.m68k.cpu.CPU.broadcast_step`); None keeps every
         release in the generator.
         """
-        if not self.fast_path or self.trace_waits:
+        if not self.fast_path:
             return None
         region = self._fetch_region
         if region is None or not (region.start <= addr < region.end):
@@ -279,8 +254,8 @@ class PEBus(LocalTimeBus):
         if region.kind is not RegionKind.SIMD_SPACE:
             return None
         queue = self.queue
-        if queue is None or self.pe_slot in queue._requests:
-            return None  # generator path raises the structured error
+        if queue is None:
+            return None  # generator path raises the BusError
         self._simd_ws = region.wait_states
         arrival = self.env.now + self._local
         self._local = 0.0
@@ -334,35 +309,18 @@ class PEBus(LocalTimeBus):
                 ) from None
             n = instr.encoded_words()
             self.stream_accesses += n
-            cycles = self._ram_access(n, region.wait_states)
-            if self.fast_path:
-                self._local += cycles
-                self._lc = cycles
-                return instr
-            yield self.env.sleep(cycles)
+            yield from self.charge(self._ram_cycles(n, region.wait_states))
             return instr
         if region.kind is RegionKind.SIMD_SPACE:
+            # Pure events only: the fast tier fetches here through
+            # try_queue_fetch, which refuses only when no queue is
+            # attached.  No local clock, so env.now is bus-true.
             if self.queue is None:
                 raise BusError(f"{self.name}: no Fetch Unit attached")
-            if self.fast_path:
-                # Lockstep rendezvous: no flush — pass the bus-true time
-                # as the arrival stamp; the queue computes the release
-                # instant and resumes us there with the clock rebased.
-                arrival = self.env.now + self._local
-                sched = arrival - self._lc
-                self._local = 0.0
-                self.lockstep_rendezvous += 1
-                item, released = yield from self.queue.request_at(
-                    self.pe_slot, arrival, sched)
-                self._local = released - self.env.now
-                if self.trace_waits and released > arrival:
-                    self.wait_spans.append(("queue_wait", arrival, released))
-            else:
-                # Pure events: no local clock, env.now is bus-true.
-                t0 = self.env.now
-                item = yield from self.queue.request(self.pe_slot)
-                if self.trace_waits and self.env.now > t0:
-                    self.wait_spans.append(("queue_wait", t0, self.env.now))
+            t0 = self.env.now
+            item = yield from self.queue.request(self.pe_slot)
+            if self.trace_waits and self.env.now > t0:
+                self.wait_spans.append(("queue_wait", t0, self.env.now))
             if item.payload is None:
                 raise SimulationError(
                     f"{self.name}: fetched a bare sync word as an instruction"
@@ -371,12 +329,7 @@ class PEBus(LocalTimeBus):
             self.queue_fetches += n
             self.stream_accesses += n
             # Queue fetches: static RAM, no refresh.
-            cycles = n * (4 + region.wait_states)
-            if self.fast_path:
-                self._local += cycles
-                self._lc = cycles
-                return item.payload
-            yield self.env.sleep(cycles)
+            yield self.env.sleep(n * (4 + region.wait_states))
             return item.payload
         raise BusError(
             f"{self.name}: cannot execute from {region.kind.value} at {addr:#x}"
@@ -386,14 +339,10 @@ class PEBus(LocalTimeBus):
         region = self._fregion(addr)
         self.stream_accesses += n
         if region.kind is RegionKind.MAIN_RAM:
-            cycles = self._ram_access(n, region.wait_states)
+            cycles = self._ram_cycles(n, region.wait_states)
         else:
             cycles = n * (4 + region.wait_states)
-        if self.fast_path:
-            self._local += cycles
-            self._lc = cycles
-            return
-        yield self.env.sleep(cycles)
+        yield from self.charge(cycles)
 
     def read(self, addr: int, size: int):
         region = self._dregion(addr)
@@ -401,23 +350,21 @@ class PEBus(LocalTimeBus):
         if kind is RegionKind.MAIN_RAM:
             n = access_count(size)
             self.data_accesses += n
-            cycles = self._ram_access(n, region.wait_states)
-            if self.fast_path:
-                self._local += cycles
-                self._lc = cycles
-                return self.memory.read(addr, size)
-            yield self.env.sleep(cycles)
+            yield from self.charge(self._ram_cycles(n, region.wait_states))
             return self.memory.read(addr, size)
         if kind is RegionKind.SIMD_SPACE:
             # Barrier: a data read from SIMD space consumes one queue word
             # and completes only when all enabled PEs have read it.
             if self.fast_path:
+                # Lockstep rendezvous: no flush — pass the bus-true time
+                # as the arrival stamp; the queue computes the release
+                # instant and resumes us there with the clock rebased.
                 arrival = self.env.now + self._local
                 sched = arrival - self._lc
                 self._local = 0.0
                 self.lockstep_rendezvous += 1
-                item, released = yield from self.queue.request_at(
-                    self.pe_slot, arrival, sched)
+                item, released = yield self.queue.register_request_at(
+                    self.pe_slot, arrival, sched=sched)
                 self._local = released - self.env.now
                 if self.trace_waits and released > arrival:
                     self.wait_spans.append(
@@ -434,11 +381,7 @@ class PEBus(LocalTimeBus):
                 )
             self.sync_reads += 1
             self.data_accesses += 1
-            if self.fast_path:
-                self._local += 4 + region.wait_states
-                self._lc = 4 + region.wait_states
-                return 0
-            yield self.env.sleep(4 + region.wait_states)
+            yield from self.charge(4 + region.wait_states)
             return 0
         if kind is RegionKind.NET_RX:
             if self.fast_path:
@@ -474,14 +417,10 @@ class PEBus(LocalTimeBus):
         if kind is RegionKind.TIMER:
             n = access_count(size)
             self.data_accesses += n
-            # The timer *is* global time: fold the access charge into the
-            # local clock, flush everything, then sample env.now.
-            if self.fast_path:
-                self._local += n * (4 + region.wait_states)
-                self._lc = n * (4 + region.wait_states)
-                yield from self.sync()
-            else:
-                yield self.env.sleep(n * (4 + region.wait_states))
+            # The timer *is* global time: charge the access, flush
+            # everything, then sample env.now.
+            yield from self.charge(n * (4 + region.wait_states))
+            yield from self.sync()
             return int(self.env.now) & ((1 << (8 * size)) - 1)
         raise BusError(f"{self.name}: cannot read {kind.value} at {addr:#x}")
 
@@ -491,13 +430,7 @@ class PEBus(LocalTimeBus):
         if kind is RegionKind.MAIN_RAM:
             n = access_count(size)
             self.data_accesses += n
-            cycles = self._ram_access(n, region.wait_states)
-            if self.fast_path:
-                self._local += cycles
-                self._lc = cycles
-                self.memory.write(addr, value, size)
-                return
-            yield self.env.sleep(cycles)
+            yield from self.charge(self._ram_cycles(n, region.wait_states))
             self.memory.write(addr, value, size)
             return
         if kind is RegionKind.NET_TX:
@@ -553,13 +486,6 @@ class PEBus(LocalTimeBus):
         c = 4 + region.wait_states
         self._local = t + c - self.env.now
         self._lc = c
-
-    def internal(self, cycles: float):
-        if self.fast_path:
-            self._local += cycles
-            self._lc = cycles
-            return
-        yield self.env.sleep(cycles)
 
 
 class ProcessingElement:

@@ -77,10 +77,17 @@ class Process(Event):
             target.callbacks.append(self._resume)
 
     def interrupt(self, exc: BaseException | None = None) -> None:
-        """Throw an exception into the process at the current time."""
+        """Throw an exception into the process at the current time.
+
+        A process that finishes at this instant, before the interrupt is
+        delivered, is left finished."""
         kicker = Event(self.env, name=f"interrupt:{self.name}")
-        kicker.callbacks.append(self._resume)
+        kicker.callbacks.append(self._deliver_interrupt)
         kicker.fail(exc or SimulationError(f"process {self.name!r} interrupted"))
+
+    def _deliver_interrupt(self, kicker: Event) -> None:
+        if not self.triggered:
+            self._resume(kicker)
 
 
 class Environment:
@@ -136,7 +143,7 @@ class Environment:
         pool = self._sleep_pool
         if pool:
             ev = pool.pop()
-            ev.reset(delay)
+            ev.reset(self, delay)
             self.sleep_reuses += 1
             return ev
         return SleepEvent(self, delay)
@@ -171,6 +178,9 @@ class Environment:
             # A failure nobody is waiting on must not vanish silently.
             raise event.value
         if type(event) is SleepEvent and len(self._sleep_pool) < _SLEEP_POOL_MAX:
+            # A pooled sleep drops its environment, so the pool holds no
+            # cycle back to it: reference counting frees a finished run.
+            event.env = None
             self._sleep_pool.append(event)
 
     def run(self, until: float | Event | None = None) -> Any:
@@ -207,6 +217,20 @@ class Environment:
         while self._queue:
             self.step()
         return None
+
+    def withdraw(self, callback) -> None:
+        """Drop the events due after now that would call ``callback``:
+        what they stand for no longer happens (``process._resume``: the
+        process was killed).  Events due now stay; they precede the
+        caller's own work."""
+        now = self.now
+        queue = self._queue
+        keep = [entry for entry in queue
+                if entry[0] <= now or not entry[2].callbacks
+                or callback not in entry[2].callbacks]
+        if len(keep) < len(queue):
+            heapq.heapify(keep)
+            queue[:] = keep
 
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` when queue is empty)."""

@@ -132,10 +132,12 @@ class SleepEvent(Event):
         self._ok = True
         env.schedule(self, delay=delay)
 
-    def reset(self, delay: float) -> None:
-        """Re-arm a processed instance for a new delay (pool reuse)."""
+    def reset(self, env: "Environment", delay: float) -> None:
+        """Re-arm a processed instance in ``env`` for a new delay (pool
+        reuse; the pool keeps instances without their environment)."""
         if delay < 0:
             raise ValueError(f"negative sleep delay: {delay}")
+        self.env = env
         self.delay = delay
         self.callbacks = []
         self._value = None

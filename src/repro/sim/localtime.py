@@ -1,55 +1,47 @@
 """Conservative local-time execution for CPU buses.
 
-The instruction-level engine's inner loop used to push one heap event per
-bus access.  But while a PE's CPU is charging purely *private* time —
-instruction fetches from its own DRAM, register operations, ``internal()``
-cycles, local reads and writes — it cannot affect, or be affected by, any
-other simulation process.  So those charges need not round-trip through
-the global event queue at all: :class:`LocalTimeBus` accumulates them in a
-per-bus local clock, and the bus re-joins global simulated time only
-where it *samples* shared state (network status, timer, halt).
+While a PE's CPU is charging purely *private* time — instruction fetches
+from its own DRAM, register operations, internal cycles, local reads and
+writes — it cannot affect, or be affected by, any other simulation
+process.  So those charges need not round-trip through the global event
+queue: :class:`LocalTimeBus` accumulates them in a per-bus local clock,
+and the bus re-joins global simulated time only where it *samples*
+shared state (network status, timer, halt).
 
-The synchronization invariant
------------------------------
 A bus with ``fast_path`` enabled maintains ``true time = env.now +
 _local``.  Before an operation that samples shared state, the bus
 *flushes*: it yields one pooled sleep event of ``_local`` cycles, landing
 at exactly the simulated time the pure-event execution would have reached
-by then.  Because every charge in the micro engine is an integral number
-of cycles, the local accumulation is exact float arithmetic and the
-flushed timestamps are bit-identical to the pure-event path.  Operations
-that sample shared state after their access charge (network status,
-Fetch-Unit wait flag) additionally issue the final access charge as a real
-timeout, so the sampling event is scheduled at the same point in the event
-loop as in the pure-event path and tie-breaking at equal timestamps is
-preserved.
+by then.  Every charge is an integral number of cycles, so the local
+accumulation is exact and the flushed timestamps are bit-identical to the
+pure-event path.  Operations that sample shared state after their access
+charge (network status, Fetch-Unit wait flag) also issue that charge as a
+real sleep, so the sample lands at the same point in the event loop as on
+the pure-event path and ties at equal timestamps break the same way.
 
 The shared touches that only exchange data do not flush: a Fetch Unit
 Queue request and a network transfer-register access pass the bus-true
 time (``env.now + _local``) as a *stamp*, and the queue
 (:mod:`repro.sim.lockstep`) or the circuit's pipe
 (:class:`repro.network.transfer.Pipe`) computes the instant the access
-completes, from which the bus continues locally.  Only a PE with a
-scheduled fail-stop flushes before its transfer-register accesses, so
-no stamp of it passes the strike.
+completes, from which the bus continues locally.  A PE with a scheduled
+fail-stop flushes before its transfer-register accesses instead.
 
-Set ``REPRO_PURE_EVENTS=1`` to disable the fast path globally and push
-every charge through the event queue (the reference behaviour that the
-equivalence suite compares against).
-
-:class:`LocalTimeBus` is the base of the fast engine tier, not a tier of
-its own: with the fast path on, the Fetch Unit rendezvous runs in
-lockstep and network transfers settle on stamped pipes, both as the
-max-plus recurrences stated in DESIGN.md §2b.
+:class:`LocalTimeBus` is the base of every CPU bus and fixes the CPU's
+side of the bus protocol, so the CPU binds the same methods on every bus.
+A private access is stated once per bus: the non-generator *fast twins*
+(``try_read``, …) serve it on the fast path, and the generator methods
+price it with the one refresh formula (:meth:`LocalTimeBus._ram_cycles`)
+and charge it in the one place the tiers differ
+(:meth:`LocalTimeBus.charge`).  ``REPRO_PURE_EVENTS=1`` turns the fast
+path, and with it lockstep (DESIGN.md §2b), off: the reference schedule.
 """
 
 from __future__ import annotations
 
 import os
 
-#: Environment variable that disables the fast path (local-time clocks and
-#: the lockstep rendezvous) when set to a truthy value ("1", "true", "yes",
-#: "on").
+#: Set truthy ("1", "true", "yes", "on"), turns the fast path off.
 PURE_EVENTS_ENV = "REPRO_PURE_EVENTS"
 
 _TRUTHY = ("1", "true", "yes", "on")
@@ -63,57 +55,59 @@ def resolve_fast_path(flag: bool | None = None) -> bool:
 
 
 class LocalTimeBus:
-    """Mixin giving a CPU bus a conservative local clock.
+    """Base of every CPU bus: a local clock and the fixed protocol.
 
-    Subclasses call :meth:`_init_local_clock` from ``__init__`` and then:
-
-    * charge private time with ``self._local += cycles`` (guarded by
-      ``self.fast_path``) instead of yielding a timeout;
-    * ``yield from self.sync()`` immediately before sampling shared
-      state, or pass ``now`` as a stamp to a resource that computes
-      when the access completes;
-    * read the bus-true current time from :attr:`now` (never ``env.now``
-      directly while the local clock may be ahead).
+    Subclasses call :meth:`_init_local_clock` from ``__init__``, charge
+    private time with :meth:`charge` (or ``self._local += cycles`` in a
+    fast twin), and ``yield from self.sync()`` immediately before
+    sampling shared state, or pass ``env.now + _local`` as a stamp to a
+    resource that computes when the access completes.  The PE-only parts
+    of the protocol, chains and the lockstep SIMD-space fetch, are off.
     """
 
-    def _init_local_clock(self, fast_path: bool | None) -> None:
+    chain_bounds = None  #: main-RAM range of the CPU's chains, or None
+
+    def _init_local_clock(self, fast_path: bool | None, refresh) -> None:
         self.fast_path = resolve_fast_path(fast_path)
         self._local = 0.0  #: cycles accrued ahead of env.now
-        #: Duration of the most recent charge.  On the pure-event path
-        #: every charge is its own heap event, scheduled at the charge's
-        #: *start*; the lockstep tier needs that schedule instant
-        #: (``bus-true now - _lc``) to replay the heap's same-timestamp
-        #: ordering for rendezvous arrivals (see FetchUnitQueue
-        #: ``_settle_admits``).
+        #: Duration of the last charge: a pure-event charge is scheduled at
+        #: its start, and lockstep needs that instant (bus-true now -
+        #: ``_lc``) to order same-time rendezvous arrivals as the heap does
+        #: (FetchUnitQueue ``_settle_admits``).
         self._lc = 0.0
+        #: DRAM refresh (period, steal); a zero steal is none.
+        self._ref_period, self._ref_steal = (
+            refresh.inline_constants() if refresh is not None else (1, 0))
 
-    @property
-    def now(self) -> float:
-        """Bus-true simulated time: ``env.now`` plus the unflushed local
-        clock.  Equals ``env.now`` exactly on the pure-event path."""
-        return self.env.now + self._local
+    def _ram_cycles(self, n: int, ws: float) -> float:
+        """Cost of ``n`` DRAM accesses of ``ws`` wait states at bus-true
+        time, with the refresh stall of ``RefreshModel.stall_cycles`` (a
+        pure function of absolute time) in closed form."""
+        cycles = n * (4 + ws)
+        steal = self._ref_steal
+        if steal:
+            phase = (self.env.now + self._local) % self._ref_period
+            if phase < steal:
+                cycles += steal - phase
+        return cycles
 
-    def try_charge(self, cycles: float) -> bool:
-        """Charge pure execution time locally if the fast path is on.
-
-        Returns True when the charge was absorbed into the local clock;
-        False when the caller must fall back to yielding
-        ``bus.internal(cycles)`` through the event queue.
-        """
+    def charge(self, cycles: float):
+        """Generator: charge private time, accrued in the local clock on
+        the fast path, one sleep through the event queue otherwise."""
         if self.fast_path:
             self._local += cycles
             self._lc = cycles
-            return True
-        return False
+            return
+        yield self.env.sleep(cycles)
 
     def sync(self):
-        """Generator: flush the local clock, re-joining global time.
-
-        After this, ``env.now == self.now`` and shared state may be
-        touched.  A no-op (no event) when nothing is accrued.
-        """
+        """Generator: flush the local clock, re-joining global time, so
+        shared state may be touched.  No event when nothing is accrued."""
         local = self._local
         if local:
             self._local = 0.0
             yield self.env.sleep(local)
+
+    def try_queue_fetch(self, addr: int, cpu):
+        """The lockstep SIMD-space fetch of the PE bus; refused here."""
         return None

@@ -14,7 +14,9 @@ event rendezvous:
 
 * a PE requesting from the queue does not flush; it passes its bus-true
   **arrival stamp** (``env.now + local clock``) with the request and zeroes
-  the local clock (:meth:`FetchUnitQueue.request_at`);
+  the local clock (:meth:`FetchUnitQueue.register_request_inline` for an
+  instruction fetch, traced or not, and
+  :meth:`FetchUnitQueue.register_request_at` for a barrier read);
 * the queue releases the head item at ``T_r = max(admit time, max of the
   mask's arrival stamps)`` — the exact instant the pure-event schedule
   would have assembled the rendezvous;

@@ -259,6 +259,26 @@ def test_transfers_cost_no_heap_events(mode):
     assert machine_counters(pure)["net_carriers"] == 0
 
 
+#: Engine counters a traced run must share with the untraced one.
+#: ``broadcast_steps`` is not among them: traced PEs are never stepped.
+PATH_COUNTERS = ("events_processed", "lockstep_carriers",
+                 "lockstep_rendezvous", "net_carriers")
+
+
+@pytest.mark.parametrize("mode", list(EVENT_BUDGET), ids=lambda m: m.name)
+def test_tracing_keeps_the_engine_path(mode):
+    """A traced PE meets the Fetch Unit Queue and the network on the
+    same lockstep path as an untraced one: the same heap events,
+    carriers and stamped requests (SIMD: 7,931 events, 2,152
+    carriers)."""
+    counts = []
+    for traced in (False, True):
+        machine, _ = run_matmul_on(mode, 16, 4, "lockstep", traced=traced)
+        counters = machine_counters(machine)
+        counts.append({k: counters[k] for k in PATH_COUNTERS})
+    assert counts[0] == counts[1]
+
+
 # ---------------------------------------------------------------------------
 # The trace is an oracle: arming it perturbs nothing, and its lanes
 # reproduce the per-category accounting and agree across tiers

@@ -337,14 +337,15 @@ class TestLifetime:
     @pytest.mark.parametrize("mode,p", ALL_MODES, ids=MODE_IDS)
     def test_finished_machine_freed_without_gc(self, mode, p, engine):
         """A finished run leaves no reference cycle through the machine:
-        reference counting alone frees it, its PE memories and its Fetch
-        Unit Queues (with their per-release statistics), so a sweep's
-        memory does not wait for the cyclic collector."""
+        reference counting alone frees it, its environment (with the
+        pooled sleep events), its PE memories and its Fetch Unit Queues
+        (with their per-release statistics), so a sweep's memory does
+        not wait for the cyclic collector."""
         gc.collect()
         gc.disable()
         try:
             machine, run = run_matmul_on(mode, 8, p, engine)
-            refs = [weakref.ref(machine)]
+            refs = [weakref.ref(machine), weakref.ref(machine.env)]
             refs += [weakref.ref(pe.memory) for pe in machine.pes]
             refs += [weakref.ref(q) for q in machine.queues.values()]
             del machine, run

@@ -19,7 +19,7 @@ registers.  Fail-stop cases that random programs found are pinned below.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PEFailStopError
@@ -343,20 +343,79 @@ _FAILSTOP_CASES = {
 }
 
 
+def _failstop_outcome(engine, mode, p, cfg, spec, victim, at):
+    """What a run with logical PE ``victim`` struck at ``at`` ends in:
+    the detected fail-stop, or the run's signature if the PE finished
+    first."""
+    plan = FaultPlan(failstops=(PEFailStop(
+        Partition(cfg, p).physical_pe(victim), float(at)),),
+        failstop_timeout=2_000.0)
+    try:
+        return _run(engine, cfg, mode, p, spec, traced=False,
+                    fault_plan=plan)
+    except PEFailStopError as exc:
+        return exc.pes, exc.detected_at
+
+
 @pytest.mark.parametrize("name", list(_FAILSTOP_CASES))
 def test_failstop_cases_identical(name):
     mode, p, latency, ws_status, ws_device, spec, victim, at = \
         _FAILSTOP_CASES[name]
     cfg = _cfg(p, latency, ws_status, ws_device)
-    plan = FaultPlan(failstops=(PEFailStop(
-        Partition(cfg, p).physical_pe(victim), float(at)),),
-        failstop_timeout=2_000.0)
-    outcomes = []
-    for engine in ("pure-events", "lockstep"):
-        with pytest.raises(PEFailStopError) as exc_info:
-            _run(engine, cfg, mode, p, spec, traced=False, fault_plan=plan)
-        outcomes.append((exc_info.value.pes, exc_info.value.detected_at))
+    outcomes = [_failstop_outcome(engine, mode, p, cfg, spec, victim, at)
+                for engine in ("pure-events", "lockstep")]
+    assert type(outcomes[0]) is tuple
     assert outcomes[0] == outcomes[1]
+
+
+@st.composite
+def _failstop_case(draw):
+    mode, p, cfg, spec = draw(_transfer_case())
+    victim = draw(st.integers(0, p - 1), label="victim")
+    at = draw(st.integers(0, 1_500), label="strike")
+    return mode, p, cfg, spec, victim, at
+
+
+def _check_failstop_case(case):
+    outcomes = [_failstop_outcome(engine, *case)
+                for engine in ("pure-events", "lockstep")]
+    if type(outcomes[0]) is dict and type(outcomes[1]) is dict:
+        _assert_same(*outcomes[::-1])
+    else:
+        assert outcomes[0] == outcomes[1]
+
+
+#: The stale flush: the victim, struck at 0 while running its delay
+#: loop, was sleeping to the flush before its first write (81); the
+#: event schedule's dead board never gets there, and both tiers detect
+#: the fail-stop when the heap drains, at 66.
+_STALE_FLUSH = (
+    "smimd", 2, _cfg(2, 1, 0, 0),
+    (["\n".join(["    MOVE.W  $4000,D1", "    MOVE.W  D1,D2"]
+                + _lines(["w", "r"], poll=False, tag="q0",
+                         delay=iter([d, 0]).__next__)
+                + ["    HALT"]) for d in (1, 0)], [0, 0], 0),
+    0, 0)
+
+
+def test_stale_flush_detected_when_the_heap_drains():
+    assert [_failstop_outcome(engine, *_STALE_FLUSH)
+            for engine in ("pure-events", "lockstep")] == [((0,), 66.0)] * 2
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=_failstop_case())
+@example(case=_STALE_FLUSH)
+def test_random_failstop_transfer_programs_identical(case):
+    _check_failstop_case(case)
+
+
+@pytest.mark.slow
+@settings(deadline=None, max_examples=2_000)
+@given(case=_failstop_case())
+@example(case=_STALE_FLUSH)
+def test_random_failstop_transfer_programs_identical_deep(case):
+    _check_failstop_case(case)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,45 @@ def test_process_waits_on_process():
     assert p.value == (42, 7)
 
 
+def test_interrupt_at_the_finish_instant_leaves_the_process_finished():
+    """An interrupt raised at the instant a process finishes, but
+    delivered after its last event, finds nothing left to interrupt."""
+    env = Environment()
+    procs = []
+
+    def killer():
+        yield env.timeout(5)  # scheduled first, so it fires first at 5
+        procs[0].interrupt()
+
+    def victim():
+        yield env.sleep(5)
+        return "done"
+
+    env.process(killer())
+    procs.append(env.process(victim()))
+    env.run()
+    assert procs[0].value == "done"
+
+
+def test_withdraw_drops_the_later_events_of_a_callback():
+    env = Environment()
+    log = []
+
+    def sleeper(name, delay):
+        yield env.sleep(delay)
+        log.append(name)
+
+    a = env.process(sleeper("a", 0))
+    env.process(sleeper("b", 3))
+    env.step()  # a's bootstrap, arming its sleep due now
+    env.step()  # b's bootstrap, arming its sleep due at 3
+    env.withdraw(a._resume)  # a's sleep is due now: it stays
+    b = [entry[2] for entry in env._queue if entry[0] == 3][0]
+    env.withdraw(b.callbacks[0])
+    env.run()
+    assert log == ["a"] and env.now == 0
+
+
 def test_processes_interleave_in_time_order():
     env = Environment()
     log = []
