@@ -12,8 +12,11 @@ and predicts which side of it a workload falls on:
 
 The queue stays non-empty exactly when the PE period is the largest of
 the three; otherwise the PEs stall by the difference each iteration.
-Validated against the micro engine's ``empty_stall_cycles`` statistic in
-``tests/test_queue_model.py``.
+The micro engine's ``empty_stall_cycles`` statistic measures that same
+quantity, :attr:`QueueFeedPrediction.pe_stall_per_block` summed over
+items: the time the queue sat empty while a PE that fetches the next
+item waited (:mod:`repro.fetch_unit.queue`).  ``tests/test_queue_model.py``
+checks the prediction against it.
 """
 
 from __future__ import annotations

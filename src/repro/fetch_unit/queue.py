@@ -14,16 +14,34 @@ for which they are enabled").
 Lockstep tier (see :mod:`repro.sim.lockstep`): PEs instead register a
 *stamped arrival* — their bus-true time — without flushing their local
 clocks.  The release time of the head item is then computed directly,
-``T_r = max(admit time, max of the mask's stamped arrivals)``; a release
-due before the next heap event runs inline, and any other waits for one
-**carrier** event at ``T_r``.  Either way the whole batch of waiting PEs
-is served synchronously, and a PE parked on an instruction fetch is
-served by **broadcast step**: the queue runs the released instruction on
-its CPU, and the PE's request stays registered, re-stamped for its next
-fetch, without its generator resuming
-(:meth:`FetchUnitQueue._release_head_now`).  At most one
-heap event replaces the ~2·p (flush + succeed per PE) the event
-rendezvous costs, and ~p generator resumptions go with it.
+``T_r = max(admit time, previous release, max of the mask's stamped
+arrivals)``; a release due before the next heap event runs inline, and
+any other waits for one **carrier** event at ``T_r``.  Either way the
+whole batch of waiting PEs is served synchronously, and a PE parked on
+an instruction fetch is served by **broadcast step**: the queue runs the
+released instruction on its CPU, and the PE's request stays registered,
+re-stamped for its next fetch, without its generator resuming
+(:meth:`FetchUnitQueue._release_head_now`).  At most one heap event
+replaces the ~2·p (flush + succeed per PE) the event rendezvous costs,
+and ~p generator resumptions go with it.
+
+The statistics (``queue_stats``) are defined from instants both tiers
+know — the admit instant ``a_k`` of item ``k``, its release instant
+``T_r(k)`` and the arrival instants ``r_i(k)`` of the requests its mask's
+PEs make for it — never from the order the simulator handles events at
+one instant, and one pair of methods computes them on both tiers
+(:meth:`FetchUnitQueue._record_admit`,
+:meth:`FetchUnitQueue._account_release`):
+
+* **empty stall**: item ``k`` adds
+  ``max(0, a_k − max(T_r(k−1), min_i r_i(k)))``, with ``T_r(0) = 0`` —
+  the time the queue sat empty while a PE that fetches item ``k`` waited;
+* **occupancy**: each admit adds the item's words and each release takes
+  them away.  At one instant an item's admit counts before its release,
+  and an earlier item's release before a later item's admit.
+  ``occupancy_samples`` holds the value after each instant and
+  ``high_water`` the running peak in that order, so an item admitted and
+  released at one instant counts.
 """
 
 from __future__ import annotations
@@ -83,149 +101,96 @@ class FetchUnitQueue:
         #: Lockstep: fail-stop strike instant by slot.  A stamp beyond it
         #: is never registered: the event schedule kills the board first.
         self._struck: dict[int, float] = {}
+        #: Arrival instant of each pending request: env.now at
+        #: :meth:`request` on pure events, the bus-true stamp on lockstep.
+        self._arrivals: dict[int, float] = {}
         # -- lockstep rendezvous state -------------------------------------
-        self._arrivals: dict[int, float] = {}  #: stamped bus-true arrivals
-        #: Schedule instants of the stamped arrivals: the time the pure
-        #: event engine *scheduled* the charge event that completes at
-        #: the arrival (``arrival - last charge duration``).  Heap order
-        #: at equal timestamps follows schedule order, so this is what
-        #: breaks admit-vs-release ties in :meth:`_settle_admits`.
-        self._scheds: dict[int, float] = {}
         self._carrier_pending = False  #: a carrier event is on the heap
         self._releasing = False  #: inside the carrier's release loop
-        #: Release time at which the settled occupancy last hit zero —
-        #: the event-schedule instant the queue became empty (clamps the
-        #: empty-stall latch in :meth:`_settle_admits`).
-        self._stats_empty_since = 0.0
-        self._ls_stall_start: float | None = None  #: latched stall origin
-        #: Per-item admit times, parallel to ``_items`` (lockstep only) —
-        #: the release-time floor, since fast-forwarded admits may be
-        #: recorded before env.now reaches them.
-        self._admit_times: deque[float] = deque()
         #: Bulk-staged (item, transfer_cycles) pairs from the controller;
         #: admit times are computed analytically as space frees.
         self._staged: deque[tuple[QueueItem, float]] = deque()
         self._stage_clock = 0.0  #: admit-chain time of the staged block
         self._stage_done: Event | None = None  #: fired when staging drains
-        # -- statistics ---------------------------------------------------
+        # -- statistics (module docstring) ---------------------------------
         self.releases = 0
         self.words_enqueued = 0
-        self.empty_stall_cycles = 0.0  #: PE time spent waiting on empty queue
-        self._all_arrived_at: float | None = None
-        self._hw = 0
-        #: (time, words_used) samples, recorded at every occupancy change.
-        self._occ: list[tuple[float, int]] = []
-        #: Lockstep: admits recorded at computed (possibly future) times,
-        #: held back until every release that precedes them has been
-        #: computed, then applied in true time order — staging admits
-        #: words long before the lazy rendezvous computation pops earlier
-        #: releases, and applying them eagerly would show occupancy peaks
-        #: the event schedule never reaches.  Entries are
-        #: ``(t, words, sample, sched)`` kept sorted by ``t``; ``sample``
-        #: is False for space-waiter refills, which the event engine
-        #: admits without an occupancy sample.  ``sched`` is the schedule
-        #: instant of the admit's transfer-timeout event (staged free
-        #: admits), or None for admits that happen *inside* an already
-        #: executing event — space-bound refills, release cascades, and
-        #: real-time enqueues — which therefore precede any tied release
-        #: still sitting on the heap.
-        self._pending_admits: list[tuple[float, int, bool, float | None]] = []
-        self._stats_words = 0  #: settled occupancy (lockstep stats view)
+        #: Time the queue sat empty while a PE that fetches the next item
+        #: waited, summed over items.
+        self.empty_stall_cycles = 0.0
+        self._last_release = 0.0  #: ``T_r`` of the last released item
+        #: Per item, in queue order: its admit instant ``a_k`` (staged
+        #: admits are computed before env.now reaches them), its words,
+        #: and its release instant once released.  The FIFO admits and
+        #: releases items in order, so each list is in time order too.
+        self._admitted_at: list[float] = []
+        self._item_words: list[int] = []
+        self._released_at: list[float] = []
         self.lockstep_releases = 0  #: items released via computed rendezvous
         self.lockstep_batch_pes = 0  #: PE requests served by releases
         self.lockstep_carriers = 0  #: carrier events scheduled
         #: PE instructions executed by broadcast step, the PE's generator
         #: left parked.
         self.broadcast_steps = 0
-        #: Admit-vs-release settles at equal time *and* equal schedule
-        #: instant: the event heap orders those by sequence, which the
-        #: lockstep tier does not track, so it guesses admit-first and
-        #: ``queue_stats`` may differ from pure events (the known
-        #: lockstep tie).  Zero means the run's stats are exact.
-        self.sched_ties = 0
 
-    def _sample(self) -> None:
-        self._occ.append((self.env.now, self._words_used))
+    # -- statistics ----------------------------------------------------
+    def _record_admit(self, t: float, item: QueueItem) -> None:
+        """Put ``item`` on the books, admitted at ``t``."""
+        self._items.append(item)
+        self._admitted_at.append(t)
+        self._item_words.append(item.words)
+        self._words_used += item.words
+        self.words_enqueued += item.words
 
-    # -- statistics settlement (lockstep) ------------------------------
-    def _push_admit(self, t: float, words: int, sample: bool = True,
-                    sched: float | None = None) -> None:
-        pend = self._pending_admits
-        i = len(pend)
-        while i > 0 and pend[i - 1][0] > t:
-            i -= 1
-        pend.insert(i, (t, words, sample, sched))
+    def _account_release(self, head: QueueItem, t_r: float) -> None:
+        """Take the head off the books, released at ``t_r``, and charge
+        the empty stall of its wait: from the later of the previous
+        release and its mask's first arrival, to its admit."""
+        self._items.popleft()
+        self._words_used -= head.words
+        admitted = self._admitted_at[self.releases]
+        arrivals = self._arrivals
+        since = max(self._last_release, min(arrivals[s] for s in head.mask))
+        if admitted > since:
+            self.empty_stall_cycles += admitted - since
+        self._last_release = t_r
+        self._released_at.append(t_r)
+        self.releases += 1
 
-    def _settle_admits(self, limit: float, inclusive: bool = True,
-                       enabler_sched: float = float("-inf"),
-                       stall_view: tuple | None = None) -> None:
-        """Apply pending admits up to ``limit`` to the stats view.
-
-        The equal-time tie-break is causal, matching the event engine's
-        heap order.  An admit that *enables* a release (the head admitted
-        exactly at the release instant) is that release's last enabling
-        event and processes first (``inclusive``).  An independent admit
-        coinciding with an already-enabled release replays the heap's
-        schedule order: at equal timestamps the event scheduled earlier
-        pops first, so the admit's transfer timeout (scheduled one word
-        transfer before ``t``) beats a release enabled by a *short*
-        final charge and loses to one enabled by a *long* final charge.
-        ``enabler_sched`` is the release's side of that comparison — the
-        schedule instant of its last enabling arrival event; admits with
-        ``sched`` None happened inside an already-executing event and
-        always settle first.
-
-        ``stall_view`` is ``(amin, asched)`` — the earliest arrival
-        among the requesters registered in the event schedule and the
-        schedule instant of that arrival's charge event — supplied when
-        the settled occupancy is zero: the admit that turns it non-zero
-        is the event engine's empty->non-empty transition, and any
-        request registered against the empty queue before it starts the
-        empty-stall clock (the pure engine latches ``_all_arrived_at``
-        at its first such registration, clamped to the release that
-        emptied the queue).  A request tying the admit's timestamp
-        registered first only if its charge event was scheduled first
-        (``asched < sched``).  A cascade admit — ``sched`` None landing
-        exactly at the emptying release — refills synchronously inside
-        that release's event and latches nothing.
-        """
-        pend = self._pending_admits
-        while pend:
-            t, words, sample, sched = pend[0]
-            if t > limit:
-                break
-            if t == limit and not inclusive and sched is not None:
-                if sched > enabler_sched:
-                    break
-                if sched == enabler_sched:
-                    self.sched_ties += 1
-            pend.pop(0)
-            if (stall_view is not None and self._stats_words == 0
-                    and self._ls_stall_start is None
-                    and not (sched is None
-                             and t == self._stats_empty_since)):
-                amin, asched = stall_view
-                if amin == t and asched == sched:
-                    self.sched_ties += 1
-                if amin < t or (amin == t and sched is not None
-                                and asched < sched):
-                    self._ls_stall_start = max(self._stats_empty_since,
-                                               amin)
-            self._stats_words += words
-            if self._stats_words > self._hw:
-                self._hw = self._stats_words
-            if sample:
-                self._occ.append((t, self._stats_words))
+    def _occupancy(self):
+        """Yield ``(t, words)`` after each admit and release, in instant
+        order with the tie rule of the module docstring: release ``j``
+        comes before admit ``k`` when ``T_r(j) < a_k``, or when they are
+        equal and ``j < k``."""
+        admitted, words = self._admitted_at, self._item_words
+        released = self._released_at
+        n = len(released)
+        occupied = j = 0
+        for k, a in enumerate(admitted):
+            while j < n and (released[j] < a or released[j] == a and j < k):
+                occupied -= words[j]
+                yield released[j], occupied
+                j += 1
+            occupied += words[k]
+            yield a, occupied
+        for j in range(j, n):
+            occupied -= words[j]
+            yield released[j], occupied
 
     @property
     def high_water(self) -> int:
-        self._settle_admits(float("inf"))
-        return self._hw
+        return max((words for _, words in self._occupancy()), default=0)
 
     @property
     def occupancy_samples(self) -> list[tuple[float, int]]:
-        self._settle_admits(float("inf"))
-        return self._occ
+        """``(t, words)``: the occupancy after each instant."""
+        samples: list[tuple[float, int]] = []
+        for t, words in self._occupancy():
+            if samples and samples[-1][0] == t:
+                samples[-1] = (t, words)
+            else:
+                samples.append((t, words))
+        return samples
 
     # ------------------------------------------------------------------
     @property
@@ -254,38 +219,19 @@ class FetchUnitQueue:
             self._space_waiters.append((ev, item))
             yield ev
         else:
-            self._admit(item)
+            self._admit_at(item, self.env.now)
 
     def try_enqueue(self, item: QueueItem) -> bool:
         """Non-blocking enqueue; False when the FIFO lacks space."""
         if item.words > self.space_left() or self._space_waiters:
             return False
-        self._admit(item)
+        self._admit_at(item, self.env.now)
         return True
 
-    def _admit(self, item: QueueItem) -> None:
-        self._admit_at(item, self.env.now)
-
-    def _admit_at(self, item: QueueItem, t: float,
-                  sched: float | None = None) -> None:
+    def _admit_at(self, item: QueueItem, t: float) -> None:
         """Admit ``item`` at recorded time ``t`` (>= env.now for staged
-        admits whose transfer completes in the simulated future).
-
-        ``sched`` is the schedule instant of the admit's heap event
-        (staged transfers only); None marks an admit performed inside an
-        already-executing event — see :meth:`_settle_admits`.  The
-        empty-stall latch happens there too, when this admit *settles*
-        in event-schedule order, not here at the (possibly leapfrogged)
-        env step that computed it."""
-        self._items.append(item)
-        self._words_used += item.words
-        self.words_enqueued += item.words
-        if self.fast_path:
-            self._admit_times.append(t)
-            self._push_admit(t, item.words, sched=sched)
-        else:
-            self._hw = max(self._hw, self._words_used)
-            self._occ.append((t, self._words_used))
+        admits whose transfer completes in the simulated future)."""
+        self._record_admit(t, item)
         if not self._releasing:  # a release cascade re-checks the head
             self._try_release()
 
@@ -342,17 +288,10 @@ class FetchUnitQueue:
             item, cycles = staged[0]
             if item.words > self.capacity_words - self._words_used:
                 return
-            start = self._stage_clock
-            ready = start + cycles
-            bound = ready < free_at
-            if bound:
-                ready = free_at
+            ready = max(self._stage_clock + cycles, free_at)
             staged.popleft()
             self._stage_clock = ready
-            # A free admit's heap event (the transfer timeout) was
-            # scheduled at the transfer start; a space-bound admit runs
-            # inside the release cascade that freed its space (None).
-            self._admit_at(item, ready, sched=None if bound else start)
+            self._admit_at(item, ready)
         ev = self._stage_done
         if ev is not None:
             self._stage_done = None
@@ -376,18 +315,17 @@ class FetchUnitQueue:
             )
         ev = self.env.event(name=f"req:{self.name}:{pe_slot}")
         self._requests[pe_slot] = ev
+        self._arrivals[pe_slot] = self.env.now
         self._try_release()
         item = yield ev
         return item
 
-    def register_request_at(self, pe_slot: int, arrival: float,
-                            sched: float) -> Event:
+    def register_request_at(self, pe_slot: int, arrival: float) -> Event:
         """Register a stamped lockstep request; return the event to park on.
 
         The PE does *not* flush its local clock first: ``arrival`` is its
         bus-true time (``env.now + local``) and the caller zeroes the
-        local clock.  ``sched`` is the schedule instant of the arrival's
-        final charge event.  The PE resumes, carrier-delivered, with the
+        local clock.  The PE resumes, carrier-delivered, with the
         ``(item, t_r)`` release pair; ``t_r`` is the computed rendezvous
         instant (env.now may lag behind it during queue fast-forward),
         from which the caller rebases its local clock.
@@ -401,12 +339,11 @@ class FetchUnitQueue:
             return ev  # a dead board's request: it parks for good
         self._requests[pe_slot] = ev
         self._arrivals[pe_slot] = arrival
-        self._scheds[pe_slot] = sched
         self._try_release()
         return ev
 
     def register_request_inline(self, pe_slot: int, arrival: float,
-                                ev: Event, sched: float, cpu) -> Event:
+                                ev: Event, cpu) -> Event:
         """Stamped request that may resolve the rendezvous *synchronously*.
 
         When this registration completes the head's mask and the release
@@ -431,7 +368,6 @@ class FetchUnitQueue:
             return ev  # a dead board's request: it parks for good
         self._requests[pe_slot] = ev
         self._arrivals[pe_slot] = arrival
-        self._scheds[pe_slot] = sched
         if cpu is not None:
             self._steppers[pe_slot] = cpu
         if not self._releasing and not self._carrier_pending and self._items:
@@ -456,7 +392,6 @@ class FetchUnitQueue:
         arrival = self._arrivals.get(pe_slot)
         if arrival is not None and arrival > after:
             del self._arrivals[pe_slot]
-            self._scheds.pop(pe_slot, None)
             self._steppers.pop(pe_slot, None)
             del self._requests[pe_slot]
             if (self._carrier_pending and self._items
@@ -484,34 +419,23 @@ class FetchUnitQueue:
         while self._items:
             head = self._items[0]
             if not head.mask <= self._requests.keys():
-                # Record when the full mask first assembled with an empty /
-                # not-yet-matching queue for empty-stall statistics.
                 return
             # All enabled PEs are waiting: release.
-            if self._all_arrived_at is not None:
-                self.empty_stall_cycles += self.env.now - self._all_arrived_at
-                self._all_arrived_at = None
-            self._items.popleft()
-            self._words_used -= head.words
-            self.releases += 1
-            self._sample()
-            waiters = [self._requests.pop(slot) for slot in head.mask]
-            for ev in waiters:
-                ev.succeed(head)
+            self._account_release(head, self.env.now)
+            for slot in head.mask:
+                del self._arrivals[slot]
+                self._requests.pop(slot).succeed(head)
             self._refill_from_waiters()
-        # Queue empty: if some mask could be satisfied later, note the time
-        # all *current* requesters assembled (approximation: first moment
-        # the queue is empty with requests outstanding).
-        if self._requests and self._all_arrived_at is None:
-            self._all_arrived_at = self.env.now
 
     # -- lockstep rendezvous -------------------------------------------
     def _head_release_time(self) -> float | None:
-        """``T_r`` for the head item, or None while its mask is short."""
+        """``T_r`` for the head item, or None while its mask is short: the
+        latest of its admit, its mask's arrivals and the previous release
+        (the head is released no earlier than the item before it)."""
         head = self._items[0]
         if not head.mask <= self._requests.keys():
             return None
-        t_r = self._admit_times[0]  #: rendezvous floor: head admit time
+        t_r = max(self._admitted_at[self.releases], self._last_release)
         arrivals = self._arrivals
         for slot in head.mask:
             a = arrivals.get(slot, 0.0)
@@ -561,87 +485,31 @@ class FetchUnitQueue:
         self._releasing = True
         env = self.env
         try:
-            t_cursor = env.now
             while self._items:
                 t_r = self._head_release_time()
                 if t_r is None:
                     return
-                if t_r < t_cursor:
-                    # Head became releasable mid-cascade; in the event
-                    # engine its succeed fires at the enabling release.
-                    t_r = t_cursor
+                if t_r < env.now:
+                    t_r = env.now
                 if t_r > env.now and (self._space_waiters
                                       or not t_r < env.peek()):
                     self._schedule_carrier(t_r)
                     return
                 self._release_head_now(t_r)
-                t_cursor = t_r
         finally:
             self._releasing = False
-
-    def _settle_for_release(self, head: QueueItem, t_r: float,
-                            inclusive: bool, probe: bool) -> None:
-        """Settle the admits due at the release of ``head`` at ``t_r``,
-        in the event engine's heap order (see :meth:`_settle_admits`),
-        and run the staged admission the probe found tying with it."""
-        arrivals = self._arrivals
-        scheds = self._scheds
-        neg_inf = float("-inf")
-        enabler_sched = neg_inf
-        tie = probe
-        if not (inclusive or probe):
-            # Does some pending *scheduled* admit land exactly at t_r?
-            # (Entries are sorted; earlier ones settle unconditionally,
-            # so the tie entry need not be at the front.)
-            for t, _, _, sched in self._pending_admits:
-                if t > t_r:
-                    break
-                if t == t_r and sched is not None:
-                    tie = True
-                    break
-        if tie:
-            # An admit ties with this release: find the schedule instant
-            # of the latest arrival attaining t_r (the enabling event) to
-            # replay the heap order.
-            enabler_sched = max(
-                (scheds.get(s, neg_inf) for s in head.mask
-                 if arrivals.get(s) == t_r),
-                default=neg_inf)
-        stall_view = None
-        if self._stats_words == 0 and self._ls_stall_start is None:
-            # The first settle below is the event engine's empty->
-            # non-empty transition: give _settle_admits the earliest
-            # registered arrival (and the schedule instant of its charge
-            # event) so it can latch the empty-stall origin.
-            for s, a in arrivals.items():
-                sc = scheds.get(s, neg_inf)
-                if (stall_view is None or a < stall_view[0]
-                        or (a == stall_view[0] and sc < stall_view[1])):
-                    stall_view = (a, sc)
-        self._settle_admits(t_r, inclusive, enabler_sched, stall_view)
-        if probe and self._stage_clock == enabler_sched:
-            self.sched_ties += 1
-        if probe and self._stage_clock <= enabler_sched:
-            # Admit-before-release: run the staged admission now, while
-            # the head still occupies the queue, and settle it against
-            # the same enabler — the occupancy peak spans both.
-            item, cycles = self._staged.popleft()
-            start = self._stage_clock
-            self._stage_clock = t_r
-            self._admit_at(item, t_r, sched=start)
-            self._settle_admits(t_r, False, enabler_sched, stall_view)
 
     def _release_head_now(self, t_r: float) -> None:
         """Release the head at recorded time ``t_r`` (>= env.now) and
         serve its batch of PEs.
 
-        Ordering mirrors the event engine's release exactly: stall
-        accounting, pop + occupancy sample, staging pump / space-waiter
-        refill (their state mutations happen before any succeed is
-        *processed* there), and only then the PEs — served
-        synchronously in mask-iteration order, the order the succeed
-        events would pop.  A PE parked on an instruction fetch is served
-        by *broadcast step*: its CPU executes the instruction here
+        Ordering mirrors the event engine's release: the books and
+        statistics, the staging pump or space-waiter refill (their state
+        mutations happen before any succeed is *processed* there), and
+        only then the PEs — served synchronously in mask-iteration
+        order, the order the succeed events would pop.  A PE parked on
+        an instruction fetch is served by *broadcast step*: its CPU
+        executes the instruction here
         (:meth:`~repro.m68k.cpu.CPU.broadcast_step`) and, still in SIMD
         space, re-stamps the same request for its next fetch, so its
         generator is not resumed at all.  Every other waiter — a barrier
@@ -652,47 +520,10 @@ class FetchUnitQueue:
         ``t_r`` is ahead of env.now, or what the step handed back.
         """
         head = self._items[0]
-        inclusive = self._admit_times[0] == t_r
-        staged = self._staged
-        # Pre-release staging probe: does the next staged transfer
-        # complete *exactly* at this release, fitting without the head's
-        # space?  Then its timeout event and the release's enabling
-        # arrival tie on the heap and schedule order decides who goes
-        # first — the event engine may admit it before the release.
-        probe = (
-            not inclusive and bool(staged)
-            and self._stage_clock + staged[0][1] == t_r
-            and staged[0][0].words <= self.capacity_words - self._words_used
-        )
-        pend = self._pending_admits
-        # With no admit due by t_r (a third of the releases of a SIMD
-        # matmul) there is nothing to settle and no tie to order.
-        due = bool(pend) and pend[0][0] <= t_r
-        if due or probe:
-            self._settle_for_release(head, t_r, inclusive, probe)
-        self._items.popleft()
-        self._admit_times.popleft()
-        if self._ls_stall_start is not None:
-            self.empty_stall_cycles += t_r - self._ls_stall_start
-            self._ls_stall_start = None
-        self._words_used -= head.words
-        self.releases += 1
+        self._account_release(head, t_r)
         self.lockstep_releases += 1
-        self._stats_words -= head.words
-        self._occ.append((t_r, self._stats_words))
-        # Settled occupancy is the event-schedule view: zero here means
-        # the queue is empty *in the event engine* right after this
-        # release, even when leapfrogged computed admits (times <= t_r
-        # but heap-ordered after the release) already sit in ``_items``.
-        # The empty-stall clock restarts at whichever settle next turns
-        # the stats non-zero (see _settle_admits), clamped to this
-        # instant — requesters already registered (masked-out PEs, early
-        # stampers) are what the pure engine's release-time latch sees.
-        if self._stats_words == 0:
-            self._stats_empty_since = t_r
         if self._staged or self._stage_done is not None:
-            # The probe above may have drained staging; pumping with an
-            # empty deque still fires the stage-done event.
+            # Pumping an empty deque still fires the stage-done event.
             self._pump_staging(t_r)
         else:
             self._refill_from_waiters()
@@ -701,7 +532,6 @@ class FetchUnitQueue:
         requests = self._requests
         steppers = self._steppers
         arrivals = self._arrivals
-        scheds = self._scheds
         value = (head, t_r)
         step = head.payload is not None
         steps = 0
@@ -725,7 +555,6 @@ class FetchUnitQueue:
             del requests[slot]
             steppers.pop(slot, None)
             arrivals.pop(slot, None)
-            scheds.pop(slot, None)
             fire_event(ev, got)
         self.broadcast_steps += steps
 
@@ -735,12 +564,5 @@ class FetchUnitQueue:
             if item.words > self.capacity_words - self._words_used:
                 return
             self._space_waiters.popleft()
-            self._items.append(item)
-            self._words_used += item.words
-            self.words_enqueued += item.words
-            if self.fast_path:
-                self._admit_times.append(self.env.now)
-                self._push_admit(self.env.now, item.words, sample=False)
-            else:
-                self._hw = max(self._hw, self._words_used)
+            self._record_admit(self.env.now, item)
             ev.succeed()

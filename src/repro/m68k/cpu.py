@@ -399,7 +399,6 @@ class CPU:
                             if phase < ref_steal:
                                 cycles += ref_steal - phase
                         bus._local += cycles
-                        bus._lc = cycles
                         bus.stream_accesses += w
                         self.regs.pc = npc
                         timing = h(self, pc, npc)
@@ -416,7 +415,6 @@ class CPU:
                                     f"for {instr} ({timing})"
                                 )
                             bus._local += internal
-                            bus._lc = internal
                         end = env.now + bus._local
                         try:
                             cats[cat] += end - start
@@ -488,7 +486,6 @@ class CPU:
                     )
                 if bus_fast:
                     bus._local += internal
-                    bus._lc = internal
                 else:
                     yield from bus.charge(internal)
 
@@ -538,7 +535,6 @@ class CPU:
         bus.stream_accesses += n
         cycles = n * (4 + bus._simd_ws)
         bus._local = t_r - self.env.now + cycles
-        bus._lc = cycles
         w = instr._encoded_words_cache
         if w is None:
             w = instr.encoded_words()
@@ -572,7 +568,6 @@ class CPU:
                     f" ({timing})"
                 )
             bus._local += internal
-            bus._lc = internal
         end = self.env.now + bus._local
         self.instruction_count += 1
         cats = self.category_cycles

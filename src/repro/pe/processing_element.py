@@ -169,7 +169,6 @@ class PEBus(LocalTimeBus):
         self.stream_accesses += n
         cycles = self._ram_cycles(n, region.wait_states)
         self._local += cycles
-        self._lc = cycles
         return instr
 
     def try_fetch_stream_words(self, addr: int, n: int) -> bool:
@@ -182,7 +181,6 @@ class PEBus(LocalTimeBus):
         else:
             cycles = n * (4 + region.wait_states)
         self._local += cycles
-        self._lc = cycles
         return True
 
     def try_read(self, addr: int, size: int):
@@ -203,7 +201,6 @@ class PEBus(LocalTimeBus):
         self.data_accesses += n
         cycles = self._ram_cycles(n, region.wait_states)
         self._local += cycles
-        self._lc = cycles
         return self.memory.read(addr, size)
 
     def try_write(self, addr: int, value: int, size: int) -> bool:
@@ -225,7 +222,6 @@ class PEBus(LocalTimeBus):
         self.data_accesses += n
         cycles = self._ram_cycles(n, region.wait_states)
         self._local += cycles
-        self._lc = cycles
         self.memory.write(addr, value, size)
         return True
 
@@ -270,11 +266,7 @@ class PEBus(LocalTimeBus):
         else:
             ev = self.env.event(name=f"req:{self.name}")
             self._req_ev = ev
-        # arrival - _lc = the schedule instant of the final charge event
-        # on the pure-event path — the heap position of the succeed this
-        # stamp may enable (same-timestamp tie-breaking in the queue).
-        return queue.register_request_inline(self.pe_slot, arrival, ev,
-                                             arrival - self._lc, cpu)
+        return queue.register_request_inline(self.pe_slot, arrival, ev, cpu)
 
     def restamp_queue_fetch(self, pc: int) -> bool:
         """Stamp a broadcast-stepped PE's next fetch, from ``pc``.
@@ -282,9 +274,8 @@ class PEBus(LocalTimeBus):
         The twin of :meth:`try_queue_fetch` for a PE the queue is
         serving by broadcast step, inside a release: the PE's request
         (its parked event) stays registered, and only its arrival stamp
-        and schedule instant move on, with no release attempt.  False at
-        an edge: ``pc`` left SIMD space, so the PE must go back to its
-        generator.
+        moves on, with no release attempt.  False at an edge: ``pc``
+        left SIMD space, so the PE must go back to its generator.
         """
         lo, hi = self._simd_bounds
         if not lo <= pc < hi:
@@ -292,9 +283,7 @@ class PEBus(LocalTimeBus):
         arrival = self.env.now + self._local
         self._local = 0.0
         self.lockstep_rendezvous += 1
-        queue = self.queue
-        queue._arrivals[self.pe_slot] = arrival
-        queue._scheds[self.pe_slot] = arrival - self._lc
+        self.queue._arrivals[self.pe_slot] = arrival
         return True
 
     # -- generator protocol ---------------------------------------------
@@ -360,11 +349,10 @@ class PEBus(LocalTimeBus):
                 # as the arrival stamp; the queue computes the release
                 # instant and resumes us there with the clock rebased.
                 arrival = self.env.now + self._local
-                sched = arrival - self._lc
                 self._local = 0.0
                 self.lockstep_rendezvous += 1
                 item, released = yield self.queue.register_request_at(
-                    self.pe_slot, arrival, sched=sched)
+                    self.pe_slot, arrival)
                 self._local = released - self.env.now
                 if self.trace_waits and released > arrival:
                     self.wait_spans.append(
@@ -472,7 +460,6 @@ class PEBus(LocalTimeBus):
         self.data_accesses += 1
         c = 4 + region.wait_states
         self._local = t + c - self.env.now
-        self._lc = c
         return value
 
     def _net_write_done(self, region, stamp: float, t: float) -> None:
@@ -485,7 +472,6 @@ class PEBus(LocalTimeBus):
         self.data_accesses += 1
         c = 4 + region.wait_states
         self._local = t + c - self.env.now
-        self._lc = c
 
 
 class ProcessingElement:

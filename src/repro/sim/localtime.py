@@ -24,7 +24,10 @@ Queue request and a network transfer-register access pass the bus-true
 time (``env.now + _local``) as a *stamp*, and the queue
 (:mod:`repro.sim.lockstep`) or the circuit's pipe
 (:class:`repro.network.transfer.Pipe`) computes the instant the access
-completes, from which the bus continues locally.  A PE with a scheduled
+completes, from which the bus continues locally.  A stamp is an instant
+and nothing more: the queue's statistics are defined from instants alone
+(:mod:`repro.fetch_unit.queue`), so no charge needs to say when the pure
+event schedule would have scheduled it.  A PE with a scheduled
 fail-stop flushes before its transfer-register accesses instead.
 
 :class:`LocalTimeBus` is the base of every CPU bus and fixes the CPU's
@@ -70,11 +73,6 @@ class LocalTimeBus:
     def _init_local_clock(self, fast_path: bool | None, refresh) -> None:
         self.fast_path = resolve_fast_path(fast_path)
         self._local = 0.0  #: cycles accrued ahead of env.now
-        #: Duration of the last charge: a pure-event charge is scheduled at
-        #: its start, and lockstep needs that instant (bus-true now -
-        #: ``_lc``) to order same-time rendezvous arrivals as the heap does
-        #: (FetchUnitQueue ``_settle_admits``).
-        self._lc = 0.0
         #: DRAM refresh (period, steal); a zero steal is none.
         self._ref_period, self._ref_steal = (
             refresh.inline_constants() if refresh is not None else (1, 0))
@@ -96,7 +94,6 @@ class LocalTimeBus:
         the fast path, one sleep through the event queue otherwise."""
         if self.fast_path:
             self._local += cycles
-            self._lc = cycles
             return
         yield self.env.sleep(cycles)
 

@@ -17,9 +17,9 @@ event rendezvous:
   the local clock (:meth:`FetchUnitQueue.register_request_inline` for an
   instruction fetch, traced or not, and
   :meth:`FetchUnitQueue.register_request_at` for a barrier read);
-* the queue releases the head item at ``T_r = max(admit time, max of the
-  mask's arrival stamps)`` — the exact instant the pure-event schedule
-  would have assembled the rendezvous;
+* the queue releases the head item at ``T_r = max(admit time, previous
+  release, max of the mask's arrival stamps)`` — the exact instant the
+  pure-event schedule would have assembled the rendezvous;
 * delivery is batched: one **carrier** event fires at ``T_r`` and serves
   every waiting PE synchronously, so a p-PE broadcast instruction costs
   one heap event instead of ~2p — or none, when ``T_r`` precedes the

@@ -11,7 +11,10 @@ from repro.fetch_unit import (
     sync_item,
 )
 from repro.m68k.assembler import assemble
+from repro.machine import PASMMachine
+from repro.mc import EnqueueBlock, Loop
 from repro.sim import Environment
+from tests.engines import CFG
 
 
 def instr_item(mask, words=1):
@@ -198,6 +201,68 @@ class TestQueueReleaseRule:
         q.try_enqueue(instr_item({0}, words=3))
         q.try_enqueue(instr_item({0}, words=2))
         assert q.high_water == 5
+
+
+class TestStatistics:
+    """``queue_stats`` depend on instants, not on the order events at
+    one instant are handled (see the ``repro.fetch_unit.queue``
+    docstring)."""
+
+    @staticmethod
+    def run_schedule(requests, admits, producer_first=False):
+        """Pure-event run: ``requests`` are ``(slot, t)`` PE requests,
+        ``admits`` ``(mask, t)`` items enqueued at ``t``."""
+        env = Environment()
+        q = FetchUnitQueue(env, 16)
+
+        def pe(slot, t):
+            yield env.timeout(t)
+            yield from q.request(slot)
+
+        def producer():
+            for mask, t in admits:
+                yield env.timeout(t - env.now)
+                q.try_enqueue(instr_item(mask))
+
+        if producer_first:
+            env.process(producer())
+        for slot, t in requests:
+            env.process(pe(slot, t))
+        if not producer_first:
+            env.process(producer())
+        env.run()
+        return q
+
+    @pytest.mark.parametrize("producer_first", [False, True])
+    def test_stall_ignores_same_instant_order(self, producer_first):
+        """PE 0's request and the admit both land at t=50: the queue was
+        never empty while PE 0 waited, whichever event is handled first."""
+        q = self.run_schedule([(0, 50), (1, 80)], [({0, 1}, 50)],
+                              producer_first)
+        assert q.empty_stall_cycles == 0
+
+    def test_masked_out_pe_adds_no_stall(self):
+        """PE 1 waits from t=0, but the item admitted at 50 is not for
+        it: only the empty queue from that item's release (60) to the
+        admit of PE 1's item (100) is stall."""
+        q = self.run_schedule([(1, 0), (0, 60)], [({0}, 50), ({1}, 100)])
+        assert q.empty_stall_cycles == 40
+
+    def test_admit_and_release_at_one_instant_count(self):
+        """When the MC is the bottleneck, each ADDQ is released at the
+        instant it is admitted; the queue did hold it, so ``high_water``
+        reads 1."""
+        machine = PASMMachine(CFG, partition_size=4, fast_path=False)
+        blocks = {"body": assemble("    ADDQ.W #1,D2").instruction_list(),
+                  "fini": assemble("    HALT").instruction_list()}
+        machine.run_simd([Loop(20, (EnqueueBlock("body"),)),
+                          EnqueueBlock("fini")], blocks)
+        assert machine.queues[0].high_water == 1
+
+    def test_occupancy_samples_one_value_per_instant(self):
+        q = self.run_schedule([(0, 0)], [({0}, 50), ({0}, 70)])
+        assert q.occupancy_samples == [(50, 0), (70, 1)]
+        assert q.high_water == 1
 
 
 class TestController:

@@ -336,20 +336,6 @@ def _simd_signature(engine: str, plan, blocks_src, seeds,
     broadcast jumps out of SIMD space; each PE's multiplier seed is the
     word at $4000, and the words from $4100 on are fingerprinted for
     broadcast stores."""
-    machine, result = _run_simd(engine, plan, blocks_src, seeds, pe_text,
-                                fault_plan)
-    sig = result_signature(machine, result)
-    sig["d2"] = [machine.pe(lp).cpu.regs.d[2] & 0xFFFF for lp in range(4)]
-    sig["d3"] = [machine.pe(lp).cpu.regs.d[3] & 0xFFFF for lp in range(4)]
-    sig["stored"] = [[machine.pe(lp).memory.read(0x4100 + 2 * k, 2)
-                      for k in range(8)] for lp in range(4)]
-    return sig
-
-
-def _run_simd(engine: str, plan, blocks_src, seeds, pe_text="    HALT",
-              fault_plan=None):
-    """``(machine, result)`` of the SIMD program :func:`_simd_signature`
-    fingerprints."""
     machine = make_machine(4, engine, fault_plan=fault_plan)
     data_programs = [
         assemble(
@@ -364,8 +350,13 @@ def _run_simd(engine: str, plan, blocks_src, seeds, pe_text="    HALT",
         name: assemble(src, predefined=CFG.device_symbols()).instruction_list()
         for name, src in blocks_src.items()
     }
-    return machine, machine.run_simd(plan, blocks,
-                                     data_programs=data_programs)
+    result = machine.run_simd(plan, blocks, data_programs=data_programs)
+    sig = result_signature(machine, result)
+    sig["d2"] = [machine.pe(lp).cpu.regs.d[2] & 0xFFFF for lp in range(4)]
+    sig["d3"] = [machine.pe(lp).cpu.regs.d[3] & 0xFFFF for lp in range(4)]
+    sig["stored"] = [[machine.pe(lp).memory.read(0x4100 + 2 * k, 2)
+                      for k in range(8)] for lp in range(4)]
+    return sig
 
 
 #: Seam programs: broadcast compute around one instruction whose effect
@@ -456,34 +447,45 @@ _BODY_VOCAB = (
 )
 
 
-@settings(deadline=None, max_examples=8)
-@given(data=st.data())
-def test_random_simd_programs_identical(data):
+@st.composite
+def simd_programs(draw, vocab=_BODY_VOCAB, max_body=3, max_trips=6):
+    """A random SIMD program for :func:`_simd_signature`: one to three
+    blocks of straight-line code from ``vocab``, each run under a random
+    mask for a random trip count, and a multiplier seed per PE, as
+    ``(plan, blocks_src, seeds)``."""
+    n_blocks = draw(st.integers(1, 3), label="n_blocks")
+    blocks_src = {}
+    stages = []
+    for i in range(n_blocks):
+        body = draw(
+            st.lists(st.sampled_from(vocab), min_size=1, max_size=max_body),
+            label=f"body{i}",
+        )
+        blocks_src[f"b{i}"] = "\n".join(body)
+        mask = draw(st.sets(st.integers(0, 3), min_size=1, max_size=4),
+                    label=f"mask{i}")
+        trips = draw(st.integers(1, max_trips), label=f"trips{i}")
+        stages.append((mask, f"b{i}", trips))
+    seeds = [draw(st.integers(0, 0xFFFF), label=f"seed{lp}")
+             for lp in range(4)]
+    return _simd_plan(stages), blocks_src, seeds
+
+
+def assert_tiers_agree(program) -> None:
+    """The lockstep signature of ``program`` equals the pure-event one,
+    ``queue_stats`` included."""
+    pure = _simd_signature("pure-events", *program)
+    assert _simd_signature("lockstep", *program) == pure
+
+
+@settings(deadline=None, max_examples=50)
+@given(program=simd_programs())
+def test_random_simd_programs_identical(program):
     """Random straight-line blocks, loop trip counts, masks, and per-PE
     multiplier seeds: the lockstep schedule equals the pure-event
     schedule, signature for signature.  (Programs mixing in per-PE-effect
     instructions are drawn in ``tests/test_vectorized.py``.)"""
-    n_blocks = data.draw(st.integers(1, 3), label="n_blocks")
-    blocks_src = {}
-    stages = []
-    for i in range(n_blocks):
-        body = data.draw(
-            st.lists(st.sampled_from(_BODY_VOCAB), min_size=1, max_size=3),
-            label=f"body{i}",
-        )
-        blocks_src[f"b{i}"] = "\n".join(body)
-        mask = data.draw(
-            st.sets(st.integers(0, 3), min_size=1, max_size=4),
-            label=f"mask{i}",
-        )
-        trips = data.draw(st.integers(1, 6), label=f"trips{i}")
-        stages.append((mask, f"b{i}", trips))
-    plan = _simd_plan(stages)
-    seeds = [data.draw(st.integers(0, 0xFFFF), label=f"seed{lp}")
-             for lp in range(4)]
-
-    pure = _simd_signature("pure-events", plan, blocks_src, seeds)
-    assert _simd_signature("lockstep", plan, blocks_src, seeds) == pure
+    assert_tiers_agree(program)
 
 
 @pytest.mark.parametrize("trips", [3, 5])
@@ -491,10 +493,10 @@ def test_single_pe_mask_occupancy_identical(trips):
     """Regression (hypothesis-found): a one-PE mask consuming MULU pairs
     slower than the controller transfers them makes the staged queue
     admit words whose computed admit times leapfrog earlier (still
-    uncomputed) releases.  The stats settlement must re-serialize them:
-    trips=3 caught strict leapfrogging (high_water one too high),
-    trips=5 caught the equal-instant tie, where an *independent* admit
-    coinciding with an already-enabled release must count after it."""
+    uncomputed) releases.  The occupancy must still count them in
+    instant order: trips=3 caught strict leapfrogging (high_water one
+    too high), trips=5 an admit at the instant of an earlier item's
+    release, which counts after it."""
     blocks_src = {"b0": "    MULU    D1,D2\n    MULU    D1,D2"}
     plan = _simd_plan([((0,), "b0", trips)])
     seeds = [0, 0, 0, 0]
@@ -502,35 +504,19 @@ def test_single_pe_mask_occupancy_identical(trips):
             == _simd_signature("pure-events", plan, blocks_src, seeds))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known lockstep defect: a same-instant admit/release tie at equal "
-    "schedule instants settles admit-first; the event heap orders it by "
-    "sequence (here release-first), so empty_stall_cycles reads 196, not "
-    "250"))
 def test_same_schedule_instant_admit_tie_identical():
-    """Reproducer (found by a random-program test; about 1 random
-    program in 600 to 2,000 hits such a tie): PE 0 alone fetches ADDQ at t=275 and the controller starts
-    transferring the HALT block at t=275 too.  Both the PE's next request
-    and the HALT admit land at t=279 with schedule instant 275.  The
-    event engine processes the PE's resumption first, so the release
-    empties the queue before the admit.  The lockstep tie-break compares
-    schedule instants only and settles the admit first.  Cycle counts
-    agree; only ``queue_stats`` differ."""
-    blocks_src = {"b0": "    ADDQ.W  #1,D2\n    MULS    D1,D3"}
-    plan = _simd_plan([((0,), "b0", 4)])
-    seeds = [1289, 0, 0, 0]
-    assert (_simd_signature("lockstep", plan, blocks_src, seeds)
-            == _simd_signature("pure-events", plan, blocks_src, seeds))
-
-
-def test_sched_ties_count_the_known_tie():
-    """The queue counts the guess the tie above makes (``sched_ties``):
-    it counts every equal-instant guess, right or wrong, so a property
-    may trust ``queue_stats`` whenever the count is zero."""
-    machine, _ = _run_simd(
-        "lockstep", _simd_plan([((0,), "b0", 4)]),
-        {"b0": "    ADDQ.W  #1,D2\n    MULS    D1,D3"}, [1289, 0, 0, 0])
-    assert sum(q.sched_ties for q in machine.queues.values()) > 0
+    """Found by a random-program test: PE 0 alone fetches ADDQ at t=275
+    and the controller starts transferring the HALT block at t=275 too.
+    The PE's next request and the HALT admit both land at t=279, where
+    the pure event heap orders them by sequence, an order lockstep does
+    not know.  The statistics do not depend on it: both tiers read an
+    empty stall of 84."""
+    program = (_simd_plan([((0,), "b0", 4)]),
+               {"b0": "    ADDQ.W  #1,D2\n    MULS    D1,D3"},
+               [1289, 0, 0, 0])
+    pure = _simd_signature("pure-events", *program)
+    assert _simd_signature("lockstep", *program) == pure
+    assert pure["queue_stats"][0]["empty_stall_cycles"] == 84
 
 
 @settings(deadline=None, max_examples=8)

@@ -16,7 +16,7 @@ Two concerns the differential suite
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PEFailStopError
@@ -26,7 +26,12 @@ from repro.machine import ExecutionMode
 from repro.machine.partition import Partition
 from repro.utils.bitops import ones_count, transitions_count
 from tests.engines import CFG, ENGINE_TIERS, signature
-from tests.test_lockstep_differential import _simd_plan, _simd_signature
+from tests.test_lockstep_differential import (
+    _ALL,
+    _simd_plan,
+    assert_tiers_agree,
+    simd_programs,
+)
 
 # ---------------------------------------------------------------------------
 # The numpy timing formulas vs the scalar timing model.
@@ -96,30 +101,40 @@ _PER_PE_VOCAB = (
 )
 
 
-@settings(deadline=None, max_examples=8)
-@given(data=st.data())
-def test_random_seam_programs_identical(data):
+#: Seam programs: broadcast compute and per-PE-effect instructions.
+seam_programs = simd_programs(vocab=_BROADCAST_VOCAB + _PER_PE_VOCAB,
+                              max_body=4, max_trips=4)
+
+
+@settings(deadline=None, max_examples=50)
+@given(program=seam_programs)
+# A one-PE item queued behind a slower item (found by the deep sweep).
+@example(program=(
+    _simd_plan([(_ALL, "b0", 3), ((0, 1, 2), "b1", 1), ((3,), "b2", 1)]),
+    {"b0": "    ADDQ.W  #1,D2\n    MULS    D1,D3\n    MOVE.W  TIMER,D3\n"
+           "    MULU    D1,D2",
+     "b1": "    ADDQ.W  #1,D2",
+     "b2": "    ADDQ.W  #1,D2\n    ADDQ.W  #1,D2"},
+    [0, 0, 531, 0]))
+def test_random_seam_programs_identical(program):
     """Random interleavings of broadcast compute and per-PE-effect
     instructions, random masks per block, random loop trips: the
     lockstep schedule equals the pure-event schedule signature for
-    signature."""
-    n_blocks = data.draw(st.integers(1, 3), label="n_blocks")
-    blocks_src = {}
-    stages = []
-    for i in range(n_blocks):
-        body = data.draw(
-            st.lists(st.sampled_from(_BROADCAST_VOCAB + _PER_PE_VOCAB),
-                     min_size=1, max_size=4),
-            label=f"body{i}",
-        )
-        blocks_src[f"b{i}"] = "\n".join(body)
-        mask = data.draw(st.sets(st.integers(0, 3), min_size=1, max_size=4),
-                         label=f"mask{i}")
-        trips = data.draw(st.integers(1, 4), label=f"trips{i}")
-        stages.append((mask, f"b{i}", trips))
-    plan = _simd_plan(stages)
-    seeds = [data.draw(st.integers(0, 0xFFFF), label=f"seed{lp}")
-             for lp in range(4)]
+    signature.
 
-    pure = _simd_signature("pure-events", plan, blocks_src, seeds)
-    assert _simd_signature("lockstep", plan, blocks_src, seeds) == pure
+    The example: PE 3 requests its one-PE item at t=444 while PE 2's
+    TIMER read holds the item ahead of it until 452, and lockstep
+    computes the two releases in different cascades.  PE 3's item is
+    released at 452, not at its request instant: a release is no
+    earlier than the one before it (the run takes 464 cycles)."""
+    assert_tiers_agree(program)
+
+
+@pytest.mark.slow
+@settings(deadline=None, max_examples=5_000)
+@given(simd=simd_programs(), seam=seam_programs)
+def test_random_simd_and_seam_programs_identical_deep(simd, seam):
+    """The two random-program properties above at 5,000 examples each:
+    full signatures, ``queue_stats`` included, agree on both tiers."""
+    assert_tiers_agree(simd)
+    assert_tiers_agree(seam)
