@@ -40,6 +40,10 @@ class FetchUnitController:
         self.cycles_per_word = cycles_per_word
         self.name = name
         self._blocks: dict[str, list[Instruction]] = {}
+        #: ``(item, transfer_cycles)`` entries by (block name, mask),
+        #: built once: items are immutable, so every transfer of a
+        #: block under one mask shares them.
+        self._entries: dict[tuple, list[tuple[QueueItem, int]]] = {}
         self._commands = Store(env, capacity=1, name=f"cmd:{name}")
         self.busy = False
         self.words_transferred = 0
@@ -59,6 +63,7 @@ class FetchUnitController:
                     "blocks must be straight-line — loops run on the MC"
                 )
         self._blocks[name] = list(instructions)
+        self._entries.clear()
 
     def block_words(self, name: str) -> int:
         return sum(i.encoded_words() for i in self._blocks[name])
@@ -101,6 +106,20 @@ class FetchUnitController:
         return None
 
     # ------------------------------------------------------------------
+    def _block_entries(self, name: str, mask: frozenset[int]) -> list:
+        """The ``(item, transfer_cycles)`` entries of block ``name``
+        under ``mask``, in transfer order."""
+        key = (name, mask)
+        entries = self._entries.get(key)
+        if entries is None:
+            entries = self._entries[key] = [
+                (QueueItem(payload=instr, words=words, mask=mask),
+                 self.cycles_per_word * words)
+                for instr in self._blocks[name]
+                for words in (instr.encoded_words(),)
+            ]
+        return entries
+
     def _run(self):
         while True:
             kind, arg = yield self._commands.get()
@@ -108,14 +127,13 @@ class FetchUnitController:
             if self.queue.fast_path:
                 yield from self._transfer_staged(kind, arg)
             elif kind == "block":
-                for instr in self._blocks[arg]:
-                    words = instr.encoded_words()
-                    yield self.env.timeout(self.cycles_per_word * words)
-                    item = QueueItem(
-                        payload=instr, words=words, mask=self.mask.enabled
-                    )
+                entries = self._block_entries(arg, self.mask.enabled)
+                for k, (_, cycles) in enumerate(entries):
+                    yield self.env.timeout(cycles)
+                    # Each word takes the mask current as it moves.
+                    item = self._block_entries(arg, self.mask.enabled)[k][0]
                     yield from self.queue.enqueue(item)
-                    self.words_transferred += words
+                    self.words_transferred += item.words
             else:  # sync words
                 for _ in range(arg):
                     yield self.env.timeout(self.cycles_per_word)
@@ -143,15 +161,8 @@ class FetchUnitController:
         """
         mask = self.mask.enabled
         if kind == "block":
-            entries = []
-            total = 0
-            for instr in self._blocks[arg]:
-                words = instr.encoded_words()
-                entries.append((
-                    QueueItem(payload=instr, words=words, mask=mask),
-                    self.cycles_per_word * words,
-                ))
-                total += words
+            entries = self._block_entries(arg, mask)
+            total = sum(item.words for item, _ in entries)
         else:  # sync words
             entries = [(sync_item(mask), self.cycles_per_word)
                        for _ in range(arg)]

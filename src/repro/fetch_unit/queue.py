@@ -16,14 +16,15 @@ Lockstep tier (see :mod:`repro.sim.lockstep`): PEs instead register a
 clocks.  The release time of the head item is then computed directly,
 ``T_r = max(admit time, previous release, max of the mask's stamped
 arrivals)``; a release due before the next heap event runs inline, and
-any other waits for one **carrier** event at ``T_r``.  Either way the
-whole batch of waiting PEs is served synchronously, and a PE parked on
-an instruction fetch is served by **broadcast step**: the queue runs the
-released instruction on its CPU, and the PE's request stays registered,
-re-stamped for its next fetch, without its generator resuming
-(:meth:`FetchUnitQueue._release_head_now`).  At most one heap event
-replaces the ~2·p (flush + succeed per PE) the event rendezvous costs,
-and ~p generator resumptions go with it.
+any other waits for one **carrier** event at ``T_r``.  One **release
+loop** (:meth:`FetchUnitQueue._run_releases`) then releases the run of
+heads whose time has come, item by item, and serves each one's batch of
+waiting PEs synchronously.  A PE parked on an instruction fetch is
+*stepped*: the loop runs the released instruction on its CPU
+(:meth:`~repro.m68k.cpu.CPU.step_released`), and the PE's request stays
+registered, re-stamped for its next fetch, without its generator
+resuming.  At most one heap event replaces the ~2·p (flush + succeed per
+PE) the event rendezvous costs, and ~p generator resumptions go with it.
 
 The statistics (``queue_stats``) are defined from instants both tiers
 know — the admit instant ``a_k`` of item ``k``, its release instant
@@ -93,9 +94,9 @@ class FetchUnitQueue:
         self._items: deque[QueueItem] = deque()
         self._words_used = 0
         self._requests: dict[int, Event] = {}
-        #: CPUs whose pending request may be served by broadcast step
-        #: (lockstep only; one entry per pending request, so none
-        #: outlives the run).
+        #: ``CPU.step_released`` of the PEs whose pending request the
+        #: release loop may step (lockstep only; one entry per pending
+        #: request, so none outlives the run).
         self._steppers: dict[int, object] = {}
         self._space_waiters: deque[tuple[Event, QueueItem]] = deque()
         #: Lockstep: fail-stop strike instant by slot.  A stamp beyond it
@@ -106,6 +107,7 @@ class FetchUnitQueue:
         self._arrivals: dict[int, float] = {}
         # -- lockstep rendezvous state -------------------------------------
         self._carrier_pending = False  #: a carrier event is on the heap
+        self._carrier: Event | None = None  #: the last carrier scheduled
         self._releasing = False  #: inside the carrier's release loop
         #: Bulk-staged (item, transfer_cycles) pairs from the controller;
         #: admit times are computed analytically as space frees.
@@ -129,7 +131,7 @@ class FetchUnitQueue:
         self.lockstep_releases = 0  #: items released via computed rendezvous
         self.lockstep_batch_pes = 0  #: PE requests served by releases
         self.lockstep_carriers = 0  #: carrier events scheduled
-        #: PE instructions executed by broadcast step, the PE's generator
+        #: PE instructions the release loop stepped, the PE's generator
         #: left parked.
         self.broadcast_steps = 0
 
@@ -142,15 +144,15 @@ class FetchUnitQueue:
         self._words_used += item.words
         self.words_enqueued += item.words
 
-    def _account_release(self, head: QueueItem, t_r: float) -> None:
+    def _account_release(self, head: QueueItem, t_r: float,
+                         first: float) -> None:
         """Take the head off the books, released at ``t_r``, and charge
         the empty stall of its wait: from the later of the previous
-        release and its mask's first arrival, to its admit."""
+        release and its mask's first arrival ``first``, to its admit."""
         self._items.popleft()
         self._words_used -= head.words
         admitted = self._admitted_at[self.releases]
-        arrivals = self._arrivals
-        since = max(self._last_release, min(arrivals[s] for s in head.mask))
+        since = max(self._last_release, first)
         if admitted > since:
             self.empty_stall_cycles += admitted - since
         self._last_release = t_r
@@ -288,7 +290,9 @@ class FetchUnitQueue:
             item, cycles = staged[0]
             if item.words > self.capacity_words - self._words_used:
                 return
-            ready = max(self._stage_clock + cycles, free_at)
+            ready = self._stage_clock + cycles
+            if free_at > ready:
+                ready = free_at
             staged.popleft()
             self._stage_clock = ready
             self._admit_at(item, ready)
@@ -343,7 +347,7 @@ class FetchUnitQueue:
         return ev
 
     def register_request_inline(self, pe_slot: int, arrival: float,
-                                ev: Event, cpu) -> Event:
+                                ev: Event, stepper) -> Event:
         """Stamped request that may resolve the rendezvous *synchronously*.
 
         When this registration completes the head's mask and the release
@@ -356,9 +360,9 @@ class FetchUnitQueue:
         cannot consume an already-fired event must use
         :meth:`register_request_at` (carrier delivery only).
 
-        ``cpu`` is the instruction fetcher parked on ``ev``, or None:
-        while it is parked, a release may serve it by broadcast step (see
-        :meth:`_release_head_now`).
+        ``stepper`` is the parked fetcher's ``CPU.step_released``, or
+        None: while the PE is parked on ``ev``, the release loop may step
+        it (see :meth:`_run_releases`).
         """
         if pe_slot in self._requests:
             raise SimulationError(
@@ -368,8 +372,8 @@ class FetchUnitQueue:
             return ev  # a dead board's request: it parks for good
         self._requests[pe_slot] = ev
         self._arrivals[pe_slot] = arrival
-        if cpu is not None:
-            self._steppers[pe_slot] = cpu
+        if stepper is not None:
+            self._steppers[pe_slot] = stepper
         if not self._releasing and not self._carrier_pending and self._items:
             self._run_releases()
         return ev
@@ -421,28 +425,14 @@ class FetchUnitQueue:
             if not head.mask <= self._requests.keys():
                 return
             # All enabled PEs are waiting: release.
-            self._account_release(head, self.env.now)
+            self._account_release(head, self.env.now,
+                                  min(self._arrivals[s] for s in head.mask))
             for slot in head.mask:
                 del self._arrivals[slot]
                 self._requests.pop(slot).succeed(head)
             self._refill_from_waiters()
 
     # -- lockstep rendezvous -------------------------------------------
-    def _head_release_time(self) -> float | None:
-        """``T_r`` for the head item, or None while its mask is short: the
-        latest of its admit, its mask's arrivals and the previous release
-        (the head is released no earlier than the item before it)."""
-        head = self._items[0]
-        if not head.mask <= self._requests.keys():
-            return None
-        t_r = max(self._admitted_at[self.releases], self._last_release)
-        arrivals = self._arrivals
-        for slot in head.mask:
-            a = arrivals.get(slot, 0.0)
-            if a > t_r:
-                t_r = a
-        return t_r
-
     def _try_release_lockstep(self) -> None:
         """Schedule the carrier once the head's release time is known.
 
@@ -450,19 +440,29 @@ class FetchUnitQueue:
         env-steps at which the event engine would learn the rendezvous is
         complete — so the carrier's heap position (and hence all
         same-timestamp tie-breaking) matches the succeed events it
-        replaces.
+        replaces.  ``T_r`` is the latest of the head's admit, the
+        previous release (the head is released no earlier than the item
+        before it) and its mask's arrivals.
         """
         if self._releasing or self._carrier_pending or not self._items:
             return
-        t_r = self._head_release_time()
-        if t_r is not None:
-            self._schedule_carrier(t_r)
+        mask = self._items[0].mask
+        if mask <= self._requests.keys():
+            arrivals = self._arrivals
+            self._schedule_carrier(max(
+                self._admitted_at[self.releases], self._last_release,
+                *[arrivals[s] for s in mask]))
 
     def _schedule_carrier(self, t_r: float) -> None:
         self._carrier_pending = True
         self.lockstep_carriers += 1
-        carrier = self.env.event(name=f"carrier:{self.name}")
-        carrier.callbacks.append(self._carrier_fired)
+        carrier = self._carrier
+        if carrier is not None and carrier.callbacks is None:
+            carrier.callbacks = [self._carrier_fired]  # fired: reuse it
+        else:
+            carrier = self._carrier = self.env.event(
+                name=f"carrier:{self.name}")
+            carrier.callbacks.append(self._carrier_fired)
         self.env.schedule(carrier, t_r - self.env.now)
 
     def _carrier_fired(self, _event: Event) -> None:
@@ -470,93 +470,91 @@ class FetchUnitQueue:
         self._run_releases()
 
     def _run_releases(self) -> None:
-        """Batch-release every head whose time has come.
+        """The release loop: release the run of heads whose time has
+        come, item by item, each at ``T_r`` as
+        :meth:`_try_release_lockstep` defines it.
 
-        Releases whose computed time lies *before the next heap event*
-        are fast-forwarded inline — simulated time becomes data carried
-        in the recorded release time, and env.now only catches up when
-        some other actor (controller resync, network, fault kicker) has
-        an event pending.  The heap bound guarantees no foreign event
-        could have interleaved, so the fast-forwarded schedule is the
-        event schedule.  Classic space waiters disable fast-forward:
-        their wakeups are heap-delivered at env.now and must coincide
-        with the release instant (S-MIMD sync feeder path).
+        A release whose ``T_r`` lies *before the next heap event* is
+        fast-forwarded inline — simulated time becomes data carried in
+        the recorded release time, and env.now only catches up when some
+        other actor (controller resync, network, fault kicker) has an
+        event pending.  The heap bound guarantees no foreign event could
+        have interleaved, so the fast-forwarded schedule is the event
+        schedule.  Classic space waiters disable fast-forward: their
+        wakeups are heap-delivered at env.now and must coincide with the
+        release instant (S-MIMD sync feeder path).  Any other release
+        waits for a carrier at ``T_r``, which runs the loop on.
+
+        Each release mirrors the event engine's: the books and
+        statistics, the staging pump or space-waiter refill (their state
+        mutations happen before any succeed is *processed* there), and
+        only then the PEs, served synchronously in mask-iteration order,
+        the order the succeed events would pop.  A PE parked on an
+        instruction fetch is *stepped*: its CPU runs the instruction here
+        and, still in SIMD space, hands back the stamp of its next fetch,
+        which stays registered on the same parked event.  Every other
+        waiter — a barrier read, a sync word, a fetcher that is tracing
+        or may fail-stop, the PE whose own registration ran this loop, or
+        a step that reached an edge — is resumed with a value: the
+        ``(item, t_r)`` pair, from which it rebases its local clock when
+        ``t_r`` is ahead of env.now, or what the step handed back.  The
+        loop stays item-major: under DRAM refresh a PE's cost for an
+        item depends on that item's ``T_r``, so no PE can run ahead.
         """
         self._releasing = True
         env = self.env
+        items = self._items
+        requests = self._requests
+        arrivals = self._arrivals
+        steppers = self._steppers
+        admitted = self._admitted_at
+        steps = 0
         try:
-            while self._items:
-                t_r = self._head_release_time()
-                if t_r is None:
+            while items:
+                head = items[0]
+                mask = head.mask
+                if not mask <= requests.keys():
                     return
-                if t_r < env.now:
-                    t_r = env.now
-                if t_r > env.now and (self._space_waiters
-                                      or not t_r < env.peek()):
+                stamps = [arrivals[s] for s in mask]
+                t_r = max(admitted[self.releases], self._last_release,
+                          *stamps)
+                now = env.now
+                if t_r < now:
+                    t_r = now
+                elif t_r > now and (self._space_waiters
+                                    or not t_r < env.peek()):
                     self._schedule_carrier(t_r)
                     return
-                self._release_head_now(t_r)
+                self._account_release(head, t_r, min(stamps))
+                self.lockstep_releases += 1
+                if self._staged:  # staged items remain (or none is due)
+                    self._pump_staging(t_r)
+                elif self._space_waiters:
+                    self._refill_from_waiters()
+                self.lockstep_batch_pes += len(mask)
+                step = head.payload is not None
+                # Serving a PE touches no other slot's request (a resumed
+                # generator's own registrations wait for this cascade),
+                # so each slot leaves the books only when its PE is
+                # resumed.
+                for slot in mask:
+                    ev = requests[slot]
+                    stepper = steppers.get(slot)
+                    if stepper is not None and step and ev.callbacks:
+                        got = stepper(head, t_r, arrivals[slot])
+                        if type(got) is float:
+                            arrivals[slot] = got
+                            steps += 1
+                            continue
+                    else:
+                        got = (head, t_r)
+                    del requests[slot]
+                    steppers.pop(slot, None)
+                    del arrivals[slot]
+                    fire_event(ev, got)
         finally:
             self._releasing = False
-
-    def _release_head_now(self, t_r: float) -> None:
-        """Release the head at recorded time ``t_r`` (>= env.now) and
-        serve its batch of PEs.
-
-        Ordering mirrors the event engine's release: the books and
-        statistics, the staging pump or space-waiter refill (their state
-        mutations happen before any succeed is *processed* there), and
-        only then the PEs — served synchronously in mask-iteration
-        order, the order the succeed events would pop.  A PE parked on
-        an instruction fetch is served by *broadcast step*: its CPU
-        executes the instruction here
-        (:meth:`~repro.m68k.cpu.CPU.broadcast_step`) and, still in SIMD
-        space, re-stamps the same request for its next fetch, so its
-        generator is not resumed at all.  Every other waiter — a barrier
-        read, a sync word, a fetcher that is tracing, capped or may
-        fail-stop, the PE whose own registration ran this release, or a
-        step that reached an edge — is resumed with a value: the
-        ``(item, t_r)`` pair, from which it rebases its local clock when
-        ``t_r`` is ahead of env.now, or what the step handed back.
-        """
-        head = self._items[0]
-        self._account_release(head, t_r)
-        self.lockstep_releases += 1
-        if self._staged or self._stage_done is not None:
-            # Pumping an empty deque still fires the stage-done event.
-            self._pump_staging(t_r)
-        else:
-            self._refill_from_waiters()
-        mask = head.mask
-        self.lockstep_batch_pes += len(mask)
-        requests = self._requests
-        steppers = self._steppers
-        arrivals = self._arrivals
-        value = (head, t_r)
-        step = head.payload is not None
-        steps = 0
-        # Serving a PE touches no other slot's request (a resumed
-        # generator's own registrations wait for this cascade), so each
-        # slot leaves the books only when its PE is resumed.
-        for slot in mask:
-            ev = requests[slot]
-            cpu = steppers.get(slot)
-            if cpu is not None and step and ev.callbacks:
-                # Broadcast step: the PE is parked on ev, so run the
-                # instruction on it here, in mask order.  Its request
-                # stays on the books: unless the PE reached an edge, the
-                # step re-stamped it for the PE's next fetch.
-                got = cpu.broadcast_step(head, t_r, arrivals[slot])
-                if got is None:
-                    steps += 1
-                    continue
-            else:
-                got = value
-            del requests[slot]
-            steppers.pop(slot, None)
-            arrivals.pop(slot, None)
-            fire_event(ev, got)
-        self.broadcast_steps += steps
+            self.broadcast_steps += steps
 
     def _refill_from_waiters(self) -> None:
         while self._space_waiters:

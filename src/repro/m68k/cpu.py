@@ -47,9 +47,9 @@ range in which the CPU replays straight-line runs as pre-decoded
 superinstruction chains, reading the bus's ``instructions`` and ``map``;
 the base class refuses the one and leaves the other None.  A SIMD-space
 fetch parks the run loop on one request event; while it is parked the
-Fetch Unit Queue may serve it by *broadcast steps*
-(:meth:`CPU.broadcast_step`), executing each released instruction here
-without resuming the generator.
+Fetch Unit Queue's release loop may step it (:meth:`CPU.step_released`),
+executing each released instruction here without resuming the
+generator.
 
 Every instruction is compiled, the first time it is resolved, into one
 *handler*: a closure over everything the instruction fixes at assembly
@@ -272,7 +272,6 @@ class HaltReason(enum.Enum):
     """Why a CPU stopped running."""
 
     HALT_INSTRUCTION = "halt"
-    EXTERNAL = "external"
 
 
 @dataclass
@@ -325,10 +324,10 @@ class CPU:
         #: Optional per-instruction trace (enable with ``trace=True``).
         self.trace_records: list[InstructionRecord] = []
         self.trace = False
-        #: False keeps the queue from serving this CPU's SIMD-space
-        #: fetches by broadcast step: a PE with a scheduled fail-stop
-        #: must meet every release in its own generator, which a dead
-        #: board absorbs.
+        #: False keeps the queue's release loop from stepping this CPU's
+        #: SIMD-space fetches: a PE with a scheduled fail-stop must meet
+        #: every release in its own generator, which a dead board
+        #: absorbs.
         self.steppable = True
         #: Superinstruction chains (PE buses on the fast tier): straight-
         #: line main-RAM runs pre-decoded once and replayed without per-
@@ -345,8 +344,8 @@ class CPU:
         self.halted = None
         self._chain_cache.clear()
 
-    def run(self, max_instructions: int | None = None):
-        """Generator process: execute until HALT (or an instruction cap).
+    def run(self):
+        """Generator process: execute until HALT.
 
         One instruction's fetch, dispatch and time accounting are inlined
         into the loop, so the interpreter builds one generator frame per
@@ -358,15 +357,13 @@ class CPU:
         tf = self._bus_try_fetch
         ts = self._bus_try_stream
         cats = self.category_cycles
-        executed = 0
         # Superinstruction chains: straight-line main-RAM runs replay as
         # one pre-decoded sequence on a bus that offers ``chain_bounds``
         # (the PE bus on the fast tier; SimpleBus and the MC bus run per
-        # instruction).  Tracing and instruction caps take the
-        # per-instruction path.
+        # instruction).  Tracing takes the per-instruction path.
         chains = None
         bounds = bus.chain_bounds
-        if bounds is not None and not self.trace and max_instructions is None:
+        if bounds is not None and not self.trace:
             chains = self._chain_cache
             ref_period, ref_steal = bus._ref_period, bus._ref_steal
             # Chains only ever start in main RAM; gating the cache lookup
@@ -375,11 +372,10 @@ class CPU:
             # with empty entries.
             main_lo, main_hi = bounds
         tq = self._bus_try_queue_fetch
-        # Broadcast steps serve parked SIMD-space fetches outside this
-        # generator; tracing and instruction caps count here, so they
-        # keep every instruction in the loop.
-        stepper = (self if self.steppable and not self.trace
-                   and max_instructions is None else None)
+        # The release loop steps parked SIMD-space fetches outside this
+        # generator; a traced CPU keeps every instruction in the loop.
+        stepper = (self.step_released if self.steppable and not self.trace
+                   else None)
         while self.halted is None:
             if chains is not None and main_lo <= self.regs.pc < main_hi:
                 chain = chains.get(self.regs.pc)
@@ -426,50 +422,47 @@ class CPU:
             start = env.now + bus._local
             pc = self.regs.pc
             instr = tf(pc)
-            if instr is None:
+            if instr is None and (ev := tq(pc, stepper)) is not None:
                 # Lockstep SIMD-space fetch: park on the stamped request
                 # event directly — one yield, no sub-generator frames.
                 # When this PE's stamp completed the rendezvous the queue
                 # resolves it synchronously (callbacks already None) and
                 # the loop streams on without parking at all.
-                ev = tq(pc, stepper)
-                if ev is not None:
+                got = ev._value if ev.callbacks is None else (yield ev)
+                while got is not None and len(got) == 2:
+                    # (item, T_r): step it here, as the release loop
+                    # steps a parked PE, and fetch on from the stamp.
+                    got = self.step_released(got[0], got[1], start)
+                    if type(got) is not float:
+                        break
+                    start = got
+                    ev = bus.request_queue_fetch(got, stepper)
                     got = ev._value if ev.callbacks is None else (yield ev)
-                    if len(got) == 2:  # (item, T_r): run it here
-                        got = self._run_released(got[0], got[1], start)
-                    elif not got:
-                        # Broadcast steps ran this PE to an edge (out of
-                        # SIMD space, or HALT) with nothing left over.
-                        continue
-                    if got is not None:
-                        # A handler's generator, from this loop or a
-                        # broadcast step: drive it, then retire.
-                        timing, instr, w, start = got
-                        timing = yield from timing
-                        self._retire(instr, timing, w, start)
-                    executed += 1
-                    if (max_instructions is not None
-                            and executed >= max_instructions):
-                        self.halted = HaltReason.EXTERNAL
-                    continue
-                instr = yield from bus.fetch_instruction(pc)
-                if not isinstance(instr, Instruction):
-                    raise SimulationError(
-                        f"{self.name}: no instruction at {pc:#x} "
-                        f"(got {instr!r})"
-                    )
-            w = instr._encoded_words_cache
-            if w is None:
-                w = instr.encoded_words()
-            next_pc = pc + 2 * w
-            self.regs.pc = next_pc  # may be overridden by control flow
-
-            h = instr._exec_handler_cache
-            if h is None:
-                h = instr._exec_handler_cache = _resolve_handler(instr)
-            timing = h(self, pc, next_pc)
-            if type(timing) is not TimingInfo:
+                if got is None:
+                    continue  # retired; the pc left SIMD space, or HALT
+                # A handler's generator: drive it, then retire below.
+                timing, instr, w, start = got
                 timing = yield from timing
+            else:
+                if instr is None:
+                    instr = yield from bus.fetch_instruction(pc)
+                    if not isinstance(instr, Instruction):
+                        raise SimulationError(
+                            f"{self.name}: no instruction at {pc:#x} "
+                            f"(got {instr!r})"
+                        )
+                w = instr._encoded_words_cache
+                if w is None:
+                    w = instr.encoded_words()
+                next_pc = pc + 2 * w
+                self.regs.pc = next_pc  # may be overridden by control flow
+
+                h = instr._exec_handler_cache
+                if h is None:
+                    h = instr._exec_handler_cache = _resolve_handler(instr)
+                timing = h(self, pc, next_pc)
+                if type(timing) is not TimingInfo:
+                    timing = yield from timing
 
             extra_stream = timing.stream_words - w
             if extra_stream > 0:
@@ -500,9 +493,6 @@ class CPU:
                 self.trace_records.append(
                     InstructionRecord(instr, start, end, timing)
                 )
-            executed += 1
-            if max_instructions is not None and executed >= max_instructions:
-                self.halted = HaltReason.EXTERNAL
         # Flush any locally-accrued time so env.now reflects the true
         # halt time (bit-identical to the pure-event path).
         yield from bus.sync()
@@ -510,13 +500,18 @@ class CPU:
         return self.halted
 
     # -- SIMD-space execution on the fast tier ---------------------------
-    def _run_released(self, item, t_r: float, start: float):
-        """Execute the broadcast instruction of queue ``item``, released
-        at ``t_r`` to this PE's request stamped ``start``.
+    def step_released(self, item, t_r: float, start: float):
+        """Run queue ``item``'s broadcast instruction, released at ``t_r``
+        to this PE's SIMD-space fetch stamped ``start``.
 
-        Returns None once the instruction retired, or ``(continuation,
-        instr, words, start)`` when its handler handed back a generator,
-        which the run loop drives before :meth:`_retire`.
+        Charges the fetch, runs the handler and retires the instruction.
+        Returns the stamp of the PE's next fetch (its bus-true time; the
+        local clock restarts from zero) when the PE stays in SIMD space;
+        ``(continuation, instr, words, start)`` when the handler handed
+        back a generator, which the run loop drives and retires; None at
+        an edge, the instruction retired (the pc left SIMD space, or
+        HALT).  The Fetch Unit Queue's release loop calls it for a
+        parked PE, the run loop for a release delivered to it.
         """
         instr = item.payload
         if instr is None:
@@ -533,8 +528,8 @@ class CPU:
         n = item.words
         bus.queue_fetches += n
         bus.stream_accesses += n
-        cycles = n * (4 + bus._simd_ws)
-        bus._local = t_r - self.env.now + cycles
+        now = self.env.now
+        bus._local = t_r - now + n * (4 + bus._simd_ws)
         w = instr._encoded_words_cache
         if w is None:
             w = instr.encoded_words()
@@ -548,18 +543,10 @@ class CPU:
         timing = h(self, pc, next_pc)
         if type(timing) is not TimingInfo:
             return timing, instr, w, start
-        self._retire(instr, timing, w, start)
-        return None
-
-    def _retire(self, instr, timing, w: int, start: float) -> None:
-        """Post-handler accounting of a SIMD-space instruction on the fast
-        tier, the one copy the run loop, the broadcast step and its
-        continuation share: extra stream words, internal cycles, the
-        category cycles since ``start`` and the instruction count."""
-        bus = self.bus
+        # Retire: the run loop's accounting, on the fast tier.
         extra_stream = timing.stream_words - w
         if extra_stream > 0:
-            bus.try_fetch_stream_words(self.regs.pc, extra_stream)
+            bus.try_fetch_stream_words(regs.pc, extra_stream)
         internal = timing.internal_cycles
         if internal:
             if internal < 0:
@@ -568,7 +555,7 @@ class CPU:
                     f" ({timing})"
                 )
             bus._local += internal
-        end = self.env.now + bus._local
+        end = now + bus._local
         self.instruction_count += 1
         cats = self.category_cycles
         cat = instr.timecat
@@ -579,24 +566,13 @@ class CPU:
         if self.trace:
             self.trace_records.append(
                 InstructionRecord(instr, start, end, timing))
-
-    def broadcast_step(self, item, t_r: float, start: float):
-        """Serve this CPU's parked SIMD-space fetch without resuming it.
-
-        Called by the Fetch Unit Queue when it releases ``item`` at
-        ``t_r`` to the request stamped ``start``: the instruction runs
-        and retires here, and the PE's next fetch is stamped on the same
-        parked event.  Returns None when the PE stays parked; otherwise
-        the value its generator resumes with — a handler's continuation
-        (``(continuation, instr, words, start)``), or ``()`` at an edge
-        with nothing left over (the pc left SIMD space, or HALT).
-        """
-        got = self._run_released(item, t_r, start)
-        if got is not None:
-            return got
-        if self.halted is None and self.bus.restamp_queue_fetch(self.regs.pc):
-            return None
-        return ()
+        # Stamp the next fetch, as PEBus.try_queue_fetch does.
+        lo, hi = bus._simd_bounds
+        if self.halted is None and lo <= regs.pc < hi:
+            bus._local = 0.0
+            bus.lockstep_rendezvous += 1
+            return end
+        return None
 
     # ------------------------------------------------------------------
     def _build_chain(self, pc: int) -> list:

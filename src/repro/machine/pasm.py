@@ -282,7 +282,7 @@ class PASMMachine:
                 procs.append(pe.run_process())
                 continue
             # A dead board must absorb the releases still addressed to
-            # it in its own generator, never run them by broadcast step,
+            # it in its own generator, never be stepped by the release loop,
             # and no network stamp of it may pass the strike.
             pe.cpu.steppable = False
             pe.bus.flush_net = True

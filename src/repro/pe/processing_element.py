@@ -96,7 +96,7 @@ class PEBus(LocalTimeBus):
         # -- tracing ---------------------------------------------------------
         #: When set, the four blocking sites record (kind, t0, t1) wait
         #: intervals: from the stamp to the settled instant on the fast
-        #: tier (a lockstep fetch's in CPU._run_released), and between
+        #: tier (a lockstep fetch's in CPU.step_released), and between
         #: bus-true instants on pure events, so every interval is exact.
         self.trace_waits = False
         self.wait_spans: list[tuple[str, float, float]] = []
@@ -225,21 +225,13 @@ class PEBus(LocalTimeBus):
         self.memory.write(addr, value, size)
         return True
 
-    def try_queue_fetch(self, addr: int, cpu):
+    def try_queue_fetch(self, addr: int, stepper):
         """Lockstep fast twin of the SIMD-space instruction fetch.
 
-        Registers the stamped request inline and returns the event the
-        CPU loop parks on directly (one ``yield``, no sub-generator
-        frames); ``None`` falls back to the generator protocol (not in
-        SIMD space, no Fetch Unit attached, or pure events).  A traced
-        PE takes this path too: :meth:`repro.m68k.cpu.CPU._run_released`
-        records its queue wait.  When this PE's stamp completes the
-        rendezvous the queue may resolve the release *synchronously* —
-        the returned event comes back already fired and the CPU loop
-        continues without parking at all.  While the loop is parked, the queue may serve the request
-        by broadcast step on ``cpu``
-        (:meth:`~repro.m68k.cpu.CPU.broadcast_step`); None keeps every
-        release in the generator.
+        Stamps the fetch at this PE's bus-true time and registers it
+        (:meth:`request_queue_fetch`); ``None`` falls back to the
+        generator protocol (not in SIMD space, no Fetch Unit attached,
+        or pure events).  A traced PE takes this path too.
         """
         if not self.fast_path:
             return None
@@ -249,13 +241,26 @@ class PEBus(LocalTimeBus):
             self._fetch_region = region
         if region.kind is not RegionKind.SIMD_SPACE:
             return None
-        queue = self.queue
-        if queue is None:
+        if self.queue is None:
             return None  # generator path raises the BusError
         self._simd_ws = region.wait_states
         arrival = self.env.now + self._local
         self._local = 0.0
         self.lockstep_rendezvous += 1
+        return self.request_queue_fetch(arrival, stepper)
+
+    def request_queue_fetch(self, arrival: float, stepper):
+        """Register the SIMD-space fetch stamped ``arrival`` (the local
+        clock already restarted from it) and return the event the CPU
+        loop parks on directly: one ``yield``, no sub-generator frames.
+
+        When this stamp completes the rendezvous the queue may resolve
+        the release *synchronously*: the event comes back already fired
+        and the CPU loop continues without parking at all.  While the
+        loop is parked, the queue's release loop may step the PE through
+        ``stepper`` (:meth:`~repro.m68k.cpu.CPU.step_released`); None
+        keeps every release in the generator.
+        """
         ev = self._req_ev
         if ev is not None and ev.callbacks is None:
             # Recycle: the previous request was delivered (carrier-fired,
@@ -266,25 +271,8 @@ class PEBus(LocalTimeBus):
         else:
             ev = self.env.event(name=f"req:{self.name}")
             self._req_ev = ev
-        return queue.register_request_inline(self.pe_slot, arrival, ev, cpu)
-
-    def restamp_queue_fetch(self, pc: int) -> bool:
-        """Stamp a broadcast-stepped PE's next fetch, from ``pc``.
-
-        The twin of :meth:`try_queue_fetch` for a PE the queue is
-        serving by broadcast step, inside a release: the PE's request
-        (its parked event) stays registered, and only its arrival stamp
-        moves on, with no release attempt.  False at an edge: ``pc``
-        left SIMD space, so the PE must go back to its generator.
-        """
-        lo, hi = self._simd_bounds
-        if not lo <= pc < hi:
-            return False
-        arrival = self.env.now + self._local
-        self._local = 0.0
-        self.lockstep_rendezvous += 1
-        self.queue._arrivals[self.pe_slot] = arrival
-        return True
+        return self.queue.register_request_inline(self.pe_slot, arrival, ev,
+                                                  stepper)
 
     # -- generator protocol ---------------------------------------------
     def fetch_instruction(self, addr: int):

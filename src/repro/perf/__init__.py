@@ -120,8 +120,8 @@ def machine_counters(machine: "PASMMachine") -> dict[str, int | bool]:
         "lockstep_releases": lockstep_releases,
         "lockstep_batch_pes": lockstep_batch_pes,
         "lockstep_carriers": lockstep_carriers,
-        # PE instructions executed by broadcast step, without resuming
-        # the PE's generator.
+        # PE instructions the queue's release loop stepped, without
+        # resuming the PE's generator.
         "broadcast_steps": broadcast_steps,
         # Network accesses that parked on a pipe until a partner PE's
         # stamp settled them, each served by one carrier event (the fast

@@ -105,6 +105,6 @@ class LocalTimeBus:
             self._local = 0.0
             yield self.env.sleep(local)
 
-    def try_queue_fetch(self, addr: int, cpu):
+    def try_queue_fetch(self, addr: int, stepper):
         """The lockstep SIMD-space fetch of the PE bus; refused here."""
         return None

@@ -24,18 +24,23 @@ event rendezvous:
   every waiting PE synchronously, so a p-PE broadcast instruction costs
   one heap event instead of ~2p — or none, when ``T_r`` precedes the
   next heap event and the release runs inline;
-* a PE parked on an instruction fetch is served by a **broadcast step**
-  (:meth:`repro.m68k.cpu.CPU.broadcast_step`): the queue runs the
-  released instruction on it directly, in mask order, and re-stamps the
-  PE's request for its next fetch — its generator is not resumed.  This
-  is the max-plus recurrence of the release times evaluated release by
-  release, with the per-PE arrivals computed by the PEs' own handlers.
-  A PE goes back to its generator only at an edge:
-  its handler hands back a generator (network, SIMD-space data or
-  barrier access, a cold instruction family), its pc leaves SIMD space,
-  it halts, or the item is a sync word.  A barrier read, a fetch by a
-  CPU that is tracing or under an instruction cap, and a PE with a
-  scheduled fail-stop are never stepped.
+* one **release loop** (:meth:`FetchUnitQueue._run_releases`) releases
+  the run of heads whose time has come, item by item, and *steps* each
+  PE parked on an instruction fetch: it calls
+  :meth:`repro.m68k.cpu.CPU.step_released`, which runs the released
+  instruction on the PE and hands back the stamp of its next fetch, and
+  the loop writes that stamp into the PE's still-registered request —
+  its generator is not resumed.  This is the max-plus recurrence of the
+  release times, ``R(j) = max(admit(j), R(j−1), max_i arrival_i(j))``,
+  evaluated item-major, each PE's arrival computed by its own handler.
+  It cannot run PE-major (each PE through the whole run first): under
+  DRAM refresh a PE's cost for item ``j`` depends on ``R(j)`` modulo the
+  refresh period, so on every PE's step ``j−1``.  A PE goes back to its
+  generator only at an edge: its handler hands back a generator
+  (network, SIMD-space data or barrier access, a cold instruction
+  family), its pc leaves SIMD space, it halts, or the item is a sync
+  word.  A barrier read, a fetch by a CPU that is tracing, and a PE with
+  a scheduled fail-stop are never stepped.
 
 Everything that is not a queue rendezvous — network transfer-register
 traffic, status/timer sampling, MIMD-space execution, mask changes,

@@ -9,8 +9,8 @@ tiers"):
   reference oracle;
 * ``lockstep``    — private charges accrue on per-bus local clocks, and
   the queue computes each release instant directly and serves the
-  enabled set as a batch, by broadcast step where a PE is parked on
-  an instruction fetch (``fast_path=True``); the default.
+  enabled set as a batch, stepping each PE parked on an instruction
+  fetch in its release loop (``fast_path=True``); the default.
 
 :func:`signature` captures everything a user of the simulator can
 observe — cycle counts, per-PE finish times and category breakdowns,

@@ -324,8 +324,13 @@ class TestPoolLifecycle:
             pids = {p["pid"] for p in engine.run(self._pid_specs("e"))}
             victim = next(c for c in active_children() if c.pid in pids)
             os.kill(victim.pid, signal.SIGKILL)
-            victim.join(timeout=10)
-            assert not victim.is_alive()
+            # The executor's manager thread joins the same Process and
+            # may reap it first; the status then reaches this thread
+            # only once that join stores it, so wait on the exit code.
+            deadline = time.monotonic() + 10
+            while victim.exitcode is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert victim.exitcode == -signal.SIGKILL
             # The executor notices the death on its own thread; wait for
             # it, so the batch below meets a pool already marked broken.
             executor = engine._pool._executor

@@ -38,7 +38,7 @@ from repro.faults import FaultPlan, PEFailStop, representative_fault_plan
 from repro.m68k.assembler import assemble
 from repro.machine import ExecutionMode, PASMMachine
 from repro.machine.partition import Partition
-from repro.mc import EnqueueBlock, Loop, SetMask, WaitController
+from repro.mc import EnqueueBlock, EnqueueSync, Loop, SetMask, WaitController
 from repro.network import ExtraStageCubeTopology
 from repro.obs.simtrace import machine_events
 from repro.perf import machine_counters
@@ -330,13 +330,23 @@ def _simd_plan(stages):
 
 def _simd_signature(engine: str, plan, blocks_src, seeds,
                     pe_text="    HALT", fault_plan=None):
-    """Run a SIMD program on one engine tier; fingerprint it.
+    """Run a SIMD program on one engine tier; fingerprint it."""
+    return _run_simd_program(engine, plan, blocks_src, seeds, pe_text,
+                             fault_plan)[1]
+
+
+def _run_simd_program(engine: str, plan, blocks_src, seeds,
+                      pe_text="    HALT", fault_plan=None, circuit=False):
+    """Run a SIMD program on one engine tier: ``(machine, signature)``.
 
     ``pe_text`` is the code in each PE's main RAM, at $1000, for
     broadcast jumps out of SIMD space; each PE's multiplier seed is the
     word at $4000, and the words from $4100 on are fingerprinted for
-    broadcast stores."""
+    broadcast stores.  ``circuit`` connects the shift-by-one circuit
+    for ``NETTX``/``NETRX`` transfers."""
     machine = make_machine(4, engine, fault_plan=fault_plan)
+    if circuit:
+        machine.connect_shift_circuit()
     data_programs = [
         assemble(
             f"{pe_text}\n    .data\n    .org $4000\nmul: .dc.w {seed}",
@@ -356,7 +366,7 @@ def _simd_signature(engine: str, plan, blocks_src, seeds,
     sig["d3"] = [machine.pe(lp).cpu.regs.d[3] & 0xFFFF for lp in range(4)]
     sig["stored"] = [[machine.pe(lp).memory.read(0x4100 + 2 * k, 2)
                       for k in range(8)] for lp in range(4)]
-    return sig
+    return machine, sig
 
 
 #: Seam programs: broadcast compute around one instruction whose effect
@@ -435,6 +445,100 @@ def test_failstop_of_parked_pe_identical():
         outcomes.append((exc_info.value.pes, exc_info.value.detected_at))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == (victim,)
+
+
+# ---------------------------------------------------------------------------
+# Edges of a release run: the release loop steps parked PEs release after
+# release until a PE reaches an edge, where the run goes back to the PE's
+# generator.  Each program below ends a run at one edge, mid-cascade.
+_MUL = "    MULU    D1,D2\n    ADDQ.W  #1,D3"
+_SEEDS_SPREAD = [0, 0x00FF, 0x0F0F, 0xFFFF]
+
+
+def _edge_plan(*stages, end="fini"):
+    """``init``, then each stage (``(mask, block, trips)``, or an MC op
+    as is) behind a ``WaitController``, then the ``end`` block under
+    the full mask."""
+    plan = [EnqueueBlock("init")]
+    for stage in stages:
+        if isinstance(stage, tuple):
+            mask, block, trips = stage
+            stage = Loop(trips, (EnqueueBlock(block),))
+            plan += [WaitController(), SetMask(tuple(sorted(mask)))]
+        plan.append(stage)
+    return plan + [WaitController(), SetMask(_ALL), EnqueueBlock(end)]
+
+
+#: ``name: (plan, blocks, PE main-RAM code, circuit)``.
+RUN_EDGES = {
+    # A step hands back a generator: PE 0 reads NETRX alone, before its
+    # sender (PE 1) has written, so the read parks on the pipe until the
+    # next block's write settles it (the read is the last item of its
+    # block: one behind it would hold the write back in the FIFO).
+    "netrx-parks": (
+        _edge_plan((_ALL, "b0", 2), ((0,), "rd", 1), ((1, 2, 3), "wr", 1),
+                   (_ALL, "b0", 2)),
+        {"b0": _MUL, "rd": "    MOVE.B  NETRX,D3",
+         "wr": "    MULU    D1,D2\n    MOVE.B  D2,NETTX"},
+        "    HALT", True),
+    # The pc leaves SIMD space: a broadcast JMP into main RAM mid-block,
+    # and each PE's own data-dependent code there jumps back.
+    "leaves-simd-space": (
+        _edge_plan((_ALL, "b0", 3)),
+        {"b0": "    MULU    D1,D2\n    JMP     $1000\n    ADDQ.W  #1,D3"},
+        "    MULU    D1,D3\n    JMP     SIMDSPACE", False),
+    # HALT inside the last block: the item behind it is never fetched.
+    "halt-in-block": (
+        _edge_plan((_ALL, "b0", 3), end="stop"),
+        {"b0": _MUL, "stop": "    MULU    D1,D2\n    HALT\n"
+                             "    ADDQ.W  #1,D3"},
+        "    HALT", False),
+    # A sync word between instruction items: a broadcast barrier read
+    # from SIMD space consumes it inside the cascade.
+    "sync-word": (
+        _edge_plan((_ALL, "b0", 2), EnqueueBlock("bar"), EnqueueSync(1),
+                   (_ALL, "b0", 2)),
+        {"b0": _MUL, "bar": "    MULU    D1,D2\n    MOVE.W  SIMDSPACE,D0"},
+        "    HALT", False),
+    # The mask changes between blocks: PEs outside it stay parked on a
+    # request that a later item completes.
+    "mask-change": (
+        _edge_plan((_ALL, "b0", 2), ((0, 2), "b0", 2), ((1, 3), "b0", 1),
+                   ((3,), "b0", 2), (_ALL, "b0", 1)),
+        {"b0": _MUL}, "    HALT", False),
+}
+
+
+def _edge_runs(name, fault_plan=None):
+    plan, blocks_src, pe_text, circuit = RUN_EDGES[name]
+    return [_run_simd_program(engine, plan, blocks_src, _SEEDS_SPREAD,
+                              pe_text, fault_plan, circuit)
+            for engine in ("lockstep", "pure-events")]
+
+
+@pytest.mark.parametrize("name", list(RUN_EDGES))
+def test_release_run_edge_identical(name):
+    """Each edge ends a run of steps and both tiers still agree on the
+    full signature, ``queue_stats`` included.  The lockstep run steps
+    most instructions but not all: the edge went back to a generator."""
+    (machine, sig), (_, pure) = _edge_runs(name)
+    assert sig == pure
+    counters = machine_counters(machine)
+    assert 0 < counters["broadcast_steps"] < sum(sig["icount"])
+    if name == "netrx-parks":
+        assert counters["net_carriers"] >= 1
+
+
+def test_release_run_with_mortal_pe_identical():
+    """A PE with a scheduled fail-stop (struck after the run ends) is in
+    every mask: the loop never steps it, it meets each release in its
+    own generator, and the other three are still stepped."""
+    victim = Partition(CFG, 4).physical_pe(1)
+    plan = FaultPlan(failstops=(PEFailStop(victim, 1e9),))
+    (machine, sig), (_, pure) = _edge_runs("mask-change", plan)
+    assert sig == pure
+    stepped = machine_counters(machine)["broadcast_steps"]
+    assert 0 < stepped <= sum(sig["icount"]) - sig["icount"][1]
 
 
 _BODY_VOCAB = (
