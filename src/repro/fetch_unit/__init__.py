@@ -21,7 +21,7 @@ computation (the superlinear-speed-up mechanism).
 
 from repro.fetch_unit.mask import MaskRegister
 from repro.fetch_unit.queue import FetchUnitQueue, QueueItem, sync_item
-from repro.fetch_unit.controller import FetchUnitController
+from repro.fetch_unit.controller import FetchUnitController, StampedController
 
 __all__ = [
     "MaskRegister",
@@ -29,4 +29,5 @@ __all__ = [
     "QueueItem",
     "sync_item",
     "FetchUnitController",
+    "StampedController",
 ]

@@ -5,6 +5,24 @@ in Fetch Unit RAM; the controller then moves the block into the queue word
 by word while the MC proceeds with other work.  The one-deep command
 register means the MC only stalls when it issues a *third* block before the
 first finished transferring.
+
+The command register is a stamped channel (:mod:`repro.sim.channel`): an
+MC writes a command, or waits for the controller to drain, with an access
+stamped at its bus-true time.  On the pure-event tier it is a 1-deep
+:class:`~repro.sim.resources.Store` that a controller process drains word
+by word, so every access waits on an event.  On the lockstep tier
+(:class:`StampedController`) command ``k``, written at ``s_k``, follows
+the recurrence of a tandem queue with blocking, as a circuit's bytes do:
+the register accepts it at ``A_k = max(s_k, T_{k-1})``, the controller
+takes it at ``T_k = max(A_k, E_{k-1})`` and stages its block from there
+(:meth:`FetchUnitQueue.stage`), and ``E_k`` is the admit instant of its
+last word.  An access waits on one carrier event only while its term is
+unknown: a write while the register holds a command whose block before
+still waits for queue space, or a drain wait while a block is staged.
+A block takes the mask current when the controller takes it; MC programs
+do not retarget the mask while a command is outstanding (the DSL orders
+``SetMask`` behind ``WaitController``), so every word of the block
+carries that mask on the event tier too.
 """
 
 from __future__ import annotations
@@ -14,10 +32,15 @@ from repro.fetch_unit.mask import MaskRegister
 from repro.fetch_unit.queue import FetchUnitQueue, QueueItem, sync_item
 from repro.m68k.instructions import Instruction
 from repro.sim import Environment, Store
+from repro.sim.channel import NEG_INF, StampedChannel, carry
 
 
-class FetchUnitController:
+class FetchUnitController(StampedChannel):
     """Moves registered blocks from Fetch Unit RAM into the queue.
+
+    A command is ``("block", name)`` or ``("sync", count)``; the access
+    ``None`` waits until every command is transferred.  This class runs
+    the pure-event tier's register and controller process.
 
     Parameters
     ----------
@@ -44,12 +67,14 @@ class FetchUnitController:
         #: built once: items are immutable, so every transfer of a
         #: block under one mask shares them.
         self._entries: dict[tuple, list[tuple[QueueItem, int]]] = {}
-        self._commands = Store(env, capacity=1, name=f"cmd:{name}")
-        self.busy = False
-        self.words_transferred = 0
-        self._outstanding = 0
+        self._start()
+
+    def _start(self) -> None:
+        self._commands = Store(self.env, capacity=1, name=f"cmd:{self.name}")
+        self._outstanding = 0  #: commands not yet fully transferred
         self._idle_waiters: list = []
-        self._process = env.process(self._run(), name=f"controller:{name}")
+        self._process = self.env.process(self._run(),
+                                         name=f"controller:{self.name}")
 
     # ------------------------------------------------------------------
     def register_block(self, name: str, instructions: list[Instruction]) -> None:
@@ -68,11 +93,6 @@ class FetchUnitController:
     def block_words(self, name: str) -> int:
         return sum(i.encoded_words() for i in self._blocks[name])
 
-    @property
-    def outstanding(self) -> int:
-        """Commands submitted but not yet fully transferred."""
-        return self._outstanding
-
     def close(self) -> None:
         """Stop the controller process once its machine's run is over.
 
@@ -82,28 +102,55 @@ class FetchUnitController:
         the cyclic collector ran."""
         self._process.generator.close()
 
-    # ------------------------------------------------------------------
+    # -- the command register (MC side) ------------------------------------
+    def settle(self, stamp: float, command):
+        """The instant the access stamped ``stamp`` completes (the
+        register accepts ``command``, or the controller is drained), or
+        None while it must wait."""
+        self._check(command)
+        return None if command is not None or self._outstanding else stamp
+
+    def park(self, stamp: float, command):
+        """The event that fires when the access settle refused completes."""
+        if command is None:
+            ev = self.env.event(name=f"idle:{self.name}")
+            self._idle_waiters.append(ev)
+            return ev
+        self._outstanding += 1
+        return self._commands.put(command)
+
+    def access(self, stamp: float, command):
+        """Generator: the access stamped ``stamp``; returns the instant
+        it completes, at which the caller resumes."""
+        t = self.settle(stamp, command)
+        if t is None:
+            yield self.park(stamp, command)
+            t = self.env.now
+        return t
+
+    def busy_at(self, t: float) -> bool:
+        """The busy flag sampled at ``t``: a command is outstanding."""
+        return bool(self._outstanding)
+
     def submit_block(self, name: str):
         """Generator (MC side): command transfer of a registered block."""
-        if name not in self._blocks:
-            raise ConfigurationError(f"unknown block {name!r}")
-        self._outstanding += 1
-        yield self._commands.put(("block", name))
+        return self.access(self.env.now, ("block", name))
 
     def submit_sync_words(self, count: int):
         """Generator (MC side): enqueue ``count`` bare data words (barrier)."""
-        if count < 1:
-            raise ConfigurationError(f"sync word count must be >= 1, got {count}")
-        self._outstanding += 1
-        yield self._commands.put(("sync", count))
+        return self.access(self.env.now, ("sync", count))
 
     def drained(self):
         """Generator: wait until all submitted commands are transferred."""
-        while self._outstanding:
-            ev = self.env.event(name=f"idle:{self.name}")
-            self._idle_waiters.append(ev)
-            yield ev
-        return None
+        return self.access(self.env.now, None)
+
+    def _check(self, command) -> None:
+        kind, arg = command or (None, None)
+        if kind == "block" and arg not in self._blocks:
+            raise ConfigurationError(f"unknown block {arg!r}")
+        if kind == "sync" and arg < 1:
+            raise ConfigurationError(
+                f"sync word count must be >= 1, got {arg}")
 
     # ------------------------------------------------------------------
     def _block_entries(self, name: str, mask: frozenset[int]) -> list:
@@ -121,56 +168,92 @@ class FetchUnitController:
         return entries
 
     def _run(self):
+        """Take each command from the register and move its words one by
+        one, each with the mask current as it moves."""
         while True:
             kind, arg = yield self._commands.get()
-            self.busy = True
-            if self.queue.fast_path:
-                yield from self._transfer_staged(kind, arg)
-            elif kind == "block":
+            if kind == "block":
                 entries = self._block_entries(arg, self.mask.enabled)
                 for k, (_, cycles) in enumerate(entries):
                     yield self.env.timeout(cycles)
-                    # Each word takes the mask current as it moves.
                     item = self._block_entries(arg, self.mask.enabled)[k][0]
                     yield from self.queue.enqueue(item)
-                    self.words_transferred += item.words
             else:  # sync words
                 for _ in range(arg):
                     yield self.env.timeout(self.cycles_per_word)
                     yield from self.queue.enqueue(sync_item(self.mask.enabled))
-                    self.words_transferred += 1
-            self.busy = False
             self._outstanding -= 1
             if not self._outstanding:
                 waiters, self._idle_waiters = self._idle_waiters, []
                 for ev in waiters:
                     ev.succeed()
 
-    def _transfer_staged(self, kind: str, arg):
-        """Lockstep transfer: hand the whole command to the queue at once.
 
-        The queue computes the per-item admit times analytically (see
-        :meth:`FetchUnitQueue.stage_block`) instead of this process
-        walking timeout + blocking-enqueue per item; one re-sync timeout
-        then moves this process to the instant the last word was
-        admitted, so the command-register handshake with the MC keeps
-        its event-schedule timing.  The enabled mask is snapshotted at
-        command receipt — MC programs do not retarget the mask while a
-        transfer is in flight (the DSL orders SetMask before the
-        enqueues it governs).
-        """
+class StampedController(FetchUnitController):
+    """The lockstep tier's command register: its recurrence, no process."""
+
+    def _start(self) -> None:
+        self._taken = NEG_INF  #: ``T`` of the last command taken
+        self._held = None  #: ``(command, A)``: accepted, not yet taken
+        self._parked = None  #: ``(stamp, command, event)`` of a waiting MC
+        self.queue.on_staged = self._advance
+
+    def close(self) -> None:
+        """Drop the queue's hook back here, a reference cycle."""
+        self.queue.on_staged = None
+
+    def settle(self, stamp: float, command):
+        self._check(command)
+        queue = self.queue
+        if self._held is not None or (command is None and queue._staged):
+            return None
+        if command is None:
+            return max(stamp, queue._stage_clock)
+        accepted = max(stamp, self._taken)
+        self._held = (command, accepted)
+        if not queue._staged:
+            self._take()
+        return accepted
+
+    def park(self, stamp: float, command):
+        ev = self.env.event(name=f"cmd:{self.name}")
+        self._parked = (stamp, command, ev)
+        return ev
+
+    def horizon(self) -> float:
+        """The MC's charges up to its waiting access, and the store hop
+        that accepted the held command, are heap events on pure events."""
+        held = self._held[1] if self._held is not None else NEG_INF
+        return max(held, self._parked[0]) if self._parked else held
+
+    def busy_at(self, t: float) -> bool:
+        """A command is held or staged, or its last word lands after
+        ``t`` (one landing at ``t`` counts as done)."""
+        queue = self.queue
+        return (self._held is not None or bool(queue._staged)
+                or queue._stage_clock > t)
+
+    def _take(self) -> None:
+        """Take the held command at ``T_k = max(A_k, E_{k-1})`` and stage
+        its block from there."""
+        (kind, arg), accepted = self._held
+        self._held = None
+        self._taken = max(accepted, self.queue._stage_clock)
         mask = self.mask.enabled
-        if kind == "block":
-            entries = self._block_entries(arg, mask)
-            total = sum(item.words for item, _ in entries)
-        else:  # sync words
-            entries = [(sync_item(mask), self.cycles_per_word)
-                       for _ in range(arg)]
-            total = arg
-        t_end, ev = self.queue.stage_block(entries)
-        if ev is not None:
-            t_end = yield ev
-        delay = t_end - self.env.now
-        if delay > 0:
-            yield self.env.timeout(delay)
-        self.words_transferred += total
+        entries = (self._block_entries(arg, mask) if kind == "block"
+                   else [(sync_item(mask), self.cycles_per_word)] * arg)
+        self.queue.stage(entries, self._taken)
+
+    def _advance(self) -> None:
+        """The queue admitted the last staged word: take the held command,
+        and complete the waiting access if its term is now settled."""
+        if self._held is not None:
+            self._take()
+        if self._parked is not None:
+            stamp, command, ev = self._parked
+            self._parked = None
+            t = self.settle(stamp, command)
+            if t is None:
+                self._parked = (stamp, command, ev)
+            else:
+                carry(self.env, ev, t, t)

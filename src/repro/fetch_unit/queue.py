@@ -98,6 +98,8 @@ class FetchUnitQueue:
         #: release loop may step (lockstep only; one entry per pending
         #: request, so none outlives the run).
         self._steppers: dict[int, object] = {}
+        #: Pure events: blocked :meth:`enqueue` calls, admitted in order
+        #: as releases free space.
         self._space_waiters: deque[tuple[Event, QueueItem]] = deque()
         #: Lockstep: fail-stop strike instant by slot.  A stamp beyond it
         #: is never registered: the event schedule kills the board first.
@@ -109,11 +111,15 @@ class FetchUnitQueue:
         self._carrier_pending = False  #: a carrier event is on the heap
         self._carrier: Event | None = None  #: the last carrier scheduled
         self._releasing = False  #: inside the carrier's release loop
-        #: Bulk-staged (item, transfer_cycles) pairs from the controller;
-        #: admit times are computed analytically as space frees.
+        #: Staged (item, transfer_cycles) pairs (:meth:`stage`); admit
+        #: instants are computed as space frees.
         self._staged: deque[tuple[QueueItem, float]] = deque()
-        self._stage_clock = 0.0  #: admit-chain time of the staged block
-        self._stage_done: Event | None = None  #: fired when staging drains
+        #: Admit instant of the last staged item (the start of the
+        #: staged block's first transfer until it is admitted).
+        self._stage_clock = 0.0
+        #: Called when the last staged item is admitted; it may stage
+        #: the next block (the command register's next command).
+        self.on_staged = None
         # -- statistics (module docstring) ---------------------------------
         self.releases = 0
         self.words_enqueued = 0
@@ -159,39 +165,49 @@ class FetchUnitQueue:
         self._released_at.append(t_r)
         self.releases += 1
 
-    def _occupancy(self):
-        """Yield ``(t, words)`` after each admit and release, in instant
-        order with the tie rule of the module docstring: release ``j``
-        comes before admit ``k`` when ``T_r(j) < a_k``, or when they are
-        equal and ``j < k``."""
+    def _walk(self, record=None) -> int:
+        """Walk every admit and release in instant order with the tie
+        rule of the module docstring — release ``j`` comes before admit
+        ``k`` when ``T_r(j) < a_k``, or when they are equal and ``j < k``
+        — and return the peak occupancy.  ``record(t, words)``, if
+        given, sees the occupancy after each admit and release."""
         admitted, words = self._admitted_at, self._item_words
         released = self._released_at
         n = len(released)
-        occupied = j = 0
+        occupied = peak = j = 0
         for k, a in enumerate(admitted):
             while j < n and (released[j] < a or released[j] == a and j < k):
                 occupied -= words[j]
-                yield released[j], occupied
+                if record is not None:
+                    record(released[j], occupied)
                 j += 1
             occupied += words[k]
-            yield a, occupied
-        for j in range(j, n):
-            occupied -= words[j]
-            yield released[j], occupied
+            if occupied > peak:
+                peak = occupied
+            if record is not None:
+                record(a, occupied)
+        if record is not None:
+            for j in range(j, n):
+                occupied -= words[j]
+                record(released[j], occupied)
+        return peak
 
     @property
     def high_water(self) -> int:
-        return max((words for _, words in self._occupancy()), default=0)
+        return self._walk()
 
     @property
     def occupancy_samples(self) -> list[tuple[float, int]]:
         """``(t, words)``: the occupancy after each instant."""
         samples: list[tuple[float, int]] = []
-        for t, words in self._occupancy():
+
+        def record(t: float, words: int) -> None:
             if samples and samples[-1][0] == t:
                 samples[-1] = (t, words)
             else:
                 samples.append((t, words))
+
+        self._walk(record)
         return samples
 
     # ------------------------------------------------------------------
@@ -207,8 +223,7 @@ class FetchUnitQueue:
         return self.capacity_words - self._words_used
 
     # ------------------------------------------------------------------
-    def enqueue(self, item: QueueItem):
-        """Generator: append ``item``, blocking while the FIFO lacks space."""
+    def _check(self, item: QueueItem) -> None:
         if not item.mask:
             raise SimulationError("cannot enqueue an item with an empty mask")
         if item.words > self.capacity_words:
@@ -216,6 +231,11 @@ class FetchUnitQueue:
                 f"item of {item.words} words exceeds queue capacity "
                 f"{self.capacity_words}"
             )
+
+    def enqueue(self, item: QueueItem):
+        """Generator (pure events): append ``item``, blocking while the
+        FIFO lacks space.  The lockstep tier stages items instead."""
+        self._check(item)
         if item.words > self.space_left() or self._space_waiters:
             ev = self.env.event(name=f"space:{self.name}")
             self._space_waiters.append((ev, item))
@@ -237,46 +257,28 @@ class FetchUnitQueue:
         if not self._releasing:  # a release cascade re-checks the head
             self._try_release()
 
-    # -- lockstep bulk staging -----------------------------------------
-    def stage_block(self, entries):
-        """Hand a whole command block over for computed admission.
+    # -- lockstep staging ------------------------------------------------
+    def stage(self, entries, start: float) -> None:
+        """Hand a block of ``(item, transfer_cycles)`` entries over for
+        computed admission, the first transfer starting at ``start``.
 
-        ``entries`` is a sequence of ``(item, transfer_cycles)`` pairs in
-        transfer order.  Replaces the controller's per-item timeout +
-        blocking-enqueue loop: admit times follow the same recurrence the
-        event engine walks — each transfer starts when the previous item
-        was admitted, and admission waits for FIFO space, which frees at
-        computed release times — but entirely in arithmetic.
-
-        Returns ``(t_end, None)`` when everything was admitted
-        synchronously (``t_end`` = last admit time), or ``(None, event)``
-        with an event that fires with ``t_end`` once releases free enough
-        space.  The caller must re-join simulated time at ``t_end``
-        before touching any other shared state.
+        Replaces a transfer process's per-item timeout and blocking
+        enqueue: each transfer starts when the previous item was
+        admitted, and admission waits for FIFO space, which frees at
+        computed release instants — the recurrence the event engine
+        walks, in arithmetic.  Items that fit are admitted at once (in a
+        release loop, by the loop's own pump); :attr:`on_staged` is
+        called when the last one is.
         """
-        if not self.fast_path:
-            raise SimulationError(f"{self.name}: stage_block needs lockstep")
-        if self._staged or self._stage_done is not None:
+        if self._staged:
             raise SimulationError(
-                f"{self.name}: a staged block is already in flight"
-            )
+                f"{self.name}: a staged block is already in flight")
         for item, _ in entries:
-            if not item.mask:
-                raise SimulationError(
-                    "cannot enqueue an item with an empty mask")
-            if item.words > self.capacity_words:
-                raise SimulationError(
-                    f"item of {item.words} words exceeds queue capacity "
-                    f"{self.capacity_words}"
-                )
-        self._stage_clock = self.env.now
+            self._check(item)
+        self._stage_clock = start
         self._staged.extend(entries)
-        self._pump_staging(self.env.now)
-        if not self._staged:
-            return self._stage_clock, None
-        ev = self.env.event(name=f"staged:{self.name}")
-        self._stage_done = ev
-        return None, ev
+        if not self._releasing:
+            self._pump_staging(start)
 
     def _pump_staging(self, free_at: float) -> None:
         """Admit staged items whose transfer is done and that fit now.
@@ -296,19 +298,20 @@ class FetchUnitQueue:
             staged.popleft()
             self._stage_clock = ready
             self._admit_at(item, ready)
-        ev = self._stage_done
-        if ev is not None:
-            self._stage_done = None
-            fire_event(ev, self._stage_clock)
+            if not staged and self.on_staged is not None:
+                self.on_staged()
 
-    def stall_horizon(self) -> float:
-        """Simulated time implied by a stalled staged transfer (-inf when
-        none).  Deadlock-watchdog support: in the event engine the
-        controller's last act before blocking on space is the next item's
-        transfer timeout, so the heap drains no earlier than that."""
+    def horizon(self) -> float:
+        """Simulated time the event engine reaches for this queue (-inf
+        when none).  Fail-stop watchdog support: a pending request's
+        stamped arrival is a surviving PE's unflushed clock, and in the
+        event engine the transfer process admits each staged item at its
+        instant and, before blocking on space, runs the next item's
+        transfer timeout."""
+        t = self._stage_clock
         if self._staged:
-            return self._stage_clock + self._staged[0][1]
-        return float("-inf")
+            t += self._staged[0][1]
+        return max(t, *self._arrivals.values()) if self._arrivals else t
 
     # ------------------------------------------------------------------
     def request(self, pe_slot: int):
@@ -324,28 +327,6 @@ class FetchUnitQueue:
         item = yield ev
         return item
 
-    def register_request_at(self, pe_slot: int, arrival: float) -> Event:
-        """Register a stamped lockstep request; return the event to park on.
-
-        The PE does *not* flush its local clock first: ``arrival`` is its
-        bus-true time (``env.now + local``) and the caller zeroes the
-        local clock.  The PE resumes, carrier-delivered, with the
-        ``(item, t_r)`` release pair; ``t_r`` is the computed rendezvous
-        instant (env.now may lag behind it during queue fast-forward),
-        from which the caller rebases its local clock.
-        """
-        if pe_slot in self._requests:
-            raise SimulationError(
-                f"PE slot {pe_slot} already has a pending request on {self.name}"
-            )
-        ev = self.env.event(name=f"req:{self.name}:{pe_slot}")
-        if self._struck and arrival > self._struck.get(pe_slot, arrival):
-            return ev  # a dead board's request: it parks for good
-        self._requests[pe_slot] = ev
-        self._arrivals[pe_slot] = arrival
-        self._try_release()
-        return ev
-
     def register_request_inline(self, pe_slot: int, arrival: float,
                                 ev: Event, stepper) -> Event:
         """Stamped request that may resolve the rendezvous *synchronously*.
@@ -356,9 +337,7 @@ class FetchUnitQueue:
         comes back already fired (``callbacks is None``) with the
         ``(item, t_r)`` pair in its value — the caller continues without
         parking.  This is what lets the mask-completing PE *stream*
-        through a broadcast block with zero heap events.  Callers that
-        cannot consume an already-fired event must use
-        :meth:`register_request_at` (carrier delivery only).
+        through a broadcast block with zero heap events.
 
         ``stepper`` is the parked fetcher's ``CPU.step_released``, or
         None: while the PE is parked on ``ev``, the release loop may step
@@ -405,20 +384,11 @@ class FetchUnitQueue:
                 self.env.withdraw(self._carrier_fired)
                 self._carrier_pending = False
 
-    def pending_arrival_max(self) -> float:
-        """Latest stamped arrival among pending requests (-inf if none).
-
-        Used by the fail-stop watchdog: when the heap drains, surviving
-        PEs' unflushed local clocks — visible here as future stamps —
-        are time that *would* have elapsed in the event schedule.
-        """
-        return max(self._arrivals.values(), default=float("-inf"))
-
     # ------------------------------------------------------------------
     def _try_release(self) -> None:
         """Release head items while their whole mask has requests pending."""
         if self.fast_path:
-            self._try_release_lockstep()
+            self._schedule_release()
             return
         while self._items:
             head = self._items[0]
@@ -433,17 +403,11 @@ class FetchUnitQueue:
             self._refill_from_waiters()
 
     # -- lockstep rendezvous -------------------------------------------
-    def _try_release_lockstep(self) -> None:
-        """Schedule the carrier once the head's release time is known.
-
-        Called at every stamped registration and every admit — the exact
-        env-steps at which the event engine would learn the rendezvous is
-        complete — so the carrier's heap position (and hence all
-        same-timestamp tie-breaking) matches the succeed events it
-        replaces.  ``T_r`` is the latest of the head's admit, the
-        previous release (the head is released no earlier than the item
-        before it) and its mask's arrivals.
-        """
+    def _schedule_release(self) -> None:
+        """At an admit: schedule the carrier once the head's release time
+        is known.  The release loop is not run here, since an admit may
+        come in the middle of a staging pump whose later items are not
+        waiting for space."""
         if self._releasing or self._carrier_pending or not self._items:
             return
         mask = self._items[0].mask
@@ -471,23 +435,22 @@ class FetchUnitQueue:
 
     def _run_releases(self) -> None:
         """The release loop: release the run of heads whose time has
-        come, item by item, each at ``T_r`` as
-        :meth:`_try_release_lockstep` defines it.
+        come, item by item, each at ``T_r``: the latest of the head's
+        admit, the previous release (the head is released no earlier
+        than the item before it) and its mask's arrivals.
 
         A release whose ``T_r`` lies *before the next heap event* is
         fast-forwarded inline — simulated time becomes data carried in
         the recorded release time, and env.now only catches up when some
-        other actor (controller resync, network, fault kicker) has an
+        other actor (an MC that waits, network, fault kicker) has an
         event pending.  The heap bound guarantees no foreign event could
         have interleaved, so the fast-forwarded schedule is the event
-        schedule.  Classic space waiters disable fast-forward: their
-        wakeups are heap-delivered at env.now and must coincide with the
-        release instant (S-MIMD sync feeder path).  Any other release
-        waits for a carrier at ``T_r``, which runs the loop on.
+        schedule.  Any other release waits for a carrier at ``T_r``,
+        which runs the loop on.
 
         Each release mirrors the event engine's: the books and
-        statistics, the staging pump or space-waiter refill (their state
-        mutations happen before any succeed is *processed* there), and
+        statistics, the staging pump (the event engine's space-waiter
+        refill happens before any succeed is *processed* there), and
         only then the PEs, served synchronously in mask-iteration order,
         the order the succeed events would pop.  A PE parked on an
         instruction fetch is *stepped*: its CPU runs the instruction here
@@ -521,16 +484,13 @@ class FetchUnitQueue:
                 now = env.now
                 if t_r < now:
                     t_r = now
-                elif t_r > now and (self._space_waiters
-                                    or not t_r < env.peek()):
+                elif t_r > now and not t_r < env.peek():
                     self._schedule_carrier(t_r)
                     return
                 self._account_release(head, t_r, min(stamps))
                 self.lockstep_releases += 1
-                if self._staged:  # staged items remain (or none is due)
+                if self._staged:
                     self._pump_staging(t_r)
-                elif self._space_waiters:
-                    self._refill_from_waiters()
                 self.lockstep_batch_pes += len(mask)
                 step = head.payload is not None
                 # Serving a PE touches no other slot's request (a resumed
@@ -557,6 +517,7 @@ class FetchUnitQueue:
             self.broadcast_steps += steps
 
     def _refill_from_waiters(self) -> None:
+        """Pure events: admit blocked enqueues as far as space allows."""
         while self._space_waiters:
             ev, item = self._space_waiters[0]
             if item.words > self.capacity_words - self._words_used:

@@ -20,7 +20,10 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, DeadlockError, PEFailStopError
 from repro.faults.plan import FaultPlan
-from repro.fetch_unit import FetchUnitController, FetchUnitQueue, MaskRegister, sync_item
+from repro.fetch_unit import (
+    FetchUnitController, FetchUnitQueue, MaskRegister, StampedController,
+    sync_item,
+)
 from repro.m68k.assembler import AssembledProgram
 from repro.m68k.instructions import Instruction
 from repro.m68k.timing import CYCLE_SECONDS
@@ -155,7 +158,8 @@ class PASMMachine:
                 self.env, self.config.queue_capacity_words, name=f"fuq{mc}",
                 fast_path=self.fast_path,
             )
-            controller = FetchUnitController(
+            controller = (StampedController if self.fast_path
+                          else FetchUnitController)(
                 self.env,
                 queue,
                 mask,
@@ -167,7 +171,6 @@ class PASMMachine:
             self.controllers[mc] = controller
             self.mcs[mc] = MicroController(
                 self.env, self.config, mask, controller, name=f"MC{mc}",
-                batch_charges=self.fast_path,
             )
 
         # PEs, indexed by logical number.
@@ -344,24 +347,13 @@ class PASMMachine:
             nxt = env.peek()
             if nxt == float("inf") or nxt > deadline:
                 if nxt == float("inf"):
-                    # Lockstep: surviving PEs' unflushed arrivals, at the
-                    # queues and parked on network pipes, are real time in
-                    # the event schedule (their flush sleeps would have
-                    # advanced the clock before the heap drained), and so
-                    # are the store and mover events of the bytes the
-                    # pipes settled.
-                    virtual = env.now
-                    for pipe in self.fabric.pipes():
-                        a = pipe.horizon()
-                        if a > virtual:
-                            virtual = a
-                    for q in self.queues.values():
-                        a = q.pending_arrival_max()
-                        if a > virtual:
-                            virtual = a
-                        h = q.stall_horizon()
-                        if h > virtual:
-                            virtual = h
+                    # Lockstep: what the stamped channels and the queues
+                    # settled, and the stamps parked on them (surviving
+                    # PEs' and MCs' unflushed clocks), are events the
+                    # event schedule's heap would have reached.
+                    channels = (*self.fabric.pipes(), *self.queues.values(),
+                                *self.controllers.values())
+                    virtual = max(env.now, *(c.horizon() for c in channels))
                     detected = deadline if virtual > deadline else virtual
                 else:
                     detected = deadline
@@ -432,7 +424,12 @@ class PASMMachine:
             remaining = sync_words
             while remaining and queue.try_enqueue(sync_item(mask.enabled)):
                 remaining -= 1
-            if remaining:
+            if remaining and self.fast_path:
+                # Each token is admitted at the release that frees its
+                # space, as a blocked enqueue is on pure events.
+                queue.stage([(sync_item(mask.enabled), 0)] * remaining,
+                            self.env.now)
+            elif remaining:
                 self.env.process(
                     self._sync_feeder(queue, mask, remaining),
                     name=f"syncfeed{mc}",

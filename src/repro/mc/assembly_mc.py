@@ -16,9 +16,10 @@ into its address space:
 
 A ``FUCTRL``/``FUSYNC`` write stalls the MC's bus while the controller's
 one-deep command register is full — exactly the behaviour the DSL models
-with its ``blocked_cycles`` accounting.  Cross-checking the two MC
-implementations against each other (see ``tests/test_assembly_mc.py``) is
-what validates the DSL's costing.
+with its ``blocked_cycles`` accounting; on the fast tier both are stamped
+accesses to the command register (:mod:`repro.sim.channel`).
+Cross-checking the two MC implementations against each other (see
+``tests/test_assembly_mc.py``) is what validates the DSL's costing.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ class MCBus(LocalTimeBus):
     """The MC CPU's bus: DRAM plus the Fetch Unit device registers.
 
     With ``fast_path`` enabled, DRAM traffic accrues in the local clock
-    (see :mod:`repro.sim.localtime`); every Fetch Unit register access is
-    a shared interaction and flushes first.
+    (see :mod:`repro.sim.localtime`); a command write is stamped, and the
+    mask write and busy-flag read flush first.
     """
 
     def __init__(
@@ -139,7 +140,7 @@ class MCBus(LocalTimeBus):
             # on the pure-event path.
             yield from self.sync()
             yield self.env.sleep(4 + self.config.ws_device)
-            return 1 if self.controller.outstanding else 0
+            return 1 if self.controller.busy_at(self.env.now) else 0
         yield from self.charge(self._ram_cycles(access_count(size), self._ws))
         return self.memory.read(addr, size)
 
@@ -152,23 +153,21 @@ class MCBus(LocalTimeBus):
             self.mask.set_from_bits(value)
             self.device_writes += 1
             return
-        if addr == FU_CTRL_ADDR:
-            name = self.block_ids.get(value)
-            if name is None:
+        if addr in (FU_CTRL_ADDR, FU_SYNC_ADDR):
+            if addr == FU_SYNC_ADDR:
+                command = ("sync", value)
+            elif value in self.block_ids:
+                command = ("block", self.block_ids[value])
+            else:
                 raise ConfigurationError(
                     f"{self.name}: FUCTRL write names unknown block id "
                     f"{value}"
                 )
             # The write completes when the command register accepts it —
             # the MC stalls while the controller is two blocks behind.
-            yield from self.sync()
-            yield from self.controller.submit_block(name)
-            self.device_writes += 1
-            yield from self.charge(4 + self.config.ws_device)
-            return
-        if addr == FU_SYNC_ADDR:
-            yield from self.sync()
-            yield from self.controller.submit_sync_words(value)
+            stamp = self.env.now + self._local
+            t = yield from self.controller.access(stamp, command)
+            self._local = t - self.env.now
             self.device_writes += 1
             yield from self.charge(4 + self.config.ws_device)
             return

@@ -120,7 +120,13 @@ class MCCostModel:
 
 # ---------------------------------------------------------------------------
 class MicroController:
-    """One MC: interprets a control program against its Fetch Unit."""
+    """One MC: interprets a control program against its Fetch Unit.
+
+    On the lockstep tier (read from the Fetch Unit Queue) issue charges
+    accrue on a local clock, and a command costs a heap event only when
+    the command register makes the MC wait (:meth:`FetchUnitController
+    .access`).  On the pure-event tier every charge is a timeout.
+    """
 
     def __init__(
         self,
@@ -129,7 +135,6 @@ class MicroController:
         mask: MaskRegister,
         controller: FetchUnitController,
         name: str = "MC",
-        batch_charges: bool = False,
     ) -> None:
         self.env = env
         self.config = config
@@ -137,12 +142,8 @@ class MicroController:
         self.controller = controller
         self.name = name
         self.costs = MCCostModel(config)
-        #: Lockstep tier: accrue issue charges and flush them as one
-        #: timeout immediately before each observable side effect (mask
-        #: write, command submit, drain wait) — same absolute times,
-        #: fewer heap events.  ``busy_cycles`` accounting is unchanged.
-        self.batch_charges = batch_charges
-        self._pending = 0.0
+        self._fast = controller.queue.fast_path
+        self._pending = 0.0  #: lockstep: issue time accrued ahead of env.now
         self.busy_cycles = 0.0  #: MC CPU time spent issuing (≠ blocked time)
         self.blocked_cycles = 0.0  #: time stalled on the command register
 
@@ -159,21 +160,13 @@ class MicroController:
                 yield from self._charge(self.costs.op_cost(op))
                 yield from self._flush()
                 self.mask.set_enabled(op.slots)
-            elif isinstance(op, EnqueueBlock):
+            elif isinstance(op, (EnqueueBlock, EnqueueSync)):
                 yield from self._charge(self.costs.op_cost(op))
-                yield from self._flush()
-                t0 = self.env.now
-                yield from self.controller.submit_block(op.block)
-                self.blocked_cycles += self.env.now - t0
-            elif isinstance(op, EnqueueSync):
-                yield from self._charge(self.costs.op_cost(op))
-                yield from self._flush()
-                t0 = self.env.now
-                yield from self.controller.submit_sync_words(op.count)
-                self.blocked_cycles += self.env.now - t0
+                command = (("block", op.block) if isinstance(op, EnqueueBlock)
+                           else ("sync", op.count))
+                self.blocked_cycles += yield from self._access(command)
             elif isinstance(op, WaitController):
-                yield from self._flush()
-                yield from self.controller.drained()
+                yield from self._access(None)
             else:
                 raise ConfigurationError(f"unknown MC op {op!r}")
 
@@ -188,9 +181,17 @@ class MicroController:
                 self.costs.loop_exit if last else self.costs.loop_back
             )
 
+    def _access(self, command):
+        """Generator: a stamped command-register access; returns the
+        time it waited, from which the local clock continues."""
+        stamp = self.env.now + self._pending
+        t = yield from self.controller.access(stamp, command)
+        self._pending = t - self.env.now
+        return t - stamp
+
     def _charge(self, cycles: float):
         self.busy_cycles += cycles
-        if self.batch_charges:
+        if self._fast:
             self._pending += cycles
             return
         yield self.env.timeout(cycles)

@@ -22,7 +22,9 @@ latency.  How it carries them depends on the engine tier:
 * the fast tier: one :class:`Pipe` per circuit computes the same
   schedule as a max-plus recurrence over the PEs' bus-true access
   stamps, with no mover process, no register stores and no flush of the
-  accessing PE's local clock.
+  accessing PE's local clock, and a :class:`StatusRegister` per port
+  answers a status read from the two pipes it samples.  Both are
+  stamped channels (:mod:`repro.sim.channel`).
 """
 
 from __future__ import annotations
@@ -31,15 +33,20 @@ from collections import deque
 
 from repro.network.circuit import Circuit, CircuitSwitchedNetwork
 from repro.sim import Environment, Store
+from repro.sim.channel import NEG_INF as _NEG_INF
+from repro.sim.channel import StampedChannel, carry
+from repro.sim.lockstep import fire_event
 
 #: Status-register bits.
 TX_READY = 0x01
 RX_VALID = 0x02
 
-_NEG_INF = float("-inf")
+#: Status reads resumed one inside another; a deeper one waits for its
+#: event, so the recursion stays shallow.
+_MAX_WAKE_DEPTH = 8
 
 
-class Pipe:
+class Pipe(StampedChannel):
     """One circuit's TX register, byte mover and RX register, stamped.
 
     A 1-deep TX register, a one-byte mover with latency ``L`` and a
@@ -59,24 +66,27 @@ class Pipe:
     ahead of the next, so the pipe keeps one value of each plus the
     bytes in flight (at most four).
 
-    :meth:`write` and :meth:`read` serve an access whose term is already
-    determined and return its completion instant; otherwise they return
-    None and register nothing.  :meth:`park_write` / :meth:`park_read`
-    then register the access on an event that the pipe schedules, as a
-    *carrier*, at the instant the term settles.  ``latency`` None is a
-    terminal with no circuit: the first byte written stays in TX, and
-    nothing ever arrives.
+    ``settle(stamp, value)`` writes and ``settle(stamp)`` reads (the
+    stamped-channel interface); a parked access's event is a *carrier*
+    the pipe schedules at the instant its term settles.  ``latency``
+    None is a terminal with no circuit: the first byte written stays in
+    TX, and nothing ever arrives.  ``writer`` and ``reader`` are the
+    ports at its ends.
     """
 
     __slots__ = (
-        "env", "latency", "_bytes",
+        "env", "latency", "writer", "reader", "_bytes",
         "n_w", "W", "n_g", "G", "n_p", "P", "Pg", "n_r", "R",
         "_w_stamp", "_w_ev", "_r_stamp", "_r_ev", "carriers",
     )
 
-    def __init__(self, env: Environment, latency: float | None) -> None:
+    def __init__(self, env: Environment, latency: float | None,
+                 writer: "TransferPort | None",
+                 reader: "TransferPort | None") -> None:
         self.env = env
         self.latency = latency
+        self.writer = writer
+        self.reader = reader
         self._bytes: deque[int] = deque()  #: written, not yet read
         # Settled terms: counts, and the value of the last one (the
         # recurrence reads no older term).  ``Pg`` is G of the byte
@@ -98,54 +108,50 @@ class Pipe:
         self.carriers = 0  #: parked accesses served by a carrier event
 
     # -- accesses ---------------------------------------------------------
-    def write(self, stamp: float, value: int) -> float | None:
-        """Complete the write of ``value`` stamped ``stamp`` and return
-        ``W_k``, or None (nothing registered) while ``G_{k-1}`` is
-        unknown."""
+    def settle(self, stamp: float, value: int | None = None):
+        """``(W_k, None)`` for the write of ``value`` (None while
+        ``G_{k-1}`` is unknown), or ``(R_k, byte)`` for a read (None
+        while ``P_k`` is unknown)."""
+        if value is None:
+            if self.n_p == self.n_r:
+                return None
+            p = self.P
+            t = stamp if stamp > p else p
+            self.n_r += 1
+            self.R = t
+            value = self._bytes.popleft()
+            self.reader.bytes_received += 1
+            self._settle()
+            return t, value
         if self.n_g < self.n_w:
             return None
         g = self.G
         t = stamp if stamp > g else g
         self._bytes.append(value & 0xFF)
+        self.writer.bytes_sent += 1
         self.n_w += 1
         self.W = t
         self._settle()
-        return t
+        return t, None
 
-    def read(self, stamp: float) -> tuple[float, int] | None:
-        """Complete the read stamped ``stamp`` and return ``(R_k,
-        byte)``, or None (nothing registered) while ``P_k`` is
-        unknown."""
-        if self.n_p == self.n_r:
-            return None
-        p = self.P
-        t = stamp if stamp > p else p
-        self.n_r += 1
-        self.R = t
-        value = self._bytes.popleft()
-        self._settle()
-        return t, value
-
-    def park_write(self, stamp: float, value: int):
-        """Register a write :meth:`write` refused; return the event that
-        fires with ``W_k`` at ``W_k``."""
-        ev = self.env.event(name="net:tx")
-        self._bytes.append(value & 0xFF)
-        self._w_stamp = stamp
-        self._w_ev = ev
-        return ev
-
-    def park_read(self, stamp: float):
-        """Register a read :meth:`read` refused; return the event that
-        fires with ``(R_k, byte)`` at ``R_k``."""
-        ev = self.env.event(name="net:rx")
-        self._r_stamp = stamp
-        self._r_ev = ev
+    def park(self, stamp: float, value: int | None = None):
+        """The carrier of a write (or read) :meth:`settle` refused."""
+        ev = self.env.event(name="net:park")
+        if value is None:
+            self.reader.bytes_received += 1
+            self._r_stamp = stamp
+            self._r_ev = ev
+            self.reader.pe_parks(stamp)
+        else:
+            self._bytes.append(value & 0xFF)
+            self.writer.bytes_sent += 1
+            self._w_stamp = stamp
+            self._w_ev = ev
+            self.writer.pe_parks(stamp)
         return ev
 
     def horizon(self) -> float:
-        """The latest instant the pure event tier's heap reaches for this
-        pipe (-inf if none): every settled term is an event there (the
+        """Every settled term is an event on the pure tier's heap (the
         store hops at ``W``, ``G``, ``P`` and ``R``, and the mover's
         latency timeout at ``G + L`` even while the delivery waits on a
         read), and a parked access's stamp is bus-true time its PE
@@ -162,28 +168,40 @@ class Pipe:
             t = self._r_stamp
         return t
 
-    # -- status -----------------------------------------------------------
-    def tx_ready(self, t: float) -> bool:
+    # -- status ----------------------------------------------------------
+    def tx_ready(self, t: float) -> bool | None:
         """TX_READY sampled at instant ``t`` by the writer.
 
         Set iff no byte was written or the mover took the last one
         before ``t``.  A take at exactly ``t`` is a zero-delay hop
-        scheduled at ``t``, after the sample; a take not yet settled
-        lies beyond ``t``."""
-        return self.n_w == 0 or (self.n_g == self.n_w and self.G < t)
+        scheduled at ``t``, after the sample.  A take not yet settled
+        waits on a read not yet made: clear once its lower bound reaches
+        ``t``, else None (undecided)."""
+        if self.n_w == 0:
+            return True
+        if self.n_g == self.n_w:
+            return self.G < t
+        if self.latency is None:
+            return False
+        bound = max(self.G + self.latency, self.P, self.reader.clock)
+        return False if bound >= t else None
 
-    def rx_valid(self, t: float, c: float) -> bool:
+    def rx_valid(self, t: float, c: float) -> bool | None:
         """RX_VALID sampled at instant ``t`` by the reader, by an access
         of ``c`` cycles.
 
         Set iff the next unread byte was delivered before ``t``, or at
         ``t`` by a latency timeout that was scheduled (at its take)
         before the sample's own ``c``-cycle access event.  A delivery
-        not yet settled lies beyond ``t``."""
-        if self.n_p == self.n_r:
+        not yet settled waits on a write not yet made: clear once its
+        lower bound passes ``t``, else None (undecided)."""
+        if self.n_p > self.n_r:
+            p = self.P
+            return p < t or (p == t and self.Pg < t - c)
+        if self.latency is None:
             return False
-        p = self.P
-        return p < t or (p == t and self.Pg < t - c)
+        bound = max(self.writer.clock, self.P) + self.latency
+        return False if bound > t else None
 
     # -- the recurrence ---------------------------------------------------
     def _settle(self) -> None:
@@ -215,7 +233,8 @@ class Pipe:
                 self.n_r += 1
                 self.R = t
                 self._r_ev = None
-                self._carry(ev, t, (t, self._bytes.popleft()))
+                self.carriers += 1
+                carry(self.env, ev, t, (t, self._bytes.popleft()))
                 progressed = True
             ev = self._w_ev
             if ev is not None and self.n_g == self.n_w:
@@ -224,17 +243,76 @@ class Pipe:
                 self.n_w += 1
                 self.W = t
                 self._w_ev = None
-                self._carry(ev, t, t)
+                self.carriers += 1
+                carry(self.env, ev, t, (t, None))
                 progressed = True
             if not progressed:
                 return
 
-    def _carry(self, ev, t: float, value) -> None:
-        """Fire parked ``ev`` with ``value`` at ``t`` (>= env.now: the
-        stamp that settled it was taken no earlier)."""
-        ev._value = value
-        self.carriers += 1
+
+class StatusRegister(StampedChannel):
+    """A port's status register on the fast tier, sampled from its pipes.
+
+    A read stamped ``s`` samples at ``t = s + c``, the end of its
+    ``c``-cycle access.  :meth:`settle` answers when both bits are
+    decided (:meth:`Pipe.tx_ready`, :meth:`Pipe.rx_valid`); otherwise
+    :meth:`park` schedules one event at ``t``, by which every stamp below
+    ``t`` is in, so an undecided bit is clear.  A partner that parks
+    itself having decided the read withdraws the event and resumes the
+    reader at once (:meth:`poke`, :meth:`TransferPort.pe_parks`).
+    """
+
+    __slots__ = ("env", "port", "c", "_parked")
+
+    def __init__(self, env: Environment, port: "TransferPort",
+                 c: float) -> None:
+        self.env = env
+        self.port = port
+        self.c = c  #: cycles of one access
+        self._parked = None  #: ``(t, event, sample)`` of a parked read
+
+    def settle(self, stamp: float):
+        """``(stamp, status)`` once both bits are decided, else None."""
+        status = self.sample(stamp + self.c)
+        return None if status is None else (stamp, status)
+
+    def park(self, stamp: float):
+        """The event that fires with ``(stamp, status)`` at the sample."""
+        t = stamp + self.c
+        self.port.pe_parks(t)
+        ev = self.env.event(name="net:status")
+
+        def sample(ev) -> None:
+            self._parked = None
+            ev._value = stamp, self.sample(t, True)
+
+        ev.callbacks.append(sample)
         self.env.schedule(ev, t - self.env.now)
+        self._parked = (t, ev, sample)
+        return ev
+
+    def poke(self) -> None:
+        """Resume the parked read now if it is decided (depth-bounded:
+        the resumed PE's own park may poke others)."""
+        parked, env = self._parked, self.env
+        if (parked and env.resume_depth < _MAX_WAKE_DEPTH
+                and self.sample(parked[0]) is not None):
+            env.withdraw(parked[2])
+            env.resume_depth += 1
+            try:
+                fire_event(parked[1], None)
+            finally:
+                env.resume_depth -= 1
+
+    def sample(self, t: float, final: bool = False) -> int | None:
+        """The status at ``t``, None while a bit is undecided; ``final``
+        (every stamp below ``t`` is in) clears an undecided bit."""
+        port = self.port
+        tx = port.tx_pipe.tx_ready(t)
+        rx = port.rx_pipe.rx_valid(t, self.c)
+        if not final and (tx is None or rx is None):
+            return None
+        return (TX_READY if tx else 0) | (RX_VALID if rx else 0)
 
 
 class TransferPort:
@@ -244,7 +322,8 @@ class TransferPort:
     generator methods below access them; on the fast tier the port
     holds the :class:`Pipe` its TX register feeds (``tx_pipe``) and the
     one its RX register drains (``rx_pipe``), and the PE bus accesses
-    those directly.
+    those directly.  ``clock`` is then a lower bound on every stamp the
+    port's PE will yet make.
     """
 
     def __init__(self, env: Environment, terminal: int,
@@ -253,14 +332,27 @@ class TransferPort:
         self.terminal = terminal
         self.bytes_sent = 0
         self.bytes_received = 0
+        self.clock = 0.0
+        self.status_reg: StatusRegister | None = None  #: set by the PE bus
         if fast_path:
             self._tx = self._rx = None
-            self.tx_pipe = Pipe(env, None)
-            self.rx_pipe = Pipe(env, None)
+            self.tx_pipe = Pipe(env, None, self, None)
+            self.rx_pipe = Pipe(env, None, None, self)
         else:
             self._tx = Store(env, capacity=1, name=f"tx{terminal}")
             self._rx = Store(env, capacity=1, name=f"rx{terminal}")
             self.tx_pipe = self.rx_pipe = None
+
+    def pe_parks(self, t: float) -> None:
+        """The PE parks until at least ``t``: raise the clock to ``t``, and
+        resume a partner's status read that its accesses so far decide —
+        the writer's into this port's RX pipe (its TX_READY) and the
+        reader's of its TX pipe (RX_VALID).  Resuming a reader only when
+        its partner parks lets each run as far as it can."""
+        self.clock = t
+        for port in (self.rx_pipe.writer, self.tx_pipe.reader):
+            if port is not None and port.status_reg is not None:
+                port.status_reg.poke()
 
     # -- PE-side operations (generators; may block) ---------------------
     def write_tx(self, value: int):
@@ -280,16 +372,6 @@ class TransferPort:
         if not self._tx.is_full:
             s |= TX_READY
         if not self._rx.is_empty:
-            s |= RX_VALID
-        return s
-
-    def status_at(self, t: float, c: float) -> int:
-        """Status-register value sampled at instant ``t`` by an access of
-        ``c`` cycles (fast tier)."""
-        s = 0
-        if self.tx_pipe.tx_ready(t):
-            s |= TX_READY
-        if self.rx_pipe.rx_valid(t, c):
             s |= RX_VALID
         return s
 
@@ -344,7 +426,8 @@ class NetworkFabric:
     def _carry(self, circuit: Circuit) -> None:
         source, dest = circuit.path.source, circuit.path.dest
         if self.fast_path:
-            pipe = Pipe(self.env, self.byte_latency)
+            pipe = Pipe(self.env, self.byte_latency, self.ports[source],
+                        self.ports[dest])
             self.ports[source].tx_pipe = pipe
             self.ports[dest].rx_pipe = pipe
         else:
@@ -352,13 +435,18 @@ class NetworkFabric:
                 self._mover(circuit), name=f"net:{source}->{dest}"))
 
     def close(self) -> None:
-        """Stop the mover processes once the machine's run is over.
+        """Break the run's reference cycles once the machine is done.
 
-        A mover parked on its TX register is a reference cycle (process,
-        generator frame, port, register store, waiter event) that would
-        keep the environment alive until the cyclic collector ran."""
+        A mover parked on its TX register is a cycle (process, generator
+        frame, port, register store, waiter event), and so is a pipe with
+        the ports at its ends; either would keep the environment alive
+        until the cyclic collector ran."""
         for mover in self._movers:
             mover.generator.close()
+        for pipe in self.pipes():
+            pipe.writer = pipe.reader = None
+        for port in self.ports:
+            port.status_reg = None
 
     def pipes(self) -> list[Pipe]:
         """Every pipe a port accesses (fast tier; empty on pure events)."""

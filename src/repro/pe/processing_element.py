@@ -29,7 +29,7 @@ from repro.m68k.instructions import Instruction
 from repro.machine.config import PrototypeConfig
 from repro.memory.map import RegionKind
 from repro.memory.module import MemoryModule
-from repro.network.transfer import TransferPort
+from repro.network.transfer import StatusRegister, TransferPort
 from repro.sim.events import PENDING
 from repro.sim.localtime import LocalTimeBus
 
@@ -39,17 +39,17 @@ class PEBus(LocalTimeBus):
 
     With ``fast_path`` enabled (see :mod:`repro.sim.localtime`), private
     charges — main-RAM traffic and internal cycles — accrue in the local
-    clock, and the bus flushes only for a sampling access (network
-    status, timer).  It meets the Fetch Unit Queue in lockstep (see
-    :mod:`repro.sim.lockstep`) and the network on its port's pipes
-    (:class:`~repro.network.transfer.Pipe`): a ``NETTX`` write or
-    ``NETRX`` read passes its bus-true stamp, the fast twins
-    :meth:`try_write`/:meth:`try_read` serve it when the pipe has
-    settled its term, and the generator protocol parks on the pipe's
-    carrier otherwise; either way the bus continues locally from the
-    settled instant plus the access.  ``flush_net`` (PEs with a
-    scheduled fail-stop) flushes before each transfer access instead.
-    The queue and the fabric must run on the same tier.
+    clock, and the bus flushes only for the timer and at halt.  It meets
+    the Fetch Unit Queue in lockstep (see :mod:`repro.sim.lockstep`) and
+    the network registers as stamped channels (:mod:`repro.sim.channel`,
+    the port's pipes and status register): an access passes its
+    bus-true stamp, the fast twins :meth:`try_write`/:meth:`try_read`
+    serve it when the channel settles it, and the generator protocol
+    parks on the channel's one event otherwise; either way the bus
+    continues locally from the settled instant plus the access.
+    ``flush_net`` (PEs with a scheduled fail-stop) flushes before each
+    network access instead.  The queue and the fabric must run on the
+    same tier.
     """
 
     def __init__(
@@ -87,8 +87,6 @@ class PEBus(LocalTimeBus):
         self.stream_accesses = 0
         self.data_accesses = 0
         self.queue_fetches = 0
-        self.net_bytes_sent = 0
-        self.net_bytes_received = 0
         self.sync_reads = 0
         self.lockstep_rendezvous = 0  #: stamped requests issued
         self._req_ev = None  #: recycled request event (one pending max)
@@ -116,6 +114,9 @@ class PEBus(LocalTimeBus):
         if self.fast_path:
             main = self.map.find(RegionKind.MAIN_RAM)
             self.chain_bounds = (main.start, main.end)
+            if port is not None:
+                c = 4 + self.map.find(RegionKind.NET_STATUS).wait_states
+                port.status_reg = StatusRegister(env, port, c)
         simd = self.map.find(RegionKind.SIMD_SPACE)
         self._simd_bounds = (simd.start, simd.end)
 
@@ -191,12 +192,12 @@ class PEBus(LocalTimeBus):
         if region is None or not (region.start <= addr < region.end):
             region = self._dregion(addr)
         if region.kind is not RegionKind.MAIN_RAM:
-            if region.kind is RegionKind.NET_RX and not self.flush_net:
-                stamp = self.env.now + self._local
-                got = self.port.rx_pipe.read(stamp)
-                if got is not None:
-                    return self._net_read_done(region, stamp, got)
-            return None
+            channel = self._read_channel(region.kind)
+            if channel is None or self.flush_net:
+                return None
+            stamp = self.env.now + self._local
+            got = channel.settle(stamp)
+            return None if got is None else self._settled(region, stamp, got)
         n = 2 if size == 4 else 1
         self.data_accesses += n
         cycles = self._ram_cycles(n, region.wait_states)
@@ -210,14 +211,15 @@ class PEBus(LocalTimeBus):
         if region is None or not (region.start <= addr < region.end):
             region = self._dregion(addr)
         if region.kind is not RegionKind.MAIN_RAM:
-            if (region.kind is RegionKind.NET_TX and size == 1
-                    and not self.flush_net):
-                stamp = self.env.now + self._local
-                t = self.port.tx_pipe.write(stamp, value)
-                if t is not None:
-                    self._net_write_done(region, stamp, t)
-                    return True
-            return False
+            if (region.kind is not RegionKind.NET_TX or size != 1
+                    or self.flush_net):
+                return False
+            stamp = self.env.now + self._local
+            got = self.port.tx_pipe.settle(stamp, value)
+            if got is None:
+                return False
+            self._settled(region, stamp, got)
+            return True
         n = 2 if size == 4 else 1
         self.data_accesses += n
         cycles = self._ram_cycles(n, region.wait_states)
@@ -335,12 +337,15 @@ class PEBus(LocalTimeBus):
             if self.fast_path:
                 # Lockstep rendezvous: no flush — pass the bus-true time
                 # as the arrival stamp; the queue computes the release
-                # instant and resumes us there with the clock rebased.
+                # instant, and we continue from it with the clock rebased.
                 arrival = self.env.now + self._local
                 self._local = 0.0
                 self.lockstep_rendezvous += 1
-                item, released = yield self.queue.register_request_at(
-                    self.pe_slot, arrival)
+                ev = self.queue.register_request_inline(
+                    self.pe_slot, arrival, self.env.event(name="barrier"),
+                    None)
+                item, released = (ev._value if ev.callbacks is None
+                                  else (yield ev))
                 self._local = released - self.env.now
                 if self.trace_waits and released > arrival:
                     self.wait_spans.append(
@@ -359,36 +364,32 @@ class PEBus(LocalTimeBus):
             self.data_accesses += 1
             yield from self.charge(4 + region.wait_states)
             return 0
-        if kind is RegionKind.NET_RX:
-            if self.fast_path:
-                # Stamped read: no flush (but for a PE that may fail-
-                # stop); park only while the pipe cannot settle R_k.
-                if self.flush_net:
-                    yield from self.sync()
-                stamp = self.env.now + self._local
-                pipe = self.port.rx_pipe
-                got = pipe.read(stamp)
+        channel = self._read_channel(kind) if self.fast_path else None
+        if channel is not None:
+            if self.flush_net:
+                yield from self.sync()
+            stamp = self.env.now + self._local
+            if self.flush_net and channel is self.port.status_reg:
+                # A PE that may fail-stop keeps the access event, which
+                # a strike inside the access withdraws.
+                yield self.env.sleep(channel.c)
+                got = stamp, channel.sample(self.env.now, True)
+            else:
+                got = channel.settle(stamp)
                 if got is None:
-                    got = yield pipe.park_read(stamp)
-                return self._net_read_done(region, stamp, got)
+                    got = yield channel.park(stamp)
+            return self._settled(region, stamp, got)
+        if kind is RegionKind.NET_RX:
             t0 = self.env.now
             value = yield from self.port.read_rx()
             if self.trace_waits and self.env.now > t0:
                 self.wait_spans.append(("net_rx_wait", t0, self.env.now))
-            self.net_bytes_received += 1
             self.data_accesses += 1
             yield self.env.sleep(4 + region.wait_states)
             return value
         if kind is RegionKind.NET_STATUS:
-            # Sampling access: flush, then issue the access charge as a
-            # *real* event so the status sample happens at the same
-            # event-loop point as on the pure-event path.
-            yield from self.sync()
             self.data_accesses += 1
-            c = 4 + region.wait_states
-            yield self.env.sleep(c)
-            if self.fast_path:
-                return self.port.status_at(self.env.now, c)
+            yield self.env.sleep(4 + region.wait_states)
             return self.port.status()
         if kind is RegionKind.TIMER:
             n = access_count(size)
@@ -420,46 +421,43 @@ class PEBus(LocalTimeBus):
                     yield from self.sync()
                 stamp = self.env.now + self._local
                 pipe = self.port.tx_pipe
-                t = pipe.write(stamp, value)
-                if t is None:
-                    t = yield pipe.park_write(stamp, value)
-                self._net_write_done(region, stamp, t)
+                got = pipe.settle(stamp, value)
+                if got is None:
+                    got = yield pipe.park(stamp, value)
+                self._settled(region, stamp, got)
                 return
             t0 = self.env.now
             yield from self.port.write_tx(value)
             if self.trace_waits and self.env.now > t0:
                 self.wait_spans.append(("net_tx_wait", t0, self.env.now))
-            self.net_bytes_sent += 1
             self.data_accesses += 1
             yield self.env.sleep(4 + region.wait_states)
             return
         raise BusError(f"{self.name}: cannot write {kind.value} at {addr:#x}")
 
-    # -- stamped network transfers (fast tier) ---------------------------
-    def _net_read_done(self, region, stamp: float, got) -> int:
-        """Finish a stamped NETRX read the pipe settled at ``R_k``
-        (``got`` = ``(R_k, byte)``): the bus continues locally from
-        ``R_k`` plus the access."""
-        t, value = got
-        if self.trace_waits and t > stamp:
-            self.wait_spans.append(("net_rx_wait", stamp, t))
-        self.port.bytes_received += 1
-        self.net_bytes_received += 1
-        self.data_accesses += 1
-        c = 4 + region.wait_states
-        self._local = t + c - self.env.now
-        return value
+    # -- stamped network accesses (fast tier) ----------------------------
+    def _read_channel(self, kind):
+        """The stamped channel a read of region ``kind`` meets, or None."""
+        if kind is RegionKind.NET_RX:
+            return self.port.rx_pipe
+        if kind is RegionKind.NET_STATUS:
+            return self.port.status_reg
+        return None
 
-    def _net_write_done(self, region, stamp: float, t: float) -> None:
-        """Finish a stamped NETTX write the pipe settled at ``W_k =
-        t``: the bus continues locally from ``t`` plus the access."""
+    def _settled(self, region, stamp: float, got):
+        """Finish a stamped access its channel settled: ``got`` is ``(t,
+        value)``, ``t`` the instant the access proceeds.  The bus
+        continues locally from ``t`` plus the access, and returns the
+        value read."""
+        t, value = got  # only a transfer waits; only a write reads no value
         if self.trace_waits and t > stamp:
-            self.wait_spans.append(("net_tx_wait", stamp, t))
-        self.port.bytes_sent += 1
-        self.net_bytes_sent += 1
+            self.wait_spans.append(
+                ("net_tx_wait" if value is None else "net_rx_wait", stamp, t))
         self.data_accesses += 1
-        c = 4 + region.wait_states
-        self._local = t + c - self.env.now
+        t += 4 + region.wait_states
+        self._local = t - self.env.now
+        self.port.clock = t
+        return value
 
 
 class ProcessingElement:

@@ -114,6 +114,9 @@ class Environment:
         self._seq = count()
         self._active_process: Process | None = None
         self._sleep_pool: list[SleepEvent] = []
+        #: Processes resumed synchronously, one inside another, by a
+        #: stamped channel (:mod:`repro.sim.channel`), which bounds it.
+        self.resume_depth = 0
         # -- kernel counters (see repro.perf) ---------------------------
         self.events_scheduled = 0  #: heap pushes over the run
         self.events_processed = 0  #: heap pops over the run

@@ -6,29 +6,29 @@ writes — it cannot affect, or be affected by, any other simulation
 process.  So those charges need not round-trip through the global event
 queue: :class:`LocalTimeBus` accumulates them in a per-bus local clock,
 and the bus re-joins global simulated time only where it *samples*
-shared state (network status, timer, halt).
+global time itself (the timer, halt) or writes state the event order
+must see (the Fetch Unit mask).
 
 A bus with ``fast_path`` enabled maintains ``true time = env.now +
-_local``.  Before an operation that samples shared state, the bus
-*flushes*: it yields one pooled sleep event of ``_local`` cycles, landing
-at exactly the simulated time the pure-event execution would have reached
-by then.  Every charge is an integral number of cycles, so the local
-accumulation is exact and the flushed timestamps are bit-identical to the
-pure-event path.  Operations that sample shared state after their access
-charge (network status, Fetch-Unit wait flag) also issue that charge as a
-real sleep, so the sample lands at the same point in the event loop as on
-the pure-event path and ties at equal timestamps break the same way.
+_local``.  Before such an operation the bus *flushes*: it yields one
+pooled sleep event of ``_local`` cycles, landing at exactly the
+simulated time the pure-event execution would have reached by then.
+Every charge is an integral number of cycles, so the local accumulation
+is exact and the flushed timestamps are bit-identical to the pure-event
+path.  Operations that sample shared state after their access charge
+(the Fetch-Unit wait flag) also issue that charge as a real sleep, so
+the sample lands at the same point in the event loop as on the
+pure-event path and ties at equal timestamps break the same way.
 
-The shared touches that only exchange data do not flush: a Fetch Unit
-Queue request and a network transfer-register access pass the bus-true
-time (``env.now + _local``) as a *stamp*, and the queue
-(:mod:`repro.sim.lockstep`) or the circuit's pipe
-(:class:`repro.network.transfer.Pipe`) computes the instant the access
-completes, from which the bus continues locally.  A stamp is an instant
-and nothing more: the queue's statistics are defined from instants alone
-(:mod:`repro.fetch_unit.queue`), so no charge needs to say when the pure
-event schedule would have scheduled it.  A PE with a scheduled
-fail-stop flushes before its transfer-register accesses instead.
+Every other shared touch passes the bus-true time (``env.now +
+_local``) as a *stamp* and does not flush: a Fetch Unit Queue request
+(:mod:`repro.sim.lockstep`), or an access to a stamped channel
+(:mod:`repro.sim.channel`: a network transfer or status register, the
+Fetch Unit's command register), which computes the instant the access
+completes; the bus continues locally from there.  A stamp is an instant
+and nothing more: the queue's statistics are defined from instants
+alone (:mod:`repro.fetch_unit.queue`).  A PE with a scheduled fail-stop
+flushes before its network accesses instead.
 
 :class:`LocalTimeBus` is the base of every CPU bus and fixes the CPU's
 side of the bus protocol, so the CPU binds the same methods on every bus.
@@ -63,8 +63,8 @@ class LocalTimeBus:
     Subclasses call :meth:`_init_local_clock` from ``__init__``, charge
     private time with :meth:`charge` (or ``self._local += cycles`` in a
     fast twin), and ``yield from self.sync()`` immediately before
-    sampling shared state, or pass ``env.now + _local`` as a stamp to a
-    resource that computes when the access completes.  The PE-only parts
+    sampling global time, or pass ``env.now + _local`` as a stamp to a
+    channel that computes when the access completes.  The PE-only parts
     of the protocol, chains and the lockstep SIMD-space fetch, are off.
     """
 

@@ -14,9 +14,8 @@ event rendezvous:
 
 * a PE requesting from the queue does not flush; it passes its bus-true
   **arrival stamp** (``env.now + local clock``) with the request and zeroes
-  the local clock (:meth:`FetchUnitQueue.register_request_inline` for an
-  instruction fetch, traced or not, and
-  :meth:`FetchUnitQueue.register_request_at` for a barrier read);
+  the local clock (:meth:`FetchUnitQueue.register_request_inline`, for
+  an instruction fetch, traced or not, and a barrier read alike);
 * the queue releases the head item at ``T_r = max(admit time, previous
   release, max of the mask's arrival stamps)`` — the exact instant the
   pure-event schedule would have assembled the rendezvous;
@@ -42,13 +41,13 @@ event rendezvous:
   word.  A barrier read, a fetch by a CPU that is tracing, and a PE with
   a scheduled fail-stop are never stepped.
 
-Everything that is not a queue rendezvous — network transfer-register
-traffic, status/timer sampling, MIMD-space execution, mask changes,
-fault-plan machinery — goes through the local-time path, access by
-access.  There is no modal "driver": the handoff granularity is a single
-bus operation, so mixed workloads (S-MIMD barriers between MIMD phases,
-SIMD blocks with network transfers inside) fall back and re-enter
-naturally.
+Everything that is not a queue rendezvous — network register traffic and
+the MC's commands (stamped channels, :mod:`repro.sim.channel`), timer
+sampling, MIMD-space execution, mask changes, fault-plan machinery —
+goes through the local-time path, access by access. There is no modal
+"driver": the handoff granularity is a single bus operation, so mixed
+workloads (S-MIMD barriers between MIMD phases, SIMD blocks with network
+transfers inside) fall back and re-enter naturally.
 
 The tier is on whenever the fast path is (``fast_path=True``, the
 default); ``REPRO_PURE_EVENTS=1`` or ``fast_path=False`` selects the

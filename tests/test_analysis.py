@@ -59,8 +59,8 @@ class TestCounts:
         run_matmul(machine, bundle, a, b)
         for lp in range(p):
             bus = machine.pe(lp).bus
-            assert bus.net_bytes_sent == c.network_byte_ops_per_pe
-            assert bus.net_bytes_received == c.network_byte_ops_per_pe
+            assert bus.port.bytes_sent == c.network_byte_ops_per_pe
+            assert bus.port.bytes_received == c.network_byte_ops_per_pe
 
 
 class TestStatistics:

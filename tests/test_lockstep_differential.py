@@ -40,8 +40,10 @@ from repro.machine import ExecutionMode, PASMMachine
 from repro.machine.partition import Partition
 from repro.mc import EnqueueBlock, EnqueueSync, Loop, SetMask, WaitController
 from repro.network import ExtraStageCubeTopology
+from repro.network.transfer import StatusRegister
 from repro.obs.simtrace import machine_events
 from repro.perf import machine_counters
+from repro.sim import Environment
 from tests.engines import (
     ALL_MODES,
     CFG,
@@ -236,12 +238,15 @@ def test_lockstep_counters_report_batching():
 
 
 #: Heap events the n=16, p=4, m=0 matmul may take on the fast tier.  Its
-#: 4,096 network accesses (2,048 bytes) cost none unless a PE parks on a
-#: partner's stamp; a flush per access would add about 4,100 events.
+#: 4,096 network accesses (2,048 bytes) and its MIMD status polls cost
+#: none unless a PE must wait on a partner's stamp, and its MC's
+#: commands none unless the command register is full; a flush per
+#: access or poll would add about 4,100 events, a put and a get per
+#: command about 2,900.
 EVENT_BUDGET = {
-    ExecutionMode.SIMD: 9_000,
+    ExecutionMode.SIMD: 2_500,
     ExecutionMode.SMIMD: 1_000,
-    ExecutionMode.MIMD: 8_500,
+    ExecutionMode.MIMD: 1_000,
 }
 
 
@@ -259,6 +264,40 @@ def test_transfers_cost_no_heap_events(mode):
     assert machine_counters(pure)["net_carriers"] == 0
 
 
+def test_status_polls_do_not_flush(monkeypatch):
+    """MIMD polls the status register before each of its 4,096 network
+    accesses.  On the fast tier a poll answers from the pipes, and one
+    that must wait for a partner parks on one event, which the partner
+    withdraws when it parks itself having decided the poll: no poll
+    flushes the local clock (a flush is a sleep), so the run's only
+    sleeps are the four PEs' flushes at halt, and its heap events stay
+    far below one per poll, where a flushing poll costs two."""
+    reads, sleeps = [0], [0]
+    settle, park = StatusRegister.settle, StatusRegister.park
+    sleep = Environment.sleep
+
+    def count_settle(reg, stamp):
+        got = settle(reg, stamp)
+        reads[0] += got is not None
+        return got
+
+    def count_park(reg, stamp):
+        reads[0] += 1
+        return park(reg, stamp)
+
+    def count_sleep(env, delay):
+        sleeps[0] += 1
+        return sleep(env, delay)
+
+    monkeypatch.setattr(StatusRegister, "settle", count_settle)
+    monkeypatch.setattr(StatusRegister, "park", count_park)
+    monkeypatch.setattr(Environment, "sleep", count_sleep)
+    machine, _ = run_matmul_on(ExecutionMode.MIMD, 16, 4, "lockstep")
+    assert reads[0] >= 4_096
+    assert sleeps[0] == machine.p
+    assert machine_counters(machine)["events_processed"] < reads[0] / 10
+
+
 #: Engine counters a traced run must share with the untraced one.
 #: ``broadcast_steps`` is not among them: traced PEs are never stepped.
 PATH_COUNTERS = ("events_processed", "lockstep_carriers",
@@ -269,7 +308,7 @@ PATH_COUNTERS = ("events_processed", "lockstep_carriers",
 def test_tracing_keeps_the_engine_path(mode):
     """A traced PE meets the Fetch Unit Queue and the network on the
     same lockstep path as an untraced one: the same heap events,
-    carriers and stamped requests (SIMD: 7,931 events, 2,152
+    carriers and stamped requests (SIMD: 1,267 events, 626
     carriers)."""
     counts = []
     for traced in (False, True):

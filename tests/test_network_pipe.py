@@ -7,15 +7,27 @@ term, and only an access whose term waits on a partner's stamp parks,
 on one carrier event.  The pure-event tier keeps the 1-deep register
 stores and a mover process per circuit, and is the oracle here.
 
+The status register and the Fetch Unit's command register are stamped
+channels of the same kind: a status read answers from the pipes without
+a flush when its bits are decided, and an MC's command is accepted or
+parked by the register's own recurrence.
+
 The differential property draws transfer programs in all three parallel
-modes — SIMD broadcast blocks, S/MIMD programs with barriers and MIMD
-programs that poll the status register — with random private work
-between the accesses, on 2, 4 or 8 PEs, and varies the byte latency and
-the wait states of the status and data registers, including the
-same-instant tie ``net_byte_latency == 4 + ws_status`` that the
-calibrated constants never reach.  Both tiers must agree on cycles,
-per-PE categories, queue statistics, every PE's wait spans and final
-registers.  Fail-stop cases that random programs found are pinned below.
+modes — SIMD broadcast blocks under random MC programs, S/MIMD programs
+with barriers and poll-heavy MIMD programs — with random private work
+between the accesses, on 2, 4 or 8 PEs, and varies the byte latency,
+the queue depth and the wait states of the status and data registers,
+including the same-instant tie ``net_byte_latency == 4 + ws_status``
+that the calibrated constants never reach.  The MC programs nest
+``Loop``, ``EnqueueBlock`` and ``EnqueueSync`` (behind barrier-read
+blocks), and on one MC group a ``SetMask`` behind ``WaitController``;
+at p = 8 two MC groups share the network, so one MC's command register
+parks while the other's runs ahead.  MIMD programs poll back to back,
+poll without an access after, and access unguarded, so a PE polls while
+its partner is parked on a pipe.  Both tiers must agree on cycles,
+per-PE categories, queue and MC statistics, every PE's wait spans and
+final registers.  Fail-stop cases that random programs found are pinned
+below.
 """
 
 import pytest
@@ -27,9 +39,9 @@ from repro.faults import FaultPlan, PEFailStop
 from repro.m68k.assembler import assemble
 from repro.machine import PASMMachine
 from repro.machine.partition import Partition
-from repro.mc import EnqueueBlock, Loop
+from repro.mc import EnqueueBlock, EnqueueSync, Loop, SetMask, WaitController
 from repro.network import CircuitSwitchedNetwork, ExtraStageCubeTopology
-from repro.network.transfer import NetworkFabric, Pipe
+from repro.network.transfer import NetworkFabric, Pipe, TransferPort
 from repro.sim import Environment
 from tests.engines import CFG, ENGINES, result_signature
 
@@ -37,42 +49,67 @@ from tests.engines import CFG, ENGINES, result_signature
 # The recurrence on its own
 
 
+def _pipe(env, latency):
+    """A pipe between two fast-tier ports, its writer's and its reader's."""
+    return Pipe(env, latency, TransferPort(env, 0, True),
+                TransferPort(env, 1, True))
+
+
 def test_pipe_recurrence_by_hand():
     """Latency 10, reader slow: the fourth write waits for the first
     read (TX, mover and RX hold three bytes), and every term is the
     documented max."""
     env = Environment()
-    pipe = Pipe(env, 10)
+    pipe = _pipe(env, 10)
     # W_0 = 0; W_1 = max(1, G_0 = 0); W_2 = max(2, G_1 = P_0 = 10).
-    assert [pipe.write(t, v) for t, v in ((0, 1), (1, 2), (2, 3))] \
-        == [0, 1, 10]
-    assert pipe.write(3, 4) is None  # G_2 waits on P_1, so on R_0
-    ev = pipe.park_write(3, 4)
+    assert [pipe.settle(t, v) for t, v in ((0, 1), (1, 2), (2, 3))] \
+        == [(0, None), (1, None), (10, None)]
+    assert pipe.settle(3, 4) is None  # G_2 waits on P_1, so on R_0
+    ev = pipe.park(3, 4)
     assert pipe.horizon() == 20  # G_1 + L: the mover's latency timeout
     # R_0 = 100 settles P_1 = 100, G_2 = 100 and so W_3 = 100.
-    assert pipe.read(100) == (100, 1)
-    assert ev._value == 100 and pipe.carriers == 1
+    assert pipe.settle(100) == (100, 1)
+    assert ev._value == (100, None) and pipe.carriers == 1
     assert pipe.horizon() == 110  # G_2 + L
     assert not pipe.tx_ready(100)  # G_3 = P_2 = max(G_2 + 10, R_1)
-    assert pipe.read(101) == (101, 2)
+    assert pipe.settle(101) == (101, 2)
     assert pipe.tx_ready(111) and not pipe.tx_ready(110)  # G_3 = 110
     # P_2 = G_2 + 10 = 110: delivered at a sample at 110 only if the
     # latency timeout was scheduled (at G_2 = 100) before the access.
     assert not pipe.rx_valid(109, 4)
     assert pipe.rx_valid(110, 4) and not pipe.rx_valid(110, 10)
-    assert pipe.read(105) == (110, 3)
-    assert pipe.read(200) == (200, 4)  # P_3 = max(G_3 + 10, R_2) = 120
-    assert pipe.read(300) is None
+    assert pipe.settle(105) == (110, 3)
+    assert pipe.settle(200) == (200, 4)  # P_3 = max(G_3 + 10, R_2) = 120
+    assert pipe.settle(300) is None
+    assert (pipe.writer.bytes_sent, pipe.reader.bytes_received) == (4, 4)
+
+
+def test_pipe_status_waits_on_the_partner_clock():
+    """A status bit whose term is not settled is undecided (None) until
+    the partner PE's clock shows that no stamp of it lands before the
+    sample: the writer's clock for RX_VALID, the reader's for
+    TX_READY."""
+    env = Environment()
+    pipe = _pipe(env, 10)
+    assert pipe.rx_valid(50, 4) is None  # nothing written, writer at 0
+    pipe.writer.clock = 45  # its write lands at 45 at the earliest
+    assert pipe.rx_valid(50, 4) is False  # ... and arrives after 55
+    assert pipe.rx_valid(60, 4) is None
+    for t in (0, 1, 2):
+        pipe.settle(t, t)
+    assert pipe.tx_ready(30) is None  # G_2 waits on the first read
+    pipe.reader.clock = 30
+    assert pipe.tx_ready(30) is False
 
 
 def test_pipe_keeps_no_history():
     """A long transfer leaves the pipe the same size: settled terms are
     kept one per sequence, and only unread bytes are buffered."""
     env = Environment()
-    pipe = Pipe(env, 3)
+    pipe = _pipe(env, 3)
     for k in range(10_000):
-        assert pipe.write(10 * k, k) is not None
-        assert pipe.read(10 * k + 5) is not None
+        assert pipe.settle(10 * k, k) is not None
+        assert pipe.settle(10 * k + 5) is not None
     assert len(pipe._bytes) == 0
     assert not hasattr(pipe, "__dict__")
 
@@ -81,13 +118,14 @@ def test_unconnected_pipe_holds_one_byte():
     """A terminal with no circuit: the first byte sits in TX for good,
     the second write and every read park forever."""
     env = Environment()
-    pipe = Pipe(env, None)
+    port = TransferPort(env, 0, True)
+    pipe = port.tx_pipe
     assert pipe.tx_ready(0)
-    assert pipe.write(5, 1) == 5
-    assert not pipe.tx_ready(1e9)
-    assert pipe.write(6, 2) is None
-    assert pipe.read(7) is None
-    assert not pipe.rx_valid(1e9, 4)
+    assert pipe.settle(5, 1) == (5, None)
+    assert pipe.tx_ready(1e9) is False
+    assert pipe.settle(6, 2) is None
+    assert port.rx_pipe.settle(7) is None
+    assert port.rx_pipe.rx_valid(1e9, 4) is False
 
 
 def test_fast_fabric_has_no_mover_or_stores():
@@ -120,6 +158,10 @@ _SAMPLE = ("    MOVE.W  NETSTAT,D5", "    ADD.W   D5,D7", "    MULU    D5,D4")
 _WRITE = ("    MOVE.B  D2,NETTX",)
 _READ = ("    MOVE.B  NETRX,D3", "    ADD.W   D3,D6")
 
+#: Work ops a round draws between its accesses: private work, a status
+#: sample, and two samples back to back.
+_OPS = _WORK + ("sample", "sample2")
+
 
 @st.composite
 def _round(draw, label):
@@ -138,16 +180,19 @@ def _round(draw, label):
             r += 1
     ops = []
     for kind in order:
-        ops += draw(st.lists(st.sampled_from(_WORK + ("sample",)),
-                             max_size=3), label=f"{label}.work")
+        ops += draw(st.lists(st.sampled_from(_OPS), max_size=3),
+                    label=f"{label}.work")
         ops.append(kind)
     return ops
 
 
-def _lines(ops, *, poll: bool, delay, tag: str) -> list[str]:
-    """Assembly for ``ops``; ``poll`` guards each access with a
-    status-register loop (MIMD), ``delay`` draws an extra DBRA delay
-    before an access (None: no delays, for broadcast blocks)."""
+def _lines(ops, *, poll, delay, tag: str) -> list[str]:
+    """Assembly for ``ops``.  ``poll`` guards an access with a
+    status-register loop: False never, True always, or a callable drawn
+    per access — 0 no guard, 1 a guard, 2 a guard, private work, and the
+    guard again (a poll with no access after it).  ``delay`` draws an
+    extra DBRA delay before an access (None: no delays, for broadcast
+    blocks)."""
     lines = []
     for i, op in enumerate(ops):
         if op in ("w", "r"):
@@ -156,24 +201,31 @@ def _lines(ops, *, poll: bool, delay, tag: str) -> list[str]:
                 if n:
                     lines += [f"    MOVE.W  #{n},D0",
                               f"{tag}d{i}: DBRA D0,{tag}d{i}"]
-            if poll:
-                bit = 1 if op == "w" else 2
-                lines += [f"{tag}p{i}: MOVE.W  NETSTAT,D5",
-                          f"    AND.W   #{bit},D5", f"    BEQ     {tag}p{i}"]
+            guard = poll() if callable(poll) else int(poll)
+            bit = 1 if op == "w" else 2
+            for g in range(guard):
+                if g:
+                    lines.append(_WORK[1])
+                lines += [f"{tag}p{i}g{g}: MOVE.W  NETSTAT,D5",
+                          f"    AND.W   #{bit},D5", f"    BEQ     {tag}p{i}g{g}"]
             lines += list(_WRITE if op == "w" else _READ)
             if op == "w":
                 lines.append("    ADDQ.W  #1,D2")
         elif op == "sample":
             lines += list(_SAMPLE)
+        elif op == "sample2":
+            lines += list(_SAMPLE[:2] + _SAMPLE)
         else:
             lines.append(op)
     return lines
 
 
-def _cfg(p: int, latency: int, ws_status: int, ws_device: int):
+def _cfg(p: int, latency: int, ws_status: int, ws_device: int,
+         capacity: int = CFG.queue_capacity_words):
     # Partitions smaller than an MC group need smaller groups.
     return CFG.with_overrides(net_byte_latency=latency, ws_status=ws_status,
                               ws_device=ws_device,
+                              queue_capacity_words=capacity,
                               n_mcs=8 if p == 2 else CFG.n_mcs)
 
 
@@ -189,14 +241,16 @@ def _run(engine, cfg, mode, p, spec, *, traced, fault_plan=None) -> dict:
         machine.enable_tracing()
     machine.connect_shift_circuit()
     if mode == "simd":
-        rounds, trips, seeds = spec
+        rounds, trips, seeds, *stages = spec
         blocks_src = {"init": "    MOVE.W  $4000,D1\n    MOVE.W  D1,D2",
-                      "fini": "    HALT"}
+                      "fini": "    HALT",
+                      "bar": "    MOVE.W  SIMDSPACE,D0"}
         plan = [EnqueueBlock("init")]
         for i, (ops, n) in enumerate(zip(rounds, trips)):
             blocks_src[f"r{i}"] = "\n".join(
                 _lines(ops, poll=False, delay=None, tag=f"r{i}"))
-            plan.append(Loop(n, (EnqueueBlock(f"r{i}"),)))
+            kind, arg = stages[0][i] if stages else ("loop", None)
+            plan += _stage(kind, arg, f"r{i}", n, p, blocks_src)
         plan.append(EnqueueBlock("fini"))
         blocks = {name: assemble(src, predefined=cfg.device_symbols())
                   .instruction_list() for name, src in blocks_src.items()}
@@ -216,6 +270,43 @@ def _run(engine, cfg, mode, p, spec, *, traced, fault_plan=None) -> dict:
     return sig
 
 
+def _stage(kind, arg, block, n, p, blocks_src):
+    """MC ops running transfer block ``block`` ``n`` times, as stage
+    ``kind`` shapes it (``arg``: its drawn detail)."""
+    run = Loop(n, (EnqueueBlock(block),))
+    if kind == "mixed":  # transfers and private work in one loop body
+        blocks_src[f"{block}w"] = "\n".join(
+            _lines(arg, poll=False, delay=None, tag=f"{block}w"))
+        return [Loop(n, (EnqueueBlock(block), EnqueueBlock(f"{block}w")))]
+    if kind == "barrier":  # a barrier read and the sync word it consumes
+        return [run, EnqueueBlock("bar"), EnqueueSync(1)]
+    if kind == "wait":
+        return [WaitController(), run]
+    if kind == "masked":  # private work on a subset of the group
+        blocks_src[f"{block}m"] = "\n".join(
+            _lines(arg[1], poll=False, delay=None, tag=f"{block}m"))
+        return [WaitController(), SetMask(arg[0]),
+                Loop(n, (EnqueueBlock(f"{block}m"),)),
+                WaitController(), SetMask(tuple(range(p))), run]
+    return [run]
+
+
+@st.composite
+def _simd_stage(draw, label, p, groups):
+    """A stage kind for a SIMD round, and what it needs drawn."""
+    kinds = ["loop", "mixed", "barrier", "wait"] + (["masked"] if groups == 1
+                                                    else [])
+    kind = draw(st.sampled_from(kinds), label=f"{label}.kind")
+    work = st.lists(st.sampled_from(_OPS), min_size=1, max_size=4)
+    if kind == "mixed":
+        return kind, draw(work, label=f"{label}.work")
+    if kind == "masked":
+        mask = draw(st.sets(st.integers(0, p - 1), min_size=1),
+                    label=f"{label}.mask")
+        return kind, (tuple(sorted(mask)), draw(work, label=f"{label}.work"))
+    return kind, None
+
+
 @st.composite
 def _transfer_case(draw):
     mode = draw(st.sampled_from(["simd", "smimd", "mimd"]), label="mode")
@@ -228,16 +319,26 @@ def _transfer_case(draw):
     ws_device = draw(st.sampled_from([0, 1, 3]), label="ws_device")
     seeds = [draw(st.integers(0, 0xFFFF), label=f"seed{i}") for i in range(p)]
     n_rounds = draw(st.integers(1, 3), label="rounds")
+    capacity = draw(st.sampled_from([6, 16, CFG.queue_capacity_words]),
+                    label="capacity")
+    cfg = _cfg(p, latency, ws_status, ws_device, capacity)
     if mode == "simd":
+        groups = p // (cfg.n_pes // cfg.n_mcs)
         rounds = [draw(_round(f"r{i}")) for i in range(n_rounds)]
         trips = [draw(st.integers(1, 3), label=f"trips{i}")
                  for i in range(n_rounds)]
-        spec = (rounds, trips, seeds)
+        stages = [draw(_simd_stage(f"s{i}", p, groups))
+                  for i in range(n_rounds)]
+        spec = (rounds, trips, seeds, stages)
     else:
         # Barriers sit at round boundaries, the same ones on every PE.
         barrier_at = [mode == "smimd" and draw(st.booleans(),
                                                label=f"barrier{i}")
                       for i in range(n_rounds)]
+        # MIMD guards most accesses with a poll, some with two, and
+        # leaves some to block on the pipe.
+        guard = ((lambda: draw(st.sampled_from([0, 1, 1, 2]), label="guard"))
+                 if mode == "mimd" else False)
         js = [None] * n_rounds
         texts = []
         for pe in range(p):
@@ -252,11 +353,10 @@ def _transfer_case(draw):
                 if barrier_at[i]:
                     lines.append("    MOVE.W  SIMDSPACE,D0")
                 lines += _lines(
-                    ops, poll=mode == "mimd", tag=f"q{i}",
+                    ops, poll=guard, tag=f"q{i}",
                     delay=lambda: draw(st.integers(0, 12), label="delay"))
             texts.append("\n".join(lines + ["    HALT"]))
         spec = (texts, seeds, sum(barrier_at))
-    cfg = _cfg(p, latency, ws_status, ws_device)
     return mode, p, cfg, spec
 
 
