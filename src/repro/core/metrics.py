@@ -28,8 +28,3 @@ def efficiency(serial_cycles: float, parallel_cycles: float, p: int) -> float:
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     return speedup(serial_cycles, parallel_cycles) / p
-
-
-def is_superlinear(serial_cycles: float, parallel_cycles: float, p: int) -> bool:
-    """True when the speed-up-to-PE-count ratio exceeds one."""
-    return efficiency(serial_cycles, parallel_cycles, p) > 1.0

@@ -25,14 +25,17 @@ waiting PEs synchronously.  A PE parked on an instruction fetch is
 registered, re-stamped for its next fetch, without its generator
 resuming.  At most one heap event replaces the ~2·p (flush + succeed per
 PE) the event rendezvous costs, and ~p generator resumptions go with it.
+A run of register-only items, whose cost no release instant changes,
+each PE runs ahead PE-major, and the loop releases it from the recorded
+costs.
 
 The statistics (``queue_stats``) are defined from instants both tiers
 know — the admit instant ``a_k`` of item ``k``, its release instant
 ``T_r(k)`` and the arrival instants ``r_i(k)`` of the requests its mask's
 PEs make for it — never from the order the simulator handles events at
 one instant, and one pair of methods computes them on both tiers
-(:meth:`FetchUnitQueue._record_admit`,
-:meth:`FetchUnitQueue._account_release`):
+(:meth:`FetchUnitQueue._record_admit`, whose books the lockstep staging
+pump keeps inline, and :meth:`FetchUnitQueue._account_release`):
 
 * **empty stall**: item ``k`` adds
   ``max(0, a_k − max(T_r(k−1), min_i r_i(k)))``, with ``T_r(0) = 0`` —
@@ -71,6 +74,24 @@ class QueueItem:
 def sync_item(mask) -> QueueItem:
     """A one-word synchronization token for the barrier mechanism."""
     return QueueItem(payload=None, words=1, mask=frozenset(mask))
+
+
+class _Run:
+    """A register-only run the release loop ran ahead: its mask's
+    ``slots`` and CPUs, each PE's per-item ``costs``, their per-item
+    max and min, each PE's stamp at the run's first item, the run's
+    timecat, and the index of its next item to release."""
+
+    __slots__ = ("slots", "cpus", "costs", "maxc", "minc", "starts", "cat",
+                 "next")
+
+    def __init__(self, slots, cpus, costs, starts, cat) -> None:
+        self.slots, self.cpus, self.costs = slots, cpus, costs
+        columns = list(zip(*costs))
+        self.maxc = [max(col) for col in columns]
+        self.minc = [min(col) for col in columns]
+        self.starts, self.cat = starts, cat
+        self.next = 0
 
 
 class FetchUnitQueue:
@@ -140,6 +161,15 @@ class FetchUnitQueue:
         #: PE instructions the release loop stepped, the PE's generator
         #: left parked.
         self.broadcast_steps = 0
+        #: Of those, register-only ones run ahead of their release.
+        self.ahead_steps = 0
+        #: False keeps the release loop from running register-only items
+        #: ahead (set by a machine whose fault plan schedules a
+        #: fail-stop: a strike must find each PE where the event
+        #: schedule has it).
+        self.may_run_ahead = True
+        #: The register-only run being released, or None.
+        self._run: _Run | None = None
 
     # -- statistics ----------------------------------------------------
     def _record_admit(self, t: float, item: QueueItem) -> None:
@@ -290,14 +320,22 @@ class FetchUnitQueue:
         staged = self._staged
         while staged:
             item, cycles = staged[0]
-            if item.words > self.capacity_words - self._words_used:
+            words = item.words
+            if words > self.capacity_words - self._words_used:
                 return
             ready = self._stage_clock + cycles
             if free_at > ready:
                 ready = free_at
             staged.popleft()
             self._stage_clock = ready
-            self._admit_at(item, ready)
+            # The books of _record_admit, inline: one admit per release.
+            self._items.append(item)
+            self._admitted_at.append(ready)
+            self._item_words.append(words)
+            self._words_used += words
+            self.words_enqueued += words
+            if not self._releasing:  # a release cascade re-checks the head
+                self._schedule_release()
             if not staged and self.on_staged is not None:
                 self.on_staged()
 
@@ -461,8 +499,13 @@ class FetchUnitQueue:
         a step that reached an edge — is resumed with a value: the
         ``(item, t_r)`` pair, from which it rebases its local clock when
         ``t_r`` is ahead of env.now, or what the step handed back.  The
-        loop stays item-major: under DRAM refresh a PE's cost for an
-        item depends on that item's ``T_r``, so no PE can run ahead.
+        loop is item-major: under DRAM refresh a PE's cost for an item
+        that touches memory depends on that item's ``T_r``.  A
+        register-only item's cost does not (SIMD space is static RAM,
+        and it touches no memory), so when the head is one and every PE
+        of its mask is parked for stepping, each PE runs the whole run
+        of them ahead (:meth:`_start_run`) and the loop releases it from
+        the recorded costs (:meth:`_release_run`).
         """
         self._releasing = True
         env = self.env
@@ -478,6 +521,15 @@ class FetchUnitQueue:
                 mask = head.mask
                 if not mask <= requests.keys():
                     return
+                ins = head.payload
+                if self._run is not None or (
+                        ins is not None and self.may_run_ahead
+                        and ins._exec_handler_cache is not None
+                        and ins._exec_handler_cache.register_only
+                        and self._start_run(head)):
+                    if not self._release_run():
+                        return
+                    continue
                 stamps = [arrivals[s] for s in mask]
                 t_r = max(admitted[self.releases], self._last_release,
                           *stamps)
@@ -515,6 +567,116 @@ class FetchUnitQueue:
         finally:
             self._releasing = False
             self.broadcast_steps += steps
+
+    def _start_run(self, head: QueueItem) -> bool:
+        """Run the register-only run at the head ahead of its release,
+        if every PE of its mask is parked for stepping: the admitted
+        items from the head on that share its mask and timecat and are
+        register-only, cut before the first that would take a PE's pc
+        out of SIMD space.  Each PE runs the whole run PE-major
+        (:meth:`~repro.m68k.cpu.CPU.run_ahead`) and the run's costs are
+        kept for :meth:`_release_run`.  False when no run of two or
+        more items starts.
+        """
+        mask = head.mask
+        cat = head.payload.timecat
+        steps = []
+        offset = words = 0
+        for item in self._items:
+            ins = item.payload
+            if (item.mask is not mask and item.mask != mask) or ins is None:
+                break
+            h = ins._exec_handler_cache
+            if h is None or not h.register_only or ins.timecat != cat:
+                break
+            w = ins._encoded_words_cache
+            if w is None:
+                w = ins.encoded_words()
+            steps.append((h, offset, offset + 2 * w, item.words))
+            offset += 2 * w
+            words += item.words
+        if len(steps) < 2:
+            return False
+        requests, steppers = self._requests, self._steppers
+        cpus = []
+        for slot in mask:
+            stepper = steppers.get(slot)
+            if stepper is None or not requests[slot].callbacks:
+                return False  # resumed with a value, not stepped
+            cpu = stepper.__self__
+            if cpu.bus.trace_waits:
+                return False
+            cpus.append(cpu)
+        for cpu in cpus:  # the pc stays in SIMD space after each step
+            room = cpu.bus._simd_bounds[1] - cpu.regs.pc
+            while steps and steps[-1][2] >= room:
+                words -= steps.pop()[3]
+        if len(steps) < 2:
+            return False
+        costs = [cpu.run_ahead(steps, words) for cpu in cpus]
+        self.ahead_steps += len(steps) * len(cpus)
+        self.broadcast_steps += len(steps) * len(cpus)
+        arrivals = self._arrivals
+        self._run = _Run(list(mask), cpus, costs,
+                         [arrivals[s] for s in mask], cat)
+        return True
+
+    def _release_run(self) -> bool:
+        """Release the pending register-only run item by item from its
+        recorded costs ``c_i(j)``, with the books, staging pump and heap
+        bound of :meth:`_run_releases`:
+        ``T_r(j) = max(a_j, T_r(j−1) + max_i c_i(j−1))``, and the mask's
+        first arrival for the empty stall is ``T_r(j−1) + min_i
+        c_i(j−1)``.  A release not due before the next heap event
+        schedules its carrier and returns False, the PEs' arrivals
+        written back; the carrier's loop resumes the run.  At the end
+        each PE's next fetch is stamped and its run's time added to its
+        category, telescoped from the run's first stamp.
+        """
+        run = self._run
+        env = self.env
+        items = self._items
+        admitted = self._admitted_at
+        arrivals = self._arrivals
+        slots, costs = run.slots, run.costs
+        maxc, minc = run.maxc, run.minc
+        j, n = run.next, len(maxc)
+        t_prev = self._last_release
+        while j < n:
+            if j:
+                t_r = t_prev + maxc[j - 1]
+                first = t_prev + minc[j - 1]
+                a = admitted[self.releases]
+                if a > t_r:
+                    t_r = a
+            else:
+                stamps = [arrivals[s] for s in slots]
+                t_r = max(admitted[self.releases], t_prev, *stamps)
+                first = min(stamps)
+            now = env.now
+            if t_r < now:
+                t_r = now
+            elif t_r > now and not t_r < env.peek():
+                run.next = j
+                if j:
+                    for slot, c in zip(slots, costs):
+                        arrivals[slot] = t_prev + c[j - 1]
+                self._schedule_carrier(t_r)
+                return False
+            self._account_release(items[0], t_r, first)
+            self.lockstep_releases += 1
+            self.lockstep_batch_pes += len(slots)
+            if self._staged:
+                self._pump_staging(t_r)
+            t_prev = t_r
+            j += 1
+        for slot, cpu, c, start in zip(slots, run.cpus, costs, run.starts):
+            end = t_prev + c[-1]
+            arrivals[slot] = end
+            cats = cpu.category_cycles
+            cats[run.cat] = cats.get(run.cat, 0.0) + (end - start)
+        self._run = None
+        return True
 
     def _refill_from_waiters(self) -> None:
         """Pure events: admit blocked enqueues as far as space allows."""

@@ -199,18 +199,3 @@ def ea_timing(operand: Operand, size_bytes: int) -> EATime:
     accesses.
     """
     return _ea_time_cached(operand.mode, size_bytes == 4)
-
-
-def ea_address_only_timing(operand: Operand) -> EATime:
-    """EA cost when only the *address* is computed (e.g. write-only dest).
-
-    Used for destinations of MOVE/CLR-style instructions where the manual
-    folds the address calculation into the instruction's own table; exposed
-    for completeness and the macro model's static block analysis.
-    """
-    full = ea_timing(operand, 2)
-    return EATime(
-        cycles=full.cycles - 4 * full.data_reads,
-        stream_words=full.stream_words,
-        data_reads=0,
-    )

@@ -71,8 +71,10 @@ queue/rendezvous stalls, device blocking).
 from __future__ import annotations
 
 import enum
+import inspect
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 from repro.errors import BusError, IllegalInstructionError, SimulationError
 from repro.m68k.addressing import Mode, Operand, extension_words
@@ -382,10 +384,31 @@ class CPU:
                 if chain is None:
                     chain = self._build_chain(self.regs.pc)
                     chains[self.regs.pc] = chain
-                if chain:
+                chain, count = chain
+                if count:
                     # -- chain replay: same arithmetic as the per-
                     # instruction path below, minus fetch and lookup ----
                     for pc, instr, w, base, npc, h, cat in chain:
+                        if h is None:
+                            # A register-only run (``base`` holds its
+                            # steps): the absolute clock in a local, the
+                            # closed-form refresh stall per fetch, and
+                            # the books once per run.
+                            t = start = env.now + bus._local
+                            for spc, sbase, snpc, sh in base:
+                                if ref_steal:
+                                    phase = t % ref_period
+                                    if phase < ref_steal:
+                                        t += ref_steal - phase
+                                t += sbase + sh(self, spc, snpc).internal_cycles
+                            bus._local = t - env.now
+                            bus.stream_accesses += w
+                            self.regs.pc = npc
+                            try:
+                                cats[cat] += t - start
+                            except KeyError:
+                                cats[cat] = t - start
+                            continue
                         start = env.now + bus._local
                         # The fetch: LocalTimeBus._ram_cycles, inlined
                         # (the MIMD hot loop).
@@ -416,7 +439,7 @@ class CPU:
                             cats[cat] += end - start
                         except KeyError:
                             cats[cat] = end - start
-                    self.instruction_count += len(chain)
+                    self.instruction_count += count
                     continue  # chain ended at control flow / HALT / region edge
             # -- one instruction: fetch, dispatch, time ---------------
             start = env.now + bus._local
@@ -574,17 +597,50 @@ class CPU:
             return end
         return None
 
+    def run_ahead(self, steps, words: int) -> list:
+        """Run register-only broadcast instructions ahead of their
+        release, PE-major, and return each one's cost.
+
+        ``steps`` holds one ``(handler, offset, next_offset, words)``
+        entry per instruction, the offsets from the PE's pc; ``words`` is
+        their total.  Each instruction's cost is its fetch from SIMD
+        space's static RAM plus its internal cycles, which no release
+        instant changes, and it touches only this PE's registers, so
+        running it early changes nothing another PE or device sees
+        (:meth:`repro.fetch_unit.queue.FetchUnitQueue._run_releases`).
+        The PE's books are settled here but for its category time,
+        which the releases decide; its pc ends past the run.
+        """
+        regs = self.regs
+        pc = regs.pc
+        bus = self.bus
+        ws = 4 + bus._simd_ws
+        costs = [n * ws + h(self, pc + a, pc + b).internal_cycles
+                 for h, a, b, n in steps]
+        regs.pc = pc + steps[-1][2]
+        k = len(steps)
+        self.instruction_count += k
+        bus.queue_fetches += words
+        bus.stream_accesses += words
+        bus.lockstep_rendezvous += k
+        return costs
+
     # ------------------------------------------------------------------
-    def _build_chain(self, pc: int) -> list:
+    def _build_chain(self, pc: int) -> tuple:
         """Decode the straight-line main-RAM run starting at ``pc``.
 
-        Returns pre-resolved ``(pc, instr, words, fetch_base, next_pc,
-        handler, timecat)`` entries for every consecutive instruction up
-        to (exclusive) the first control-flow instruction, HALT, or
-        non-main-RAM address; empty when ``pc`` itself is not chainable
+        Returns ``(entries, count)``: pre-resolved ``(pc, instr, words,
+        fetch_base, next_pc, handler, timecat)`` entries for every
+        consecutive instruction up to (exclusive) the first control-flow
+        instruction, HALT, or non-main-RAM address, and the number of
+        instructions; no entries when ``pc`` itself is not chainable
         (the caller then takes the per-instruction path).
         ``fetch_base`` is the refresh-free fetch charge — the replay adds
         the closed-form refresh stall, which depends on absolute time.
+        A maximal run of two or more register-only entries of one
+        timecat becomes one ``(pc, None, words, steps, next_pc, None,
+        timecat)`` entry, its ``steps`` the ``(pc, fetch_base, next_pc,
+        handler)`` of each instruction and ``words`` their total.
         """
         from repro.memory.map import RegionKind
 
@@ -614,7 +670,17 @@ class CPU:
                  instr.timecat)
             )
             pc = next_pc
-        return entries
+        chain: list = []
+        for (reg_only, cat), run in groupby(
+                entries, key=lambda e: (e[5].register_only, e[6])):
+            run = list(run)
+            if reg_only and len(run) > 1:
+                chain.append((run[0][0], None, sum(e[2] for e in run),
+                              tuple((e[0], e[3], e[4], e[5]) for e in run),
+                              run[-1][4], None, cat))
+            else:
+                chain.extend(run)
+        return chain, len(entries)
 
     # -- operand access for the generator handlers ----------------------
     def _load(self, addr: int, size: int):
@@ -1483,16 +1549,39 @@ _COMPILERS = {
 
 @lru_cache(maxsize=4096)
 def _compiled(mnemonic, size, operands, target, reg_list, movem_store):
-    """The handler of an instruction with these fields.
+    """The handler of an instruction with these fields, its
+    ``register_only`` attribute set (:func:`_register_only`).
 
     Equal instructions share one handler (a matmul program repeats
     ``MULU D1,D5`` m times, and every build of a program repeats all of
     them), so the closures cost memory per distinct form, not per
     instruction.  The compiler sees only the fields of the key.
     """
-    return _COMPILERS[mnemonic](Instruction(
-        mnemonic, size, operands, target, reg_list=reg_list,
-        movem_store=movem_store))
+    instr = Instruction(mnemonic, size, operands, target, reg_list=reg_list,
+                        movem_store=movem_store)
+    handler = _COMPILERS[mnemonic](instr)
+    handler.register_only = _register_only(instr, handler)
+    return handler
+
+
+def _register_only(instr: Instruction, handler) -> bool:
+    """The register-only rule: ``handler`` is a plain call that returns
+    ``instr``'s TimingInfo, and ``instr`` has no memory operand, is not
+    control flow or HALT, and cannot raise (no divide).
+
+    Such an instruction reads and writes only its CPU's registers, and
+    its cost is its fetch plus internal cycles that depend on register
+    values alone: its instruction-stream words are its encoded words
+    in every timing variant (the shift count and the multiplier change
+    internal cycles only).  The broadcast release loop runs it ahead of
+    its release, and a chain replays a run of them on a local clock.
+    """
+    m = instr.mnemonic
+    return (not inspect.isgeneratorfunction(handler)
+            and m not in _CHAIN_BREAKERS and m not in ("DIVU", "DIVS")
+            and not any(op.mode.is_memory for op in instr.operands)
+            and instruction_timing(instr, shift_count=0, src_value=0)
+            .stream_words == instr.encoded_words())
 
 
 def _resolve_handler(instr: Instruction):

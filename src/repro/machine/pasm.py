@@ -278,6 +278,11 @@ class PASMMachine:
         strikes: dict[int, float] = {}
         if self.fault_plan is not None:
             strikes = {fs.pe: fs.at for fs in self.fault_plan.failstops}
+        if strikes:
+            # A strike must find every PE where the event schedule has
+            # it: no broadcast instruction runs ahead of its release.
+            for queue in self.queues.values():
+                queue.may_run_ahead = False
         procs = []
         for pe in self.pes:
             at = strikes.get(pe.physical_id)

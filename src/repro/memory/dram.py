@@ -70,24 +70,6 @@ class RefreshModel:
         """
         return self.period, self.steal
 
-    def batch_stall_cycles(self, start: float, burst_offsets) -> float:
-        """Closed-form total stall for bursts starting at known offsets.
-
-        ``burst_offsets`` are cycle offsets (relative to ``start``) at
-        which independent access bursts begin, assuming earlier stalls
-        are already folded into later offsets.  Used by analysis code
-        that replays an access schedule without stepping events.
-        """
-        if self.steal == 0:
-            return 0.0
-        total = 0.0
-        period, steal = self.period, self.steal
-        for off in burst_offsets:
-            phase = (start + off) % period
-            if phase < steal:
-                total += steal - phase
-        return total
-
     @property
     def average_stall_per_access(self) -> float:
         """Expected stall for an access at a uniformly random phase."""

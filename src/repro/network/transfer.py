@@ -269,7 +269,7 @@ class StatusRegister(StampedChannel):
         self.env = env
         self.port = port
         self.c = c  #: cycles of one access
-        self._parked = None  #: ``(t, event, sample)`` of a parked read
+        self._parked = None  #: ``(t, event)`` of a parked read
 
     def settle(self, stamp: float):
         """``(stamp, status)`` once both bits are decided, else None."""
@@ -288,7 +288,7 @@ class StatusRegister(StampedChannel):
 
         ev.callbacks.append(sample)
         self.env.schedule(ev, t - self.env.now)
-        self._parked = (t, ev, sample)
+        self._parked = (t, ev)
         return ev
 
     def poke(self) -> None:
@@ -297,7 +297,7 @@ class StatusRegister(StampedChannel):
         parked, env = self._parked, self.env
         if (parked and env.resume_depth < _MAX_WAKE_DEPTH
                 and self.sample(parked[0]) is not None):
-            env.withdraw(parked[2])
+            env.cancel(parked[1])
             env.resume_depth += 1
             try:
                 fire_event(parked[1], None)

@@ -100,11 +100,13 @@ def machine_counters(machine: "PASMMachine") -> dict[str, int | bool]:
     lockstep_batch_pes = 0
     lockstep_carriers = 0
     broadcast_steps = 0
+    ahead_steps = 0
     for queue in getattr(machine, "queues", {}).values():
         lockstep_releases += getattr(queue, "lockstep_releases", 0)
         lockstep_batch_pes += getattr(queue, "lockstep_batch_pes", 0)
         lockstep_carriers += getattr(queue, "lockstep_carriers", 0)
         broadcast_steps += getattr(queue, "broadcast_steps", 0)
+        ahead_steps += getattr(queue, "ahead_steps", 0)
     fabric = getattr(machine, "fabric", None)
     net_carriers = (sum(pipe.carriers for pipe in fabric.pipes())
                     if fabric is not None else 0)
@@ -123,6 +125,9 @@ def machine_counters(machine: "PASMMachine") -> dict[str, int | bool]:
         # PE instructions the queue's release loop stepped, without
         # resuming the PE's generator.
         "broadcast_steps": broadcast_steps,
+        # Of those, register-only instructions run ahead of their
+        # release, PE-major.
+        "ahead_steps": ahead_steps,
         # Network accesses that parked on a pipe until a partner PE's
         # stamp settled them, each served by one carrier event (the fast
         # tier's only heap traffic for transfers but status sampling).

@@ -235,6 +235,23 @@ class Environment:
             heapq.heapify(keep)
             queue[:] = keep
 
+    def cancel(self, event: Event) -> None:
+        """Drop the scheduled ``event`` if it is due after now, as
+        :meth:`withdraw` would, without rebuilding the heap: its entry
+        leaves the heap's list and the entry put in its place is sifted
+        along one path."""
+        queue = self._queue
+        for i, entry in enumerate(queue):
+            if entry[2] is event:
+                if entry[0] <= self.now:
+                    return  # due now: it precedes the caller's own work
+                last = queue.pop()
+                if i < len(queue):
+                    queue[i] = last
+                    heapq._siftup(queue, i)
+                    heapq._siftdown(queue, 0, i)
+                return
+
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` when queue is empty)."""
         return self._queue[0][0] if self._queue else float("inf")

@@ -35,7 +35,9 @@ from hypothesis import strategies as st
 
 from repro.errors import BusError, PEFailStopError
 from repro.faults import FaultPlan, PEFailStop, representative_fault_plan
+from repro.fetch_unit.queue import FetchUnitQueue
 from repro.m68k.assembler import assemble
+from repro.m68k.cpu import CPU
 from repro.machine import ExecutionMode, PASMMachine
 from repro.machine.partition import Partition
 from repro.mc import EnqueueBlock, EnqueueSync, Loop, SetMask, WaitController
@@ -375,15 +377,17 @@ def _simd_signature(engine: str, plan, blocks_src, seeds,
 
 
 def _run_simd_program(engine: str, plan, blocks_src, seeds,
-                      pe_text="    HALT", fault_plan=None, circuit=False):
+                      pe_text="    HALT", fault_plan=None, circuit=False,
+                      cfg=None):
     """Run a SIMD program on one engine tier: ``(machine, signature)``.
 
     ``pe_text`` is the code in each PE's main RAM, at $1000, for
     broadcast jumps out of SIMD space; each PE's multiplier seed is the
     word at $4000, and the words from $4100 on are fingerprinted for
     broadcast stores.  ``circuit`` connects the shift-by-one circuit
-    for ``NETTX``/``NETRX`` transfers."""
-    machine = make_machine(4, engine, fault_plan=fault_plan)
+    for ``NETTX``/``NETRX`` transfers; ``cfg`` replaces the calibrated
+    configuration."""
+    machine = make_machine(4, engine, cfg=cfg, fault_plan=fault_plan)
     if circuit:
         machine.connect_shift_circuit()
     data_programs = [
@@ -580,6 +584,152 @@ def test_release_run_with_mortal_pe_identical():
     assert 0 < stepped <= sum(sig["icount"]) - sig["icount"][1]
 
 
+# ---------------------------------------------------------------------------
+# Register-only runs: the release loop runs a run of register-only items
+# ahead of its release, each PE through the whole run, and releases it
+# from the recorded costs.  Each program below puts one corner of that
+# in a run: a one-PE mask, a carrier due mid-run, a queue that runs dry
+# mid-run, a timecat change, a HALT; a fail-stop plan keeps every run in
+# step.
+_REG_RUN = "\n".join(["    MULU    D1,D2", "    ADDQ.W  #1,D3",
+                      "    MULU    D1,D3", "    LSR.W   #1,D2"] * 4)
+
+#: ``name: (plan, blocks, seeds, cfg)``.
+AHEAD_RUNS = {
+    "one-pe-mask": (_simd_plan([((2,), "run", 3), (_ALL, "run", 1)]),
+                    {"run": _REG_RUN}, _SEEDS_SPREAD, None),
+    # Zero multipliers outpace the MC, whose waits land on the heap
+    # inside runs: the release loop stops mid-run for a carrier and
+    # the carrier resumes it from the recorded costs.
+    "carrier-mid-run": (_edge_plan((_ALL, "run", 4), WaitController(),
+                                   (_ALL, "run", 2)),
+                        {"run": _REG_RUN}, [0, 0, 0, 0], None),
+    # A controller of 40 cycles a word admits items after the fastest
+    # PE asks for them: the empty stall inside a run counts from the
+    # first arrival, the previous release plus the cheapest cost.
+    "queue-runs-dry": (_simd_plan([(_ALL, "run", 2)]), {"run": _REG_RUN},
+                       _SEEDS_SPREAD,
+                       CFG.with_overrides(controller_cycles_per_word=40)),
+    # A run ends where the timecat changes; the next run starts there.
+    "two-timecats": (_simd_plan([(_ALL, "cats", 3)]),
+                     {"cats": "    .timecat mult\n" + _REG_RUN
+                              + "\n    .timecat comm\n" + _MUL},
+                     _SEEDS_SPREAD, None),
+    # The last block's HALT is not register-only: the run before it
+    # ends one item short of it.
+    "halt": (_edge_plan((_ALL, "run", 2), end="stop"),
+             {"run": _REG_RUN, "stop": _MUL + "\n    HALT\n" + _MUL},
+             _SEEDS_SPREAD, None),
+}
+
+
+@pytest.mark.parametrize("name", list(AHEAD_RUNS))
+def test_register_only_run_identical(name, monkeypatch):
+    """Each run is released from its recorded costs with the books of
+    the item-by-item loop: full signatures, ``queue_stats`` included,
+    equal pure events'.  The carrier case is stopped mid-run at least
+    once."""
+    cuts = []
+    release_run = FetchUnitQueue._release_run
+
+    def counted(queue):
+        done = release_run(queue)
+        if not done:
+            cuts.append(queue._run.next)
+        return done
+
+    monkeypatch.setattr(FetchUnitQueue, "_release_run", counted)
+    plan, blocks_src, seeds, cfg = AHEAD_RUNS[name]
+    machine, sig = _run_simd_program("lockstep", plan, blocks_src, seeds,
+                                     cfg=cfg)
+    _, pure = _run_simd_program("pure-events", plan, blocks_src, seeds,
+                                cfg=cfg)
+    assert sig == pure
+    counters = machine_counters(machine)
+    assert 0 < counters["ahead_steps"] <= counters["broadcast_steps"]
+    if name == "carrier-mid-run":
+        assert any(j > 0 for j in cuts)
+
+
+def test_register_only_run_with_mortal_pe():
+    """A machine whose fault plan schedules a fail-stop runs nothing
+    ahead, also where the mortal PE is outside the run's mask: a strike
+    must find every PE where the event schedule has it.  The PEs that
+    may not fail are still stepped, and the signature holds."""
+    victim = Partition(CFG, 4).physical_pe(1)
+    fault_plan = FaultPlan(failstops=(PEFailStop(victim, 1e9),))
+    plan = _edge_plan(((0, 2), "run", 3), (_ALL, "run", 1))
+    blocks_src = {"run": _REG_RUN}
+    machine, sig = _run_simd_program("lockstep", plan, blocks_src,
+                                     _SEEDS_SPREAD, fault_plan=fault_plan)
+    _, pure = _run_simd_program("pure-events", plan, blocks_src,
+                                _SEEDS_SPREAD, fault_plan=fault_plan)
+    assert sig == pure
+    counters = machine_counters(machine)
+    assert counters["ahead_steps"] == 0 < counters["broadcast_steps"]
+
+
+def test_register_only_run_stops_at_simd_space_edge(monkeypatch):
+    """A 64-byte SIMD space: the PEs' pcs reach its end inside a run.
+    No PE runs ahead past the last item that keeps its pc inside, the
+    item at the edge takes it out, and the fetch beyond raises the same
+    BusError on both tiers."""
+    cfg = CFG.with_overrides(simd_space_size=0x40)
+    edge = cfg.simd_space_base + cfg.simd_space_size
+    ends = []
+    run_ahead = CPU.run_ahead
+
+    def recorded(cpu, steps, words):
+        costs = run_ahead(cpu, steps, words)
+        ends.append(cpu.regs.pc)
+        return costs
+
+    monkeypatch.setattr(CPU, "run_ahead", recorded)
+    errors = []
+    for engine in ENGINE_TIERS:
+        with pytest.raises(BusError) as exc_info:
+            _run_simd_program(engine, _simd_plan([(_ALL, "run", 4)]),
+                              {"run": _REG_RUN}, _SEEDS_SPREAD, cfg=cfg)
+        errors.append(str(exc_info.value))
+    assert errors[0] == errors[1]
+    assert ends and max(ends) < edge
+
+
+def test_mimd_register_only_chain_crosses_refresh_identical():
+    """A MIMD loop whose body is one register-only run of twelve
+    instructions, thirty trips: the chain replays the run on a local
+    clock, paying the closed-form refresh stall per fetch across many
+    refresh periods, and the full signature equals pure events'."""
+    body = "\n".join(["    MULU    D1,D2", "    ADDQ.W  #1,D3",
+                      "    MULU    D1,D3", "    LSR.W   #1,D2"] * 3)
+    pe_text = ("    .timecat mult\n    MOVEQ   #29,D6\nloop:\n" + body
+               + "\n    DBRA    D6,loop\n    JMP     SIMDSPACE")
+    plan = _edge_plan((_ALL, "go", 1))
+    blocks_src = {"go": "    JMP     $1000"}
+    machine, sig = _run_simd_program("lockstep", plan, blocks_src,
+                                     _SEEDS_SPREAD, pe_text)
+    _, pure = _run_simd_program("pure-events", plan, blocks_src,
+                                _SEEDS_SPREAD, pe_text)
+    assert sig == pure
+    assert CFG.refresh.inline_constants()[1] > 0  # refresh is on
+    assert sig["cats"][0]["mult"] > 30 * CFG.refresh.period
+    runs = [entry for chain, _ in machine.pe(0).cpu._chain_cache.values()
+            for entry in chain if entry[5] is None]
+    # From the entry, MOVEQ and the body; from the loop head, the body.
+    assert sorted(len(entry[3]) for entry in runs) == [12, 13]
+
+
+def test_ahead_steps_cover_the_added_multiplies():
+    """In the n=16, p=4, m=20 SIMD matmul the register-only runs (the
+    real and the twenty added MULUs of each inner-loop body, 81% of the
+    instructions) run ahead of their release, nearly all of them."""
+    machine, run = run_matmul_on(ExecutionMode.SIMD, 16, 4, "lockstep",
+                                 m=20)
+    counters = machine_counters(machine)
+    assert counters["ahead_steps"] >= 0.75 * run.result.instructions
+    assert counters["ahead_steps"] <= counters["broadcast_steps"]
+
+
 _BODY_VOCAB = (
     "    ADDQ.W  #1,D2",
     "    MULU    D1,D2",
@@ -587,6 +737,17 @@ _BODY_VOCAB = (
     "    MOVE.W  D2,D3",
     "    ADD.W   D3,D2",
     "    LSR.W   #2,D2",
+)
+
+#: Register-only forms of other families, for long runs.
+_REGISTER_VOCAB = _BODY_VOCAB + (
+    "    MULS    D1,D3",
+    "    ROL.W   D1,D2",
+    "    MOVEQ   #5,D4",
+    "    EXG     D2,D4",
+    "    SUBI.W  #3,D3",
+    "    ADDA.W  D2,A2",
+    "    MOVE.W  A2,D3",
 )
 
 
@@ -628,6 +789,20 @@ def test_random_simd_programs_identical(program):
     multiplier seeds: the lockstep schedule equals the pure-event
     schedule, signature for signature.  (Programs mixing in per-PE-effect
     instructions are drawn in ``tests/test_vectorized.py``.)"""
+    assert_tiers_agree(program)
+
+
+#: Long register-only runs: bodies of up to 24 instructions, most of
+#: each block one run.
+long_runs = simd_programs(vocab=_REGISTER_VOCAB, max_body=24)
+
+
+@settings(deadline=None, max_examples=25)
+@given(program=long_runs)
+def test_random_register_only_runs_identical(program):
+    """Random long register-only blocks, masks, trips and seeds: the
+    runs the release loop runs ahead release at the pure-event
+    schedule's instants, signature for signature."""
     assert_tiers_agree(program)
 
 

@@ -94,6 +94,29 @@ def test_withdraw_drops_the_later_events_of_a_callback():
     assert log == ["a"] and env.now == 0
 
 
+def test_cancel_drops_one_event_and_keeps_the_heap_order():
+    """``cancel`` takes one scheduled event off the heap (an event due
+    now stays, as with ``withdraw``); the rest pop in (time, schedule)
+    order, and ``peek`` never reports the cancelled one."""
+    env = Environment()
+    fired = []
+    events = {}
+    for name, delay in [("a", 5), ("b", 1), ("c", 9), ("d", 3), ("e", 3),
+                        ("f", 7), ("now", 0)]:
+        ev = events[name] = env.event(name=name)
+        ev.callbacks.append(lambda e: fired.append(e.name))
+        env.schedule(ev, delay)
+    env.cancel(events["b"])  # the heap's root
+    env.cancel(events["f"])
+    env.cancel(events["now"])  # due now: it stays
+    assert env.peek() == 0
+    env.step()
+    assert env.peek() == 3
+    env.run()
+    assert fired == ["now", "d", "e", "a", "c"]
+    assert env.events_processed == 5
+
+
 def test_processes_interleave_in_time_order():
     env = Environment()
     log = []

@@ -30,6 +30,7 @@ from tests.test_lockstep_differential import (
     _ALL,
     _simd_plan,
     assert_tiers_agree,
+    long_runs,
     simd_programs,
 )
 
@@ -132,9 +133,12 @@ def test_random_seam_programs_identical(program):
 
 @pytest.mark.slow
 @settings(deadline=None, max_examples=5_000)
-@given(simd=simd_programs(), seam=seam_programs)
-def test_random_simd_and_seam_programs_identical_deep(simd, seam):
-    """The two random-program properties above at 5,000 examples each:
-    full signatures, ``queue_stats`` included, agree on both tiers."""
+@given(simd=simd_programs(), seam=seam_programs, long=long_runs)
+def test_random_simd_and_seam_programs_identical_deep(simd, seam, long):
+    """The random-program properties above, the long register-only runs
+    of ``tests/test_lockstep_differential.py`` included, at 5,000
+    examples each: full signatures, ``queue_stats`` included, agree on
+    both tiers."""
     assert_tiers_agree(simd)
     assert_tiers_agree(seam)
+    assert_tiers_agree(long)
