@@ -524,8 +524,8 @@ class FetchUnitQueue:
                 ins = head.payload
                 if self._run is not None or (
                         ins is not None and self.may_run_ahead
-                        and ins._exec_handler_cache is not None
-                        and ins._exec_handler_cache.register_only
+                        and getattr(ins._exec_handler_cache,
+                                    "register_only", False)
                         and self._start_run(head)):
                     if not self._release_run():
                         return
@@ -640,7 +640,10 @@ class FetchUnitQueue:
         arrivals = self._arrivals
         slots, costs = run.slots, run.costs
         maxc, minc = run.maxc, run.minc
+        account, pump, staged = (self._account_release, self._pump_staging,
+                                 self._staged)
         j, n = run.next, len(maxc)
+        start = j
         t_prev = self._last_release
         while j < n:
             if j:
@@ -657,24 +660,26 @@ class FetchUnitQueue:
             if t_r < now:
                 t_r = now
             elif t_r > now and not t_r < env.peek():
-                run.next = j
-                if j:
-                    for slot, c in zip(slots, costs):
-                        arrivals[slot] = t_prev + c[j - 1]
-                self._schedule_carrier(t_r)
-                return False
-            self._account_release(items[0], t_r, first)
-            self.lockstep_releases += 1
-            self.lockstep_batch_pes += len(slots)
-            if self._staged:
-                self._pump_staging(t_r)
+                break
+            account(items[0], t_r, first)
+            if staged:
+                pump(t_r)
             t_prev = t_r
             j += 1
-        for slot, cpu, c, start in zip(slots, run.cpus, costs, run.starts):
+        self.lockstep_releases += j - start
+        self.lockstep_batch_pes += (j - start) * len(slots)
+        if j < n:
+            run.next = j
+            if j:
+                for slot, c in zip(slots, costs):
+                    arrivals[slot] = t_prev + c[j - 1]
+            self._schedule_carrier(t_r)
+            return False
+        for slot, cpu, c, first in zip(slots, run.cpus, costs, run.starts):
             end = t_prev + c[-1]
             arrivals[slot] = end
             cats = cpu.category_cycles
-            cats[run.cat] = cats.get(run.cat, 0.0) + (end - start)
+            cats[run.cat] = cats.get(run.cat, 0.0) + (end - first)
         self._run = None
         return True
 

@@ -247,7 +247,7 @@ class Environment:
                     return  # due now: it precedes the caller's own work
                 last = queue.pop()
                 if i < len(queue):
-                    queue[i] = last
+                    queue[i] = last  # heapq's own sift helpers restore it
                     heapq._siftup(queue, i)
                     heapq._siftdown(queue, 0, i)
                 return

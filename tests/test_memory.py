@@ -47,6 +47,31 @@ class TestMemoryModule:
         m.write(0, 0x1_FFFF, 2)
         assert m.read(0, 2) == 0xFFFF
 
+    def test_pe_bus_fast_twins_match_the_module(self):
+        """The PE bus's fast twins read and write an aligned word from
+        the module's bytes, and hand every other access to the module:
+        the same values, the same errors, each access charged."""
+        from repro.machine import PrototypeConfig
+        from repro.pe.processing_element import ProcessingElement
+        from repro.sim import Environment
+
+        cfg = PrototypeConfig.calibrated()
+        bus = ProcessingElement(Environment(), cfg, 0, fast_path=True).bus
+        top = cfg.ram_size - 2
+        assert bus.try_write(top, -2, 2)  # masked like MemoryModule.write
+        assert bus.memory.read(top, 2) == 0xFFFE
+        assert bus.try_write(0x100, 0x1234_5678, 4)
+        assert bus.try_write(0x105, 0xAB, 1)
+        assert bus.try_read(top, 2) == 0xFFFE
+        assert bus.try_read(0x102, 2) == 0x5678
+        assert bus.try_read(0x100, 4) == 0x1234_5678
+        assert bus.try_read(0x105, 1) == 0xAB
+        assert bus.data_accesses == 9  # a long is two accesses
+        with pytest.raises(AddressError, match="misaligned"):
+            bus.try_read(0x101, 2)
+        with pytest.raises(AddressError, match="misaligned"):
+            bus.try_write(0x101, 1, 2)
+
     def test_word_array_roundtrip(self):
         m = MemoryModule(64)
         values = np.array([1, 2, 0xFFFF, 42], dtype=np.uint16)
