@@ -505,7 +505,13 @@ class FetchUnitQueue:
         and it touches no memory), so when the head is one and every PE
         of its mask is parked for stepping, each PE runs the whole run
         of them ahead (:meth:`_start_run`) and the loop releases it from
-        the recorded costs (:meth:`_release_run`).
+        the recorded costs ``c_i(j)``: PE i asks for item ``j`` at
+        ``T_r(j−1) + c_i(j−1)``, so ``T_r(j) = max(a_j, T_r(j−1) + max_i
+        c_i(j−1))`` and the empty stall's first arrival is ``T_r(j−1) +
+        min_i c_i(j−1)``, with the books, staging pump and heap bound of
+        any release and no PE stepped.  A carrier that stops the run
+        writes the PEs' arrivals back and resumes it; at its end
+        (:meth:`_end_run`) each PE's next fetch is stamped.
         """
         self._releasing = True
         env = self.env
@@ -521,29 +527,44 @@ class FetchUnitQueue:
                 mask = head.mask
                 if not mask <= requests.keys():
                     return
-                ins = head.payload
-                if self._run is not None or (
-                        ins is not None and self.may_run_ahead
-                        and getattr(ins._exec_handler_cache,
-                                    "register_only", False)
-                        and self._start_run(head)):
-                    if not self._release_run():
-                        return
-                    continue
-                stamps = [arrivals[s] for s in mask]
-                t_r = max(admitted[self.releases], self._last_release,
-                          *stamps)
+                run = self._run
+                if run is None and self.may_run_ahead:
+                    ins = head.payload
+                    if ins is not None and getattr(
+                            ins._exec_handler_cache, "register_only", False):
+                        run = self._start_run(head)
+                if run is not None and run.next:
+                    # PE i asks for item j at T_r(j−1) + c_i(j−1).
+                    t_prev = self._last_release
+                    t_r = t_prev + run.maxc[run.next - 1]
+                    first = t_prev + run.minc[run.next - 1]
+                    if admitted[self.releases] > t_r:
+                        t_r = admitted[self.releases]
+                else:
+                    stamps = [arrivals[s] for s in mask]
+                    t_r = max(admitted[self.releases], self._last_release,
+                              *stamps)
+                    first = min(stamps)
                 now = env.now
                 if t_r < now:
                     t_r = now
                 elif t_r > now and not t_r < env.peek():
+                    if run is not None and run.next:
+                        t_prev = self._last_release
+                        for slot, c in zip(run.slots, run.costs):
+                            arrivals[slot] = t_prev + c[run.next - 1]
                     self._schedule_carrier(t_r)
                     return
-                self._account_release(head, t_r, min(stamps))
+                self._account_release(head, t_r, first)
                 self.lockstep_releases += 1
                 if self._staged:
                     self._pump_staging(t_r)
                 self.lockstep_batch_pes += len(mask)
+                if run is not None:
+                    run.next += 1
+                    if run.next == len(run.maxc):
+                        self._end_run(run, t_r)
+                    continue
                 step = head.payload is not None
                 # Serving a PE touches no other slot's request (a resumed
                 # generator's own registrations wait for this cascade),
@@ -568,15 +589,15 @@ class FetchUnitQueue:
             self._releasing = False
             self.broadcast_steps += steps
 
-    def _start_run(self, head: QueueItem) -> bool:
+    def _start_run(self, head: QueueItem) -> _Run | None:
         """Run the register-only run at the head ahead of its release,
         if every PE of its mask is parked for stepping: the admitted
         items from the head on that share its mask and timecat and are
         register-only, cut before the first that would take a PE's pc
         out of SIMD space.  Each PE runs the whole run PE-major
-        (:meth:`~repro.m68k.cpu.CPU.run_ahead`) and the run's costs are
-        kept for :meth:`_release_run`.  False when no run of two or
-        more items starts.
+        (:meth:`~repro.m68k.cpu.CPU.run_ahead`); the run, with its
+        costs, is pending until :meth:`_run_releases` has released its
+        last item.  None when no run of two or more items starts.
         """
         mask = head.mask
         cat = head.payload.timecat
@@ -596,92 +617,43 @@ class FetchUnitQueue:
             offset += 2 * w
             words += item.words
         if len(steps) < 2:
-            return False
+            return None
         requests, steppers = self._requests, self._steppers
         cpus = []
         for slot in mask:
             stepper = steppers.get(slot)
             if stepper is None or not requests[slot].callbacks:
-                return False  # resumed with a value, not stepped
+                return None  # resumed with a value, not stepped
             cpu = stepper.__self__
             if cpu.bus.trace_waits:
-                return False
+                return None
             cpus.append(cpu)
         for cpu in cpus:  # the pc stays in SIMD space after each step
             room = cpu.bus._simd_bounds[1] - cpu.regs.pc
             while steps and steps[-1][2] >= room:
                 words -= steps.pop()[3]
         if len(steps) < 2:
-            return False
+            return None
         costs = [cpu.run_ahead(steps, words) for cpu in cpus]
         self.ahead_steps += len(steps) * len(cpus)
         self.broadcast_steps += len(steps) * len(cpus)
         arrivals = self._arrivals
         self._run = _Run(list(mask), cpus, costs,
                          [arrivals[s] for s in mask], cat)
-        return True
+        return self._run
 
-    def _release_run(self) -> bool:
-        """Release the pending register-only run item by item from its
-        recorded costs ``c_i(j)``, with the books, staging pump and heap
-        bound of :meth:`_run_releases`:
-        ``T_r(j) = max(a_j, T_r(j−1) + max_i c_i(j−1))``, and the mask's
-        first arrival for the empty stall is ``T_r(j−1) + min_i
-        c_i(j−1)``.  A release not due before the next heap event
-        schedules its carrier and returns False, the PEs' arrivals
-        written back; the carrier's loop resumes the run.  At the end
-        each PE's next fetch is stamped and its run's time added to its
-        category, telescoped from the run's first stamp.
-        """
-        run = self._run
-        env = self.env
-        items = self._items
-        admitted = self._admitted_at
+    def _end_run(self, run: _Run, t_r: float) -> None:
+        """The run's last item was released at ``t_r``: stamp each PE's
+        next fetch and add the run's time to its category, telescoped
+        from its stamp at the run's first item."""
         arrivals = self._arrivals
-        slots, costs = run.slots, run.costs
-        maxc, minc = run.maxc, run.minc
-        account, pump, staged = (self._account_release, self._pump_staging,
-                                 self._staged)
-        j, n = run.next, len(maxc)
-        start = j
-        t_prev = self._last_release
-        while j < n:
-            if j:
-                t_r = t_prev + maxc[j - 1]
-                first = t_prev + minc[j - 1]
-                a = admitted[self.releases]
-                if a > t_r:
-                    t_r = a
-            else:
-                stamps = [arrivals[s] for s in slots]
-                t_r = max(admitted[self.releases], t_prev, *stamps)
-                first = min(stamps)
-            now = env.now
-            if t_r < now:
-                t_r = now
-            elif t_r > now and not t_r < env.peek():
-                break
-            account(items[0], t_r, first)
-            if staged:
-                pump(t_r)
-            t_prev = t_r
-            j += 1
-        self.lockstep_releases += j - start
-        self.lockstep_batch_pes += (j - start) * len(slots)
-        if j < n:
-            run.next = j
-            if j:
-                for slot, c in zip(slots, costs):
-                    arrivals[slot] = t_prev + c[j - 1]
-            self._schedule_carrier(t_r)
-            return False
-        for slot, cpu, c, first in zip(slots, run.cpus, costs, run.starts):
-            end = t_prev + c[-1]
+        for slot, cpu, c, first in zip(run.slots, run.cpus, run.costs,
+                                       run.starts):
+            end = t_r + c[-1]
             arrivals[slot] = end
             cats = cpu.category_cycles
             cats[run.cat] = cats.get(run.cat, 0.0) + (end - first)
         self._run = None
-        return True
 
     def _refill_from_waiters(self) -> None:
         """Pure events: admit blocked enqueues as far as space allows."""

@@ -1566,8 +1566,10 @@ def _compiled(mnemonic, size, operands, target, reg_list, movem_store):
 
 def _register_only(instr: Instruction, handler) -> bool:
     """The register-only rule: ``handler`` is a plain call that returns
-    ``instr``'s TimingInfo, and ``instr`` has no memory operand, is not
-    control flow or HALT, and cannot raise (no divide).
+    ``instr``'s TimingInfo, and ``instr`` has no memory operand, makes
+    no data access (LINK and UNLK use the stack through register
+    operands), is not control flow or HALT, and cannot raise (no
+    divide).
 
     Such an instruction reads and writes only its CPU's registers, and
     its cost is its fetch plus internal cycles that depend on register
@@ -1577,11 +1579,13 @@ def _register_only(instr: Instruction, handler) -> bool:
     its release, and a chain replays a run of them on a local clock.
     """
     m = instr.mnemonic
-    return (not inspect.isgeneratorfunction(handler)
-            and m not in _CHAIN_BREAKERS and m not in ("DIVU", "DIVS")
-            and not any(op.mode.is_memory for op in instr.operands)
-            and instruction_timing(instr, shift_count=0, src_value=0)
-            .stream_words == instr.encoded_words())
+    if (inspect.isgeneratorfunction(handler) or m in _CHAIN_BREAKERS
+            or m in ("DIVU", "DIVS")
+            or any(op.mode.is_memory for op in instr.operands)):
+        return False
+    timing = instruction_timing(instr, shift_count=0, src_value=0)
+    return (timing.data_reads == timing.data_writes == 0
+            and timing.stream_words == instr.encoded_words())
 
 
 def _resolve_handler(instr: Instruction):

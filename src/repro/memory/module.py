@@ -40,6 +40,8 @@ class MemoryModule:
         off = addr - self.base
         if off < 0 or off + size > len(data) or (size >= 2 and addr & 1):
             off = self._offset(addr, size)  # raises the precise error
+        if size == 2:  # the PEs' data word: no slice, no from_bytes
+            return data[off] << 8 | data[off + 1]
         return int.from_bytes(data[off : off + size], "big")
 
     def write(self, addr: int, value: int, size: int) -> None:
@@ -47,6 +49,10 @@ class MemoryModule:
         off = addr - self.base
         if off < 0 or off + size > len(data) or (size >= 2 and addr & 1):
             off = self._offset(addr, size)  # raises the precise error
+        if size == 2:
+            data[off] = value >> 8 & 0xFF
+            data[off + 1] = value & 0xFF
+            return
         data[off : off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
             size, "big"
         )

@@ -185,13 +185,7 @@ class PEBus(LocalTimeBus):
         return True
 
     def try_read(self, addr: int, size: int):
-        """Local read value, or None to use the generator protocol.
-
-        Hot path: the refresh stall of :meth:`_ram_cycles` is inlined,
-        and an aligned in-range word is read from the module's bytes;
-        every other size, and each error, goes through
-        :meth:`MemoryModule.read`.
-        """
+        """Local read value, or None to use the generator protocol."""
         if not self.fast_path:
             return None
         region = self._data_region
@@ -206,23 +200,11 @@ class PEBus(LocalTimeBus):
             return None if got is None else self._settled(region, stamp, got)
         n = 2 if size == 4 else 1
         self.data_accesses += n
-        cycles = n * (4 + region.wait_states)
-        steal = self._ref_steal
-        if steal:
-            phase = (self.env.now + self._local) % self._ref_period
-            if phase < steal:
-                cycles += steal - phase
+        cycles = self._ram_cycles(n, region.wait_states)
         self._local += cycles
-        memory = self.memory
-        data = memory.data
-        off = addr - memory.base
-        if size == 2 and not addr & 1 and 0 <= off < len(data) - 1:
-            return data[off] << 8 | data[off + 1]
-        return memory.read(addr, size)
+        return self.memory.read(addr, size)
 
     def try_write(self, addr: int, value: int, size: int) -> bool:
-        """Write locally, or False to use the generator protocol; the
-        twin of :meth:`try_read`."""
         if not self.fast_path:
             return False
         region = self._data_region
@@ -240,21 +222,9 @@ class PEBus(LocalTimeBus):
             return True
         n = 2 if size == 4 else 1
         self.data_accesses += n
-        cycles = n * (4 + region.wait_states)
-        steal = self._ref_steal
-        if steal:
-            phase = (self.env.now + self._local) % self._ref_period
-            if phase < steal:
-                cycles += steal - phase
+        cycles = self._ram_cycles(n, region.wait_states)
         self._local += cycles
-        memory = self.memory
-        data = memory.data
-        off = addr - memory.base
-        if size == 2 and not addr & 1 and 0 <= off < len(data) - 1:
-            data[off] = value >> 8 & 0xFF
-            data[off + 1] = value & 0xFF
-        else:
-            memory.write(addr, value, size)
+        self.memory.write(addr, value, size)
         return True
 
     def try_queue_fetch(self, addr: int, stepper):

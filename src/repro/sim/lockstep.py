@@ -36,18 +36,17 @@ event rendezvous:
   first): under DRAM refresh a PE's cost for an item that touches DRAM
   depends on ``R(j)`` modulo the refresh period, so on every PE's step
   ``j−1``.  A *register-only* item (the compiled handler's
-  ``register_only``: no memory operand, no control flow, cannot raise)
-  is fetched from SIMD space's static RAM and touches only the PE's
-  registers, so its cost does not depend on ``R(j)``: a run of them,
-  every PE of its mask parked, runs PE-major
+  ``register_only``: no memory operand or data access, no control
+  flow, cannot raise) is fetched from SIMD space's static RAM and
+  touches only the PE's registers, so its cost does not depend on
+  ``R(j)``: a run of them, every PE of its mask parked, runs PE-major
   (:meth:`repro.m68k.cpu.CPU.run_ahead`), and the loop releases it from
   the recorded costs, ``R(j) = max(admit(j), R(j−1) + max_i c_i(j−1))``.
-  A PE goes back to its
-  generator only at an edge: its handler hands back a generator
-  (network, SIMD-space data or barrier access, a cold instruction
-  family), its pc leaves SIMD space, it halts, or the item is a sync
-  word.  A barrier read, a fetch by a CPU that is tracing, and a PE with
-  a scheduled fail-stop are never stepped.
+  A PE goes back to its generator only at an edge: its handler hands
+  back a generator (network, SIMD-space data or barrier access, a cold
+  instruction family), its pc leaves SIMD space, it halts, or the item
+  is a sync word.  A barrier read, a fetch by a CPU that is tracing,
+  and a PE with a scheduled fail-stop are never stepped.
 
 Everything that is not a queue rendezvous — network register traffic and
 the MC's commands (stamped channels, :mod:`repro.sim.channel`), timer

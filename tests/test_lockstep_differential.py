@@ -37,7 +37,7 @@ from repro.errors import BusError, PEFailStopError
 from repro.faults import FaultPlan, PEFailStop, representative_fault_plan
 from repro.fetch_unit.queue import FetchUnitQueue
 from repro.m68k.assembler import assemble
-from repro.m68k.cpu import CPU
+from repro.m68k.cpu import CPU, _resolve_handler
 from repro.machine import ExecutionMode, PASMMachine
 from repro.machine.partition import Partition
 from repro.mc import EnqueueBlock, EnqueueSync, Loop, SetMask, WaitController
@@ -594,6 +594,11 @@ def test_release_run_with_mortal_pe_identical():
 _REG_RUN = "\n".join(["    MULU    D1,D2", "    ADDQ.W  #1,D3",
                       "    MULU    D1,D3", "    LSR.W   #1,D2"] * 4)
 
+_LINK_RUN = "\n".join(["    MOVEA.L #$4110,A7", "    ADDQ.W  #3,D2",
+                       "    MULU    D1,D2", "    MOVEA.L D2,A6",
+                       "    LINK    A6,#-8",
+                       "    MULU    D1,D3", "    ADDQ.W  #1,D3"])
+
 #: ``name: (plan, blocks, seeds, cfg)``.
 AHEAD_RUNS = {
     "one-pe-mask": (_simd_plan([((2,), "run", 3), (_ALL, "run", 1)]),
@@ -615,6 +620,11 @@ AHEAD_RUNS = {
                      {"cats": "    .timecat mult\n" + _REG_RUN
                               + "\n    .timecat comm\n" + _MUL},
                      _SEEDS_SPREAD, None),
+    # LINK names only registers but pushes onto the stack in DRAM: it
+    # is not register-only, and ends the run of register-only MOVEAs
+    # and MULU before it.  Each PE pushes its own A6 at $410C.
+    "link": (_simd_plan([(_ALL, "link", 2)]),
+             {"link": _LINK_RUN}, _SEEDS_SPREAD, None),
     # The last block's HALT is not register-only: the run before it
     # ends one item short of it.
     "halt": (_edge_plan((_ALL, "run", 2), end="stop"),
@@ -630,15 +640,14 @@ def test_register_only_run_identical(name, monkeypatch):
     equal pure events'.  The carrier case is stopped mid-run at least
     once."""
     cuts = []
-    release_run = FetchUnitQueue._release_run
+    schedule_carrier = FetchUnitQueue._schedule_carrier
 
-    def counted(queue):
-        done = release_run(queue)
-        if not done:
+    def counted(queue, t_r):
+        if queue._run is not None:
             cuts.append(queue._run.next)
-        return done
+        schedule_carrier(queue, t_r)
 
-    monkeypatch.setattr(FetchUnitQueue, "_release_run", counted)
+    monkeypatch.setattr(FetchUnitQueue, "_schedule_carrier", counted)
     plan, blocks_src, seeds, cfg = AHEAD_RUNS[name]
     machine, sig = _run_simd_program("lockstep", plan, blocks_src, seeds,
                                      cfg=cfg)
@@ -647,6 +656,8 @@ def test_register_only_run_identical(name, monkeypatch):
     assert sig == pure
     counters = machine_counters(machine)
     assert 0 < counters["ahead_steps"] <= counters["broadcast_steps"]
+    if name == "link":  # each PE's A6, pushed
+        assert any(sig["stored"][lp][6:] != [0, 0] for lp in range(4))
     if name == "carrier-mid-run":
         assert any(j > 0 for j in cuts)
 
@@ -717,6 +728,49 @@ def test_mimd_register_only_chain_crosses_refresh_identical():
             for entry in chain if entry[5] is None]
     # From the entry, MOVEQ and the body; from the loop head, the body.
     assert sorted(len(entry[3]) for entry in runs) == [12, 13]
+
+
+def test_register_only_rule():
+    """Register-only: no memory operand and no data access, no control
+    flow, no divide.  LINK and UNLK name only registers but use the
+    stack."""
+    def register_only(line):
+        instr, = assemble(line).instruction_list()
+        return _resolve_handler(instr).register_only
+
+    for line in ("    MULU    D1,D5", "    MOVEA.L #$4300,A6",
+                 "    LSR.W   #1,D2", "    EXG     D2,D4",
+                 "    ADDA.W  D2,A2"):
+        assert register_only(line), line
+    for line in ("    LINK    A6,#-8", "    UNLK    A6",
+                 "    DIVU    D1,D2", "    MOVE.W  (A0),D3",
+                 "    DBRA    D6,$1000", "    HALT"):
+        assert not register_only(line), line
+
+
+def test_mimd_chain_with_link_identical():
+    """A MIMD loop whose straight-line body mixes register-only MOVEAs
+    and MULUs with LINK and UNLK: the stack instructions stay single
+    chain entries between register-only runs, and the full signature,
+    the pushed words included, equals pure events'."""
+    pe_text = ("    MOVEA.L #$4110,A7\n    MOVEQ   #5,D6\nloop:\n"
+               "    ADDQ.W  #3,D2\n    MULU    D1,D2\n    MOVEA.L D2,A6\n"
+               "    LINK    A6,#-8\n"
+               "    MULU    D1,D3\n    ADDQ.W  #1,D3\n    UNLK    A6\n"
+               "    MOVEA.L #$4300,A6\n    DBRA    D6,loop\n"
+               "    JMP     SIMDSPACE")
+    plan = _edge_plan((_ALL, "go", 1))
+    blocks_src = {"go": "    JMP     $1000"}
+    machine, sig = _run_simd_program("lockstep", plan, blocks_src,
+                                     _SEEDS_SPREAD, pe_text)
+    _, pure = _run_simd_program("pure-events", plan, blocks_src,
+                                _SEEDS_SPREAD, pe_text)
+    assert sig == pure
+    assert any(sig["stored"][lp][6:] != [0, 0] for lp in range(4))
+    chains = [chain for chain, _ in machine.pe(0).cpu._chain_cache.values()]
+    runs = [[step[3] for step in entry[3]] for chain in chains
+            for entry in chain if entry[5] is None]
+    assert runs and all(h.register_only for run in runs for h in run)
 
 
 def test_ahead_steps_cover_the_added_multiplies():

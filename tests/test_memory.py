@@ -48,9 +48,9 @@ class TestMemoryModule:
         assert m.read(0, 2) == 0xFFFF
 
     def test_pe_bus_fast_twins_match_the_module(self):
-        """The PE bus's fast twins read and write an aligned word from
-        the module's bytes, and hand every other access to the module:
-        the same values, the same errors, each access charged."""
+        """The PE bus's fast twins read and write through the module:
+        its values (a word masked, a long as two words), its errors,
+        each access charged."""
         from repro.machine import PrototypeConfig
         from repro.pe.processing_element import ProcessingElement
         from repro.sim import Environment
