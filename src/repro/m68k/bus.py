@@ -60,7 +60,6 @@ class SimpleBus(LocalTimeBus):
         self.ws_stream = ws_stream
         self.ws_data = ws_data
         self.refresh = refresh
-        self.stream_accesses = 0
         self.data_accesses = 0
         self._init_local_clock(fast_path, refresh)
 
@@ -85,14 +84,12 @@ class SimpleBus(LocalTimeBus):
         if instr is None:
             return None  # generator path raises the BusError
         n = instr.encoded_words()
-        self.stream_accesses += n
         self._local += self._ram_cycles(n, self.ws_stream)
         return instr
 
     def try_fetch_stream_words(self, addr: int, n: int) -> bool:
         if not self.fast_path:
             return False
-        self.stream_accesses += n
         self._local += self._ram_cycles(n, self.ws_stream)
         return True
 
@@ -121,13 +118,11 @@ class SimpleBus(LocalTimeBus):
         except KeyError:
             raise BusError(f"no instruction at {addr:#x}") from None
         n = instr.encoded_words()
-        self.stream_accesses += n
         yield from self.charge(self._ram_cycles(n, self.ws_stream))
         return instr
 
     def fetch_stream_words(self, addr: int, n: int):
         """Generator: charge ``n`` extra instruction-stream accesses."""
-        self.stream_accesses += n
         yield from self.charge(self._ram_cycles(n, self.ws_stream))
 
     def read(self, addr: int, size: int):

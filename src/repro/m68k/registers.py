@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.utils.bitops import sign_extend
 
 MASK32 = 0xFFFF_FFFF
 
@@ -100,29 +99,6 @@ class RegisterFile:
         if size == 4:
             return v
         return v & 0xFFFF if size == 2 else v & 0xFF
-
-    def write_d(self, n: int, value: int, size: int = 4) -> None:
-        """Write the low ``size`` bytes of Dn, preserving the upper bits."""
-        if size == 4:
-            self.d[n] = value & MASK32
-        else:
-            low_mask = (1 << (size * 8)) - 1
-            self.d[n] = (self.d[n] & (MASK32 ^ low_mask)) | (value & low_mask)
-
-    # -- address registers ------------------------------------------------
-    def read_a(self, n: int, size: int = 4) -> int:
-        v = self.a[n]
-        if size == 4:
-            return v
-        return v & 0xFFFF if size == 2 else v & 0xFF
-
-    def write_a(self, n: int, value: int, size: int = 4) -> None:
-        """Write An; word-sized sources are sign-extended to 32 bits."""
-        if size == 2:
-            value = sign_extend(value, 16)
-        elif size == 1:
-            raise ValueError("byte operations on address registers are illegal")
-        self.a[n] = value & MASK32
 
     @property
     def sp(self) -> int:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.sim.localtime import refresh_stall
+
 
 @dataclass(frozen=True)
 class RefreshModel:
@@ -51,22 +53,15 @@ class RefreshModel:
         contiguously, and a window cannot recur within one instruction's
         burst for realistic parameters).
         """
-        if self.steal == 0 or n_accesses <= 0:
+        if n_accesses <= 0:
             return 0.0
-        phase = now % self.period
-        if phase < self.steal:
-            return self.steal - phase
-        return 0.0
+        return float(refresh_stall(now, self.period, self.steal))
 
     def inline_constants(self) -> tuple[int, int]:
-        """``(period, steal)`` for closed-form inlining in bus hot paths.
-
-        The buses hoist these two integers once at construction and
-        compute the stall arithmetic in place (``phase = now % period;
-        stall = steal - phase if phase < steal else 0``) instead of
-        calling :meth:`stall_cycles` per access — the same pure function
-        of absolute time, without the attribute chase and call overhead.
-        ``steal == 0`` lets the caller skip the computation entirely.
+        """``(period, steal)``, which the buses hoist once at construction
+        and pass to :func:`~repro.sim.localtime.refresh_stall` per access
+        — the same pure function of absolute time as
+        :meth:`stall_cycles`, without the attribute chase.
         """
         return self.period, self.steal
 

@@ -44,7 +44,10 @@ class MemoryModule:
             return data[off] << 8 | data[off + 1]
         return int.from_bytes(data[off : off + size], "big")
 
-    def write(self, addr: int, value: int, size: int) -> None:
+    def write(self, addr: int, value: int, size: int) -> bool:
+        """Store ``value``; True, so the method serves as the CPU's write
+        twin (a broadcast run-ahead binds it, :func:`repro.m68k.cpu.
+        run_ahead`)."""
         data = self.data
         off = addr - self.base
         if off < 0 or off + size > len(data) or (size >= 2 and addr & 1):
@@ -52,10 +55,11 @@ class MemoryModule:
         if size == 2:
             data[off] = value >> 8 & 0xFF
             data[off + 1] = value & 0xFF
-            return
+            return True
         data[off : off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
             size, "big"
         )
+        return True
 
     def load(self, addr: int, blob: bytes) -> None:
         """Bulk-load ``blob`` at ``addr`` (no timing, used by loaders)."""

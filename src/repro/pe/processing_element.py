@@ -33,6 +33,14 @@ from repro.network.transfer import StatusRegister, TransferPort
 from repro.sim.events import PENDING
 from repro.sim.localtime import LocalTimeBus
 
+# The region kinds the access paths test, as module constants: a lookup
+# of an Enum member on its class costs a descriptor call (about 0.17 µs
+# on CPython 3.11), once per access.
+_MAIN_RAM, _SIMD_SPACE, _TIMER = (
+    RegionKind.MAIN_RAM, RegionKind.SIMD_SPACE, RegionKind.TIMER)
+_NET_TX, _NET_RX, _NET_STATUS = (
+    RegionKind.NET_TX, RegionKind.NET_RX, RegionKind.NET_STATUS)
+
 
 class PEBus(LocalTimeBus):
     """The PE's address decoder / bus timing model.
@@ -84,9 +92,7 @@ class PEBus(LocalTimeBus):
         self._data_region = None
         self._data_regions: dict = {}
         # -- instrumentation ------------------------------------------------
-        self.stream_accesses = 0
         self.data_accesses = 0
-        self.queue_fetches = 0
         self.sync_reads = 0
         self.lockstep_rendezvous = 0  #: stamped requests issued
         self._req_ev = None  #: recycled request event (one pending max)
@@ -119,6 +125,12 @@ class PEBus(LocalTimeBus):
                 port.status_reg = StatusRegister(env, port, c)
         simd = self.map.find(RegionKind.SIMD_SPACE)
         self._simd_bounds = (simd.start, simd.end)
+        #: The PE's own DRAM: main RAM backed by its memory module, and
+        #: its wait states (a broadcast run-ahead's accesses stay inside).
+        main = self.map.find(RegionKind.MAIN_RAM)
+        self._dram_bounds = (max(main.start, memory.base),
+                             min(main.end, memory.base + len(memory)))
+        self._dram_ws = main.wait_states
 
     # ------------------------------------------------------------------
     def load_program(self, program: AssembledProgram) -> None:
@@ -159,7 +171,7 @@ class PEBus(LocalTimeBus):
         if region is None or not (region.start <= addr < region.end):
             region = self.map.lookup(addr)
             self._fetch_region = region
-        if region.kind is not RegionKind.MAIN_RAM:
+        if region.kind is not _MAIN_RAM:
             return None
         instr = self.instructions.get(addr)
         if instr is None:
@@ -167,7 +179,6 @@ class PEBus(LocalTimeBus):
         n = instr._encoded_words_cache
         if n is None:
             n = instr.encoded_words()
-        self.stream_accesses += n
         cycles = self._ram_cycles(n, region.wait_states)
         self._local += cycles
         return instr
@@ -176,8 +187,7 @@ class PEBus(LocalTimeBus):
         if not self.fast_path:
             return False
         region = self._fregion(addr)
-        self.stream_accesses += n
-        if region.kind is RegionKind.MAIN_RAM:
+        if region.kind is _MAIN_RAM:
             cycles = self._ram_cycles(n, region.wait_states)
         else:
             cycles = n * (4 + region.wait_states)
@@ -191,7 +201,7 @@ class PEBus(LocalTimeBus):
         region = self._data_region
         if region is None or not (region.start <= addr < region.end):
             region = self._dregion(addr)
-        if region.kind is not RegionKind.MAIN_RAM:
+        if region.kind is not _MAIN_RAM:
             channel = self._read_channel(region.kind)
             if channel is None or self.flush_net:
                 return None
@@ -210,8 +220,8 @@ class PEBus(LocalTimeBus):
         region = self._data_region
         if region is None or not (region.start <= addr < region.end):
             region = self._dregion(addr)
-        if region.kind is not RegionKind.MAIN_RAM:
-            if (region.kind is not RegionKind.NET_TX or size != 1
+        if region.kind is not _MAIN_RAM:
+            if (region.kind is not _NET_TX or size != 1
                     or self.flush_net):
                 return False
             stamp = self.env.now + self._local
@@ -241,7 +251,7 @@ class PEBus(LocalTimeBus):
         if region is None or not (region.start <= addr < region.end):
             region = self.map.lookup(addr)
             self._fetch_region = region
-        if region.kind is not RegionKind.SIMD_SPACE:
+        if region.kind is not _SIMD_SPACE:
             return None
         if self.queue is None:
             return None  # generator path raises the BusError
@@ -279,7 +289,7 @@ class PEBus(LocalTimeBus):
     # -- generator protocol ---------------------------------------------
     def fetch_instruction(self, addr: int):
         region = self._fregion(addr)
-        if region.kind is RegionKind.MAIN_RAM:
+        if region.kind is _MAIN_RAM:
             try:
                 instr = self.instructions[addr]
             except KeyError:
@@ -287,10 +297,9 @@ class PEBus(LocalTimeBus):
                     f"{self.name}: no instruction at {addr:#x}"
                 ) from None
             n = instr.encoded_words()
-            self.stream_accesses += n
             yield from self.charge(self._ram_cycles(n, region.wait_states))
             return instr
-        if region.kind is RegionKind.SIMD_SPACE:
+        if region.kind is _SIMD_SPACE:
             # Pure events only: the fast tier fetches here through
             # try_queue_fetch, which refuses only when no queue is
             # attached.  No local clock, so env.now is bus-true.
@@ -305,8 +314,6 @@ class PEBus(LocalTimeBus):
                     f"{self.name}: fetched a bare sync word as an instruction"
                 )
             n = item.words
-            self.queue_fetches += n
-            self.stream_accesses += n
             # Queue fetches: static RAM, no refresh.
             yield self.env.sleep(n * (4 + region.wait_states))
             return item.payload
@@ -316,8 +323,7 @@ class PEBus(LocalTimeBus):
 
     def fetch_stream_words(self, addr: int, n: int):
         region = self._fregion(addr)
-        self.stream_accesses += n
-        if region.kind is RegionKind.MAIN_RAM:
+        if region.kind is _MAIN_RAM:
             cycles = self._ram_cycles(n, region.wait_states)
         else:
             cycles = n * (4 + region.wait_states)
@@ -326,12 +332,12 @@ class PEBus(LocalTimeBus):
     def read(self, addr: int, size: int):
         region = self._dregion(addr)
         kind = region.kind
-        if kind is RegionKind.MAIN_RAM:
+        if kind is _MAIN_RAM:
             n = access_count(size)
             self.data_accesses += n
             yield from self.charge(self._ram_cycles(n, region.wait_states))
             return self.memory.read(addr, size)
-        if kind is RegionKind.SIMD_SPACE:
+        if kind is _SIMD_SPACE:
             # Barrier: a data read from SIMD space consumes one queue word
             # and completes only when all enabled PEs have read it.
             if self.fast_path:
@@ -379,7 +385,7 @@ class PEBus(LocalTimeBus):
                 if got is None:
                     got = yield channel.park(stamp)
             return self._settled(region, stamp, got)
-        if kind is RegionKind.NET_RX:
+        if kind is _NET_RX:
             t0 = self.env.now
             value = yield from self.port.read_rx()
             if self.trace_waits and self.env.now > t0:
@@ -387,11 +393,11 @@ class PEBus(LocalTimeBus):
             self.data_accesses += 1
             yield self.env.sleep(4 + region.wait_states)
             return value
-        if kind is RegionKind.NET_STATUS:
+        if kind is _NET_STATUS:
             self.data_accesses += 1
             yield self.env.sleep(4 + region.wait_states)
             return self.port.status()
-        if kind is RegionKind.TIMER:
+        if kind is _TIMER:
             n = access_count(size)
             self.data_accesses += n
             # The timer *is* global time: charge the access, flush
@@ -404,13 +410,13 @@ class PEBus(LocalTimeBus):
     def write(self, addr: int, value: int, size: int):
         region = self._dregion(addr)
         kind = region.kind
-        if kind is RegionKind.MAIN_RAM:
+        if kind is _MAIN_RAM:
             n = access_count(size)
             self.data_accesses += n
             yield from self.charge(self._ram_cycles(n, region.wait_states))
             self.memory.write(addr, value, size)
             return
-        if kind is RegionKind.NET_TX:
+        if kind is _NET_TX:
             if size != 1:
                 raise BusError(
                     f"{self.name}: network data path is 8 bits wide; "
@@ -438,9 +444,9 @@ class PEBus(LocalTimeBus):
     # -- stamped network accesses (fast tier) ----------------------------
     def _read_channel(self, kind):
         """The stamped channel a read of region ``kind`` meets, or None."""
-        if kind is RegionKind.NET_RX:
+        if kind is _NET_RX:
             return self.port.rx_pipe
-        if kind is RegionKind.NET_STATUS:
+        if kind is _NET_STATUS:
             return self.port.status_reg
         return None
 

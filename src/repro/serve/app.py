@@ -113,10 +113,6 @@ class ServeApp:
         await self.broker.drain()
         self._stopped.set()
 
-    async def run_forever(self) -> None:
-        await self.start()
-        await self._stopped.wait()
-
     # ------------------------------------------------------------------
     # Routing
     async def handle(self, request: Request) -> Response:

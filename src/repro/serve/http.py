@@ -108,11 +108,6 @@ class Response:
         return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
 
 
-def json_response(status: int, doc: dict, *,
-                  headers: tuple[tuple[str, str], ...] = ()) -> Response:
-    return Response(status=status, body=doc, headers=headers)
-
-
 async def _read_line(reader: asyncio.StreamReader) -> bytes:
     try:
         line = await reader.readuntil(b"\n")

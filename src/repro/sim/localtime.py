@@ -50,6 +50,16 @@ PURE_EVENTS_ENV = "REPRO_PURE_EVENTS"
 _TRUTHY = ("1", "true", "yes", "on")
 
 
+def refresh_stall(t: float, period: int, steal: int):
+    """The refresh stall of a DRAM access that starts at absolute time
+    ``t``: the rest of the steal window ``[k·period, k·period + steal)``
+    it lands in, else 0 (``steal == 0`` is no refresh).  The one formula
+    of :class:`repro.memory.dram.RefreshModel`: every bus access, chain
+    replay and broadcast run prices DRAM with it."""
+    phase = t % period
+    return steal - phase if phase < steal else 0
+
+
 def resolve_fast_path(flag: bool | None = None) -> bool:
     """Resolve a fast-path setting: explicit flag > $REPRO_PURE_EVENTS > on."""
     if flag is not None:
@@ -79,15 +89,9 @@ class LocalTimeBus:
 
     def _ram_cycles(self, n: int, ws: float) -> float:
         """Cost of ``n`` DRAM accesses of ``ws`` wait states at bus-true
-        time, with the refresh stall of ``RefreshModel.stall_cycles`` (a
-        pure function of absolute time) in closed form."""
-        cycles = n * (4 + ws)
-        steal = self._ref_steal
-        if steal:
-            phase = (self.env.now + self._local) % self._ref_period
-            if phase < steal:
-                cycles += steal - phase
-        return cycles
+        time, with the refresh stall (:func:`refresh_stall`)."""
+        return n * (4 + ws) + refresh_stall(
+            self.env.now + self._local, self._ref_period, self._ref_steal)
 
     def charge(self, cycles: float):
         """Generator: charge private time, accrued in the local clock on

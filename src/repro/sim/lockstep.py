@@ -32,16 +32,15 @@ event rendezvous:
   its generator is not resumed.  This is the max-plus recurrence of the
   release times, ``R(j) = max(admit(j), R(j−1), max_i arrival_i(j))``,
   evaluated item-major, each PE's arrival computed by its own handler.
-  In general it cannot run PE-major (each PE through the whole run
-  first): under DRAM refresh a PE's cost for an item that touches DRAM
+  Under DRAM refresh a PE's *cost* for an item that touches DRAM
   depends on ``R(j)`` modulo the refresh period, so on every PE's step
-  ``j−1``.  A *register-only* item (the compiled handler's
-  ``register_only``: no memory operand or data access, no control
-  flow, cannot raise) is fetched from SIMD space's static RAM and
-  touches only the PE's registers, so its cost does not depend on
-  ``R(j)``: a run of them, every PE of its mask parked, runs PE-major
-  (:meth:`repro.m68k.cpu.CPU.run_ahead`), and the loop releases it from
-  the recorded costs, ``R(j) = max(admit(j), R(j−1) + max_i c_i(j−1))``.
+  ``j−1``; its *effect* does not.  An item the compiled handler's
+  ``ahead`` admits (memory operands only in ``(An)``-family modes, no
+  control flow, no divide) touches only the PE's registers and DRAM: a
+  run of them, every PE of its mask parked, runs ahead item-major
+  (:func:`repro.m68k.cpu.run_ahead`), cut before any access that would
+  leave a PE's own DRAM, and the loop prices each item's DRAM accesses
+  at its release, ``R(j) = max(admit(j), R(j−1) + max_i c_i(j−1))``.
   A PE goes back to its generator only at an edge: its handler hands
   back a generator (network, SIMD-space data or barrier access, a cold
   instruction family), its pc leaves SIMD space, it halts, or the item
